@@ -28,9 +28,10 @@ from .processes import (DiscreteTable, Gibbs, MixedPoisson, MixingDensity,
                         point_mass_mixing, projection_density,
                         recover_correlation, to_discrete_table,
                         uniqueness_diagnostic)
-from .samplers import (IdentityReport, RunPlan, count_distribution_check,
-                       density_estimator, estimate_correlation,
-                       sample_gibbs_bd, sample_mixed_poisson, sample_poisson,
+from .samplers import (IdentityReport, RunPlan, constant_h,
+                       count_distribution_check, density_estimator,
+                       estimate_correlation, sample_gibbs_bd,
+                       sample_mixed_poisson, sample_poisson,
                        strauss_spec, superpose, verify_gnz, verify_mecke)
 from .transforms import (conv_disjoint, conv_union, exp_vector, k_inverse,
                          k_transform, minlos_pairing, norm_fit)

@@ -247,21 +247,21 @@ def _make_plan(cfg):
 def _run_identity(cfg):
     from .processes import MixedPoisson, Poisson, Superposition, \
         exponential_mixing
-    from .samplers import (count_distribution_check, estimate_correlation,
-                           sample_poisson, strauss_spec, superpose,
-                           verify_gnz, verify_mecke)
+    from .samplers import (constant_h, count_distribution_check,
+                           estimate_correlation, sample_poisson, strauss_spec,
+                           superpose, verify_gnz, verify_mecke)
     task = cfg["task"]
     params = cfg["parameters"]
     plan = _make_plan(cfg)
     window = cfg["ground"]
     if task == "identity:mecke":
-        rep = verify_mecke(float(params["z"]), window,
-                           lambda gamma, x: 1.0, plan)
+        rep = verify_mecke(float(params["z"]), window, constant_h(1.0),
+                           plan)
         return [dict(rep.to_json(), check="mecke_h1")]
     if task == "identity:gnz":
         spec = strauss_spec(float(params["beta"]), float(params["g"]),
                             float(params["R"]))
-        rep = verify_gnz(spec, lambda gamma, x: 1.0, plan)
+        rep = verify_gnz(spec, constant_h(1.0), plan)
         return [dict(rep.to_json(), check="gnz_strauss_h1")]
     if task == "identity:superposition":
         z1, z2 = float(params["z1"]), float(params["z2"])
@@ -426,9 +426,6 @@ def build_parser():
     p_run.add_argument("--out", default=None, help="report output path")
     p_run.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp field (byte-stable reports)")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker count hint (tasks are deterministic "
-                            "regardless)")
     p_run.set_defaults(func=_cmd_run)
     p_list = sub.add_parser("list", help="list available tasks")
     p_list.set_defaults(func=_cmd_list)

@@ -15,6 +15,7 @@ The reference measure weights a subset ``eta`` by ``z**|eta| * prod m(x)``
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -134,9 +135,12 @@ class BoxWindow:
         return self.volume
 
     def contains(self, point):
-        if len(point) != self.dimension:
+        if len(point) != len(self.box):
             return False
-        return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.box))
+        for x, (lo, hi) in zip(point, self.box):
+            if not lo <= x <= hi:
+                return False
+        return True
 
     def contains_box(self, sub):
         """Whether the box `sub` (same format) lies inside this window."""
@@ -145,11 +149,27 @@ class BoxWindow:
         return all(lo <= slo and shi <= hi
                    for (slo, shi), (lo, hi) in zip(sub.box, self.box))
 
-    def sample_uniform(self, rng, n):
-        """Draw ``n`` i.i.d. uniform points; shape ``(n, d)``."""
+    @cached_property
+    def _lo_span(self):
+        """Lower corner and side lengths, two read-only ``(d,)`` arrays."""
         lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        return rng.uniform(lo, hi, size=(n, self.dimension))
+        span = np.array([b[1] for b in self.box]) - lo
+        lo.flags.writeable = False
+        span.flags.writeable = False
+        return lo, span
+
+    def sample_uniform(self, rng, n):
+        """Draw ``n`` i.i.d. uniform points; shape ``(n, d)``.
+
+        ``lo + (hi - lo) * rng.random(...)`` is the arithmetic, and the
+        stream use, of ``rng.uniform(lo, hi, ...)``, so the draws are the
+        same bit for bit, without that call's broadcasting set-up.
+        """
+        lo, span = self._lo_span
+        u = rng.random((n, len(lo)))
+        u *= span
+        u += lo
+        return u
 
 
 def make_ground(spec):
@@ -234,18 +254,39 @@ class Configuration:
         return tuple(i for i in range(self.ground.n_sites)
                      if self.mask >> i & 1)
 
+    @classmethod
+    def _unchecked(cls, ground, points):
+        """Continuum configuration built without ``__post_init__``.
+
+        Only for callers that keep the invariants themselves: ``points`` is
+        a strictly sorted tuple of float tuples inside ``ground``.
+        """
+        gamma = object.__new__(cls)
+        # the fields live in the instance dict; filling it directly skips
+        # the frozen __setattr__ as well as the validation
+        gamma.__dict__.update(ground=ground, mask=0, points=points)
+        return gamma
+
     def with_point(self, p):
-        """New configuration with one point added; duplicates are an error."""
+        """New configuration with one point added; duplicates are an error.
+
+        On a window only the added point is checked (inside, not already
+        present); the points already held were validated when this
+        configuration was built.
+        """
         if isinstance(self.ground, DiscreteGround):
             bit = 1 << p
             if self.mask & bit:
                 raise ValidationError(f"site {p} already occupied")
             return Configuration(self.ground, self.mask | bit)
-        p = tuple(float(c) for c in p)
-        if p in self.points:
+        p = tuple(map(float, p))
+        if not self.ground.contains(p):
+            raise ValidationError(f"point {p} outside the window")
+        pts = self.points
+        i = bisect.bisect_left(pts, p)
+        if i < len(pts) and pts[i] == p:
             raise ValidationError(f"duplicate point {p}")
-        return Configuration(self.ground,
-                             points=tuple(sorted(self.points + (p,))))
+        return Configuration._unchecked(self.ground, pts[:i] + (p,) + pts[i:])
 
     def without_point(self, p):
         if isinstance(self.ground, DiscreteGround):
@@ -253,9 +294,12 @@ class Configuration:
             if not self.mask & bit:
                 raise ValidationError(f"site {p} not occupied")
             return Configuration(self.ground, self.mask & ~bit)
-        pts = list(self.points)
-        pts.remove(tuple(float(c) for c in p))
-        return Configuration(self.ground, points=tuple(pts))
+        p = tuple(map(float, p))
+        pts = self.points
+        i = bisect.bisect_left(pts, p)
+        if i == len(pts) or pts[i] != p:
+            raise ValidationError(f"point {p} not in the configuration")
+        return Configuration._unchecked(self.ground, pts[:i] + pts[i + 1:])
 
 
 def count_in(gamma, region):

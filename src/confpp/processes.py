@@ -127,10 +127,19 @@ def mixing_convolution(p1, p2):
 
 @dataclass(frozen=True)
 class PapangelouSpec:
-    """Conditional-intensity evaluator ``r(gamma, x)`` with a descriptor."""
+    """Conditional-intensity evaluator ``r(gamma, x)`` with a descriptor.
+
+    ``batch``, when given, is the same intensity on arrays:
+    ``batch(points, proposals)[j] == evaluator(gamma, proposals[j])``, where
+    ``points`` holds the points of ``gamma`` in sorted order (an ``(n, d)``
+    coordinate array on a window, the site indices on a discrete ground)
+    and ``proposals`` holds the query points in the same layout.  Samplers
+    use it in place of one scalar call per point when it is present.
+    """
 
     evaluator: object
     descriptor: dict = field(default_factory=dict)
+    batch: object = None
 
     def __call__(self, gamma, x):
         value = float(self.evaluator(gamma, x))
@@ -139,6 +148,18 @@ class PapangelouSpec:
                 f"conditional intensity must be finite and nonnegative, "
                 f"got {value!r}")
         return value
+
+    def batched(self, points, proposals):
+        """``batch(points, proposals)`` with the checks of ``__call__``."""
+        values = np.asarray(self.batch(points, proposals), dtype=float)
+        # a Python pass: cheaper than numpy's per-call overhead at the
+        # sizes the samplers use (one chain proposal, 64 GNZ proposals)
+        for value in values.tolist():
+            if not 0.0 <= value < math.inf:
+                raise ValidationError(
+                    f"conditional intensity must be finite and nonnegative, "
+                    f"got {value!r}")
+        return values
 
 
 @dataclass(frozen=True)
@@ -466,7 +487,15 @@ def pairwise_gibbs_spec(ground, couplings, z=1.0):
         energy = sum(J[x, y] for y in gamma.sites)
         return z * math.exp(-energy)
 
-    return PapangelouSpec(evaluator, {"model": "pairwise", "z": z})
+    def batch(sites, proposals):
+        proposals = np.asarray(proposals, dtype=int)
+        energy = np.zeros(proposals.shape)
+        for y in np.asarray(sites, dtype=int).tolist():
+            energy += J[proposals, y]  # site by site, as the scalar sum
+        return np.array([z * math.exp(-e) for e in energy.tolist()])
+
+    return PapangelouSpec(evaluator, {"model": "pairwise", "z": z},
+                          batch=batch)
 
 
 def check_cocycle(spec, samples, tol=1e-9):

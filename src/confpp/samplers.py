@@ -8,6 +8,7 @@ rule; MCMC standard errors use batch means.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -73,10 +74,6 @@ class IdentityReport:
 # direct samplers
 # ---------------------------------------------------------------------------
 
-def _points_to_configuration(window, pts):
-    return Configuration(window, points=tuple(sorted(map(tuple, pts))))
-
-
 def sample_poisson(window, z, rng):
     """One Poisson(z) configuration: Poisson count, i.i.d. uniform points."""
     if z <= 0:
@@ -118,6 +115,7 @@ def strauss_spec(beta, g, R):
     ``s_R`` counts the points of gamma within distance R of x.  For
     ``g <= 1`` the intensity is bounded by beta, which the descriptor
     records as ``r_max``.  ``g = 0`` is the hard-core model (``0^0 = 1``).
+    The spec carries the batched form of the same intensity.
     """
     if beta <= 0 or not 0 <= g <= 1 or R <= 0:
         raise ValidationError("need beta > 0, 0 <= g <= 1, R > 0")
@@ -135,35 +133,80 @@ def strauss_spec(beta, g, R):
             return beta
         return beta * g ** s
 
+    # beta * g**s for s = 0, 1, ..., grown on demand; Python's float power,
+    # as in the scalar evaluator, so both forms agree bit for bit
+    powers = np.array([beta])
+
+    def batch(points, proposals):
+        nonlocal powers
+        if len(points) >= powers.size:  # s never exceeds len(points)
+            powers = np.array([beta * g ** k
+                               for k in range(len(points) + 1)])
+        diff = proposals[:, None, :] - points
+        near = np.add.reduce(diff * diff, axis=2) <= r2
+        return powers[np.add.reduce(near, axis=1)]
+
     return PapangelouSpec(evaluator, {"model": "strauss", "beta": beta,
-                                      "g": g, "R": R, "r_max": beta})
+                                      "g": g, "R": R, "r_max": beta},
+                          batch=batch)
 
 
-def _bd_step(points, spec, window, vol, rng, r_max):
-    """One birth--death proposal on a list of point tuples, in place."""
-    gamma = Configuration(window, points=tuple(sorted(points)))
-    if rng.random() < 0.5:  # birth
-        x = tuple(float(c) for c in window.sample_uniform(rng, 1)[0])
-        if x in points:
-            return
-        r = spec(gamma, x)
-        if r_max is not None and r > r_max * (1 + 1e-12):
+class _BirthDeathChain:
+    """State of the birth--death chain and its moves.
+
+    The state is kept twice, as a sorted list of point tuples (for
+    duplicate checks and for indexing deaths in sorted order) and as the
+    same rows in an ``(n, d)`` array (for a batched evaluator).  A move
+    builds no validated configuration.
+    """
+
+    def __init__(self, spec, window, rng):
+        self.spec = spec
+        self.window = window
+        self.rng = rng
+        self.vol = window.volume
+        self.r_max = spec.descriptor.get("r_max")
+        self.points = []
+        self.array = np.empty((0, window.dimension))
+
+    def intensity(self, points, array, row):
+        """``r(gamma, x)`` for the ``(1, d)`` row x; gamma given both ways."""
+        if self.spec.batch is not None:
+            return float(self.spec.batched(array, row)[0])
+        gamma = Configuration._unchecked(self.window, tuple(points))
+        return self.spec(gamma, tuple(row[0].tolist()))
+
+    def _bounded(self, r):
+        if self.r_max is not None and r > self.r_max * (1 + 1e-12):
             raise StabilityError(
-                f"conditional intensity {r} exceeds the stated bound {r_max}")
-        if rng.random() < min(1.0, r * vol / (len(points) + 1)):
-            points.add(x)
-    else:  # death
-        if not points:
-            return
-        pts = sorted(points)
-        x = pts[int(rng.integers(len(pts)))]
-        rest = Configuration(window, points=tuple(p for p in pts if p != x))
-        r = spec(rest, x)
-        if r_max is not None and r > r_max * (1 + 1e-12):
-            raise StabilityError(
-                f"conditional intensity {r} exceeds the stated bound {r_max}")
-        if r <= 0.0 or rng.random() < min(1.0, len(pts) / (r * vol)):
-            points.discard(x)
+                f"conditional intensity {r} exceeds the stated bound "
+                f"{self.r_max}")
+        return r
+
+    def step(self):
+        """One birth--death proposal, applied in place."""
+        rng, pts, n = self.rng, self.points, len(self.points)
+        if rng.random() < 0.5:  # birth
+            row = self.window.sample_uniform(rng, 1)
+            x = tuple(row[0].tolist())
+            i = bisect.bisect_left(pts, x)
+            if i < n and pts[i] == x:
+                return
+            r = self._bounded(self.intensity(pts, self.array, row))
+            if rng.random() < min(1.0, r * self.vol / (n + 1)):
+                pts.insert(i, x)
+                self.array = np.concatenate(
+                    (self.array[:i], row, self.array[i:]))
+        else:  # death
+            if not n:
+                return
+            i = int(rng.integers(n))
+            rest = np.concatenate((self.array[:i], self.array[i + 1:]))
+            r = self._bounded(self.intensity(pts[:i] + pts[i + 1:], rest,
+                                             self.array[i:i + 1]))
+            if r <= 0.0 or rng.random() < min(1.0, n / (r * self.vol)):
+                del pts[i]
+                self.array = rest
 
 
 def sample_gibbs_bd(spec, plan, rng=None):
@@ -176,17 +219,14 @@ def sample_gibbs_bd(spec, plan, rng=None):
     """
     if rng is None:
         rng = split_streams(plan.master_seed, 1)[0]
-    window = plan.window
-    vol = window.volume
-    r_max = spec.descriptor.get("r_max")
-    points = set()
+    chain = _BirthDeathChain(spec, plan.window, rng)
     for _ in range(plan.burn_in):
-        _bd_step(points, spec, window, vol, rng, r_max)
+        chain.step()
     out = []
     for _ in range(plan.replicas):
         for _ in range(max(plan.thinning, 1)):
-            _bd_step(points, spec, window, vol, rng, r_max)
-        out.append(_points_to_configuration(window, points))
+            chain.step()
+        out.append(Configuration(plan.window, points=tuple(chain.points)))
     return out
 
 
@@ -198,19 +238,17 @@ def detailed_balance_residual(spec, plan, n_moves=200):
     must equal one identically.  Returns the maximum |product - 1|.
     """
     rng = split_streams(plan.master_seed, 1)[0]
-    window, vol = plan.window, plan.window.volume
-    points = set()
+    chain = _BirthDeathChain(spec, plan.window, rng)
+    vol = chain.vol
     worst = 0.0
     for _ in range(n_moves):
-        gamma = Configuration(window, points=tuple(sorted(points)))
-        x = tuple(float(c) for c in window.sample_uniform(rng, 1)[0])
-        r = spec(gamma, x)
+        row = plan.window.sample_uniform(rng, 1)
+        r = chain.intensity(chain.points, chain.array, row)
         if r > 0:
-            birth_ratio = r * vol / (len(points) + 1)
-            death_ratio = (len(points) + 1) / (r * vol)
+            birth_ratio = r * vol / (len(chain.points) + 1)
+            death_ratio = (len(chain.points) + 1) / (r * vol)
             worst = max(worst, abs(birth_ratio * death_ratio - 1.0))
-        _bd_step(points, spec, window, vol, rng,
-                 spec.descriptor.get("r_max"))
+        chain.step()
     return worst
 
 
@@ -218,12 +256,30 @@ def detailed_balance_residual(spec, plan, n_moves=200):
 # identity verifiers
 # ---------------------------------------------------------------------------
 
-def _paired_report(identity, lhs, rhs, n_effective=None):
+def constant_h(value=1.0):
+    """Test function ``h(gamma, x) = value``, with its batched form.
+
+    A test function ``h`` may carry ``h.batch(points, proposals)``: for the
+    ``(n, d)`` points of gamma and ``(m, d)`` proposals it returns the ``m``
+    values ``h(gamma u {u_j}, u_j)`` that the verifiers' right-hand sides
+    need, without building a configuration per proposal.
+    """
+    def h(gamma, x):
+        return value
+
+    h.batch = lambda points, proposals: np.full(len(proposals), value,
+                                                dtype=float)
+    return h
+
+
+def _paired_report(identity, lhs, rhs, se_d=None, n_effective=None):
+    """Report on paired samples; ``se_d`` defaults to the i.i.d. SE."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = lhs.size
     diff = lhs - rhs
-    se_d = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if se_d is None:
+        se_d = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     z = float(diff.mean() / se_d) if se_d > 0 else 0.0
     return IdentityReport(
         identity=identity,
@@ -234,12 +290,62 @@ def _paired_report(identity, lhs, rhs, n_effective=None):
         n_effective=n_effective if n_effective is not None else n)
 
 
+def _point_array(gamma):
+    """The points of a window configuration as an ``(n, d)`` array."""
+    return np.array(gamma.points, dtype=float).reshape(
+        len(gamma.points), gamma.ground.dimension)
+
+
+def _fresh(array, proposals):
+    """The proposal rows that are not already points of the configuration."""
+    if len(array):
+        taken = (proposals[:, None, :] == array[None, :, :]).all(axis=2)
+        taken = taken.any(axis=1)
+        if taken.any():
+            return proposals[~taken]
+    return proposals
+
+
+def _insertion_values(h, gamma, array, proposals):
+    """``h(gamma u {u}, u)`` for each proposal row u.
+
+    The rows were drawn in the window and are not points of gamma (see
+    :func:`_fresh`), so the scalar path inserts them without re-checking.
+    """
+    batch = getattr(h, "batch", None)
+    if batch is not None:
+        return np.asarray(batch(array, proposals), dtype=float)
+    pts, values = gamma.points, []
+    for u in map(tuple, proposals.tolist()):
+        i = bisect.bisect_left(pts, u)
+        values.append(h(Configuration._unchecked(
+            gamma.ground, pts[:i] + (u,) + pts[i:]), u))
+    return np.array(values, dtype=float)
+
+
+def _intensities(spec, gamma, array, proposals):
+    """``r(gamma, u)`` for each proposal row u."""
+    if spec.batch is not None:
+        return spec.batched(array, proposals)
+    return np.array([spec(gamma, u) for u in map(tuple, proposals.tolist())],
+                    dtype=float)
+
+
+def _sum_in_order(values):
+    """Left-to-right sum, so batched and scalar paths round alike."""
+    acc = 0.0
+    for v in values.tolist():
+        acc += v
+    return acc
+
+
 def verify_mecke(z, window, h, plan):
     """Verifier of the defining integral identity of the Poisson process.
 
     lhs averages ``sum_{x in gamma} h(gamma, x)`` over independent Poisson
     samples; rhs averages ``z vol mean_S h(gamma u x, x)`` over uniform
     insertion points of the same samples, so the two sides are paired.
+    ``h`` may carry a batched form (see :func:`constant_h`).
     """
     rng = split_streams(plan.master_seed, 1)[0]
     S = plan.proposal_points
@@ -249,12 +355,9 @@ def verify_mecke(z, window, h, plan):
     for i in range(plan.replicas):
         gamma = sample_poisson(window, z, rng)
         lhs[i] = math.fsum(h(gamma, x) for x in gamma.points)
-        acc = 0.0
-        for u in window.sample_uniform(rng, S):
-            u = tuple(float(c) for c in u)
-            if u in gamma.points:
-                continue
-            acc += h(gamma.with_point(u), u)
+        array = _point_array(gamma)
+        proposals = _fresh(array, window.sample_uniform(rng, S))
+        acc = _sum_in_order(_insertion_values(h, gamma, array, proposals))
         rhs[i] = z * vol * acc / S
     return _paired_report("mecke", lhs, rhs)
 
@@ -278,7 +381,8 @@ def verify_gnz(spec, h, plan):
     lhs averages ``sum_{x in gamma} h(gamma, x)`` along the stationary MCMC
     stream; rhs averages the uniform-MC estimate of
     ``vol mean_S h(gamma u x, x) r(gamma, x)``.  Standard errors use batch
-    means to absorb chain autocorrelation.
+    means to absorb chain autocorrelation.  The batched forms of ``spec``
+    and ``h`` are used where present.
     """
     streams = split_streams(plan.master_seed, 2)
     chain = sample_gibbs_bd(spec, plan, streams[0])
@@ -289,23 +393,13 @@ def verify_gnz(spec, h, plan):
     rhs = np.empty(len(chain))
     for i, gamma in enumerate(chain):
         lhs[i] = math.fsum(h(gamma, x) for x in gamma.points)
-        acc = 0.0
-        for u in plan.window.sample_uniform(rng, S):
-            u = tuple(float(c) for c in u)
-            if u in gamma.points:
-                continue
-            acc += h(gamma.with_point(u), u) * spec(gamma, u)
-        rhs[i] = vol * acc / S
-    diff = lhs - rhs
-    se, n_eff = _batch_se(diff)
-    z = float(diff.mean() / se) if se > 0 else 0.0
-    n = len(chain)
-    return IdentityReport(
-        identity="gnz",
-        lhs_mean=float(lhs.mean()), rhs_mean=float(rhs.mean()),
-        lhs_se=float(lhs.std(ddof=1) / math.sqrt(n)),
-        rhs_se=float(rhs.std(ddof=1) / math.sqrt(n)),
-        z_score=z, passed=bool(abs(z) <= Z_THRESHOLD), n_effective=n_eff)
+        array = _point_array(gamma)
+        proposals = _fresh(array, plan.window.sample_uniform(rng, S))
+        terms = (_insertion_values(h, gamma, array, proposals)
+                 * _intensities(spec, gamma, array, proposals))
+        rhs[i] = vol * _sum_in_order(terms) / S
+    se, n_eff = _batch_se(lhs - rhs)
+    return _paired_report("gnz", lhs, rhs, se, n_eff)
 
 
 # ---------------------------------------------------------------------------

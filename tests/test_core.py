@@ -67,6 +67,16 @@ class TestBoxWindow:
         assert w.contains_box(BoxWindow(((0.2, 0.8),)))
         assert not w.contains_box(BoxWindow(((0.2, 1.2),)))
 
+    def test_sample_uniform_matches_rng_uniform(self):
+        w = BoxWindow(((-1.5, 2.0), (0.25, 0.75), (3.0, 7.0)))
+        lo = np.array([b[0] for b in w.box])
+        hi = np.array([b[1] for b in w.box])
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for n in (1, 2, 64, 0, 1000):
+            assert np.array_equal(w.sample_uniform(ours, n),
+                                  ref.uniform(lo, hi, size=(n, 3)))
+        assert ours.random() == ref.random()  # same stream position
+
 
 class TestGroundSerialization:
     def test_round_trip(self):
@@ -103,6 +113,33 @@ class TestConfiguration:
             Configuration(w, points=((0.2,), (0.2,)))  # duplicate
         with pytest.raises(ValidationError):
             Configuration(w, points=((1.5,),))  # outside
+
+    def test_continuum_with_and_without_point(self):
+        w = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
+        c = Configuration(w, points=((0.2, 0.9), (0.5, 0.1)))
+        for p in ((0.1, 0.5), (0.3, 0.3), (0.5, 0.05), (0.9, 0.9)):
+            added = c.with_point(p)
+            assert added == Configuration(
+                w, points=tuple(sorted(c.points + (p,))))
+            assert added.without_point(p) == c
+        assert c.with_point([0.0, 1.0]).points[0] == (0.0, 1.0)
+        with pytest.raises(ValidationError):
+            c.with_point((0.5, 0.1))  # duplicate
+        with pytest.raises(ValidationError):
+            c.with_point((1.5, 0.1))  # outside
+        with pytest.raises(ValidationError):
+            c.with_point((0.5,))  # wrong dimension
+        with pytest.raises(ValidationError):
+            c.with_point((float("nan"), 0.5))
+
+    def test_without_absent_point(self):
+        w = BoxWindow(((0.0, 1.0),))
+        c = Configuration(w, points=((0.2,), (0.5,)))
+        for p in ((0.3,), (0.9,), (0.0,)):
+            with pytest.raises(ValidationError):
+                c.without_point(p)
+        with pytest.raises(ValidationError):
+            Configuration(w).without_point((0.5,))
 
     def test_count_in(self):
         g = DiscreteGround((1.0,) * 4)
