@@ -174,28 +174,11 @@ def _run_algebra_suite(cfg):
     return results
 
 
-def _random_kernel(ground, rng, k_trunc):
-    from .generators import kernel_from_entries
-    death, birth = [], []
-    for x in range(ground.n_sites):
-        for omega in range(ground.n_subsets):
-            if int(omega).bit_count() > k_trunc:
-                continue
-            sites = [i for i in range(ground.n_sites) if omega >> i & 1]
-            if rng.random() < 0.5:
-                death.append({"x": x, "omega": sites,
-                              "value": float(rng.uniform(0.1, 1.0))})
-            if not omega >> x & 1 and rng.random() < 0.5:
-                birth.append({"x": x, "omega": sites,
-                              "value": float(rng.uniform(0.1, 1.0))})
-    return kernel_from_entries(ground, death, birth, k_trunc)
-
-
 def _run_generator_suite(cfg):
     from .generators import (adjoint_hat_L, contact_kernel, derive_kernels,
                              hat_L_bruteforce, hat_L_closed, hat_L_continuum,
                              invariance_residual, normalized_dispersal,
-                             pairing)
+                             pairing, random_kernel)
     ground = cfg["ground"]
     params = cfg["parameters"]
     rng = split_streams(cfg["seed"], 1)[0]
@@ -204,12 +187,12 @@ def _run_generator_suite(cfg):
 
     worst = 0.0
     for _ in range(int(params["kernels"])):
-        ker = _random_kernel(ground, rng, int(params["k_trunc"]))
+        ker = random_kernel(ground, int(params["k_trunc"]), rng)
         worst = max(worst, float(np.max(np.abs(
             hat_L_closed(ker).matrix - hat_L_bruteforce(ker).matrix))))
     results.append(_record("closed_vs_bruteforce", worst, 1e-10))
 
-    ker = _random_kernel(ground, rng, int(params["k_trunc"]))
+    ker = random_kernel(ground, int(params["k_trunc"]), rng)
     dk = derive_kernels(ker)
     results.append(_record(
         "first_order_death_consistency",

@@ -77,11 +77,8 @@ class DiscreteGround:
     @cached_property
     def subset_mass(self):
         """Product of site weights over every bitmask, shape ``(2**n,)``."""
-        mass = np.ones(1)
-        for w in self.weights:
-            mass = np.concatenate([mass, mass * w])
-        mass.flags.writeable = False
-        return mass
+        from .transforms import exp_vector
+        return exp_vector(self, self.weights).values
 
     def lp_weights(self, z):
         """Reference weights ``z**|eta| * prod m(x)`` over the lattice."""

@@ -39,21 +39,10 @@ import numpy as np
 
 from .core import Configuration, SetFunction, json_dumps
 from .errors import CapacityError, GroundMismatchError, ValidationError
-from .transforms import conv_disjoint
+from .transforms import conv_disjoint, sweep
 
 BRUTEFORCE_MAX_SITES = 12
 MAX_K_TRUNC = 3
-
-
-def _superset_sum(values, n_sites):
-    """out[tau] = sum over supersets of tau; per-site sweep."""
-    out = np.array(values, dtype=float)
-    for i in range(n_sites):
-        bit = 1 << i
-        idx = np.arange(out.size)
-        lo = (idx & bit) == 0
-        out[lo] += out[idx[lo] | bit]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +130,28 @@ def kernel_from_entries(ground, death_entries, birth_entries, k_trunc):
     return BirthDeathKernel(ground, death, birth, k_trunc)
 
 
+def random_kernel(ground, k_trunc, rng):
+    """Random truncated kernel with sparse rates in ``[0.1, 1)``.
+
+    For each site ``x`` and each ``omega`` with ``|omega| <= k_trunc``, in
+    mask order, a death rate is drawn with probability 1/2 and then, when
+    ``x`` is not in ``omega``, a birth rate likewise; the draw order fixes
+    the kernel for a given generator state.
+    """
+    n = ground.n_sites
+    death = np.zeros((n, ground.n_subsets))
+    birth = np.zeros((n, ground.n_subsets))
+    for x in range(n):
+        for omega in range(ground.n_subsets):
+            if int(omega).bit_count() > k_trunc:
+                continue
+            if rng.random() < 0.5:
+                death[x, omega] = rng.uniform(0.1, 1.0)
+            if not omega >> x & 1 and rng.random() < 0.5:
+                birth[x, omega] = rng.uniform(0.1, 1.0)
+    return BirthDeathKernel(ground, death, birth, k_trunc)
+
+
 def kernel_from_json(ground, data):
     return kernel_from_entries(ground, data.get("death", ()),
                                data.get("birth", ()), int(data["k_trunc"]))
@@ -194,11 +205,8 @@ def derive_kernels(kernel, z=1.0):
     for name, tab in (("d", kernel.death), ("b", kernel.birth)):
         weighted = tab * w[np.newaxis, :]
         bar = weighted.sum(axis=1)
-        # superset sums give wt(xi) * k1(x, xi) in one sweep per site
-        k1 = np.empty_like(weighted)
-        for x in range(n):
-            k1[x] = _superset_sum(weighted[x], n) / w
-        out[name] = (bar, k1)
+        # superset sums give wt(xi) * k1(x, xi), every row in one sweep
+        out[name] = (bar, sweep(weighted, range(n), superset=True) / w)
     d_bar, d1 = out["d"]
     b_bar, b1 = out["b"]
     size_masks = np.arange(ground.n_subsets)
@@ -326,19 +334,12 @@ def hat_L_bruteforce(kernel, z=1.0):
     if n > BRUTEFORCE_MAX_SITES:
         raise CapacityError(
             f"brute-force conjugation limited to {BRUTEFORCE_MAX_SITES} sites")
-    R = _gamma_operator(kernel, z)
-    # right-multiply by the zeta matrix: superset sums along the column axis
-    M = R.copy()
-    idx = np.arange(ground.n_subsets)
-    for i in range(n):
-        bit = 1 << i
-        lo = (idx & bit) == 0
-        M[:, lo] += M[:, idx[lo] | bit]
-    # left-multiply by the Moebius matrix: signed sweep along the row axis
-    for i in range(n):
-        bit = 1 << i
-        hi = (idx & bit) == bit
-        M[hi, :] -= M[idx[hi] ^ bit, :]
+    M = _gamma_operator(kernel, z)
+    # right-multiply by the zeta matrix: superset sums along each row
+    sweep(M, range(n), superset=True)
+    # left-multiply by the Moebius matrix: a signed sweep along the column
+    # axis, which is the row-index bits n .. 2n-1 of the flattened matrix
+    sweep(M.reshape(-1), range(n, 2 * n), sign=-1.0)
     return LatticeOperator(ground, M, "hatL_brute")
 
 
@@ -373,12 +374,8 @@ def _s_tables(kernel, z):
     w = ground.lp_weights(z)
     small = ground.subset_size <= kernel.k_trunc
     d_strict, b_eff = _split_kernel(kernel, z)
-    Sd = np.empty_like(d_strict)
-    Sb = np.empty_like(b_eff)
-    for x in range(n):
-        Sd[x] = _superset_sum(d_strict[x] * w * small, n)
-        Sb[x] = _superset_sum(b_eff[x] * w * small, n)
-    return Sd, Sb
+    return tuple(sweep(tab * (w * small), range(n), superset=True)
+                 for tab in (d_strict, b_eff))
 
 
 def _small_subsets(ground, max_order, exclude_bit):

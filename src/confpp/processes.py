@@ -17,7 +17,7 @@ import numpy as np
 from .core import SetFunction, power_function
 from .errors import (CocycleError, GroundMismatchError,
                      UndefinedConditionalError, ValidationError)
-from .transforms import conv_disjoint, k_inverse
+from .transforms import conv_disjoint, k_inverse, ranked_products, sweep
 
 MIXING_GRID_POINTS = 512
 MIXING_TAIL_MASS = 1e-8
@@ -300,23 +300,23 @@ def convolve_measures(mu1, mu2):
 
     On an atomic ground two independent draws can share a site; that mass is
     still assigned to the union but reported in ``overlap_probs`` so identity
-    tests can condition on the collision-free event.
+    tests can condition on the collision-free event.  Both parts come from
+    the rank-pair split of the covering product: a pair ``(a, b)`` covering
+    ``eta`` is disjoint when ``|a| + |b| = |eta|`` and overlaps when the
+    ranks sum to more.
     """
     if mu1.ground != mu2.ground:
         raise GroundMismatchError("operands on different grounds")
-    n = mu1.ground.n_subsets
-    masks = np.arange(n)
-    total = np.zeros(n)
-    for a in range(n):
-        p = mu1.probs[a]
-        if p == 0.0:
-            continue
-        np.add.at(total, masks | a, p * mu2.probs)
-    disjoint = conv_disjoint(
-        SetFunction(mu1.ground, mu1.probs),
-        SetFunction(mu2.ground, mu2.probs)).values
-    overlap = np.maximum(total - disjoint, 0.0)
-    return DiscreteTable(mu1.ground, total, overlap)
+    ground = mu1.ground
+    ranked = ranked_products(mu1.probs, mu2.probs, ground,
+                             2 * ground.n_sites)
+    size = ground.subset_size
+    # every rank-pair sum is a sum of products of probabilities, so only
+    # rounding can push it below zero
+    disjoint = np.maximum(ranked[size, np.arange(size.size)], 0.0)
+    ranked *= np.arange(ranked.shape[0])[:, np.newaxis] > size
+    overlap = np.maximum(ranked.sum(axis=0), 0.0)
+    return DiscreteTable(ground, disjoint + overlap, overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +324,8 @@ def convolve_measures(mu1, mu2):
 # ---------------------------------------------------------------------------
 
 def _table_correlation(ground, mass_vector):
-    from .generators import _superset_sum
-    rho = _superset_sum(mass_vector, ground.n_sites)
+    rho = sweep(np.array(mass_vector, dtype=float), range(ground.n_sites),
+                superset=True)
     return rho / ground.lp_weights(1.0)
 
 
@@ -358,6 +358,21 @@ def correlation_functional(model, ground=None, exclude_overlap=False):
     raise ValidationError(f"unsupported model {type(model).__name__}")
 
 
+def _reference_sweep(f, z, sign):
+    """Superset sweep of ``f`` with per-site weight ``sign * z * m_i``.
+
+    ``out(gamma) = sum_{eta n gamma = 0} sign^{|eta|} wt_z(eta)
+    f(gamma u eta)`` in O(n 2^n); returned with ``N_z = prod_i (1 + z m_i)``.
+    """
+    if z <= 0:
+        raise ValidationError("reference intensity must be positive")
+    ground = f.ground
+    weights = z * np.asarray(ground.weights)
+    out = sweep(np.array(f.values), range(ground.n_sites),
+                superset=True, sign=sign, weights=weights)
+    return out, float(np.prod(1.0 + weights))
+
+
 def projection_density(k, z):
     """Local density of the underlying law w.r.t. the normalized reference law.
 
@@ -367,36 +382,14 @@ def projection_density(k, z):
     lattice measure) into a density w.r.t. the normalized reference law,
     matching the weights used by :func:`recover_correlation`.
     """
-    if z <= 0:
-        raise ValidationError("reference intensity must be positive")
-    ground = k.ground
-    n = ground.n_subsets
-    masks = np.arange(n)
-    w = ground.lp_weights(z)
-    norm = float(np.prod(1.0 + z * np.asarray(ground.weights)))
-    sign = np.where(ground.subset_size & 1, -1.0, 1.0)
-    out = np.empty(n)
-    for gamma in range(n):
-        free = masks[(masks & gamma) == 0]
-        out[gamma] = norm * float(
-            np.dot(sign[free] * w[free], k.values[gamma | free]))
-    return SetFunction(ground, out, f"density[{k.label}]")
+    out, norm = _reference_sweep(k, z, -1.0)
+    return SetFunction(k.ground, norm * out, f"density[{k.label}]")
 
 
 def recover_correlation(density, z):
     """Integrate a local density against the Poisson law: inverse projection."""
-    if z <= 0:
-        raise ValidationError("reference intensity must be positive")
-    ground = density.ground
-    n = ground.n_subsets
-    masks = np.arange(n)
-    w = ground.lp_weights(z)
-    norm = float(np.prod(1.0 + z * np.asarray(ground.weights)))
-    out = np.empty(n)
-    for eta in range(n):
-        free = masks[(masks & eta) == 0]
-        out[eta] = float(np.dot(w[free], density.values[eta | free])) / norm
-    return SetFunction(ground, out, f"k[{density.label}]")
+    out, norm = _reference_sweep(density, z, 1.0)
+    return SetFunction(density.ground, out / norm, f"k[{density.label}]")
 
 
 def lenard_pd_check(k, trials, seed, tol=1e-10):

@@ -117,8 +117,9 @@ def strauss_spec(beta, g, R):
     records as ``r_max``.  ``g = 0`` is the hard-core model (``0^0 = 1``).
     The spec carries the batched form of the same intensity.
     """
-    if beta <= 0 or not 0 <= g <= 1 or R <= 0:
-        raise ValidationError("need beta > 0, 0 <= g <= 1, R > 0")
+    # written so that NaN fails every comparison and is rejected
+    if not (0 < beta < math.inf and 0 <= g <= 1 and 0 < R < math.inf):
+        raise ValidationError("need finite beta > 0, 0 <= g <= 1, finite R > 0")
 
     r2 = R * R
 

@@ -5,7 +5,8 @@ zeta transform of the subset lattice; its inverse is the signed Moebius
 sweep.  Two convolutions accompany it: the disjoint-pair convolution ``*``
 (sum over ordered two-partitions) and the covering convolution ``(x)`` (sum
 over ordered three-partitions), for which K acts as a pointwise-product
-Fourier transform.
+Fourier transform.  Every transform and convolution here is built from one
+in-place primitive, :func:`sweep`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Configuration, SetFunction, lp_integral
-from .errors import GroundMismatchError, ValidationError
+from .errors import CapacityError, GroundMismatchError, ValidationError
+
+RANKED_MAX_SITES = 20
 
 
 def _check_same_ground(G1, G2):
@@ -25,27 +28,47 @@ def _check_same_ground(G1, G2):
 
 
 # ---------------------------------------------------------------------------
-# zeta / Moebius sweeps
+# the lattice sweep
 # ---------------------------------------------------------------------------
 
+def sweep(table, sites, superset=False, sign=1.0, weights=None):
+    """In-place per-site sweep over the bitmask index of the last axis.
+
+    For each bit ``i`` in ``sites`` the last axis is viewed as
+    ``(..., 2**(n-1-i), 2, 2**i)``, splitting every mask into the pair
+    without (``lo``) and with (``hi``) bit ``i``; the sweep then does
+    ``hi += c * lo`` (subset direction) or ``lo += c * hi`` (superset
+    direction) with ``c = sign * weights[j]`` for the ``j``-th bit swept
+    (``c = sign`` without weights).  Leading axes are a stack of tables
+    swept together.  With unit coefficients the subset sweep is the zeta
+    transform (sum over submasks) and ``sign=-1`` its Moebius inverse.
+    ``table`` must be a C-contiguous float array; it is returned.
+    """
+    if not table.flags.c_contiguous:
+        raise ValidationError("sweep needs a C-contiguous table")
+    lead = table.shape[:-1]
+    for j, i in enumerate(sites):
+        view = table.reshape(lead + (-1, 2, 1 << i))
+        lo, hi = view[..., 0, :], view[..., 1, :]
+        src, dst = (hi, lo) if superset else (lo, hi)
+        c = sign if weights is None else sign * weights[j]
+        if c == 1.0:
+            dst += src
+        elif c == -1.0:
+            dst -= src
+        else:
+            dst += c * src
+    return table
+
+
 def zeta_values(values, n_sites):
-    """In-place-style zeta transform: out[mask] = sum over submasks."""
-    out = np.array(values, dtype=float)
-    for i in range(n_sites):
-        bit = 1 << i
-        hi = (np.arange(out.size) & bit).astype(bool)
-        out[hi] += out[np.arange(out.size)[hi] ^ bit]
-    return out
+    """Zeta transform of the last axis: out[mask] = sum over submasks."""
+    return sweep(np.array(values, dtype=float), range(n_sites))
 
 
 def moebius_values(values, n_sites):
     """Signed inverse sweep of :func:`zeta_values`."""
-    out = np.array(values, dtype=float)
-    for i in range(n_sites):
-        bit = 1 << i
-        hi = (np.arange(out.size) & bit).astype(bool)
-        out[hi] -= out[np.arange(out.size)[hi] ^ bit]
-    return out
+    return sweep(np.array(values, dtype=float), range(n_sites), sign=-1.0)
 
 
 def k_transform(G):
@@ -67,58 +90,59 @@ def k_inverse(F):
                        f"Kinv[{F.label}]")
 
 
-def k_transform_naive(G):
-    """Quadratic-time transcription of the defining sum; test oracle."""
-    n = G.ground.n_subsets
-    out = np.zeros(n)
-    for gamma in range(n):
-        sub = gamma
-        acc = G.values[0]
-        while sub:
-            acc += G.values[sub]
-            sub = (sub - 1) & gamma
-        out[gamma] = acc
-    return SetFunction(G.ground, out)
-
-
-def k_inverse_naive(F):
-    """Direct signed-sum transcription of the inverse; test oracle."""
-    n = F.ground.n_subsets
-    size = F.ground.subset_size
-    out = np.zeros(n)
-    for eta in range(n):
-        sub = eta
-        acc = 0.0
-        while True:
-            sign = -1.0 if (size[eta] - size[sub]) & 1 else 1.0
-            acc += sign * F.values[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & eta
-        out[eta] = acc
-    return SetFunction(F.ground, out)
-
-
 # ---------------------------------------------------------------------------
 # convolutions
 # ---------------------------------------------------------------------------
 
+def covering_values(v1, v2, n_sites):
+    """``sum_{a u b = eta} v1(a) v2(b)`` as ``moebius(zeta v1 * zeta v2)``."""
+    out = zeta_values(v1, n_sites)
+    out *= zeta_values(v2, n_sites)
+    return sweep(out, range(n_sites), sign=-1.0)
+
+
+def ranked_products(v1, v2, ground, top):
+    """Rank-pair split of the covering product, ``O(n^2 2^n)``.
+
+    Row ``m`` of the result, for ``m = 0 .. top``, is ``sum v1(a) v2(b)``
+    over the ordered pairs with ``a u b = eta`` and ``|a| + |b| = m``: the
+    zeta transforms of the rank slices of each operand are multiplied rank
+    pair by rank pair and mapped back with one Moebius sweep of the stack.
+    At ``m = |eta|`` the pairs are the disjoint splits of ``eta`` (the fast
+    subset convolution of Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier
+    meets Moebius", STOC 2007); ``m > |eta|`` collects overlapping pairs.
+    Holds ``(n + 1) 2^n`` floats per operand, so it is capped at
+    ``RANKED_MAX_SITES`` sites.
+    """
+    n = ground.n_sites
+    if n > RANKED_MAX_SITES:
+        raise CapacityError(
+            f"{n} sites exceed the ranked-convolution cap of "
+            f"{RANKED_MAX_SITES}")
+    size = ground.subset_size
+    cols = np.arange(ground.n_subsets)
+    ranked = np.zeros((2, n + 1, ground.n_subsets))
+    ranked[0, size, cols] = v1  # row j of each operand: its rank-j entries
+    ranked[1, size, cols] = v2
+    f, g = sweep(ranked, range(n))
+    out = np.zeros((top + 1, ground.n_subsets))
+    tmp = np.empty(ground.n_subsets)
+    for i in range(min(n, top) + 1):
+        for j in range(min(n, top - i) + 1):
+            out[i + j] += np.multiply(f[i], g[j], out=tmp)
+    return sweep(out, range(n), sign=-1.0)
+
+
 def conv_disjoint(G1, G2):
     """Disjoint-pair convolution ``H(eta) = sum_{xi subset eta} G1(xi) G2(eta\\xi)``.
 
-    Enumerates every ordered pair of disjoint subsets once and accumulates
-    the product onto their union.
+    The rank-``|eta|`` row of :func:`ranked_products`.
     """
     _check_same_ground(G1, G2)
-    n = G1.ground.n_subsets
-    masks = np.arange(n)
-    out = np.zeros(n)
-    for a in range(n):
-        ga = G1.values[a]
-        if ga == 0.0:
-            continue
-        free = masks[(masks & a) == 0]
-        np.add.at(out, free | a, ga * G2.values[free])
+    ground = G1.ground
+    ranked = ranked_products(G1.values, G2.values, ground, ground.n_sites)
+    size = ground.subset_size
+    out = ranked[size, np.arange(size.size)]
     return SetFunction(G1.ground, out, f"({G1.label})*({G2.label})")
 
 
@@ -128,32 +152,27 @@ def conv_union(G1, G2):
     Each three-partition ``(z1, z2, z3)`` of ``eta`` contributes
     ``G1(z1 u z2) G2(z2 u z3)``; equivalently, each ordered pair ``(a, b)``
     with ``a u b = eta`` contributes ``G1(a) G2(b)`` (set ``z2 = a n b``).
-    Direct enumeration, independent of the zeta transform.
+    The transform turns it into a pointwise product, so it is computed as
+    ``Kinv(KG1 * KG2)``.
     """
     _check_same_ground(G1, G2)
-    n = G1.ground.n_subsets
-    masks = np.arange(n)
-    out = np.zeros(n)
-    for a in range(n):
-        ga = G1.values[a]
-        if ga == 0.0:
-            continue
-        np.add.at(out, masks | a, ga * G2.values)
+    out = covering_values(G1.values, G2.values, G1.ground.n_sites)
     return SetFunction(G1.ground, out, f"({G1.label})star({G2.label})")
 
 
 def exp_vector(ground, f, label=None):
     """Multiplicative vector ``eta -> prod_{x in eta} f(x)``; 1 at the empty set.
 
-    ``f`` is a per-site sequence of reals.
+    ``f`` is a per-site sequence of reals; the vector is the weighted
+    subset sweep of the indicator of the empty set.
     """
     f = tuple(float(v) for v in f)
     if len(f) != ground.n_sites:
         raise ValidationError("per-site table length != site count")
-    vals = np.ones(1)
-    for v in f:
-        vals = np.concatenate([vals, vals * v])
-    return SetFunction(ground, vals, label or "exp_vector")
+    vals = np.zeros(ground.n_subsets)
+    vals[0] = 1.0
+    return SetFunction(ground, sweep(vals, range(len(f)), weights=f),
+                       label or "exp_vector")
 
 
 def minlos_pairing(H, G1, G2, z):

@@ -1,8 +1,9 @@
 """Two-type configuration calculus: paired transforms and the double convolution.
 
-Pair set functions live on the product lattice ``(eta_plus, eta_minus)``; the
-paired transform applies the zeta sweep independently per coordinate, and the
-double covering convolution sums ordered three-partitions in each coordinate.
+Pair set functions live on the product lattice ``(eta_plus, eta_minus)``,
+which is itself the subset lattice of ``2n`` bits: the paired transform is one
+zeta sweep over all of them, and the double covering convolution (ordered
+three-partitions in each coordinate) is the covering product of that lattice.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .core import Configuration, SetFunction
 from .errors import GroundMismatchError, OverlapError, ValidationError
-from .transforms import moebius_values, zeta_values
+from .transforms import covering_values, moebius_values, zeta_values
 
 PAIR_MAX_SITES = 12
 
@@ -104,61 +105,35 @@ def pair_indicator_empty(ground):
 
 
 def kk_transform(G):
-    """Coordinatewise zeta transform; equals the two single-type sweeps."""
-    n = G.ground.n_sites
-    vals = np.apply_along_axis(zeta_values, 0, G.values, n)
-    vals = np.apply_along_axis(zeta_values, 1, vals, n)
-    return PairSetFunction(G.ground, vals, f"KK[{G.label}]")
+    """Coordinatewise zeta transform; equals the two single-type sweeps.
+
+    The plus-mask major flattening of a pair table is a table on ``2n``
+    bits (minus sites low, plus sites high), swept in one pass.
+    """
+    vals = zeta_values(G.values.reshape(-1), 2 * G.ground.n_sites)
+    return PairSetFunction(G.ground, vals.reshape(G.values.shape),
+                           f"KK[{G.label}]")
 
 
 def kk_inverse(F):
     """Coordinatewise signed Moebius sweep; exact inverse of the transform."""
-    n = F.ground.n_sites
-    vals = np.apply_along_axis(moebius_values, 0, F.values, n)
-    vals = np.apply_along_axis(moebius_values, 1, vals, n)
-    return PairSetFunction(F.ground, vals, f"KKinv[{F.label}]")
-
-
-def _covering_pairs(ground):
-    """Per-target lists of ordered pairs ``(a, b)`` with ``a u b = eta``."""
-    out = []
-    for eta in range(ground.n_subsets):
-        firsts, seconds = [], []
-        a = eta
-        while True:
-            rest = eta & ~a
-            s = a
-            while True:
-                firsts.append(a)
-                seconds.append(rest | s)
-                if s == 0:
-                    break
-                s = (s - 1) & a
-            if a == 0:
-                break
-            a = (a - 1) & eta
-        out.append((np.array(firsts), np.array(seconds)))
-    return out
+    vals = moebius_values(F.values.reshape(-1), 2 * F.ground.n_sites)
+    return PairSetFunction(F.ground, vals.reshape(F.values.shape),
+                           f"KKinv[{F.label}]")
 
 
 def conv_star2(G1, G2):
     """Double covering convolution: three-partitions in each coordinate.
 
     ``H(eta+, eta-)`` sums ``G1(a+, a-) G2(b+, b-)`` over ordered pairs with
-    ``a+ u b+ = eta+`` and ``a- u b- = eta-``.
+    ``a+ u b+ = eta+`` and ``a- u b- = eta-``: the covering product on the
+    flattened ``2n``-bit lattice, ``KKinv(KK G1 * KK G2)``.
     """
     if not G1.same_ground(G2):
         raise GroundMismatchError("operands on different grounds")
-    covers = _covering_pairs(G1.ground)
-    n = G1.ground.n_subsets
-    out = np.empty((n, n))
-    for ep in range(n):
-        ap, bp = covers[ep]
-        for em in range(n):
-            am, bm = covers[em]
-            out[ep, em] = float(np.sum(
-                G1.values[np.ix_(ap, am)] * G2.values[np.ix_(bp, bm)]))
-    return PairSetFunction(G1.ground, out,
+    n = G1.ground.n_sites
+    out = covering_values(G1.values.reshape(-1), G2.values.reshape(-1), 2 * n)
+    return PairSetFunction(G1.ground, out.reshape(G1.values.shape),
                            f"({G1.label})star2({G2.label})")
 
 

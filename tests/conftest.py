@@ -5,22 +5,6 @@ from confpp.core import DiscreteGround
 from confpp.generators import BirthDeathKernel
 
 
-def random_kernel(ground, k_trunc, rng, density=0.5):
-    """Random truncated birth-death kernel with positive sparse rates."""
-    n = ground.n_sites
-    death = np.zeros((n, ground.n_subsets))
-    birth = np.zeros((n, ground.n_subsets))
-    for x in range(n):
-        for omega in range(ground.n_subsets):
-            if int(omega).bit_count() > k_trunc:
-                continue
-            if rng.random() < density:
-                death[x, omega] = rng.uniform(0.1, 1.0)
-            if not omega >> x & 1 and rng.random() < density:
-                birth[x, omega] = rng.uniform(0.1, 1.0)
-    return BirthDeathKernel(ground, death, birth, k_trunc)
-
-
 def pure_death_kernel(ground):
     """Unit per-point death, no birth."""
     n = ground.n_sites

@@ -1,0 +1,141 @@
+"""Brute-force enumerations of the lattice kernels, kept as test oracles.
+
+Each function transcribes a defining sum directly, one term at a time or one
+target at a time, and never calls the sweep that the program's fast paths
+are built from.  They cost 2^n to 9^n, so tests use them on small lattices.
+Array-valued oracles take and return plain value tables, so that the same
+call on ``abs`` of the inputs gives the sum of the absolute values of the
+terms, the scale that rounding in the fast paths is judged against.
+"""
+
+import math
+
+import numpy as np
+
+from confpp.core import SetFunction
+
+
+def k_transform_naive(G):
+    """Quadratic-time transcription of the defining sum."""
+    n = G.ground.n_subsets
+    out = np.zeros(n)
+    for gamma in range(n):
+        sub = gamma
+        acc = G.values[0]
+        while sub:
+            acc += G.values[sub]
+            sub = (sub - 1) & gamma
+        out[gamma] = acc
+    return SetFunction(G.ground, out)
+
+
+def k_inverse_naive(F):
+    """Direct signed-sum transcription of the inverse."""
+    n = F.ground.n_subsets
+    size = F.ground.subset_size
+    out = np.zeros(n)
+    for eta in range(n):
+        sub = eta
+        acc = 0.0
+        while True:
+            sign = -1.0 if (size[eta] - size[sub]) & 1 else 1.0
+            acc += sign * F.values[sub]
+            if sub == 0:
+                break
+            sub = (sub - 1) & eta
+        out[eta] = acc
+    return SetFunction(F.ground, out)
+
+
+def disjoint_conv(v1, v2):
+    """``sum_{a n b = 0, a u b = eta} v1(a) v2(b)``: every disjoint pair once."""
+    n = len(v1)
+    masks = np.arange(n)
+    out = np.zeros(n)
+    for a in range(n):
+        free = masks[(masks & a) == 0]
+        out += np.bincount(free | a, weights=v1[a] * v2[free], minlength=n)
+    return out
+
+
+def covering_conv(v1, v2):
+    """``sum_{a u b = eta} v1(a) v2(b)``: every ordered pair once."""
+    n = len(v1)
+    masks = np.arange(n)
+    out = np.zeros(n)
+    for a in range(n):
+        out += np.bincount(masks | a, weights=v1[a] * v2, minlength=n)
+    return out
+
+
+def _covering_pairs(n_subsets):
+    """Per-target arrays of the ordered pairs ``(a, b)`` with ``a u b = eta``."""
+    out = []
+    for eta in range(n_subsets):
+        firsts, seconds = [], []
+        a = eta
+        while True:
+            rest = eta & ~a
+            s = a
+            while True:
+                firsts.append(a)
+                seconds.append(rest | s)
+                if s == 0:
+                    break
+                s = (s - 1) & a
+            if a == 0:
+                break
+            a = (a - 1) & eta
+        out.append((np.array(firsts), np.array(seconds)))
+    return out
+
+
+def double_covering_conv(v1, v2):
+    """Pair tables: covers ``(a+, b+)`` and ``(a-, b-)`` of each coordinate."""
+    n = v1.shape[0]
+    covers = _covering_pairs(n)
+    out = np.empty((n, n))
+    for ep in range(n):
+        ap, bp = covers[ep]
+        for em in range(n):
+            am, bm = covers[em]
+            out[ep, em] = float(np.sum(v1[np.ix_(ap, am)] * v2[np.ix_(bp, bm)]))
+    return out
+
+
+def reference_sum(values, ground, z, sign):
+    """``sum_{eta n gamma = 0} sign^|eta| wt_z(eta) values(gamma u eta)``.
+
+    The projection is ``N_z`` times this with ``sign = -1``, the recovery
+    this with ``sign = +1`` divided by ``N_z``.
+    """
+    n = ground.n_subsets
+    masks = np.arange(n)
+    w = np.array([math.prod(sign * z * m for i, m in enumerate(ground.weights)
+                            if eta >> i & 1) for eta in range(n)])
+    out = np.empty(n)
+    for gamma in range(n):
+        free = masks[(masks & gamma) == 0]
+        out[gamma] = float(np.dot(w[free], values[gamma | free]))
+    return out
+
+
+def reference_norm(ground, z):
+    """``N_z = prod_i (1 + z m_i)``."""
+    return float(np.prod(1.0 + z * np.asarray(ground.weights)))
+
+
+def projection(values, ground, z):
+    return reference_norm(ground, z) * reference_sum(values, ground, z, -1.0)
+
+
+def recovery(values, ground, z):
+    return reference_sum(values, ground, z, 1.0) / reference_norm(ground, z)
+
+
+def kk_transform_naive(values, ground):
+    """The defining subset sum in each coordinate of a pair table."""
+    def rows(table):
+        return np.array([k_transform_naive(SetFunction(ground, r)).values
+                         for r in table])
+    return rows(rows(values).T).T

@@ -7,14 +7,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import pure_death_kernel, random_kernel
+from conftest import pure_death_kernel
+from oracles import covering_conv
 from confpp.core import (BoxWindow, DiscreteGround, SetFunction,
                          indicator_empty, power_function, split_streams)
 from confpp.generators import (check_adjoint_leibniz, contact_kernel,
                                convolution_closure_check,
                                derivation_residual_max, hat_L_bruteforce,
                                hat_L_closed, hat_L_continuum,
-                               invariance_residual, normalized_dispersal)
+                               invariance_residual, normalized_dispersal,
+                               random_kernel)
 from confpp.processes import (DiscreteTable, MixedPoisson, Poisson,
                               Superposition, correlation_functional,
                               convolve_measures, exponential_mixing,
@@ -56,9 +58,14 @@ class TestExactTransformLayer:
         for _ in range(100):
             G1 = SetFunction(g, rng.standard_normal(g.n_subsets))
             G2 = SetFunction(g, rng.standard_normal(g.n_subsets))
-            lhs = k_transform(conv_union(G1, G2)).values
+            # conv_union is Kinv(KG1 * KG2) itself: the identity is checked
+            # on the enumeration oracle, and conv_union against that oracle
+            union = covering_conv(G1.values, G2.values)
+            lhs = k_transform(SetFunction(g, union)).values
             rhs = k_transform(G1).values * k_transform(G2).values
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))),
+                        float(np.max(np.abs(conv_union(G1, G2).values
+                                            - union))))
         elapsed = time.perf_counter() - start
         assert worst <= 1e-10
         assert elapsed < 30.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pure_death_kernel, random_kernel
+from conftest import pure_death_kernel
 from confpp.core import (Configuration, DiscreteGround, SetFunction,
                          indicator_empty, power_function)
 from confpp.errors import CapacityError, GroundMismatchError, ValidationError
@@ -11,7 +11,8 @@ from confpp.generators import (BirthDeathKernel, adjoint_hat_L, apply_L,
                                convolution_closure_check, derivation_residual_max,
                                derive_kernels, hat_L_bruteforce, hat_L_closed,
                                hat_L_continuum, invariance_residual,
-                               kernel_from_json, normalized_dispersal, pairing)
+                               kernel_from_entries, kernel_from_json,
+                               normalized_dispersal, pairing, random_kernel)
 from confpp.transforms import conv_disjoint, k_transform
 
 G5 = DiscreteGround((0.7, 1.2, 0.5, 0.9, 1.1))
@@ -39,6 +40,30 @@ class TestKernelValidation:
         big = DiscreteGround((1.0,) * 9)
         with pytest.raises(CapacityError):
             random_kernel(big, big.n_sites, rng)
+
+    def test_random_kernel_keeps_the_entry_list_draws(self):
+        # the generator-suite task built its kernels from entry lists drawn
+        # in this order; random_kernel must give the same arrays
+        def from_entries(ground, rng, k_trunc):
+            death, birth = [], []
+            for x in range(ground.n_sites):
+                for omega in range(ground.n_subsets):
+                    if int(omega).bit_count() > k_trunc:
+                        continue
+                    sites = [i for i in range(ground.n_sites) if omega >> i & 1]
+                    if rng.random() < 0.5:
+                        death.append({"x": x, "omega": sites,
+                                      "value": float(rng.uniform(0.1, 1.0))})
+                    if not omega >> x & 1 and rng.random() < 0.5:
+                        birth.append({"x": x, "omega": sites,
+                                      "value": float(rng.uniform(0.1, 1.0))})
+            return kernel_from_entries(ground, death, birth, k_trunc)
+
+        for k_trunc in (0, 2, G5.n_sites):
+            want = from_entries(G5, np.random.default_rng(7), k_trunc)
+            got = random_kernel(G5, k_trunc, np.random.default_rng(7))
+            assert np.array_equal(got.death, want.death)
+            assert np.array_equal(got.birth, want.birth)
 
     def test_json_round_trip(self, rng):
         ker = random_kernel(G5, 2, rng)

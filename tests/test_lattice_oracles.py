@@ -1,0 +1,184 @@
+"""The sweep-based lattice kernels against the enumeration oracles.
+
+Every fast path is compared with a brute-force transcription of its defining
+sum (``oracles.py``) on random tables with zero entries, for n = 0 .. 10
+(n <= 4 for the 9^n pair oracle).  A fast path passes when its largest error
+is at most ``1e-10`` times the largest sum of absolute values of the terms,
+which the same oracle computes on the absolute values of the inputs.
+"""
+
+import types
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from confpp.core import DiscreteGround, SetFunction
+from confpp.errors import CapacityError, ValidationError
+from confpp.processes import (DiscreteTable, convolve_measures,
+                              projection_density, recover_correlation)
+from confpp.transforms import (RANKED_MAX_SITES, conv_disjoint, conv_union,
+                               k_inverse, k_transform, sweep)
+from confpp.two_type import PairSetFunction, conv_star2, kk_transform
+
+TOL = 1e-10
+CASES = dict(n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1),
+             zeros=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+SMALL = dict(CASES, n=st.integers(0, 4))
+
+
+def _lattice(n, seed):
+    rng = np.random.default_rng(seed)
+    return DiscreteGround(tuple(rng.uniform(0.5, 1.5, n))), rng
+
+
+def _table(rng, shape, zeros):
+    vals = rng.standard_normal(shape)
+    vals[rng.random(shape) < zeros] = 0.0
+    return vals
+
+
+def _assert_close(fast, brute, terms):
+    """``max |fast - brute| <= TOL * max sum |terms|``."""
+    assert np.max(np.abs(fast - brute)) <= TOL * np.max(terms)
+
+
+def _matches(oracle, fast, *tables):
+    _assert_close(fast, oracle(*tables), oracle(*map(np.abs, tables)))
+
+
+@given(**CASES)
+@example(n=0, seed=1, zeros=0.0)
+@example(n=1, seed=1, zeros=0.5)
+@example(n=10, seed=1, zeros=0.0)
+@settings(max_examples=20, deadline=None)
+def test_k_transform_pair(n, seed, zeros):
+    g, rng = _lattice(n, seed)
+    G = SetFunction(g, _table(rng, g.n_subsets, zeros))
+    absG = SetFunction(g, np.abs(G.values))
+    scale = oracles.k_transform_naive(absG).values
+    _assert_close(k_transform(G).values,
+                  oracles.k_transform_naive(G).values, scale)
+    _assert_close(k_inverse(G).values, oracles.k_inverse_naive(G).values,
+                  scale)
+
+
+@given(**CASES)
+@example(n=0, seed=2, zeros=0.0)
+@example(n=1, seed=2, zeros=0.5)
+@example(n=10, seed=2, zeros=0.0)
+@settings(max_examples=20, deadline=None)
+def test_convolutions(n, seed, zeros):
+    g, rng = _lattice(n, seed)
+    v1, v2 = (_table(rng, g.n_subsets, zeros) for _ in range(2))
+    G1, G2 = SetFunction(g, v1), SetFunction(g, v2)
+    _matches(oracles.disjoint_conv, conv_disjoint(G1, G2).values, v1, v2)
+    _matches(oracles.covering_conv, conv_union(G1, G2).values, v1, v2)
+
+
+@given(**CASES)
+@example(n=0, seed=3, zeros=0.0)
+@example(n=1, seed=3, zeros=0.5)
+@example(n=10, seed=3, zeros=0.0)
+@settings(max_examples=20, deadline=None)
+def test_convolve_measures(n, seed, zeros):
+    g, rng = _lattice(n, seed)
+    probs = []
+    for _ in range(2):
+        p = np.abs(_table(rng, g.n_subsets, zeros))
+        p[rng.integers(g.n_subsets)] = 1.0
+        probs.append(p / p.sum())
+    out = convolve_measures(*(DiscreteTable(g, p) for p in probs))
+    total = oracles.covering_conv(*probs)
+    _assert_close(out.probs, total, total)
+    _assert_close(out.overlap_probs,
+                  total - oracles.disjoint_conv(*probs), total)
+
+
+@given(**CASES, z=st.sampled_from([0.5, 1.0, 2.0]))
+@example(n=0, seed=4, zeros=0.0, z=1.0)
+@example(n=1, seed=4, zeros=0.5, z=2.0)
+@example(n=10, seed=4, zeros=0.0, z=0.5)
+@settings(max_examples=20, deadline=None)
+def test_projection_and_recovery(n, seed, zeros, z):
+    g, rng = _lattice(n, seed)
+    vals = _table(rng, g.n_subsets, zeros)
+    f = SetFunction(g, vals)
+    norm = oracles.reference_norm(g, z)
+    unsigned = oracles.reference_sum(np.abs(vals), g, z, 1.0)
+    _assert_close(projection_density(f, z).values,
+                  oracles.projection(vals, g, z), norm * unsigned)
+    _assert_close(recover_correlation(f, z).values,
+                  oracles.recovery(vals, g, z), unsigned / norm)
+
+
+@given(**SMALL)
+@example(n=0, seed=5, zeros=0.0)
+@example(n=1, seed=5, zeros=0.5)
+@example(n=4, seed=5, zeros=0.0)
+@settings(max_examples=15, deadline=None)
+def test_pair_kernels(n, seed, zeros):
+    g, rng = _lattice(n, seed)
+    shape = (g.n_subsets, g.n_subsets)
+    v1, v2 = (_table(rng, shape, zeros) for _ in range(2))
+    G1, G2 = PairSetFunction(g, v1), PairSetFunction(g, v2)
+    _matches(oracles.double_covering_conv, conv_star2(G1, G2).values, v1, v2)
+    _assert_close(kk_transform(G1).values,
+                  oracles.kk_transform_naive(v1, g),
+                  oracles.kk_transform_naive(np.abs(v1), g))
+
+
+class TestSweep:
+    def test_stack_equals_rows(self, rng):
+        stack = rng.standard_normal((3, 32))
+        rows = [sweep(r.copy(), range(5), superset=True, sign=-1.0,
+                      weights=[0.5, 1.0, 2.0, 0.25, 3.0]) for r in stack]
+        sweep(stack, range(5), superset=True, sign=-1.0,
+              weights=[0.5, 1.0, 2.0, 0.25, 3.0])
+        assert np.array_equal(stack, np.array(rows))
+
+    def test_bit_range_sweeps_one_coordinate(self, rng):
+        # bits 3..5 of a flattened 8x8 table are the row index
+        table = rng.standard_normal((8, 8))
+        flat = table.copy()
+        sweep(flat.reshape(-1), range(3, 6))
+        want = np.array([oracles.k_transform_naive(
+            SetFunction(DiscreteGround((1.0,) * 3), col)).values
+            for col in table.T]).T
+        assert np.max(np.abs(flat - want)) < 1e-12
+
+    def test_exp_vector_is_weighted_sweep_of_empty_indicator(self):
+        vals = np.zeros(8)
+        vals[0] = 1.0
+        sweep(vals, range(3), weights=[2.0, 3.0, 5.0])
+        assert vals.tolist() == [1, 2, 3, 6, 5, 10, 15, 30]
+
+    def test_rejects_non_contiguous(self):
+        with pytest.raises(ValidationError):
+            sweep(np.zeros((4, 4)).T, range(2))
+
+
+class TestRankedCapacity:
+    """Above the cap the ranked kernels refuse before allocating anything."""
+
+    @staticmethod
+    def _stand_in(ground):
+        # no value table at all: the cap is checked before any allocation
+        return types.SimpleNamespace(ground=ground, values=None, probs=None,
+                                     same_ground=lambda other: True)
+
+    def test_conv_disjoint(self):
+        big = DiscreteGround((1.0,) * (RANKED_MAX_SITES + 1))
+        op = self._stand_in(big)
+        with pytest.raises(CapacityError):
+            conv_disjoint(op, op)
+        assert "subset_size" not in vars(big)
+
+    def test_convolve_measures(self):
+        big = DiscreteGround((1.0,) * (RANKED_MAX_SITES + 1))
+        op = self._stand_in(big)
+        with pytest.raises(CapacityError):
+            convolve_measures(op, op)
+        assert "subset_size" not in vars(big)

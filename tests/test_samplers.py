@@ -139,6 +139,16 @@ class TestGibbsSampler:
         assert sample_gibbs_bd(spec, plan) == sample_gibbs_bd(spec, plan)
 
 
+class TestStraussSpec:
+    @pytest.mark.parametrize("beta, g, R", [
+        (math.nan, 0.5, 0.1), (math.inf, 0.5, 0.1), (0.0, 0.5, 0.1),
+        (2.0, math.nan, 0.1), (2.0, -0.1, 0.1), (2.0, 1.5, 0.1),
+        (2.0, 0.5, math.nan), (2.0, 0.5, math.inf), (2.0, 0.5, 0.0)])
+    def test_rejects_invalid_parameters(self, beta, g, R):
+        with pytest.raises(ValidationError):
+            strauss_spec(beta, g, R)
+
+
 class TestVerifyMecke:
     def test_h_constant(self):
         plan = RunPlan(W, replicas=4000, master_seed=11)
