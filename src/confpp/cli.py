@@ -298,14 +298,14 @@ def _run_process_report(cfg):
     results = []
     table = poisson_table(ground, z)
     k = correlation_functional(table)
-    ok, worst = lenard_pd_check(k, 200, cfg["seed"])
-    results.append({"check": "lenard_poisson_table", "worst_pairing": worst,
-                    "pass": bool(ok)})
     mix = MixingDensity(np.array([0.5 * z, 1.5 * z]), np.array([0.5, 0.5]))
     km = correlation_functional(to_discrete_table(MixedPoisson(mix), ground))
-    ok2, worst2 = lenard_pd_check(km, 200, cfg["seed"] + 1)
-    results.append({"check": "lenard_mixed_table", "worst_pairing": worst2,
-                    "pass": bool(ok2)})
+    tol = 1e-10
+    for name, corr in (("lenard_poisson_table", k), ("lenard_mixed_table", km)):
+        ok, worst, witness = lenard_pd_check(corr, tol)
+        results.append({"check": name, "worst_pairing": worst,
+                        "tolerance": tol, "witness": list(witness.sites),
+                        "pass": bool(ok)})
     rt = 0.0
     for zz in (0.5, 1.0, 2.0):
         back = recover_correlation(projection_density(k, zz), zz)

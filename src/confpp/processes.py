@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SetFunction, power_function
+from .core import Configuration, SetFunction, power_function
 from .errors import (CocycleError, GroundMismatchError,
                      UndefinedConditionalError, ValidationError)
-from .transforms import conv_disjoint, k_inverse, ranked_products, sweep
+from .transforms import conv_disjoint, norm_fit, ranked_products, sweep
 
 MIXING_GRID_POINTS = 512
 MIXING_TAIL_MASS = 1e-8
@@ -245,7 +245,6 @@ def gibbs_table(ground, spec, tol=1e-9):
     lowest-bit insertion paths; every alternative last-insertion is checked
     for path independence (the cocycle condition) before normalizing.
     """
-    from .core import Configuration
     n = ground.n_sites
     u = np.zeros(ground.n_subsets)
     u[0] = 1.0
@@ -392,21 +391,21 @@ def recover_correlation(density, z):
     return SetFunction(density.ground, out / norm, f"k[{density.label}]")
 
 
-def lenard_pd_check(k, trials, seed, tol=1e-10):
-    """Positive-definiteness probe in the sense of the moment problem.
+def lenard_pd_check(k, tol=1e-10):
+    """Exact Lenard positivity certificate of a correlation functional.
 
-    Random nonnegative observables ``F`` are pulled back through the inverse
-    transform and paired with ``k``; returns ``(passed, worst_pairing)``.
+    ``<Kinv F, k> = sum_xi F(xi) mu(xi)``, where ``mu``, the superset Moebius
+    sweep of ``k * wt_1``, is the law whose correlation functional is ``k``;
+    so ``k`` passes for every ``F >= 0`` exactly when ``min mu >= -tol``.
+    Returns ``(passed, worst, witness)``: ``worst = min mu`` and the least
+    mask attaining it, as a :class:`Configuration`.
     """
-    rng = np.random.default_rng(seed)
     ground = k.ground
-    w = ground.lp_weights(1.0)
-    worst = np.inf
-    for _ in range(trials):
-        F = SetFunction(ground, rng.uniform(0.0, 1.0, ground.n_subsets))
-        G = k_inverse(F)
-        worst = min(worst, float(np.dot(G.values * k.values, w)))
-    return bool(worst >= -tol), float(worst)
+    mu = sweep(k.values * ground.lp_weights(1.0), range(ground.n_sites),
+               superset=True, sign=-1.0)
+    best = int(np.argmin(mu))  # argmin returns the first (least) mask
+    worst = float(mu[best])
+    return worst >= -tol, worst, Configuration(ground, best)
 
 
 @dataclass(frozen=True)
@@ -444,7 +443,6 @@ def uniqueness_diagnostic(k, N):
             c.append((peak / math.factorial(n_) ** delta) ** (1.0 / n_))
         if all(c[i + 1] <= c[i] + 1e-12 for i in range(1, len(c) - 1)):
             C = max(max(c), 1e-12)
-            from .transforms import norm_fit
             fit = norm_fit(k, C, delta)
             return UniquenessReport(s_values, "unique_by_K_C2", C, delta,
                                     fit.norm)

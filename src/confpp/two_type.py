@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Configuration, SetFunction
-from .errors import GroundMismatchError, OverlapError, ValidationError
-from .transforms import covering_values, moebius_values, zeta_values
+from .errors import (CapacityError, GroundMismatchError, OverlapError,
+                     ValidationError)
+from .transforms import covering_values, moebius_values, sweep, zeta_values
 
 PAIR_MAX_SITES = 12
 
@@ -58,7 +59,7 @@ class PairSetFunction:
 
     def __post_init__(self):
         if self.ground.n_sites > PAIR_MAX_SITES:
-            raise ValidationError(
+            raise CapacityError(
                 f"pair tables limited to {PAIR_MAX_SITES} sites per coordinate")
         vals = np.asarray(self.values, dtype=float)
         n = self.ground.n_subsets
@@ -153,18 +154,18 @@ def pair_lp_integral(G, z_plus=1.0, z_minus=1.0):
     return float(wp @ G.values @ wm)
 
 
-def pair_lenard_check(k, trials, seed, tol=1e-10):
-    """Two-type positive-definiteness probe.
+def pair_lenard_check(k, tol=1e-10):
+    """:func:`confpp.processes.lenard_pd_check` on the ``2n``-bit lattice.
 
-    Draws nonnegative test observables ``F`` on the product lattice, maps them
-    down through the inverse transform and pairs with ``k``; passes when no
-    pairing dips below ``-tol``.  Returns ``(passed, worst)``.
+    ``mu`` is the superset Moebius sweep of ``k * (wt_1 x wt_1)``; the
+    witness is the :class:`PairConfiguration` at the least flattened index.
     """
-    rng = np.random.default_rng(seed)
-    n = k.ground.n_subsets
-    worst = np.inf
-    for _ in range(trials):
-        F = PairSetFunction(k.ground, rng.uniform(0.0, 1.0, (n, n)))
-        G = kk_inverse(F)
-        worst = min(worst, pair_lp_integral(G * k))
-    return bool(worst >= -tol), float(worst)
+    ground = k.ground
+    w = ground.lp_weights(1.0)
+    mu = sweep((k.values * np.outer(w, w)).reshape(-1),
+               range(2 * ground.n_sites), superset=True, sign=-1.0)
+    best = int(np.argmin(mu))
+    worst = float(mu[best])
+    plus, minus = divmod(best, ground.n_subsets)
+    return worst >= -tol, worst, PairConfiguration(
+        Configuration(ground, plus), Configuration(ground, minus))

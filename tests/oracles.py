@@ -103,6 +103,13 @@ def double_covering_conv(v1, v2):
     return out
 
 
+def product_weights(ground, c):
+    """``prod_{i in eta} c m_i`` for every mask, one product at a time."""
+    return np.array([math.prod(c * m for i, m in enumerate(ground.weights)
+                               if eta >> i & 1)
+                     for eta in range(ground.n_subsets)])
+
+
 def reference_sum(values, ground, z, sign):
     """``sum_{eta n gamma = 0} sign^|eta| wt_z(eta) values(gamma u eta)``.
 
@@ -111,8 +118,7 @@ def reference_sum(values, ground, z, sign):
     """
     n = ground.n_subsets
     masks = np.arange(n)
-    w = np.array([math.prod(sign * z * m for i, m in enumerate(ground.weights)
-                            if eta >> i & 1) for eta in range(n)])
+    w = product_weights(ground, sign * z)
     out = np.empty(n)
     for gamma in range(n):
         free = masks[(masks & gamma) == 0]
@@ -139,3 +145,43 @@ def kk_transform_naive(values, ground):
         return np.array([k_transform_naive(SetFunction(ground, r)).values
                          for r in table])
     return rows(rows(values).T).T
+
+
+def lenard_pairings(values, ground):
+    """``<k_inverse_naive(1_xi), k>`` for every mask ``xi``: one probe each.
+
+    The pairing is against the unit reference weights ``prod_{i in eta} m_i``.
+    """
+    n = ground.n_subsets
+    w = product_weights(ground, 1.0)
+    out = np.empty(n)
+    for xi in range(n):
+        probe = np.zeros(n)
+        probe[xi] = 1.0
+        G = k_inverse_naive(SetFunction(ground, probe)).values
+        out[xi] = float(np.dot(G * values, w))
+    return out
+
+
+def pair_lenard_pairings(values, ground):
+    """Per cell ``(a, b)``, the sum over ``A superset a``, ``B superset b``
+    of ``(-1)^(|A\\a| + |B\\b|) k(A, B) wt(A) wt(B)``.
+
+    One cell at a time, every superset pair enumerated.
+    """
+    n = ground.n_subsets
+    w = product_weights(ground, 1.0)
+    out = np.empty((n, n))
+    for a in range(n):
+        for b in range(n):
+            acc = 0.0
+            for A in range(n):
+                if a & ~A:
+                    continue
+                for B in range(n):
+                    if b & ~B:
+                        continue
+                    flips = bin(A & ~a).count("1") + bin(B & ~b).count("1")
+                    acc += (-1.0) ** flips * values[A, B] * w[A] * w[B]
+            out[a, b] = acc
+    return out

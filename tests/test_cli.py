@@ -154,3 +154,15 @@ class TestRun:
         checks = {r["check"] for r in report["results"]}
         assert "projection_round_trip" in checks
         assert "uniqueness_verdict" in checks
+        lenard = [r for r in report["results"]
+                  if r["check"].startswith("lenard_")]
+        assert len(lenard) == 2
+        for r in lenard:
+            assert r["pass"] and r["tolerance"] == 1e-10
+            assert isinstance(r["witness"], list)
+        # the exact certificate draws nothing, so the seed cannot move it
+        _, other = _run(tmp_path, {
+            "name": "proc", "ground": DISCRETE, "task": "process-report",
+            "seed": 4})
+        assert [r for r in other["results"]
+                if r["check"].startswith("lenard_")] == lenard

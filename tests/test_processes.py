@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from confpp.core import (Configuration, DiscreteGround, SetFunction,
                          indicator_empty, power_function)
@@ -258,24 +262,69 @@ class TestProjection:
 
 
 class TestLenard:
-    def test_table_correlations_pass(self, rng):
+    def test_table_correlations_pass(self):
         for model in (poisson_table(G4, 0.8),
                       to_discrete_table(
                           MixedPoisson(MixingDensity(
                               np.array([0.5, 1.5]),
                               np.array([0.4, 0.6]))), G4)):
             k = correlation_functional(model)
-            ok, worst = lenard_pd_check(k, trials=200, seed=7)
-            assert ok and worst >= -1e-10
+            ok, worst, witness = lenard_pd_check(k)
+            # the certificate is the law that k was computed from
+            assert ok
+            assert worst == pytest.approx(model.probs.min(), abs=1e-12)
+            assert witness.mask == int(np.argmin(model.probs))
 
     def test_alternating_sign_fails(self):
         k = SetFunction(G4, np.where(G4.subset_size & 1, -1.0, 1.0))
-        ok, worst = lenard_pd_check(k, trials=200, seed=7)
+        ok, worst, _ = lenard_pd_check(k)
         assert not ok and worst < -1e-10
 
     def test_indicator_empty_passes(self):
-        ok, worst = lenard_pd_check(indicator_empty(G4), trials=50, seed=7)
-        assert ok
+        ok, worst, witness = lenard_pd_check(indicator_empty(G4))
+        # its law is the point mass at the void: the least zero is mask 1
+        assert ok and worst == 0.0 and witness.mask == 1
+
+    def test_tampered_table_is_caught(self):
+        """One probability pushed to -0.09, its mass moved to the void.
+
+        ``k`` is the superset sum of the tampered law over ``wt_1``: moving
+        ``delta`` from mask 3 to the void lowers it by ``delta / wt_1`` on
+        the masks 1, 2 and 3.  Random nonnegative probes miss this.
+        """
+        g14 = DiscreteGround(tuple(np.linspace(0.6, 1.4, 14)))
+        table = poisson_table(g14, 0.8)
+        probs = table.probs
+        delta = probs[3] + 0.09
+        vals = correlation_functional(table).values.copy()
+        w = g14.lp_weights(1.0)
+        vals[1:4] -= delta / w[1:4]
+        ok, worst, witness = lenard_pd_check(SetFunction(g14, vals))
+        assert not ok
+        assert worst == pytest.approx(probs[3] - delta, abs=1e-12)
+        assert witness.mask == 3
+
+
+@given(n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       from_table=st.booleans())
+@example(n=0, seed=1, from_table=False)
+@example(n=6, seed=1, from_table=True)
+@settings(max_examples=25, deadline=None)
+def test_lenard_matches_probe_oracle(n, seed, from_table):
+    rng = np.random.default_rng(seed)
+    g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
+    if from_table:
+        k = correlation_functional(
+            DiscreteTable(g, rng.dirichlet(np.ones(g.n_subsets))))
+    else:
+        k = SetFunction(g, rng.standard_normal(g.n_subsets))
+    mu = oracles.lenard_pairings(k.values, g)
+    slack = 1e-10 * float(np.dot(np.abs(k.values),
+                                 oracles.product_weights(g, 1.0)))
+    ok, worst, witness = lenard_pd_check(k)
+    assert abs(worst - mu.min()) <= slack
+    assert mu[witness.mask] <= mu.min() + slack
+    assert ok == bool(mu.min() >= -1e-10)
 
 
 class TestUniqueness:

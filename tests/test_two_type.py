@@ -1,15 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confpp.core import Configuration, DiscreteGround, SetFunction, \
     power_function
-from confpp.errors import GroundMismatchError, OverlapError, ValidationError
+from confpp.errors import (CapacityError, GroundMismatchError, OverlapError,
+                           ValidationError)
+from confpp.processes import correlation_functional, poisson_table
 from confpp.transforms import k_transform
-from confpp.two_type import (PairConfiguration, PairSetFunction, conv_star2,
-                             kk_inverse, kk_transform, marginal_correlation,
+from confpp.two_type import (PAIR_MAX_SITES, PairConfiguration,
+                             PairSetFunction, conv_star2, kk_inverse,
+                             kk_transform, marginal_correlation,
                              pair_indicator_empty, pair_lenard_check,
                              pair_lp_integral, pair_product)
-from oracles import double_covering_conv
+from oracles import (double_covering_conv, pair_lenard_pairings,
+                     product_weights)
 
 G4 = DiscreteGround((0.7, 1.2, 0.5, 0.9))
 
@@ -114,17 +122,69 @@ class TestPairFunctionals:
         assert val == pytest.approx(expected)
 
     def test_lenard_positive_for_product_correlations(self):
+        t1, t2 = poisson_table(G4, 0.9), poisson_table(G4, 0.4)
+        k = pair_product(correlation_functional(t1), correlation_functional(t2))
+        ok, worst, witness = pair_lenard_check(k)
+        law = np.outer(t1.probs, t2.probs)
+        assert ok
+        assert worst == pytest.approx(law.min(), abs=1e-12)
+        plus, minus = np.unravel_index(np.argmin(law), law.shape)
+        assert (witness.plus.mask, witness.minus.mask) == (plus, minus)
+
+    def test_lenard_rejects_power_product_above_unit_site_intensity(self):
+        """z m_i > 1 at site 1 makes the z = 0.9 factor's law negative.
+
+        A power function's certificate is the product law
+        ``prod_{i in xi} z m_i prod_{i not in xi} (1 - z m_i)``.
+        """
+        def law(z):
+            return np.array([math.prod(z * m if xi >> i & 1 else 1 - z * m
+                                       for i, m in enumerate(G4.weights))
+                             for xi in range(G4.n_subsets)])
         k = pair_product(power_function(G4, 0.9), power_function(G4, 0.4))
-        ok, worst = pair_lenard_check(k, trials=50, seed=3)
-        assert ok and worst >= -1e-10
+        ok, worst, _ = pair_lenard_check(k)
+        assert not ok
+        assert worst == pytest.approx(np.outer(law(0.9), law(0.4)).min(),
+                                      abs=1e-12)
 
     def test_lenard_detects_negative(self):
         vals = np.zeros((G4.n_subsets, G4.n_subsets))
         vals[0, 0] = 1.0
         vals[1, 0] = -5.0
-        ok, worst = pair_lenard_check(PairSetFunction(G4, vals),
-                                      trials=200, seed=3)
-        assert not ok and worst < 0
+        ok, worst, witness = pair_lenard_check(PairSetFunction(G4, vals))
+        assert not ok
+        assert worst == pytest.approx(-5.0 * G4.weights[0], abs=1e-12)
+        assert (witness.plus.mask, witness.minus.mask) == (1, 0)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_lenard_catches_tampered_product_table(self, n):
+        """Entry (3, 5) of a product law pushed to -0.09, mass to (0, 0).
+
+        ``k`` is the coordinatewise superset sum of the tampered law over
+        ``wt_1 x wt_1``: it drops by ``delta / (wt_1(a) wt_1(b))`` on every
+        ``(a, b) != (0, 0)`` below ``(3, 5)``.  Random probes miss this.
+        """
+        g = DiscreteGround(tuple(np.linspace(0.6, 1.4, n)))
+        t1, t2 = poisson_table(g, 0.8), poisson_table(g, 0.5)
+        tampered = t1.probs[3] * t2.probs[5]
+        delta = tampered + 0.09
+        vals = np.outer(correlation_functional(t1).values,
+                        correlation_functional(t2).values)
+        w = g.lp_weights(1.0)
+        for a in (0, 1, 2, 3):
+            for b in (0, 1, 4, 5):
+                if a or b:
+                    vals[a, b] -= delta / (w[a] * w[b])
+        ok, worst, witness = pair_lenard_check(PairSetFunction(g, vals))
+        assert not ok
+        assert worst == pytest.approx(tampered - delta, abs=1e-12)
+        assert (witness.plus.mask, witness.minus.mask) == (3, 5)
+
+    def test_capacity_above_pair_cap(self):
+        # the cap is checked before the table's shape, so a stand-in will do
+        g13 = DiscreteGround((1.0,) * (PAIR_MAX_SITES + 1))
+        with pytest.raises(CapacityError):
+            PairSetFunction(g13, np.zeros((1, 1)))
 
     def test_algebra_and_validation(self, rng):
         G = _random_pair(G4, rng)
@@ -133,3 +193,20 @@ class TestPairFunctionals:
             PairSetFunction(G4, np.zeros((3, 3)))
         doc = G.to_json()
         assert len(doc["values"]) == G4.n_subsets ** 2
+
+
+@given(n=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=0, seed=1)
+@example(n=3, seed=1)
+@settings(max_examples=15, deadline=None)
+def test_pair_lenard_matches_superset_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
+    k = _random_pair(g, rng)
+    mu = pair_lenard_pairings(k.values, g)
+    w = product_weights(g, 1.0)
+    slack = 1e-10 * float(np.abs(k.values).ravel() @ np.outer(w, w).ravel())
+    ok, worst, witness = pair_lenard_check(k)
+    assert abs(worst - mu.min()) <= slack
+    assert mu[witness.plus.mask, witness.minus.mask] <= mu.min() + slack
+    assert ok == bool(mu.min() >= -1e-10)
