@@ -16,10 +16,11 @@ from .errors import (CapacityError, CocycleError, ConfppError,
                      EvaluationError, GroundMismatchError, OverlapError,
                      StabilityError, UndefinedConditionalError,
                      ValidationError)
-from .generators import (BirthDeathKernel, LatticeOperator, adjoint_hat_L,
-                         apply_L, contact_kernel, derive_kernels,
-                         hat_L_bruteforce, hat_L_closed, hat_L_continuum,
-                         kernel_from_entries)
+from .generators import (BirthDeathKernel, LatticeOperator, MoveOperator,
+                         adjoint_hat_L, apply_L, contact_kernel,
+                         derive_kernels, hat_L_action, hat_L_bruteforce,
+                         hat_L_closed, hat_L_continuum,
+                         hat_L_continuum_action, kernel_from_entries)
 from .processes import (DiscreteTable, Gibbs, MixedPoisson, MixingDensity,
                         PapangelouSpec, Poisson, Superposition,
                         convolve_measures, correlation_functional,

@@ -23,6 +23,11 @@ the transformed operator ``L^ = K^-1 L K`` three ways:
   of the family with configuration-independent coefficients and therefore
   the one satisfying the derivation (dual-sum) identity exactly.
 
+:func:`hat_L_action` and :func:`hat_L_continuum_action` apply ``L^`` and the
+continuum form, and their adjoints, to vectors without building a matrix,
+from the same move lists that :func:`hat_L_bruteforce` and
+:func:`hat_L_continuum` scatter into their matrices.
+
 No operator with genuine death or dispersal terms can have an adjoint that
 is a derivation of the disjoint convolution on the subset lattice: the
 derivations of the lattice algebra are exactly the maps
@@ -42,6 +47,7 @@ from .errors import CapacityError, GroundMismatchError, ValidationError
 from .transforms import conv_disjoint, sweep
 
 BRUTEFORCE_MAX_SITES = 12
+ACTION_MAX_MOVES = 1 << 24
 MAX_K_TRUNC = 3
 
 
@@ -271,31 +277,146 @@ def apply_contact(a, F, gamma):
     return apply_L(kernel, F, gamma)
 
 
-def _gamma_operator(kernel, z):
-    """Dense matrix of L acting on configuration-function value vectors."""
-    ground = kernel.ground
+def _bincount(index, weights, size):
+    """``np.bincount`` with weights; float even for an empty move list."""
+    return np.bincount(index, weights, size).astype(float, copy=False)
+
+
+@dataclass(frozen=True)
+class Moves:
+    """An operator on value vectors as a diagonal plus a flat move list.
+
+    Entry ``e`` carries ``rates[e]`` times the value at ``targets[e]`` into
+    ``rows[e]``, so the operator is ``diag * v + sum_e`` of those terms.
+    :meth:`gather` applies it, :meth:`scatter` its transpose and
+    :meth:`dense` scatters it into a matrix; all three read the same arrays.
+    """
+
+    rows: np.ndarray
+    targets: np.ndarray
+    rates: np.ndarray
+    diag: np.ndarray
+
+    def gather(self, v):
+        terms = v[self.targets]
+        terms *= self.rates
+        return self.diag * v + _bincount(self.rows, terms, self.diag.size)
+
+    def scatter(self, v):
+        """The transpose of :meth:`gather`."""
+        terms = v[self.rows]
+        terms *= self.rates
+        return self.diag * v + _bincount(self.targets, terms, self.diag.size)
+
+    def dense(self):
+        nsub = self.diag.size
+        M = _bincount(self.rows * nsub + self.targets, self.rates,
+                      nsub * nsub).reshape(nsub, nsub)
+        M[np.diag_indices(nsub)] += self.diag
+        return M
+
+
+def _moves(ground, movers, avoid, add, rates):
+    """Enumerate move families into flat ``(rows, targets, rates)`` arrays.
+
+    Family ``j`` moves every configuration ``alpha`` that holds site
+    ``x = movers[j]`` and whose rest ``alpha \\ x`` avoids ``avoid[j]`` (a
+    mask without ``x``) to the target ``(alpha \\ x) u add[j]`` at rate
+    ``rates[j]``; families with a zero rate are dropped.  A family has
+    ``2^(n - 1 - |avoid|)`` entries, so the total is known, and checked
+    against ``ACTION_MAX_MOVES``, before anything is allocated.  Entries
+    come family by family, rows ascending within a family.
+    """
     n, nsub = ground.n_sites, ground.n_subsets
-    w = ground.lp_weights(z)
-    gammas = np.arange(nsub)
-    R = np.zeros((nsub, nsub))
-    rows = np.arange(nsub)
+    live = rates != 0.0
+    movers, avoid, add, rates = movers[live], avoid[live], add[live], \
+        rates[live]
+    counts = np.left_shift(1, n - 1 - ground.subset_size[avoid])
+    count = int(np.sum(counts, dtype=float))
+    if count > ACTION_MAX_MOVES:
+        raise CapacityError(
+            f"{count} generator moves exceed the cap of {ACTION_MAX_MOVES}")
+    out = (np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64),
+           np.empty(count))
+    masks = np.arange(nsub)
+    start = 0
     for x in range(n):
         xb = 1 << x
-        holds = gammas[(gammas & xb) == xb]
-        gx = holds & ~xb
-        for om in _omega_list(kernel):
-            om = int(om)
-            rate_d = kernel.death[x, om] * w[om]
-            if rate_d:
-                ok = holds[(gx & om) == 0]
-                np.add.at(R, (ok, (ok & ~xb) | om), rate_d)
-                np.add.at(R, (ok, ok), -rate_d)
-            rate_b = kernel.birth[x, om] * w[om]
-            if rate_b:
-                ok = holds[(holds & om) == 0]
-                np.add.at(R, (ok, ok | om), rate_b)
-                np.add.at(R, (ok, ok), -rate_b)
-    return R
+        alphas = masks[(masks & xb) != 0]
+        rest = alphas ^ xb
+        mine = movers == x
+        j, i = np.nonzero((avoid[mine][:, None] & rest) == 0)
+        part = slice(start, start + i.size)
+        out[0][part] = alphas[i]
+        np.bitwise_or(rest[i], np.repeat(add[mine], counts[mine]),
+                      out=out[1][part])
+        out[2][part] = np.repeat(rates[mine], counts[mine])
+        start = part.stop
+    return out
+
+
+def _site_grid(kernel):
+    """``(x, omega, x in omega)`` over sites and masks with ``|omega| <=
+    k_trunc``, flattened: the only pairs where the kernel can be nonzero."""
+    ground = kernel.ground
+    small = np.nonzero(ground.subset_size <= kernel.k_trunc)[0]
+    x = np.repeat(np.arange(ground.n_sites), small.size)
+    omega = np.tile(small, ground.n_sites)
+    return x, omega, (omega >> x) & 1 == 1
+
+
+def _generator_moves(kernel, z):
+    """The moves of ``L`` on configuration-function value vectors.
+
+    Death ``(x, omega)`` sends ``gamma`` to ``(gamma \\ x) u omega`` when
+    ``omega`` avoids ``gamma \\ x``; birth sends ``gamma`` to
+    ``gamma u omega`` when ``omega`` avoids ``gamma``.  Every move also
+    takes its rate off the diagonal.
+    """
+    ground = kernel.ground
+    w = ground.lp_weights(z)
+    x, omega, has_x = _site_grid(kernel)
+    xb = 1 << x
+    death = kernel.death[x, omega] * w[omega]
+    birth = np.where(has_x, 0.0, kernel.birth[x, omega] * w[omega])
+    rows, targets, rates = _moves(ground, np.concatenate([x, x]),
+                                  np.concatenate([omega & ~xb, omega]),
+                                  np.concatenate([omega, omega | xb]),
+                                  np.concatenate([death, birth]))
+    diag = -_bincount(rows, rates, ground.n_subsets)
+    return Moves(rows, targets, rates, diag)
+
+
+def _continuum_moves(kernel, z):
+    """The terms of the continuum form, see :func:`hat_L_continuum`."""
+    ground = kernel.ground
+    n = ground.n_sites
+    w = ground.lp_weights(z)
+    dk = derive_kernels(kernel, z)
+    x, xi, has_x = _site_grid(kernel)
+    xb = 1 << x
+    cd = np.where(has_x | (xi == 0), 0.0, dk.d1[x, xi] * w[xi])
+    cb = np.where(has_x, 0.0, dk.b1[x, xi] * w[xi])
+    sites = np.arange(n)
+    none = np.zeros(n, dtype=int)
+    return Moves(*_moves(ground, np.concatenate([sites, x, x]),
+                         np.concatenate([none, xi, xi]),
+                         np.concatenate([none, xi, xi | xb]),
+                         np.concatenate([-dk.b_bar, cd + cb, cb])),
+                 -(dk.D + dk.B))
+
+
+def _check_dense(ground, what):
+    if ground.n_sites > BRUTEFORCE_MAX_SITES:
+        raise CapacityError(
+            f"{what} limited to {BRUTEFORCE_MAX_SITES} sites "
+            f"(a dense matrix of 4^n floats)")
+
+
+def _pairing_weights(ground, z):
+    if z <= 0:
+        raise ValidationError("pairing activity must be positive")
+    return ground.lp_weights(z)
 
 
 @dataclass(frozen=True)
@@ -322,6 +443,75 @@ class LatticeOperator:
         return SetFunction(self.ground, self.matrix @ G.values,
                            f"{self.label}[{G.label}]")
 
+    def adjoint_apply(self, k, z=1.0):
+        """Adjoint image w.r.t. ``<<G, k>> = sum G k wt_z``, on one vector."""
+        if k.ground != self.ground:
+            raise GroundMismatchError("operand lives on a different ground")
+        w = _pairing_weights(self.ground, z)
+        return SetFunction(self.ground, (self.matrix.T @ (w * k.values)) / w,
+                           f"adj[{self.label}][{k.label}]")
+
+
+@dataclass(frozen=True)
+class MoveOperator:
+    """Matrix-free operator on set-function value vectors.
+
+    Acts through a :class:`Moves` list, conjugated by the lattice transform
+    when ``conjugated`` is set: ``apply`` is then ``Kinv(moves(K G))`` and
+    ``adjoint_apply`` runs the transposed steps in reverse order, the
+    superset Moebius sweep, the transposed moves and the superset zeta
+    sweep.  Same interface as :class:`LatticeOperator`, for the checks that
+    only need the operator on vectors.
+    """
+
+    ground: object
+    moves: Moves
+    conjugated: bool
+    label: str = ""
+
+    def apply(self, G):
+        if G.ground != self.ground:
+            raise GroundMismatchError("operand lives on a different ground")
+        sites = range(self.ground.n_sites)
+        v = np.array(G.values, dtype=float)
+        if self.conjugated:
+            sweep(v, sites)
+        out = self.moves.gather(v)
+        if self.conjugated:
+            sweep(out, sites, sign=-1.0)
+        return SetFunction(self.ground, out, f"{self.label}[{G.label}]")
+
+    def adjoint_apply(self, k, z=1.0):
+        """Adjoint image w.r.t. ``<<G, k>> = sum G k wt_z``, on one vector."""
+        if k.ground != self.ground:
+            raise GroundMismatchError("operand lives on a different ground")
+        sites = range(self.ground.n_sites)
+        w = _pairing_weights(self.ground, z)
+        v = w * k.values
+        if self.conjugated:
+            sweep(v, sites, superset=True, sign=-1.0)
+        out = self.moves.scatter(v)
+        if self.conjugated:
+            sweep(out, sites, superset=True)
+        return SetFunction(self.ground, out / w,
+                           f"adj[{self.label}][{k.label}]")
+
+
+def hat_L_action(kernel, z=1.0):
+    """Matrix-free ``L^ = K^-1 L K``: agrees with :func:`hat_L_closed`.
+
+    Each application costs O(n 2^n) for the two sweeps plus one pass over
+    the moves, about ``n |Omega_K| 2^(n-1)`` entries.
+    """
+    return MoveOperator(kernel.ground, _generator_moves(kernel, z), True,
+                        "hatL_action")
+
+
+def hat_L_continuum_action(kernel, z=1.0):
+    """Matrix-free :func:`hat_L_continuum`, from the same terms."""
+    return MoveOperator(kernel.ground, _continuum_moves(kernel, z), False,
+                        "hatL_continuum_action")
+
 
 def hat_L_bruteforce(kernel, z=1.0):
     """Conjugate the generator through the lattice transform pair.
@@ -331,10 +521,8 @@ def hat_L_bruteforce(kernel, z=1.0):
     """
     ground = kernel.ground
     n = ground.n_sites
-    if n > BRUTEFORCE_MAX_SITES:
-        raise CapacityError(
-            f"brute-force conjugation limited to {BRUTEFORCE_MAX_SITES} sites")
-    M = _gamma_operator(kernel, z)
+    _check_dense(ground, "brute-force conjugation")
+    M = _generator_moves(kernel, z).dense()
     # right-multiply by the zeta matrix: superset sums along each row
     sweep(M, range(n), superset=True)
     # left-multiply by the Moebius matrix: a signed sweep along the column
@@ -378,13 +566,6 @@ def _s_tables(kernel, z):
                  for tab in (d_strict, b_eff))
 
 
-def _small_subsets(ground, max_order, exclude_bit):
-    size = ground.subset_size
-    masks = np.arange(ground.n_subsets)
-    keep = (size <= max_order) & ((masks & exclude_bit) == 0)
-    return masks[keep]
-
-
 def hat_L_closed(kernel, z=1.0):
     """Exact closed form of the conjugated generator.
 
@@ -398,62 +579,44 @@ def hat_L_closed(kernel, z=1.0):
     ``x``.  The death part carries one extra covering-pair layer at
     ``zeta = 0`` replacing the diagonal terms.  Agrees with
     :func:`hat_L_bruteforce` to machine precision.
+
+    For a term ``(zeta, a)`` the pairs are indexed by ``m = b u (zeta n
+    alpha)``, which runs over every subset of the other sites: the row is
+    ``m u a u {x}``, the column ``m u zeta`` (``u {x}``) and the sign
+    ``(-1)^{|m n zeta|}``.  So each mover's triples are one broadcast of the
+    terms against those subsets, scattered with one ``np.add.at``.
     """
     ground = kernel.ground
+    _check_dense(ground, "the closed-form conjugate")
     n, nsub = ground.n_sites, ground.n_subsets
     Sd, Sb = _s_tables(kernel, z)
     size = ground.subset_size
+    parity = np.where(size & 1, -1.0, 1.0)
     M = np.zeros((nsub, nsub))
     masks = np.arange(nsub)
     K = kernel.k_trunc
     for x in range(n):
         xb = 1 << x
-        alphas = masks[(masks & xb) == xb]
-        ax = alphas & ~xb
-        # collision-free death layer: -(-1)^|a| S_x(a) at column b u {x},
-        # summed over ordered covers (a, b) of alpha \ x
-        for a in _small_subsets(ground, K, xb):
-            a = int(a)
-            coef = Sd[x, a]
-            if coef == 0.0:
-                continue
-            sign = -1.0 if size[a] & 1 else 1.0
-            sel = alphas[(ax & a) == a]
-            base = (sel & ~xb) & ~a
-            sub = a
-            while True:
-                np.add.at(M, (sel, base | sub | xb), -sign * coef)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & a
-        # collision corrections, death and birth together
-        for zeta in _small_subsets(ground, K, xb):
-            zeta = int(zeta)
-            if zeta == 0:
-                continue
-            for a in _small_subsets(ground, K - int(size[zeta]), xb):
-                a = int(a)
-                if a & zeta:
-                    continue
-                cd = Sd[x, zeta | a]
-                cb = Sb[x, zeta | a]
-                if cd == 0.0 and cb == 0.0:
-                    continue
-                sign_a = -1.0 if size[a] & 1 else 1.0
-                sel = alphas[(ax & a) == a]
-                sel_ax = sel & ~xb
-                sgn = sign_a * np.where(size[zeta & sel_ax] & 1, -1.0, 1.0)
-                base = (sel_ax & ~zeta) & ~a
-                sub = a
-                while True:
-                    col = base | sub | zeta
-                    if cd or cb:
-                        np.add.at(M, (sel, col), sgn * (cd + cb))
-                    if cb:
-                        np.add.at(M, (sel, col | xb), sgn * cb)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & a
+        others = masks[(masks & xb) == 0]
+        small = others[size[others] <= K]
+        zeta, a = (t.reshape(-1) for t in np.meshgrid(small, small))
+        pair = (zeta != 0) & ((zeta & a) == 0) & (size[zeta | a] <= K)
+        zeta, a = zeta[pair], a[pair]
+        # terms (zeta, a, added bit, coefficient): the collision-free death
+        # layer -S_x(a) at b u {x}, then the collision corrections
+        # S_x^d + S_x^b at b u zeta and S_x^b at b u zeta u {x}
+        Z = np.concatenate([np.zeros_like(small), zeta, zeta])
+        A = np.concatenate([small, a, a])
+        X = np.concatenate([np.full_like(small, xb), np.zeros_like(zeta),
+                            np.full_like(zeta, xb)])
+        S = Sd[x, zeta | a] + Sb[x, zeta | a]
+        C = np.concatenate([-Sd[x, small], S, Sb[x, zeta | a]]) * parity[A]
+        live = C != 0.0
+        Z, A, X, C = Z[live], A[live], X[live], C[live]
+        flat = ((A | xb)[:, None] | others) * nsub
+        flat += (Z | X)[:, None] | others
+        np.add.at(M.reshape(-1), flat.reshape(-1),
+                  (C[:, None] * parity[Z[:, None] & others]).reshape(-1))
     return LatticeOperator(ground, M, "hatL_closed")
 
 
@@ -473,38 +636,15 @@ def hat_L_continuum(kernel, z=1.0):
     the raw birth rate in the first term the dual operator would couple
     second-order mass into the first-order stationarity equation, and the
     contact model would lose its closed first-moment equation.  The ``b1``
-    contraction cancels that coupling exactly.
+    contraction cancels that coupling exactly.  (The death terms at
+    ``xi = 0`` cancel, since ``d1(x, 0) = d(x)``, and are left out.)
+
+    Its terms are the moves of :func:`hat_L_continuum_action`, scattered
+    into a dense matrix.
     """
-    ground = kernel.ground
-    n, nsub = ground.n_sites, ground.n_subsets
-    w = ground.lp_weights(z)
-    dk = derive_kernels(kernel, z)
-    size = ground.subset_size
-    masks = np.arange(nsub)
-    M = np.zeros((nsub, nsub))
-    K = kernel.k_trunc
-    for x in range(n):
-        xb = 1 << x
-        alphas = masks[(masks & xb) == xb]
-        ax = alphas & ~xb
-        np.add.at(M, (alphas, alphas), -(dk.d_bar[x] + dk.b_bar[x]))
-        np.add.at(M, (alphas, ax), -dk.b_bar[x])
-        for xi in _small_subsets(ground, K, xb):
-            xi = int(xi)
-            sel = alphas[((alphas & ~xb) & xi) == 0]
-            target = (sel & ~xb) | xi
-            if xi:
-                cd = dk.d1[x, xi] * w[xi]
-                if cd:
-                    np.add.at(M, (sel, target), cd)
-            cb = dk.b1[x, xi] * w[xi]
-            if cb:
-                np.add.at(M, (sel, target), cb)
-            grow = alphas[(alphas & xi) == 0]
-            cb1 = dk.b1[x, xi] * w[xi]
-            if cb1:
-                np.add.at(M, (grow, grow | xi), cb1)
-    return LatticeOperator(ground, M, "hatL_continuum")
+    _check_dense(kernel.ground, "the dense continuum form")
+    return LatticeOperator(kernel.ground, _continuum_moves(kernel, z).dense(),
+                           "hatL_continuum")
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +652,12 @@ def hat_L_continuum(kernel, z=1.0):
 # ---------------------------------------------------------------------------
 
 def adjoint_hat_L(op, z=1.0):
-    """Adjoint w.r.t. ``<<G, k>> = sum_eta G(eta) k(eta) wt_z(eta)``."""
-    if z <= 0:
-        raise ValidationError("pairing activity must be positive")
-    w = op.ground.lp_weights(z)
+    """Adjoint w.r.t. ``<<G, k>> = sum_eta G(eta) k(eta) wt_z(eta)``.
+
+    The dense matrix; the checks below use ``op.adjoint_apply`` instead and
+    never build it.
+    """
+    w = _pairing_weights(op.ground, z)
     mat = (op.matrix * w[:, np.newaxis]).T / w[:, np.newaxis]
     return LatticeOperator(op.ground, mat, f"adj[{op.label}]")
 
@@ -573,9 +715,8 @@ def check_adjoint_leibniz(op, k1, k2, z=1.0):
     """Max-abs residual of ``L^*(k1 * k2) = (L^*k1) * k2 + k1 * (L^*k2)``."""
     if not k1.same_ground(k2):
         raise GroundMismatchError("functionals on different grounds")
-    adj = adjoint_hat_L(op, z)
     def act(k):
-        return SetFunction(op.ground, adj.matrix @ k.values)
+        return op.adjoint_apply(k, z)
     lhs = act(conv_disjoint(k1, k2))
     rhs = conv_disjoint(act(k1), k2) + conv_disjoint(k1, act(k2))
     return float(np.max(np.abs(lhs.values - rhs.values)))
@@ -583,8 +724,7 @@ def check_adjoint_leibniz(op, k1, k2, z=1.0):
 
 def invariance_residual(op, k, z=1.0):
     """Per-order max-abs of the stationarity defect ``L^* k``."""
-    adj = adjoint_hat_L(op, z)
-    defect = np.abs(adj.matrix @ k.values)
+    defect = np.abs(op.adjoint_apply(k, z).values)
     size = op.ground.subset_size
     return {int(s): float(defect[size == s].max())
             for s in range(op.ground.n_sites + 1)}

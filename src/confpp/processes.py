@@ -333,6 +333,16 @@ def correlation_functional(model, ground=None, exclude_overlap=False):
 
     ``exclude_overlap`` drops the collision mass of a convolved table before
     projecting (the continuum-faithful reading).
+
+    Model specifications give their continuum correlation functional read on
+    the ground's sites: ``Poisson(z)`` gives ``z^|eta|`` and ``MixedPoisson``
+    the mixture of those, whatever the site masses.  A flattened law gives
+    its own lattice functional instead: ``to_discrete_table(Poisson(z),
+    ground)`` holds at most one point per site, and its functional is
+    ``prod_{i in eta} z / (1 + z m_i)``.  The two readings differ, and where
+    ``z m_i > 1`` at some site the power function fails the lattice
+    positivity check (:func:`lenard_pd_check`) while the table passes it.
+    Flatten first for the lattice law's functional.
     """
     if isinstance(model, Poisson):
         return power_function(ground, model.z, label=f"poisson[{model.z}]")

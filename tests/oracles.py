@@ -185,3 +185,57 @@ def pair_lenard_pairings(values, ground):
                     acc += (-1.0) ** flips * values[A, B] * w[A] * w[B]
             out[a, b] = acc
     return out
+
+
+def superset_contraction(table, ground, z):
+    """``c[x, xi] = sum_{omega superset xi} table[x, omega] wt_z(omega)``.
+
+    One ``(x, xi)`` at a time, every superset enumerated.
+    """
+    n, nsub = ground.n_sites, ground.n_subsets
+    full = nsub - 1
+    w = product_weights(ground, z)
+    out = np.zeros((n, nsub))
+    for x in range(n):
+        for xi in range(nsub):
+            free = full & ~xi
+            s = free
+            while True:
+                out[x, xi] += table[x, xi | s] * w[xi | s]
+                if s == 0:
+                    break
+                s = (s - 1) & free
+    return out
+
+
+def continuum_matrix(kernel, z):
+    """Matrix of the continuum form, one entry and one term at a time.
+
+    Row ``eta`` of ``generators.hat_L_continuum``: for each ``x in eta``,
+    with ``c_d``, ``c_b`` the superset contractions of the death and birth
+    tables, ``-(c_d + c_b)(x, 0)`` at ``eta``, ``-c_b(x, 0)`` at
+    ``eta \\ x``, and for every ``xi`` avoiding ``eta``,
+    ``[xi != 0] c_d(x, xi) + c_b(x, xi)`` at ``(eta \\ x) u xi`` and
+    ``c_b(x, xi)`` at ``eta u xi``.
+    """
+    ground = kernel.ground
+    n, nsub = ground.n_sites, ground.n_subsets
+    cd = superset_contraction(kernel.death, ground, z)
+    cb = superset_contraction(kernel.birth, ground, z)
+    M = np.zeros((nsub, nsub))
+    for eta in range(nsub):
+        free = (nsub - 1) & ~eta
+        for x in range(n):
+            if not eta >> x & 1:
+                continue
+            rest = eta & ~(1 << x)
+            M[eta, eta] -= cd[x, 0] + cb[x, 0]
+            M[eta, rest] -= cb[x, 0]
+            xi = free
+            while True:
+                M[eta, rest | xi] += (cd[x, xi] if xi else 0.0) + cb[x, xi]
+                M[eta, eta | xi] += cb[x, xi]
+                if xi == 0:
+                    break
+                xi = (xi - 1) & free
+    return M

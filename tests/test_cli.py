@@ -129,6 +129,15 @@ class TestRun:
         assert "closed_vs_bruteforce" in checks
         assert "contact_order1_stationarity" in checks
 
+    def test_generator_suite_above_the_dense_cap(self, tmp_path, capsys):
+        # 13 sites: the dense forms refuse before anything is allocated
+        code, report = _run(tmp_path, {
+            "name": "gen", "task": "generator-suite", "seed": 7,
+            "ground": {"kind": "discrete", "weights": [1.0] * 13},
+            "parameters": {"kernels": 1, "k_trunc": 1}})
+        assert code == 2 and report is None
+        assert "limited to 12 sites" in capsys.readouterr().err
+
     def test_identity_mecke(self, tmp_path):
         code, report = _run(tmp_path, {
             "name": "mecke", "ground": BOX, "task": "identity:mecke",

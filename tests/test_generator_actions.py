@@ -1,0 +1,130 @@
+"""The matrix-free generator actions against independent oracles.
+
+The conjugated action ``hat_L_action`` is compared with the closed form
+``hat_L_closed`` (which never builds the move list) and with the dense
+adjoint ``adjoint_hat_L`` of that matrix; the continuum action
+``hat_L_continuum_action`` with ``oracles.continuum_matrix``, a term-by-term
+transcription of the continuum formula.  Random kernels for n <= 8 cover
+every truncation order, full-range kernels for n <= 6 and the zero kernel.
+A result passes when its largest error is at most ``1e-10`` times the
+largest entry of ``|matrix| @ |vector|`` plus the generator's size, its
+total rate times ``sum |vector|``: an operator that vanishes in exact
+arithmetic, such as a death move that re-occupies its own site, still
+leaves rounding of that size along the action's path.  Adjoints are
+compared after multiplying by the pairing weights.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import pure_death_kernel
+from confpp.core import DiscreteGround, SetFunction, power_function
+from confpp.errors import CapacityError
+from confpp.generators import (BRUTEFORCE_MAX_SITES, BirthDeathKernel,
+                               adjoint_hat_L, contact_kernel, hat_L_action,
+                               hat_L_bruteforce, hat_L_closed,
+                               hat_L_continuum, hat_L_continuum_action,
+                               invariance_residual, normalized_dispersal,
+                               random_kernel)
+
+TOL = 1e-10
+CASES = dict(n=st.integers(0, 8), k_trunc=st.sampled_from([0, 1, 2, 3, None]),
+             z=st.sampled_from([0.5, 1.0, 2.0]),
+             seed=st.integers(0, 2**32 - 1), zero=st.booleans())
+
+
+def _case(n, k_trunc, z, seed, zero):
+    """Ground, kernel, its total rate at ``z`` and two random vectors.
+
+    ``k_trunc=None`` is a full-range kernel.
+    """
+    if k_trunc is None:
+        assume(n <= 6)
+        k_trunc = n
+    rng = np.random.default_rng(seed)
+    g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
+    if zero:
+        tab = np.zeros((n, g.n_subsets))
+        ker = BirthDeathKernel(g, tab, tab, k_trunc)
+    else:
+        ker = random_kernel(g, k_trunc, rng)
+    rate = float(np.sum((ker.death + ker.birth)
+                        * oracles.product_weights(g, z)))
+    G = SetFunction(g, rng.standard_normal(g.n_subsets))
+    k = SetFunction(g, rng.standard_normal(g.n_subsets))
+    return g, ker, rate, G, k
+
+
+def _assert_close(got, matrix, vec, rate, w=1.0):
+    """``max |w (got - matrix @ vec)|`` against ``|matrix| @ |vec|`` plus
+    ``rate * sum |w vec|``, all weighted by ``w``."""
+    err = np.max(np.abs(w * (got - matrix @ vec)), initial=0.0)
+    scale = (np.max(w * (np.abs(matrix) @ np.abs(vec)), initial=0.0)
+             + rate * np.sum(np.abs(w * vec)))
+    assert err <= TOL * scale
+
+
+@given(**CASES)
+@example(n=8, k_trunc=3, z=2.0, seed=1, zero=False)
+@example(n=6, k_trunc=None, z=2.0, seed=1, zero=False)
+@example(n=5, k_trunc=2, z=1.0, seed=1, zero=True)
+@settings(max_examples=40, deadline=None)
+def test_conjugated_action_matches_closed_form(n, k_trunc, z, seed, zero):
+    g, ker, rate, G, k = _case(n, k_trunc, z, seed, zero)
+    w = oracles.product_weights(g, z)
+    closed = hat_L_closed(ker, z)
+    adj = adjoint_hat_L(closed, z).matrix
+    op = hat_L_action(ker, z)
+    _assert_close(op.apply(G).values, closed.matrix, G.values, rate)
+    _assert_close(op.adjoint_apply(k, z).values, adj, k.values, rate, w)
+    # the dense operator's own vector adjoint
+    _assert_close(closed.adjoint_apply(k, z).values, adj, k.values, rate, w)
+
+
+@given(**CASES)
+@example(n=8, k_trunc=3, z=2.0, seed=2, zero=False)
+@example(n=6, k_trunc=None, z=0.5, seed=2, zero=False)
+@example(n=5, k_trunc=2, z=1.0, seed=2, zero=True)
+@settings(max_examples=40, deadline=None)
+def test_continuum_action_matches_formula(n, k_trunc, z, seed, zero):
+    g, ker, rate, G, k = _case(n, k_trunc, z, seed, zero)
+    want = oracles.continuum_matrix(ker, z)
+    w = oracles.product_weights(g, z)
+    adj = (want * w[:, None]).T / w[:, None]
+    op = hat_L_continuum_action(ker, z)
+    _assert_close(op.apply(G).values, want, G.values, rate)
+    _assert_close(op.adjoint_apply(k, z).values, adj, k.values, rate, w)
+    # the dense continuum form is the same move list scattered into a matrix
+    dense = hat_L_continuum(ker, z).matrix
+    assert np.max(np.abs(dense - want)) <= TOL * (np.max(np.abs(want))
+                                                  + rate)
+
+
+class TestCaps:
+    @pytest.mark.parametrize("build", [hat_L_closed, hat_L_continuum,
+                                       hat_L_bruteforce])
+    def test_dense_form_stops_above_the_cap(self, build):
+        g = DiscreteGround((1.0,) * (BRUTEFORCE_MAX_SITES + 1))
+        with pytest.raises(CapacityError):
+            build(pure_death_kernel(g))
+
+    def test_action_stops_above_the_move_cap(self):
+        # the contact model's continuum form at n = 17 has 21 168 128 moves
+        n = 17
+        g = DiscreteGround((1.0,) * n)
+        a = np.ones((n, n)) - np.eye(n)
+        with pytest.raises(CapacityError, match="21168128"):
+            hat_L_continuum_action(contact_kernel(g, a))
+
+
+def test_contact_stationarity_at_sixteen_sites():
+    # a dense matrix here would hold 2^32 floats (32 GiB)
+    rng = np.random.default_rng(116)
+    g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, 16)))
+    a = normalized_dispersal(g, rng.uniform(0.2, 1.0, (16, 16)))
+    op = hat_L_continuum_action(contact_kernel(g, a))
+    for c in (0.5, 1.0, 3.0):
+        assert invariance_residual(op, power_function(g, c))[1] <= 1e-12

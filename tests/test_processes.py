@@ -155,6 +155,28 @@ class TestCorrelation:
         k = correlation_functional(Poisson(0.8), G4)
         assert np.array_equal(k.values, power_function(G4, 0.8).values)
 
+    def test_poisson_continuum_and_lattice_readings(self):
+        # the model gives the continuum power function; its flattened
+        # lattice law conditions on at most one point per site
+        z, m = 0.9, G4.weights
+        cont = correlation_functional(Poisson(z), G4)
+        lat = correlation_functional(to_discrete_table(Poisson(z), G4))
+        assert np.array_equal(cont.values, z ** G4.subset_size)
+        want = [math.prod(z / (1 + z * m[i]) for i in range(4) if eta >> i & 1)
+                for eta in range(G4.n_subsets)]
+        assert np.max(np.abs(lat.values - want)) < 1e-15
+        assert np.max(np.abs(cont.values - lat.values)) == pytest.approx(
+            0.6102050404, abs=1e-10)
+        # z m_1 = 1.08 > 1, so the power function is no lattice law
+        ok, worst, witness = lenard_pd_check(cont)
+        assert not ok and witness.mask == 0b1001
+        assert worst == pytest.approx(
+            z * m[0] * z * m[3] * (1 - z * m[1]) * (1 - z * m[2]), rel=1e-12)
+        ok, worst, witness = lenard_pd_check(lat)
+        table = poisson_table(G4, z)
+        assert ok and worst == pytest.approx(table.probs.min(), abs=1e-15)
+        assert witness.mask == int(np.argmin(table.probs))
+
     def test_empty_set_is_one(self):
         for model in (Poisson(0.8),
                       MixedPoisson(point_mass_mixing(1.2))):
