@@ -29,9 +29,9 @@ from .processes import (DiscreteTable, Gibbs, MixedPoisson, MixingDensity,
                         point_mass_mixing, projection_density,
                         recover_correlation, to_discrete_table,
                         uniqueness_diagnostic)
-from .samplers import (IdentityReport, RunPlan, constant_h,
+from .samplers import (IdentityReport, PointBatch, RunPlan, constant_h,
                        count_distribution_check, density_estimator,
-                       estimate_correlation, sample_gibbs_bd,
+                       estimate_correlation, sample_batch, sample_gibbs_bd,
                        sample_mixed_poisson, sample_poisson,
                        strauss_spec, superpose, verify_gnz, verify_mecke)
 from .transforms import (conv_disjoint, conv_union, exp_vector, k_inverse,

@@ -130,13 +130,19 @@ def _run_algebra_suite(cfg):
             k_inverse(k_transform(G)).values - G.values))))
     results.append(_record("k_round_trip", worst, tol))
 
+    # conv_union is computed through the transform, so its Fourier property
+    # is checked against the closed form (a + b + ab)^|eta| instead: each
+    # point of eta lies in the first operand only, the second only, or both.
+    # The inverse transform's signed terms sum to (2 + a + b + ab)^|eta|;
+    # a, b >= 1 keeps that within (5/3)^|eta| of the entry, so a relative
+    # 1e-10 holds from rounding alone up to the site cap
     worst = 0.0
     for _ in range(trials):
-        G1 = SetFunction(ground, rng.standard_normal(n))
-        G2 = SetFunction(ground, rng.standard_normal(n))
-        lhs = k_transform(conv_union(G1, G2)).values
-        rhs = k_transform(G1).values * k_transform(G2).values
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        a, b = rng.uniform(1.0, 2.0, 2)
+        lhs = conv_union(power_function(ground, a),
+                         power_function(ground, b)).values
+        rhs = power_function(ground, a + b + a * b).values
+        worst = max(worst, float(np.max(np.abs(lhs - rhs)) / np.max(rhs)))
     results.append(_record("fourier_covering_conv", worst, tol))
 
     worst = 0.0
@@ -234,8 +240,8 @@ def _run_identity(cfg):
     from .processes import MixedPoisson, Poisson, Superposition, \
         exponential_mixing
     from .samplers import (constant_h, count_distribution_check,
-                           estimate_correlation, sample_poisson, strauss_spec,
-                           superpose, verify_gnz, verify_mecke)
+                           estimate_correlation, sample_batch, strauss_spec,
+                           verify_gnz, verify_mecke)
     task = cfg["task"]
     params = cfg["parameters"]
     plan = _make_plan(cfg)
@@ -255,9 +261,7 @@ def _run_identity(cfg):
         rep = count_distribution_check(model, window,
                                        int(params["n_max"]), plan)
         rng = split_streams(cfg["seed"] + 1, 1)[0]
-        samples = [superpose(sample_poisson(window, z1, rng),
-                             sample_poisson(window, z2, rng))
-                   for _ in range(plan.replicas)]
+        samples = sample_batch(model, window, rng, plan.replicas)
         lo, hi = window.box[0]
         mid = 0.5 * (lo + hi)
         c1 = BoxWindow(((lo, mid),) + window.box[1:])
@@ -269,10 +273,10 @@ def _run_identity(cfg):
             {"check": "superposition_counts", "tv": rep["tv"],
              "pass": rep["pass"], "overlap_events": rep["overlap_events"]},
             {"check": "superposition_k1", "estimate": e1, "se": s1,
-             "target": zt,
+             "target": zt, "overlap_events": samples.overlap_events,
              "pass": bool(abs(e1 - zt) <= 4 * max(s1, 1e-12))},
             {"check": "superposition_k2", "estimate": e2, "se": s2,
-             "target": zt ** 2,
+             "target": zt ** 2, "overlap_events": samples.overlap_events,
              "pass": bool(abs(e2 - zt ** 2) <= 4 * max(s2, 1e-12))},
         ]
     if task == "identity:counts":

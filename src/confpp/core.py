@@ -139,6 +139,17 @@ class BoxWindow:
                 return False
         return True
 
+    def contains_points(self, points):
+        """Closed-box membership of each row of an ``(n, d)`` array.
+
+        The vectorised form of :meth:`contains`; returns ``n`` booleans.
+        """
+        if points.ndim != 2 or points.shape[1] != self.dimension:
+            raise ValidationError(
+                f"need an (n, {self.dimension}) array of points")
+        lo, hi, _ = self._bounds
+        return np.all((lo <= points) & (points <= hi), axis=1)
+
     def contains_box(self, sub):
         """Whether the box `sub` (same format) lies inside this window."""
         if len(sub.box) != self.dimension:
@@ -147,13 +158,15 @@ class BoxWindow:
                    for (slo, shi), (lo, hi) in zip(sub.box, self.box))
 
     @cached_property
-    def _lo_span(self):
-        """Lower corner and side lengths, two read-only ``(d,)`` arrays."""
+    def _bounds(self):
+        """Lower corner, upper corner and side lengths, read-only ``(d,)``
+        arrays."""
         lo = np.array([b[0] for b in self.box])
-        span = np.array([b[1] for b in self.box]) - lo
-        lo.flags.writeable = False
-        span.flags.writeable = False
-        return lo, span
+        hi = np.array([b[1] for b in self.box])
+        span = hi - lo
+        for a in (lo, hi, span):
+            a.flags.writeable = False
+        return lo, hi, span
 
     def sample_uniform(self, rng, n):
         """Draw ``n`` i.i.d. uniform points; shape ``(n, d)``.
@@ -162,7 +175,7 @@ class BoxWindow:
         stream use, of ``rng.uniform(lo, hi, ...)``, so the draws are the
         same bit for bit, without that call's broadcasting set-up.
         """
-        lo, span = self._lo_span
+        lo, _, span = self._bounds
         u = rng.random((n, len(lo)))
         u *= span
         u += lo
@@ -456,7 +469,7 @@ def lp_integral_mc(G, z, window, n_max, samples_per_order, seed):
             continue
         vals = np.empty(samples_per_order)
         for s in range(samples_per_order):
-            gamma = _sample_simple(window, rng, n)
+            gamma = uniform_configuration(window, rng, n)
             vals[s] = _eval_continuum(G, gamma)
         estimate += coef * float(vals.mean())
         if samples_per_order > 1:
@@ -464,12 +477,22 @@ def lp_integral_mc(G, z, window, n_max, samples_per_order, seed):
     return estimate, math.sqrt(variance)
 
 
-def _sample_simple(window, rng, n):
-    """Uniform n-point configuration; duplicate draws are resampled."""
+def uniform_configuration(window, rng, n):
+    """Configuration of ``n`` i.i.d. uniform points of ``window``.
+
+    A draw that repeats a point is redrawn.  The sorted point tuples are
+    checked once for adjacent repeats and once per axis for window
+    membership, so the configuration is built without re-validation.
+    """
     while True:
-        pts = [tuple(p) for p in window.sample_uniform(rng, n)]
-        if len(set(pts)) == n:
-            return Configuration(window, points=tuple(sorted(pts)))
+        pts = sorted(map(tuple, window.sample_uniform(rng, n).tolist()))
+        if all(a != b for a, b in zip(pts, pts[1:])):
+            break
+    # per axis on the tuples: a numpy check costs more on a few points
+    if not all(lo <= min(col) and max(col) <= hi
+               for col, (lo, hi) in zip(zip(*pts), window.box)):
+        raise ValidationError("a drawn point lies outside the window")
+    return Configuration._unchecked(window, tuple(pts))
 
 
 def _eval_continuum(G, gamma):

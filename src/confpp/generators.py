@@ -421,14 +421,19 @@ def _pairing_weights(ground, z):
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """A linear operator on set-function value vectors, subset-bitmask basis."""
+    """A linear operator on set-function value vectors, subset-bitmask basis.
+
+    A float array passed as ``matrix`` is not copied: the operator holds a
+    read-only view of the caller's memory, so later writes through the
+    caller's array (which stays writeable) change the operator too.
+    """
 
     ground: object
     matrix: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = np.asarray(self.matrix, dtype=float).view()
         nsub = self.ground.n_subsets
         if mat.shape != (nsub, nsub):
             raise ValidationError(f"operator matrix must be {nsub}x{nsub}")

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoxWindow, Configuration, split_streams
+from .core import (BoxWindow, Configuration, split_streams,
+                   uniform_configuration)
 from .errors import OverlapError, StabilityError, ValidationError
 from .processes import (Gibbs, MixedPoisson, PapangelouSpec, Poisson,
                         Superposition, mixing_convolution, point_mass_mixing)
@@ -75,14 +76,15 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 
 def sample_poisson(window, z, rng):
-    """One Poisson(z) configuration: Poisson count, i.i.d. uniform points."""
+    """One Poisson(z) configuration: Poisson count, i.i.d. uniform points.
+
+    A draw that repeats a point is redrawn with the same count (see
+    :func:`~confpp.core.uniform_configuration`).
+    """
     if z <= 0:
         raise ValidationError("intensity must be positive")
-    n = int(rng.poisson(z * window.volume))
-    while True:
-        pts = [tuple(p) for p in window.sample_uniform(rng, n)]
-        if len(set(pts)) == n:
-            return Configuration(window, points=tuple(sorted(pts)))
+    return uniform_configuration(window, rng,
+                                 int(rng.poisson(z * window.volume)))
 
 
 def sample_mixed_poisson(window, mixing, rng):
@@ -103,6 +105,111 @@ def superpose(gamma1, gamma2):
     if len(set(merged)) != len(merged):
         raise OverlapError("superposed configurations share a point")
     return Configuration(gamma1.ground, points=tuple(sorted(merged)))
+
+
+@dataclass(frozen=True)
+class PointBatch:
+    """A ragged batch of window samples.
+
+    Sample ``i`` is ``coords[offsets[i]:offsets[i + 1]]``, an ``(n_i, d)``
+    block of rows in lexicographic order with no repeated row, as the points
+    of a :class:`~confpp.core.Configuration` are.  ``overlap_events`` counts
+    the samples that were redrawn because a row repeated.
+    """
+
+    offsets: np.ndarray
+    coords: np.ndarray
+    overlap_events: int = 0
+
+    def __len__(self):
+        return self.offsets.size - 1
+
+    @property
+    def counts(self):
+        """Points per sample, shape ``(len(self),)``."""
+        return np.diff(self.offsets)
+
+    @classmethod
+    def from_configurations(cls, samples):
+        """The points of a nonempty sequence of window configurations."""
+        if not samples:
+            raise ValidationError("need at least one sample")
+        d = samples[0].ground.dimension
+        offsets = np.zeros(len(samples) + 1, dtype=np.int64)
+        np.cumsum([len(g.points) for g in samples], out=offsets[1:])
+        coords = np.array([c for g in samples for p in g.points for c in p],
+                          dtype=float).reshape(-1, d)
+        return cls(offsets, coords)
+
+
+def _model_counts(model, volume, rng, size):
+    """Point counts of ``size`` draws: per component, mixing atoms by
+    ``rng.choice`` and then ``rng.poisson``; a superposition adds the counts
+    of its two components.
+
+    Kept apart from :func:`_model_mixing`, the analytic side of the count
+    check, so that the check never compares the mixing convolution with
+    itself.
+    """
+    if isinstance(model, Poisson):
+        return rng.poisson(model.z * volume, size)
+    if isinstance(model, MixedPoisson):
+        mix = model.mixing
+        atoms = rng.choice(mix.grid.size, size=size, p=mix.masses)
+        return rng.poisson(mix.grid[atoms] * volume)
+    if isinstance(model, Superposition):
+        return (_model_counts(model.left, volume, rng, size)
+                + _model_counts(model.right, volume, rng, size))
+    raise ValidationError(f"cannot sample {type(model).__name__}")
+
+
+def _draw_sorted(model, window, rng, size):
+    """Counts, rows sorted within each sample, and which samples repeat a row.
+
+    The rows of a superposition's components are i.i.d. uniform given the
+    counts, so one coordinate draw serves every component.
+    """
+    counts = _model_counts(model, window.volume, rng, size)
+    rows = window.sample_uniform(rng, int(counts.sum()))
+    if not window.contains_points(rows).all():
+        raise ValidationError("a drawn point lies outside the window")
+    owner = np.repeat(np.arange(size), counts)
+    # owner is the primary key and already ascending, so it is unchanged
+    rows = rows[np.lexsort((*rows.T[::-1], owner))]
+    same = (owner[1:] == owner[:-1]) & (rows[1:] == rows[:-1]).all(axis=1)
+    repeated = np.zeros(size, dtype=bool)
+    repeated[owner[1:][same]] = True
+    return counts, rows, repeated
+
+
+def sample_batch(model, window, rng, size):
+    """``size`` independent draws of a Poisson, mixed-Poisson or superposed
+    model on ``window``, as a :class:`PointBatch`.
+
+    All counts are drawn first, then all coordinates in one
+    ``window.sample_uniform`` call.  Every row is checked for window
+    membership, and every sample for a repeated point after sorting; such a
+    sample is redrawn whole (counts and points) and counted in
+    ``overlap_events``.
+    """
+    counts, rows, repeated = _draw_sorted(model, window, rng, size)
+    redrawn = 0
+    while repeated.any():
+        again = np.flatnonzero(repeated)
+        redrawn += again.size
+        new_counts, new_rows, new_repeated = _draw_sorted(model, window, rng,
+                                                          again.size)
+        owner = np.repeat(np.arange(size), counts)
+        keep = ~repeated[owner]
+        counts[again] = new_counts
+        order = np.argsort(np.concatenate(
+            (owner[keep], np.repeat(again, new_counts))), kind="stable")
+        rows = np.concatenate((rows[keep], new_rows))[order]
+        repeated = np.zeros(size, dtype=bool)
+        repeated[again] = new_repeated
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return PointBatch(offsets, rows, redrawn)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +522,10 @@ def _boxes_disjoint(b1, b2):
 def estimate_correlation(samples, cells, order):
     """Empirical order-n correlation averaged over disjoint cells.
 
-    Estimates the cell-product moment by ``prod_i count_in(gamma, B_i)``
-    per sample and divides by the product of cell volumes.  Returns
+    ``samples`` is a :class:`PointBatch` or a sequence of window
+    configurations, which is converted to one.  Estimates the cell-product
+    moment by ``prod_i count_in(gamma, B_i)`` per sample (closed cells) and
+    divides by the product of cell volumes.  Returns
     ``(estimate, standard_error)``.
     """
     if order != len(cells):
@@ -425,14 +534,16 @@ def estimate_correlation(samples, cells, order):
         for c2 in cells[i + 1:]:
             if not _boxes_disjoint(c1, c2):
                 raise ValidationError("cells must be pairwise disjoint")
-    vols = np.prod([c.volume for c in cells])
-    vals = np.empty(len(samples))
-    for i, gamma in enumerate(samples):
-        prod = 1.0
-        for c in cells:
-            prod *= sum(1 for p in gamma.points if c.contains(p))
-        vals[i] = prod / vols
-    se = float(vals.std(ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
+    if not isinstance(samples, PointBatch):
+        samples = PointBatch.from_configurations(samples)
+    n = len(samples)
+    owner = np.repeat(np.arange(n), samples.counts)
+    prod = np.ones(n)
+    for c in cells:
+        prod *= np.bincount(owner[c.contains_points(samples.coords)],
+                            minlength=n)
+    vals = prod / np.prod([c.volume for c in cells])
+    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(vals.mean()), se
 
 
@@ -453,17 +564,6 @@ def _model_mixing(model):
         "count checks support Poisson, MixedPoisson and their superpositions")
 
 
-def _sample_model(model, window, rng):
-    if isinstance(model, Poisson):
-        return sample_poisson(window, model.z, rng)
-    if isinstance(model, MixedPoisson):
-        return sample_mixed_poisson(window, model.mixing, rng)
-    if isinstance(model, Superposition):
-        return superpose(_sample_model(model.left, window, rng),
-                         _sample_model(model.right, window, rng))
-    raise ValidationError(f"cannot sample {type(model).__name__}")
-
-
 def analytic_count_pmf(mixing, volume, n_max):
     """Quadrature values of ``P(N = n)`` for a mixed Poisson count."""
     out = np.empty(n_max + 1)
@@ -478,20 +578,13 @@ def count_distribution_check(model, window, n_max, plan):
     """Empirical vs analytic count law of a (mixed/superposed) Poisson model.
 
     Returns a dict with per-n z-scores, the truncated total-variation
-    distance and an overall pass flag (every |z| within threshold).
+    distance, an overall pass flag (every |z| within threshold) and the
+    number of samples redrawn for a repeated point.
     """
     rng = split_streams(plan.master_seed, 1)[0]
-    counts = np.zeros(n_max + 2)
-    overlaps = 0
-    for _ in range(plan.replicas):
-        while True:
-            try:
-                gamma = _sample_model(model, window, rng)
-                break
-            except OverlapError:
-                overlaps += 1
-        counts[min(len(gamma), n_max + 1)] += 1
-    emp = counts / plan.replicas
+    batch = sample_batch(model, window, rng, plan.replicas)
+    emp = np.bincount(np.minimum(batch.counts, n_max + 1),
+                      minlength=n_max + 2) / plan.replicas
     analytic = analytic_count_pmf(_model_mixing(model), window.volume, n_max)
     records = []
     all_pass = True
@@ -508,4 +601,5 @@ def count_distribution_check(model, window, n_max, plan):
     tv = 0.5 * (float(np.abs(emp[:n_max + 1] - analytic).sum())
                 + abs(float(emp[n_max + 1]) - tail_analytic))
     return {"per_n": records, "tv": tv, "pass": bool(all_pass),
-            "overlap_events": overlaps, "replicas": plan.replicas}
+            "overlap_events": batch.overlap_events,
+            "replicas": plan.replicas}

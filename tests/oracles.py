@@ -6,6 +6,8 @@ are built from.  They cost 2^n to 9^n, so tests use them on small lattices.
 Array-valued oracles take and return plain value tables, so that the same
 call on ``abs`` of the inputs gives the sum of the absolute values of the
 terms, the scale that rounding in the fast paths is judged against.
+:func:`cell_moments` is the continuum counterpart: the point-by-point loop
+that the batched correlation estimator replaced.
 """
 
 import math
@@ -239,3 +241,19 @@ def continuum_matrix(kernel, z):
                     break
                 xi = (xi - 1) & free
     return M
+
+
+def cell_moments(samples, cells):
+    """``prod_i #(gamma n B_i) / prod_i |B_i|`` per configuration.
+
+    One configuration, one cell and one point at a time, through the scalar
+    closed-box test ``BoxWindow.contains``.
+    """
+    vols = np.prod([c.volume for c in cells])
+    vals = np.empty(len(samples))
+    for i, gamma in enumerate(samples):
+        prod = 1.0
+        for c in cells:
+            prod *= sum(1 for p in gamma.points if c.contains(p))
+        vals[i] = prod / vols
+    return vals

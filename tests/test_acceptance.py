@@ -23,9 +23,8 @@ from confpp.processes import (DiscreteTable, MixedPoisson, Poisson,
                               gamma_mixing, projection_density,
                               recover_correlation)
 from confpp.samplers import (RunPlan, count_distribution_check,
-                             estimate_correlation, sample_poisson,
-                             strauss_spec, superpose, verify_gnz,
-                             verify_mecke)
+                             estimate_correlation, sample_batch,
+                             strauss_spec, verify_gnz, verify_mecke)
 from confpp.transforms import (conv_disjoint, conv_union, k_inverse,
                                k_transform, minlos_pairing)
 
@@ -256,9 +255,9 @@ class TestStatisticalLayer:
         z1, z2 = 0.7, 1.3
         n_samples = 100_000
         rng = split_streams(302, 1)[0]
-        samples = [superpose(sample_poisson(UNIT_BOX, z1, rng),
-                             sample_poisson(UNIT_BOX, z2, rng))
-                   for _ in range(n_samples)]
+        samples = sample_batch(Superposition(Poisson(z1), Poisson(z2)),
+                               UNIT_BOX, rng, n_samples)
+        assert samples.overlap_events == 0
         c1 = BoxWindow(((0.0, 0.45),))
         c2 = BoxWindow(((0.5, 0.95),))
         e1, s1 = estimate_correlation(samples, [c1], 1)

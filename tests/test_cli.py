@@ -155,6 +155,40 @@ class TestRun:
             "plan": {"replicas": 4000}})
         assert code == 0 and report["pass"]
 
+    def test_fourier_covering_conv_fails_on_a_wrong_conv_union(
+            self, tmp_path, monkeypatch):
+        cfg = {"name": "alg", "ground": DISCRETE, "task": "algebra-suite",
+               "seed": 5, "parameters": {"trials": 2}}
+
+        def fourier(report):
+            return next(r for r in report["results"]
+                        if r["check"] == "fourier_covering_conv")
+
+        _, report = _run(tmp_path, cfg)
+        assert fourier(report)["pass"]
+        import confpp.transforms
+        # the disjoint convolution misses every pair that shares a point
+        monkeypatch.setattr(confpp.transforms, "conv_union",
+                            confpp.transforms.conv_disjoint)
+        code, report = _run(tmp_path, cfg)
+        assert code == 1 and not fourier(report)["pass"]
+
+    def test_identity_superposition(self, tmp_path):
+        cfg = {"name": "sup", "ground": BOX,
+               "task": "identity:superposition", "seed": 21,
+               "parameters": {"z1": 0.7, "z2": 1.3, "n_max": 8},
+               "plan": {"replicas": 4000}}
+        code, report = _run(tmp_path, cfg)
+        assert code == 0 and report["pass"]
+        records = report["results"]
+        assert [r["check"] for r in records] == [
+            "superposition_counts", "superposition_k1", "superposition_k2"]
+        for r in records:
+            assert r["pass"] and r["overlap_events"] == 0
+        first = (tmp_path / "report.json").read_bytes()
+        _run(tmp_path, cfg)
+        assert (tmp_path / "report.json").read_bytes() == first
+
     def test_process_report(self, tmp_path):
         code, report = _run(tmp_path, {
             "name": "proc", "ground": DISCRETE, "task": "process-report",

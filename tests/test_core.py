@@ -67,6 +67,16 @@ class TestBoxWindow:
         assert w.contains_box(BoxWindow(((0.2, 0.8),)))
         assert not w.contains_box(BoxWindow(((0.2, 1.2),)))
 
+    def test_contains_points_matches_contains(self):
+        w = BoxWindow(((0.0, 2.0), (1.0, 1.5)))
+        rows = np.array([[0.0, 1.0], [2.0, 1.5], [1.0, 1.2], [2.0, 1.6],
+                         [-1e-300, 1.2], [1.0, 0.9], [0.5, 1.5]])
+        assert w.contains_points(rows).tolist() == [
+            w.contains(tuple(r)) for r in rows.tolist()]
+        assert w.contains_points(np.empty((0, 2))).shape == (0,)
+        with pytest.raises(ValidationError):
+            w.contains_points(np.zeros((3, 1)))
+
     def test_sample_uniform_matches_rng_uniform(self):
         w = BoxWindow(((-1.5, 2.0), (0.25, 0.75), (3.0, 7.0)))
         lo = np.array([b[0] for b in w.box])

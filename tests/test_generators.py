@@ -12,7 +12,8 @@ from confpp.generators import (BirthDeathKernel, adjoint_hat_L, apply_L,
                                derive_kernels, hat_L_bruteforce, hat_L_closed,
                                hat_L_continuum, invariance_residual,
                                kernel_from_entries, kernel_from_json,
-                               normalized_dispersal, pairing, random_kernel)
+                               LatticeOperator, normalized_dispersal, pairing,
+                               random_kernel)
 from confpp.transforms import conv_disjoint, k_transform
 
 G5 = DiscreteGround((0.7, 1.2, 0.5, 0.9, 1.1))
@@ -172,6 +173,15 @@ class TestConjugatedOperator:
         lhs = op.apply(G1 + 3.0 * G2).values
         rhs = op.apply(G1).values + 3.0 * op.apply(G2).values
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    def test_shares_the_callers_matrix_read_only(self):
+        A = np.zeros((G5.n_subsets, G5.n_subsets))
+        op = LatticeOperator(G5, A)
+        assert A.flags.writeable
+        assert not op.matrix.flags.writeable
+        assert np.shares_memory(op.matrix, A)
+        A[0, 0] = 1.0  # the caller may keep editing its own array
+        assert op.matrix[0, 0] == 1.0
 
     def test_annihilates_delta_empty_row(self, rng):
         # the empty row of the conjugated operator vanishes: no moves from
