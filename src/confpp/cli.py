@@ -99,6 +99,11 @@ def validate_config(doc):
     plan = {"replicas": 2000, "burn_in": 10_000, "thinning": 10,
             "proposal_points": 64}
     plan.update(doc.get("plan", {}))
+    for key in ("replicas", "burn_in", "thinning", "proposal_points"):
+        # bool is a subclass of int; json.load gives floats for NaN, 1e400
+        if isinstance(plan[key], bool) or not isinstance(plan[key], int):
+            raise ValidationError(f"plan {key} must be a JSON integer, got "
+                                  f"{plan[key]!r}")
     return {"name": doc["name"], "ground": ground, "task": task,
             "seed": int(doc["seed"]), "parameters": params, "plan": plan,
             "output": doc.get("output")}
@@ -230,10 +235,10 @@ def _run_generator_suite(cfg):
 def _make_plan(cfg):
     from .samplers import RunPlan
     p = cfg["plan"]
-    return RunPlan(cfg["ground"], replicas=int(p["replicas"]),
-                   master_seed=cfg["seed"], burn_in=int(p["burn_in"]),
-                   thinning=int(p["thinning"]),
-                   proposal_points=int(p["proposal_points"]))
+    return RunPlan(cfg["ground"], replicas=p["replicas"],
+                   master_seed=cfg["seed"], burn_in=p["burn_in"],
+                   thinning=p["thinning"],
+                   proposal_points=p["proposal_points"])
 
 
 def _run_identity(cfg):

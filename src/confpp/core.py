@@ -181,6 +181,20 @@ class BoxWindow:
         u += lo
         return u
 
+    @cached_property
+    def _lo_span(self):
+        """``(lo, hi - lo)`` per axis, as Python floats."""
+        return tuple((lo, hi - lo) for lo, hi in self.box)
+
+    def sample_point(self, rng):
+        """One uniform point as a tuple of floats.
+
+        The same doubles, in the same order, and the same ``lo + span * u``
+        arithmetic as ``sample_uniform(rng, 1)[0]``, without building an
+        array.
+        """
+        return tuple([lo + span * rng.random() for lo, span in self._lo_span])
+
 
 def make_ground(spec):
     """Build a validated ground model from a JSON-style description.

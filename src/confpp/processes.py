@@ -40,11 +40,14 @@ class MixingDensity:
         masses = np.asarray(self.masses, dtype=float)
         if grid.ndim != 1 or grid.shape != masses.shape or grid.size == 0:
             raise ValidationError("grid and masses must be equal-length vectors")
-        if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-            raise ValidationError("grid must be strictly increasing and positive")
-        if np.any(masses < 0):
+        # each test is written so that NaN fails it
+        if not (np.all(0 < grid) and np.all(grid < math.inf)
+                and np.all(np.diff(grid) > 0)):
+            raise ValidationError(
+                "grid must be finite, positive and strictly increasing")
+        if not np.all(masses >= 0):
             raise ValidationError("masses must be nonnegative")
-        if abs(masses.sum() - 1.0) > 1e-9:
+        if not abs(masses.sum() - 1.0) <= 1e-9:
             raise ValidationError("masses must sum to 1 within 1e-9")
         grid.setflags(write=False)
         masses.setflags(write=False)
@@ -73,8 +76,8 @@ def _quadrature_mixing(pdf, z_max, n_points, family):
 
 def exponential_mixing(theta, n_points=MIXING_GRID_POINTS):
     """Midpoint quadrature of ``theta e^{-theta z}``, tail-truncated."""
-    if theta <= 0:
-        raise ValidationError("rate must be positive")
+    if not 0 < theta < math.inf:  # NaN fails too
+        raise ValidationError("rate must be positive and finite")
     z_max = -math.log(MIXING_TAIL_MASS) / theta
     return _quadrature_mixing(lambda z: theta * np.exp(-theta * z), z_max,
                               n_points, ("exponential", float(theta)))
@@ -82,8 +85,8 @@ def exponential_mixing(theta, n_points=MIXING_GRID_POINTS):
 
 def gamma_mixing(shape, rate, n_points=MIXING_GRID_POINTS):
     """Midpoint quadrature of the Gamma(shape, rate) density."""
-    if shape <= 0 or rate <= 0:
-        raise ValidationError("shape and rate must be positive")
+    if not (0 < shape < math.inf and 0 < rate < math.inf):  # NaN fails too
+        raise ValidationError("shape and rate must be positive and finite")
     from scipy.stats import gamma as gamma_dist
     z_max = float(gamma_dist.ppf(1.0 - MIXING_TAIL_MASS, shape, scale=1.0 / rate))
     pdf = lambda z: gamma_dist.pdf(z, shape, scale=1.0 / rate)
@@ -133,8 +136,9 @@ class PapangelouSpec:
     ``batch(points, proposals)[j] == evaluator(gamma, proposals[j])``, where
     ``points`` holds the points of ``gamma`` in sorted order (an ``(n, d)``
     coordinate array on a window, the site indices on a discrete ground)
-    and ``proposals`` holds the query points in the same layout.  Samplers
-    use it in place of one scalar call per point when it is present.
+    and ``proposals`` holds the query points in the same layout.  The
+    verifiers use it for their proposal points when it is present; the
+    birth--death chain always makes one scalar call per step.
     """
 
     evaluator: object
@@ -143,7 +147,7 @@ class PapangelouSpec:
 
     def __call__(self, gamma, x):
         value = float(self.evaluator(gamma, x))
-        if not np.isfinite(value) or value < 0:
+        if not 0.0 <= value < math.inf:  # NaN fails too
             raise ValidationError(
                 f"conditional intensity must be finite and nonnegative, "
                 f"got {value!r}")
@@ -153,7 +157,7 @@ class PapangelouSpec:
         """``batch(points, proposals)`` with the checks of ``__call__``."""
         values = np.asarray(self.batch(points, proposals), dtype=float)
         # a Python pass: cheaper than numpy's per-call overhead at the
-        # sizes the samplers use (one chain proposal, 64 GNZ proposals)
+        # verifiers' sizes (64 proposals)
         for value in values.tolist():
             if not 0.0 <= value < math.inf:
                 raise ValidationError(
@@ -167,8 +171,8 @@ class Poisson:
     z: float
 
     def __post_init__(self):
-        if self.z <= 0:
-            raise ValidationError("intensity must be positive")
+        if not 0 < self.z < math.inf:  # NaN fails too
+            raise ValidationError("intensity must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,8 @@ def sample_poisson(window, z, rng):
     A draw that repeats a point is redrawn with the same count (see
     :func:`~confpp.core.uniform_configuration`).
     """
-    if z <= 0:
-        raise ValidationError("intensity must be positive")
+    if not 0 < z < math.inf:  # NaN fails too
+        raise ValidationError("intensity must be positive and finite")
     return uniform_configuration(window, rng,
                                  int(rng.poisson(z * window.volume)))
 
@@ -229,17 +229,27 @@ def strauss_spec(beta, g, R):
         raise ValidationError("need finite beta > 0, 0 <= g <= 1, finite R > 0")
 
     r2 = R * R
+    # half-width of the scalar form's first-coordinate window: a counted
+    # point has fl(d_0^2) <= fl(R^2), so |d_0| <= R (1 + 2^-52) barring
+    # underflow, which the absolute term covers; rounding is monotone
+    reach = R * (1 + 2 ** -40) + 1e-150
 
     def evaluator(gamma, x):
-        x = np.asarray(x, dtype=float)
+        # both forms sum the squared differences axis by axis, left to
+        # right, and decide by `<= r2` alone, so they agree bit for bit
+        pts, x0 = gamma.points, x[0]
         s = 0
-        for p in gamma.points:
-            d = np.asarray(p) - x
-            if float(d @ d) <= r2:
+        for k in range(bisect.bisect_left(pts, (x0 - reach,)), len(pts)):
+            p = pts[k]
+            if p[0] > x0 + reach:
+                break
+            d2 = 0.0
+            for a, b in zip(p, x):
+                d = a - b
+                d2 += d * d
+            if d2 <= r2:
                 s += 1
-        if s == 0:
-            return beta
-        return beta * g ** s
+        return beta * g ** s  # g**0 == 1.0, also for g = 0
 
     # beta * g**s for s = 0, 1, ..., grown on demand; Python's float power,
     # as in the scalar evaluator, so both forms agree bit for bit
@@ -251,7 +261,8 @@ def strauss_spec(beta, g, R):
             powers = np.array([beta * g ** k
                                for k in range(len(points) + 1)])
         diff = proposals[:, None, :] - points
-        near = np.add.reduce(diff * diff, axis=2) <= r2
+        diff *= diff
+        near = sum(diff[..., k] for k in range(diff.shape[2])) <= r2
         return powers[np.add.reduce(near, axis=1)]
 
     return PapangelouSpec(evaluator, {"model": "strauss", "beta": beta,
@@ -262,10 +273,9 @@ def strauss_spec(beta, g, R):
 class _BirthDeathChain:
     """State of the birth--death chain and its moves.
 
-    The state is kept twice, as a sorted list of point tuples (for
-    duplicate checks and for indexing deaths in sorted order) and as the
-    same rows in an ``(n, d)`` array (for a batched evaluator).  A move
-    builds no validated configuration.
+    The state is the sorted list of point tuples: it finds duplicates and
+    indexes deaths in sorted order.  Each move makes one scalar call of the
+    spec on an unvalidated configuration of those tuples.
     """
 
     def __init__(self, spec, window, rng):
@@ -275,16 +285,11 @@ class _BirthDeathChain:
         self.vol = window.volume
         self.r_max = spec.descriptor.get("r_max")
         self.points = []
-        self.array = np.empty((0, window.dimension))
 
-    def intensity(self, points, array, row):
-        """``r(gamma, x)`` for the ``(1, d)`` row x; gamma given both ways."""
-        if self.spec.batch is not None:
-            return float(self.spec.batched(array, row)[0])
-        gamma = Configuration._unchecked(self.window, tuple(points))
-        return self.spec(gamma, tuple(row[0].tolist()))
-
-    def _bounded(self, r):
+    def intensity(self, points, x):
+        """``r(gamma, x)`` for the sorted points of gamma, checked against
+        the stated bound ``r_max``."""
+        r = self.spec(Configuration._unchecked(self.window, tuple(points)), x)
         if self.r_max is not None and r > self.r_max * (1 + 1e-12):
             raise StabilityError(
                 f"conditional intensity {r} exceeds the stated bound "
@@ -295,26 +300,20 @@ class _BirthDeathChain:
         """One birth--death proposal, applied in place."""
         rng, pts, n = self.rng, self.points, len(self.points)
         if rng.random() < 0.5:  # birth
-            row = self.window.sample_uniform(rng, 1)
-            x = tuple(row[0].tolist())
+            x = self.window.sample_point(rng)
             i = bisect.bisect_left(pts, x)
             if i < n and pts[i] == x:
                 return
-            r = self._bounded(self.intensity(pts, self.array, row))
+            r = self.intensity(pts, x)
             if rng.random() < min(1.0, r * self.vol / (n + 1)):
                 pts.insert(i, x)
-                self.array = np.concatenate(
-                    (self.array[:i], row, self.array[i:]))
         else:  # death
             if not n:
                 return
             i = int(rng.integers(n))
-            rest = np.concatenate((self.array[:i], self.array[i + 1:]))
-            r = self._bounded(self.intensity(pts[:i] + pts[i + 1:], rest,
-                                             self.array[i:i + 1]))
+            r = self.intensity(pts[:i] + pts[i + 1:], pts[i])
             if r <= 0.0 or rng.random() < min(1.0, n / (r * self.vol)):
                 del pts[i]
-                self.array = rest
 
 
 def sample_gibbs_bd(spec, plan, rng=None):
@@ -350,8 +349,7 @@ def detailed_balance_residual(spec, plan, n_moves=200):
     vol = chain.vol
     worst = 0.0
     for _ in range(n_moves):
-        row = plan.window.sample_uniform(rng, 1)
-        r = chain.intensity(chain.points, chain.array, row)
+        r = chain.intensity(chain.points, plan.window.sample_point(rng))
         if r > 0:
             birth_ratio = r * vol / (len(chain.points) + 1)
             death_ratio = (len(chain.points) + 1) / (r * vol)

@@ -1,9 +1,11 @@
 """Batched Papangelou evaluators against their scalar forms.
 
-The scalar evaluators loop over the configuration one point at a time and
-are the reference.  Coordinates and interaction radii are drawn from the
-grid k/32, where every squared distance is exact, so the two forms must
-agree bit for bit, ties at distance exactly R included.
+The scalar evaluators are the reference.  Both Strauss forms sum squared
+coordinate differences axis by axis and decide a neighbour by ``<= R**2``
+alone, so they must agree bit for bit: on the grid k/32, where every squared
+distance is exact and ties at distance exactly R occur; off the grid; and at
+the edges of the scalar form's first-coordinate window, where a point one
+ulp beyond ``fl(x0 +- R)`` can still pass the distance test.
 """
 
 import math
@@ -52,18 +54,81 @@ class TestStraussBatch:
         assert np.array_equal(spec.batched(points, proposals),
                               _scalar(spec, gamma, proposals))
 
-    @given(st.lists(st.floats(0.0, 1.0), unique=True, max_size=10),
-           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
-           st.floats(1e-6, 1.0))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_scalar_off_grid_1d(self, pts, proposals, R):
-        gamma = Configuration(WINDOWS[1],
-                              points=tuple((p,) for p in sorted(pts)))
+    @given(st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(*[st.floats(0.0, 1.0)] * d), unique=True,
+                 max_size=10),
+        st.lists(st.tuples(*[st.floats(0.0, 1.0)] * d), min_size=1,
+                 max_size=10))),
+        st.floats(1e-6, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_off_grid(self, case, R):
+        pts, proposals = case
+        d = len(proposals[0])
+        gamma = Configuration(WINDOWS[d], points=tuple(sorted(pts)))
         spec = strauss_spec(3.0, 0.4, R)
-        props = np.array(proposals).reshape(-1, 1)
+        props = np.array(proposals)
         assert np.array_equal(
-            spec.batched(np.array(gamma.points).reshape(-1, 1), props),
+            spec.batched(np.array(gamma.points).reshape(-1, d), props),
             _scalar(spec, gamma, props))
+
+    @pytest.mark.parametrize("p, x, R, counted", [
+        ((0.31, 0.077), (0.6, 0.031), 0.2936256119618995, True),
+        ((0.316, 0.315), (0.351, 0.647), 0.33383978193139296, False),
+    ])
+    def test_rounding_ties_2d(self, p, x, R, counted):
+        # R * R is the rounded sum d0*d0 + d1*d1 or falls just below it; a
+        # dot product (BLAS may fuse or reorder) can round the other way
+        spec = strauss_spec(2.0, 0.5, R)
+        d0, d1 = p[0] - x[0], p[1] - x[1]
+        assert (d0 * d0 + d1 * d1 <= R * R) == counted
+        expected = 1.0 if counted else 2.0
+        assert spec(Configuration(WINDOWS[2], points=(p,)), x) == expected
+        assert spec.batched(np.array([p]), np.array([x])).tolist() == [
+            expected]
+
+    @staticmethod
+    def _edge_cases(x0, R, d, y):
+        """One-point configurations at fl(x0 - R) and fl(x0 + R) and their
+        two nearest floats on each side; with the proposal at x0 in the
+        first coordinate and at y in the others."""
+        proposal = (x0,) + (y,) * (d - 1)
+        for edge in (x0 - R, x0 + R):
+            below = math.nextafter(edge, -math.inf)
+            above = math.nextafter(edge, math.inf)
+            for p in (math.nextafter(below, -math.inf), below, edge, above,
+                      math.nextafter(above, math.inf)):
+                if 0.0 <= p <= 1.0:
+                    yield (Configuration(WINDOWS[d],
+                                         points=((p,) + (y,) * (d - 1),)),
+                           proposal)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("x0, R, counted", [
+        # fl(0.3 - 0.2) = 0.09999999999999998; the float below it still
+        # passes the distance test
+        (0.3, 0.2, 0.09999999999999996),
+        # fl(0.09 + 0.25) = 0.33999999999999997; so does the float above it
+        (0.09, 0.25, 0.34),
+    ])
+    def test_window_edge_examples(self, d, x0, R, counted):
+        spec = strauss_spec(2.0, 0.5, R)
+        assert (counted - x0) ** 2 <= R * R
+        assert not (x0 - R) <= counted <= (x0 + R)
+        for gamma, x in self._edge_cases(x0, R, d, 0.5):
+            value = spec(gamma, x)
+            assert value == spec.batched(np.array(gamma.points),
+                                         np.array([x]))[0]
+            if gamma.points[0][0] == counted:
+                assert value == 1.0  # beta * g: one neighbour
+
+    @given(st.floats(0.0, 1.0), st.floats(1e-6, 0.5),
+           st.sampled_from([1, 2]), st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_window_edges(self, x0, R, d, y):
+        spec = strauss_spec(2.0, 0.5, R)
+        for gamma, x in self._edge_cases(x0, R, d, y):
+            assert spec(gamma, x) == spec.batched(np.array(gamma.points),
+                                                  np.array([x]))[0]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_empty_gamma_and_exact_radius(self, d):
@@ -147,3 +212,33 @@ class TestErrorPaths:
         for spec in _both_paths(evaluator, batch, {}):
             with pytest.raises(ValidationError):
                 verify_gnz(spec, lambda gamma, x: 1.0, plan)
+
+
+class TestChainPath:
+    def test_chain_never_calls_batch(self):
+        def batch(points, proposals):
+            raise AssertionError("the chain made a batched call")
+
+        strauss = strauss_spec(20.0, 0.3, 0.1)
+        spec = PapangelouSpec(strauss.evaluator, strauss.descriptor,
+                              batch=batch)
+        plan = RunPlan(WINDOWS[2], replicas=20, master_seed=4, burn_in=200)
+        assert (sample_gibbs_bd(spec, plan)
+                == sample_gibbs_bd(strauss, plan))
+        assert (detailed_balance_residual(spec, plan)
+                == detailed_balance_residual(strauss, plan))
+
+    def test_lying_bound_on_deaths(self):
+        seen = set()
+
+        def evaluator(gamma, x):
+            # births draw fresh points, so a repeated x is a death
+            if x in seen:
+                return 5.0
+            seen.add(x)
+            return 1.0
+
+        spec = PapangelouSpec(evaluator, {"r_max": 2.0})
+        plan = RunPlan(WINDOWS[1], replicas=1, master_seed=1, burn_in=200)
+        with pytest.raises(StabilityError):
+            sample_gibbs_bd(spec, plan)

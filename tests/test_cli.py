@@ -68,6 +68,38 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("field", ["replicas", "burn_in", "thinning",
+                                       "proposal_points"])
+    @pytest.mark.parametrize("value", ["NaN", "1e400", "2.5", "true"])
+    def test_plan_fields_must_be_integers(self, tmp_path, capsys, field,
+                                          value):
+        # raw text: json.dumps cannot write NaN or 1e400 as given here
+        path = tmp_path / "plan.json"
+        path.write_text(
+            '{"name": "x", "ground": {"kind": "continuum", "box": '
+            '[[0.0, 1.0]]}, "task": "identity:mecke", "seed": 1, '
+            f'"plan": {{"{field}": {value}}}}}')
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--no-timestamp"]) == 2
+        assert f"plan {field} must be a JSON integer" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("parameters", [
+        '{"model": "poisson", "z": NaN}',
+        '{"model": "mixed-exponential", "theta": NaN}',
+    ])
+    def test_nan_intensity_exits_2(self, tmp_path, capsys, parameters):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"name": "x", "ground": {"kind": "continuum", "box": '
+            '[[0.0, 1.0]]}, "task": "identity:counts", "seed": 1, '
+            f'"parameters": {parameters}, "plan": {{"replicas": 10}}}}')
+        out = tmp_path / "report.json"
+        assert main(["run", str(path), "--no-timestamp", "--out",
+                     str(out)]) == 2
+        assert not out.exists()
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_valid_config_validates(self, tmp_path, capsys):
         path = _write(tmp_path, "ok.json",
                       {"name": "x", "ground": DISCRETE,

@@ -87,6 +87,19 @@ class TestBoxWindow:
                                   ref.uniform(lo, hi, size=(n, 3)))
         assert ours.random() == ref.random()  # same stream position
 
+    @pytest.mark.parametrize("box", [((-1.5, 2.0),),
+                                     ((-1.5, 2.0), (0.25, 0.75)),
+                                     ((-1.5, 2.0), (0.25, 0.75), (3.0, 7.3))])
+    def test_sample_point_matches_sample_uniform(self, box):
+        w = BoxWindow(box)
+        ours, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(200):
+            x = w.sample_point(ours)
+            row = w.sample_uniform(ref, 1)[0]
+            assert type(x) is tuple and all(type(c) is float for c in x)
+            assert x == tuple(row.tolist())
+        assert ours.random() == ref.random()  # same stream position
+
 
 class TestGroundSerialization:
     def test_round_trip(self):

@@ -1,9 +1,11 @@
 """Golden values of the continuum Monte Carlo layer.
 
-Recorded from the scalar implementation, which built a validated
-``Configuration`` for every chain step and every proposal point.  The chain
-and the verifiers must reproduce them bit for bit, whichever evaluation
-path (batched or scalar) they take.
+Recorded from the first scalar implementation, which built a validated
+``Configuration`` for every chain step and every proposal point.  They pin
+the random stream: the chain, which makes one scalar call of the spec per
+step whether or not the spec has a batched form, and the verifiers, whose
+right-hand sides take the batched or the scalar path, must reproduce them
+bit for bit.
 """
 
 import hashlib

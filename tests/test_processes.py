@@ -61,6 +61,28 @@ class TestMixingDensity:
         with pytest.raises(ValidationError):
             MixingDensity(np.array([0.5, 1.0]), np.array([0.6, 0.6]))
 
+    @pytest.mark.parametrize("grid, masses", [
+        ([1.0, math.inf], [0.5, 0.5]),
+        ([math.nan], [1.0]),
+        ([0.5, math.nan], [0.5, 0.5]),
+        ([0.5], [math.nan]),
+        ([0.5, 1.0], [math.nan, 1.0]),
+    ])
+    def test_rejects_nan_and_inf(self, grid, masses):
+        with pytest.raises(ValidationError):
+            MixingDensity(np.array(grid), np.array(masses))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_families_reject_bad_parameters(self, bad):
+        with pytest.raises(ValidationError):
+            exponential_mixing(bad)
+        with pytest.raises(ValidationError):
+            gamma_mixing(bad, 1.0)
+        with pytest.raises(ValidationError):
+            gamma_mixing(2.0, bad)
+        with pytest.raises(ValidationError):
+            Poisson(bad)
+
 
 class TestMixingConvolution:
     def test_point_point(self):

@@ -57,6 +57,11 @@ class TestSamplePoisson:
         with pytest.raises(ValidationError):
             sample_poisson(W, 0.0, split_streams(1, 1)[0])
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_rejects_nan_and_inf(self, z):
+        with pytest.raises(ValidationError):
+            sample_poisson(W, z, split_streams(1, 1)[0])
+
 
 class TestSampleMixedPoisson:
     def test_point_mass_is_poisson(self):
