@@ -82,8 +82,8 @@ class DiscreteGround:
 
     def lp_weights(self, z):
         """Reference weights ``z**|eta| * prod m(x)`` over the lattice."""
-        if z <= 0:
-            raise ValidationError("intensity z must be positive")
+        if not 0 < z < math.inf:
+            raise ValidationError("intensity z must be positive and finite")
         return (float(z) ** self.subset_size) * self.subset_mass
 
     def site_mass(self, i):

@@ -38,6 +38,7 @@ report the honest residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -414,8 +415,8 @@ def _check_dense(ground, what):
 
 
 def _pairing_weights(ground, z):
-    if z <= 0:
-        raise ValidationError("pairing activity must be positive")
+    if not 0 < z < math.inf:
+        raise ValidationError("pairing activity must be positive and finite")
     return ground.lp_weights(z)
 
 

@@ -377,8 +377,9 @@ def _reference_sweep(f, z, sign):
     ``out(gamma) = sum_{eta n gamma = 0} sign^{|eta|} wt_z(eta)
     f(gamma u eta)`` in O(n 2^n); returned with ``N_z = prod_i (1 + z m_i)``.
     """
-    if z <= 0:
-        raise ValidationError("reference intensity must be positive")
+    if not 0 < z < math.inf:
+        raise ValidationError(
+            "reference intensity must be positive and finite")
     ground = f.ground
     weights = z * np.asarray(ground.weights)
     out = sweep(np.array(f.values), range(ground.n_sites),

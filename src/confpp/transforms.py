@@ -175,13 +175,41 @@ def exp_vector(ground, f, label=None):
                        label or "exp_vector")
 
 
+def _disjoint_pair_sum(h, a, b):
+    """``sum_{eta n xi = 0} h(eta u xi) a(eta) b(xi)`` as a direct double sum.
+
+    Each mask splits into its high ``ceil(n/2)`` and low ``floor(n/2)``
+    bits.  For each high part ``eta`` of the first set, one matrix product
+    sums over the high parts ``xi`` disjoint from it:
+    ``c[m, x] = sum_xi h(eta u xi, m) b(xi, x)`` for all low masks ``m``,
+    ``x``.  Only the entries at ``m = e u x`` for the ``3**floor(n/2)``
+    disjoint low pairs ``(e, x)`` are read, and dotted with ``a(eta, e)``,
+    so each disjoint pair contributes exactly once.  It takes
+    ``2**ceil(n/2)`` passes, calls no sweep or convolution, and no pass
+    holds more than ``2**n`` floats of a table.
+    """
+    lo = (len(h).bit_length() - 1) // 2
+    low = np.arange(1 << lo)
+    e, x = np.nonzero((low[:, None] & low) == 0)
+    h, a, b = (v.reshape(-1, 1 << lo) for v in (h, a, b))
+    high = np.arange(len(h))
+    total = 0.0
+    for eta in high:
+        xi = high[(high & eta) == 0]
+        c = h[xi | eta].T @ b[xi]
+        total += float(np.dot(c[e | x, x], a[eta, e]))
+    return total
+
+
 def minlos_pairing(H, G1, G2, z):
     """Both sides of the pairing identity for the disjoint convolution.
 
     lhs integrates ``H * (G1 conv G2)`` against the reference measure; rhs
     is the double lattice sum ``sum_{eta n xi = 0} H(eta u xi) G1(eta) G2(xi)``
-    with the product reference weights.  The rhs enumeration never calls
-    :func:`conv_disjoint`, so the two sides are independent computations.
+    with the product reference weights, summed directly over the disjoint
+    pairs (:func:`_disjoint_pair_sum`).  The rhs never calls
+    :func:`conv_disjoint` or :func:`sweep`, so the two sides are independent
+    computations.
 
     Returns ``(lhs, rhs)``.
     """
@@ -189,17 +217,7 @@ def minlos_pairing(H, G1, G2, z):
     _check_same_ground(H, G2)
     lhs = lp_integral(H * conv_disjoint(G1, G2), z)
     w = H.ground.lp_weights(z)
-    n = H.ground.n_subsets
-    masks = np.arange(n)
-    rhs = 0.0
-    for eta in range(n):
-        g1 = G1.values[eta] * w[eta]
-        if g1 == 0.0:
-            continue
-        free = masks[(masks & eta) == 0]
-        rhs += g1 * float(np.dot(G2.values[free] * w[free],
-                                 H.values[free | eta]))
-    return lhs, float(rhs)
+    return lhs, _disjoint_pair_sum(H.values, G1.values * w, G2.values * w)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +243,8 @@ def norm_fit(k, C, delta):
     if C <= 0 or delta < 0:
         raise ValidationError("need C > 0 and delta >= 0")
     size = k.ground.subset_size
-    fact = np.array([math.factorial(int(s)) for s in size], dtype=float)
+    fact = np.array([math.factorial(m) for m in range(k.ground.n_sites + 1)],
+                    dtype=float)[size]
     scale = (C ** size) * fact ** delta
     ratios = np.abs(k.values) / scale
     best = int(np.argmax(ratios))  # argmax returns the first (least) mask

@@ -60,6 +60,17 @@ def disjoint_conv(v1, v2):
     return out
 
 
+def disjoint_pair_sum(h, a, b):
+    """``sum_{eta n xi = 0} h(eta u xi) a(eta) b(xi)``: a literal double loop."""
+    h, a, b = (list(map(float, v)) for v in (h, a, b))
+    total = 0.0
+    for eta in range(len(h)):
+        for xi in range(len(h)):
+            if eta & xi == 0:
+                total += h[eta | xi] * a[eta] * b[xi]
+    return total
+
+
 def covering_conv(v1, v2):
     """``sum_{a u b = eta} v1(a) v2(b)``: every ordered pair once."""
     n = len(v1)

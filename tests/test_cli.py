@@ -136,6 +136,16 @@ class TestRun:
         assert {"confpp", "numpy", "scipy", "python"} \
             <= set(report["versions"])
 
+    def test_algebra_suite_at_18_sites(self, tmp_path):
+        # the checks hold from rounding alone at this size, and the pairing's
+        # enumerated side takes seconds, not the minutes of a 4^n loop
+        code, report = _run(tmp_path, {
+            "name": "alg18", "task": "algebra-suite", "seed": 5,
+            "ground": {"kind": "discrete",
+                       "weights": [0.5 + 0.05 * i for i in range(18)]},
+            "parameters": {"trials": 1}})
+        assert code == 0 and report["pass"]
+
     def test_byte_identical_reports(self, tmp_path):
         cfg = {"name": "alg", "ground": DISCRETE, "task": "algebra-suite",
                "seed": 5, "parameters": {"trials": 3}}

@@ -41,8 +41,11 @@ class TestDiscreteGround:
         assert w[0b01] == pytest.approx(1.5)
         assert w[0b10] == pytest.approx(6.0)
         assert w[0b11] == pytest.approx(9.0)
-        with pytest.raises(ValidationError):
-            g.lp_weights(0.0)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, 0.0, -1.0])
+    def test_lp_weights_reject_bad_intensity(self, z):
+        with pytest.raises(ValidationError, match="intensity z"):
+            DiscreteGround((0.5, 2.0)).lp_weights(z)
 
 
 class TestBoxWindow:

@@ -9,8 +9,9 @@ from confpp.generators import (BirthDeathKernel, adjoint_hat_L, apply_L,
                                apply_contact, check_adjoint_leibniz,
                                check_derivation, contact_kernel,
                                convolution_closure_check, derivation_residual_max,
-                               derive_kernels, hat_L_bruteforce, hat_L_closed,
-                               hat_L_continuum, invariance_residual,
+                               derive_kernels, hat_L_action, hat_L_bruteforce,
+                               hat_L_closed, hat_L_continuum,
+                               invariance_residual,
                                kernel_from_entries, kernel_from_json,
                                LatticeOperator, normalized_dispersal, pairing,
                                random_kernel)
@@ -201,6 +202,17 @@ class TestAdjoint:
             lhs = pairing(op.apply(G), k, z)
             rhs = pairing(G, adj.apply(k), z)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_activity(self, rng, z):
+        ker = random_kernel(G5, 2, rng)
+        op = hat_L_closed(ker)
+        k = SetFunction(G5, rng.standard_normal(G5.n_subsets))
+        for call in (lambda: adjoint_hat_L(op, z),
+                     lambda: op.adjoint_apply(k, z),
+                     lambda: hat_L_action(ker).adjoint_apply(k, z)):
+            with pytest.raises(ValidationError, match="pairing activity"):
+                call()
 
     def test_involution(self, rng):
         ker = random_kernel(G5, 2, rng)

@@ -4,7 +4,8 @@ Every fast path is compared with a brute-force transcription of its defining
 sum (``oracles.py``) on random tables with zero entries, for n = 0 .. 10
 (n <= 4 for the 9^n pair oracle).  A fast path passes when its largest error
 is at most ``1e-10`` times the largest sum of absolute values of the terms,
-which the same oracle computes on the absolute values of the inputs.
+which the same oracle computes on the absolute values of the inputs; the
+pairing's enumerated side, a plain sum, is held to ``1e-12`` of that scale.
 """
 
 import types
@@ -20,7 +21,7 @@ from confpp.errors import CapacityError, ValidationError
 from confpp.processes import (DiscreteTable, convolve_measures,
                               projection_density, recover_correlation)
 from confpp.transforms import (RANKED_MAX_SITES, conv_disjoint, conv_union,
-                               k_inverse, k_transform, sweep)
+                               k_inverse, k_transform, minlos_pairing, sweep)
 from confpp.two_type import PairSetFunction, conv_star2, kk_transform
 
 TOL = 1e-10
@@ -76,6 +77,22 @@ def test_convolutions(n, seed, zeros):
     G1, G2 = SetFunction(g, v1), SetFunction(g, v2)
     _matches(oracles.disjoint_conv, conv_disjoint(G1, G2).values, v1, v2)
     _matches(oracles.covering_conv, conv_union(G1, G2).values, v1, v2)
+
+
+@given(**dict(CASES, n=st.integers(0, 9)), z=st.floats(0.1, 4.0))
+@example(n=0, seed=6, zeros=0.0, z=1.0)
+@example(n=1, seed=6, zeros=0.5, z=2.0)
+@example(n=9, seed=6, zeros=0.5, z=0.7)
+@settings(max_examples=20, deadline=None)
+def test_minlos_pairing_rhs(n, seed, zeros, z):
+    g, rng = _lattice(n, seed)
+    h, g2 = (_table(rng, g.n_subsets, 0.0) for _ in range(2))
+    g1 = _table(rng, g.n_subsets, zeros)
+    w = oracles.product_weights(g, z)
+    rhs = minlos_pairing(*(SetFunction(g, v) for v in (h, g1, g2)), z)[1]
+    want = oracles.disjoint_pair_sum(h, g1 * w, g2 * w)
+    terms = oracles.disjoint_pair_sum(*map(np.abs, (h, g1 * w, g2 * w)))
+    assert abs(rhs - want) <= 1e-12 * terms
 
 
 @given(**CASES)

@@ -301,8 +301,11 @@ class TestProjection:
 
     def test_invalid_z(self):
         k = power_function(G4, 1.0)
-        with pytest.raises(ValidationError):
-            projection_density(k, 0.0)
+        for z in (math.nan, math.inf, 0.0, -1.0):
+            for op in (projection_density, recover_correlation):
+                with pytest.raises(ValidationError,
+                                   match="reference intensity"):
+                    op(k, z)
 
 
 class TestLenard:

@@ -1,15 +1,20 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confpp import transforms
 from confpp.core import (DiscreteGround, SetFunction, constant_function,
                          indicator_empty, lp_integral, power_function)
 from confpp.errors import GroundMismatchError, ValidationError
 from confpp.transforms import (conv_disjoint, conv_union, exp_vector,
                                k_inverse, k_transform, minlos_pairing,
                                norm_fit, poly_bound_check)
-from oracles import covering_conv, k_inverse_naive, k_transform_naive
+from oracles import (covering_conv, disjoint_pair_sum, k_inverse_naive,
+                     k_transform_naive)
 
 G5 = DiscreteGround((0.7, 1.2, 0.5, 0.9, 1.1))
 
@@ -143,6 +148,56 @@ class TestMinlosPairing:
         assert lhs == pytest.approx(rhs)
         assert lhs == pytest.approx(
             lp_integral(conv_disjoint(G1, G2), 1.0))
+
+    def test_rhs_calls_no_sweep_or_convolution(self, rng, monkeypatch):
+        w = G5.lp_weights(0.7)  # its site masses come from a sweep
+        h, g1, g2 = (rng.standard_normal(G5.n_subsets) for _ in range(3))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the enumerated side must not call this")
+
+        for name in ("sweep", "conv_disjoint", "ranked_products"):
+            monkeypatch.setattr(transforms, name, forbidden)
+        rhs = transforms._disjoint_pair_sum(h, g1 * w, g2 * w)
+        assert rhs == pytest.approx(disjoint_pair_sum(h, g1 * w, g2 * w),
+                                    rel=1e-12)
+        with pytest.raises(AssertionError):  # the transform side does
+            minlos_pairing(*(SetFunction(G5, v) for v in (h, g1, g2)), 0.7)
+
+    def test_rhs_moves_with_one_h_entry(self, rng):
+        # integer tables and unit weights: every sum is exact
+        g = DiscreteGround((1.0,) * 7)
+        h = rng.integers(-5, 6, g.n_subsets).astype(float)
+        g1, g2 = rng.integers(1, 6, (2, g.n_subsets)).astype(float)
+        m = 0b1011010
+        tampered = h.copy()
+        tampered[m] += 1.0
+
+        def rhs(hv):
+            return minlos_pairing(SetFunction(g, hv), SetFunction(g, g1),
+                                  SetFunction(g, g2), 1.0)[1]
+
+        moved = disjoint_pair_sum(tampered, g1, g2) - disjoint_pair_sum(
+            h, g1, g2)
+        assert moved > 0
+        assert rhs(tampered) - rhs(h) == moved
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_intensity(self, rng, z):
+        H, G1, G2 = (_random_sf(G5, rng) for _ in range(3))
+        with pytest.raises(ValidationError, match="intensity z"):
+            minlos_pairing(H, G1, G2, z)
+
+    def test_time_gate_16_sites(self, rng):
+        # a loop testing all 4^16 mask pairs takes about 5 s here
+        g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, 16)))
+        H, G1, G2 = (_random_sf(g, rng) for _ in range(3))
+        g.lp_weights(1.0)  # fills the cached site masses before timing
+        start = time.perf_counter()
+        lhs, rhs = minlos_pairing(H, G1, G2, 1.0)
+        elapsed = time.perf_counter() - start
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+        assert elapsed < 2.0
 
 
 class TestNormFit:
