@@ -217,8 +217,8 @@ def _run_generator_suite(cfg):
         "first_order_death_consistency",
         float(np.max(np.abs(dk.d1[:, 0] - dk.d_bar))), 1e-12))
 
-    # the matrix-free action: apply gathers over the moves, adjoint_apply
-    # scatters over them, so the two sides go through different code
+    # the matrix-free action: apply adds each move family's target view into
+    # its row view, adjoint_apply the reverse, so the two sides differ
     op = hat_L_action(ker)
     G = SetFunction(ground, rng.standard_normal(n))
     k = SetFunction(ground, rng.standard_normal(n))

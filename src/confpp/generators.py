@@ -24,9 +24,10 @@ the transformed operator ``L^ = K^-1 L K`` three ways:
   the one satisfying the derivation (dual-sum) identity exactly.
 
 :func:`hat_L_action` and :func:`hat_L_continuum_action` apply ``L^`` and the
-continuum form, and their adjoints, to vectors without building a matrix,
-from the same move lists that :func:`hat_L_bruteforce` and
-:func:`hat_L_continuum` scatter into their matrices.
+continuum form, and their adjoints, to vectors without building a matrix.
+Both are a diagonal plus a table of move families, each family one strided
+add between two sub-cube views of the bitmask index; :func:`hat_L_bruteforce`
+and :func:`hat_L_continuum` write the same families into their matrices.
 
 No operator with genuine death or dispersal terms can have an adjoint that
 is a derivation of the disjoint convolution on the subset lattice: the
@@ -48,7 +49,7 @@ from .errors import CapacityError, GroundMismatchError, ValidationError
 from .transforms import conv_disjoint, sweep
 
 BRUTEFORCE_MAX_SITES = 12
-ACTION_MAX_MOVES = 1 << 24
+KERNEL_MAX_SITES = 20
 MAX_K_TRUNC = 3
 
 
@@ -73,6 +74,7 @@ class BirthDeathKernel:
 
     def __post_init__(self):
         n = self.ground.n_sites
+        _check_kernel_size(n)
         shape = (n, self.ground.n_subsets)
         death = np.asarray(self.death, dtype=float)
         birth = np.asarray(self.birth, dtype=float)
@@ -84,13 +86,13 @@ class BirthDeathKernel:
                 "(or equal the site count for full-range kernels)")
         if self.k_trunc == n and n > 8:
             raise CapacityError("full-range kernels limited to 8 sites")
+        small = _omega_list(self.ground, self.k_trunc)
         for name, tab in (("death", death), ("birth", birth)):
             if not np.all(np.isfinite(tab)):
                 raise ValidationError(f"{name} table has non-finite entries")
             if np.any(tab < 0):
                 raise ValidationError(f"{name} table has negative entries")
-            big = self.ground.subset_size > self.k_trunc
-            if np.any(tab[:, big] != 0.0):
+            if np.count_nonzero(tab[:, small]) != np.count_nonzero(tab):
                 raise ValidationError(
                     f"{name} entries beyond |omega| <= {self.k_trunc} must vanish")
         death.setflags(write=False)
@@ -98,7 +100,7 @@ class BirthDeathKernel:
         object.__setattr__(self, "death", death)
         object.__setattr__(self, "birth", birth)
         w = self.ground.lp_weights(1.0)
-        object.__setattr__(self, "total_rate", (death + birth) @ w)
+        object.__setattr__(self, "total_rate", death @ w + birth @ w)
 
     def to_json(self):
         entries = {"death": [], "birth": []}
@@ -117,11 +119,22 @@ class BirthDeathKernel:
         return json_dumps(self.to_json())
 
 
+def _check_kernel_size(n):
+    if n > KERNEL_MAX_SITES:
+        raise CapacityError(f"kernels limited to {KERNEL_MAX_SITES} sites")
+
+
+def _zero_tables(ground):
+    """Zero death and birth tables, after the size check."""
+    _check_kernel_size(ground.n_sites)
+    shape = (ground.n_sites, ground.n_subsets)
+    return np.zeros(shape), np.zeros(shape)
+
+
 def kernel_from_entries(ground, death_entries, birth_entries, k_trunc):
     """Build a kernel from sparse ``{"x": i, "omega": [...], "value": v}`` rows."""
     n = ground.n_sites
-    death = np.zeros((n, ground.n_subsets))
-    birth = np.zeros((n, ground.n_subsets))
+    death, birth = _zero_tables(ground)
     for tab, entries in ((death, death_entries), (birth, birth_entries)):
         for e in entries:
             x = int(e["x"])
@@ -145,13 +158,10 @@ def random_kernel(ground, k_trunc, rng):
     ``x`` is not in ``omega``, a birth rate likewise; the draw order fixes
     the kernel for a given generator state.
     """
-    n = ground.n_sites
-    death = np.zeros((n, ground.n_subsets))
-    birth = np.zeros((n, ground.n_subsets))
-    for x in range(n):
-        for omega in range(ground.n_subsets):
-            if int(omega).bit_count() > k_trunc:
-                continue
+    death, birth = _zero_tables(ground)
+    omegas = _omega_list(ground, k_trunc).tolist()
+    for x in range(ground.n_sites):
+        for omega in omegas:
             if rng.random() < 0.5:
                 death[x, omega] = rng.uniform(0.1, 1.0)
             if not omega >> x & 1 and rng.random() < 0.5:
@@ -178,12 +188,9 @@ def contact_kernel(ground, a):
         raise ValidationError("dispersal matrix must be nonnegative and finite")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
         raise ValidationError("dispersal matrix must be symmetric")
-    death = np.zeros((n, ground.n_subsets))
-    birth = np.zeros((n, ground.n_subsets))
+    death, birth = _zero_tables(ground)
     death[:, 0] = 1.0
-    for x in range(n):
-        for y in range(n):
-            birth[x, 1 << y] = a[x, y]
+    birth[:, 1 << np.arange(n)] = a
     return BirthDeathKernel(ground, death, birth, k_trunc=1)
 
 
@@ -213,16 +220,15 @@ def derive_kernels(kernel, z=1.0):
         weighted = tab * w[np.newaxis, :]
         bar = weighted.sum(axis=1)
         # superset sums give wt(xi) * k1(x, xi), every row in one sweep
-        out[name] = (bar, sweep(weighted, range(n), superset=True) / w)
+        sweep(weighted, range(n), superset=True)
+        weighted /= w
+        out[name] = (bar, weighted)
     d_bar, d1 = out["d"]
     b_bar, b1 = out["b"]
-    size_masks = np.arange(ground.n_subsets)
-    D = np.zeros(ground.n_subsets)
-    B = np.zeros(ground.n_subsets)
-    for x in range(n):
-        hit = (size_masks >> x) & 1 == 1
-        D[hit] += d_bar[x]
-        B[hit] += b_bar[x]
+    # D(eta) = sum_{x in eta} d_bar(x): the zeta sweep of the singletons
+    DB = np.zeros((2, ground.n_subsets))
+    DB[:, 1 << np.arange(n)] = d_bar, b_bar
+    D, B = sweep(DB, range(n))
     return DerivedKernels(d_bar=d_bar, D=D, d1=d1, b_bar=b_bar, B=B, b1=b1)
 
 
@@ -230,9 +236,10 @@ def derive_kernels(kernel, z=1.0):
 # the generator on configuration functions
 # ---------------------------------------------------------------------------
 
-def _omega_list(kernel):
-    size = kernel.ground.subset_size
-    return np.nonzero(size <= kernel.k_trunc)[0]
+def _omega_list(ground, k_trunc):
+    """Masks ``omega`` with ``|omega| <= k_trunc``, ascending: the only
+    columns where a kernel table can be nonzero."""
+    return np.nonzero(ground.subset_size <= k_trunc)[0]
 
 
 def apply_L(kernel, F, gamma, z=1.0):
@@ -249,13 +256,13 @@ def apply_L(kernel, F, gamma, z=1.0):
     w = kernel.ground.lp_weights(z)
     g = gamma.mask
     vals = F.values
+    omegas = _omega_list(kernel.ground, kernel.k_trunc).tolist()
     total = 0.0
     for x in range(kernel.ground.n_sites):
         if not (g >> x) & 1:
             continue
         gx = g & ~(1 << x)
-        for om in _omega_list(kernel):
-            om = int(om)
+        for om in omegas:
             if not om & gx:
                 rate = kernel.death[x, om]
                 if rate:
@@ -278,133 +285,57 @@ def apply_contact(a, F, gamma):
     return apply_L(kernel, F, gamma)
 
 
-def _bincount(index, weights, size):
-    """``np.bincount`` with weights; float even for an empty move list."""
-    return np.bincount(index, weights, size).astype(float, copy=False)
+def _sub_cube(free):
+    """Shape and byte strides of the masks over the bits of ``free``.
 
-
-@dataclass(frozen=True)
-class Moves:
-    """An operator on value vectors as a diagonal plus a flat move list.
-
-    Entry ``e`` carries ``rates[e]`` times the value at ``targets[e]`` into
-    ``rows[e]``, so the operator is ``diag * v + sum_e`` of those terms.
-    :meth:`gather` applies it, :meth:`scatter` its transpose and
-    :meth:`dense` scatters it into a matrix; all three read the same arrays.
+    Each run of adjacent bits is one axis, the highest first, so the view
+    walks its masks in ascending order.
     """
-
-    rows: np.ndarray
-    targets: np.ndarray
-    rates: np.ndarray
-    diag: np.ndarray
-
-    def gather(self, v):
-        terms = v[self.targets]
-        terms *= self.rates
-        return self.diag * v + _bincount(self.rows, terms, self.diag.size)
-
-    def scatter(self, v):
-        """The transpose of :meth:`gather`."""
-        terms = v[self.rows]
-        terms *= self.rates
-        return self.diag * v + _bincount(self.targets, terms, self.diag.size)
-
-    def dense(self):
-        nsub = self.diag.size
-        M = _bincount(self.rows * nsub + self.targets, self.rates,
-                      nsub * nsub).reshape(nsub, nsub)
-        M[np.diag_indices(nsub)] += self.diag
-        return M
+    shape, strides = (), ()
+    while free:
+        low = (free & -free).bit_length() - 1
+        run = ((free >> low) ^ ((free >> low) + 1)).bit_length() - 1
+        shape, strides = (1 << run,) + shape, (8 << low,) + strides
+        free &= ~(((1 << run) - 1) << low)
+    return shape, strides
 
 
-def _moves(ground, movers, avoid, add, rates):
-    """Enumerate move families into flat ``(rows, targets, rates)`` arrays.
+def _families(ground, x, avoid, stay, enter):
+    """The move families of a grid ``(x, avoid)`` as strided views.
 
-    Family ``j`` moves every configuration ``alpha`` that holds site
-    ``x = movers[j]`` and whose rest ``alpha \\ x`` avoids ``avoid[j]`` (a
-    mask without ``x``) to the target ``(alpha \\ x) u add[j]`` at rate
-    ``rates[j]``; families with a zero rate are dropped.  A family has
-    ``2^(n - 1 - |avoid|)`` entries, so the total is known, and checked
-    against ``ACTION_MAX_MOVES``, before anything is allocated.  Entries
-    come family by family, rows ascending within a family.
+    Every configuration ``alpha`` that holds site ``x`` and avoids
+    ``avoid`` (a mask without ``x``) moves to ``(alpha \\ x) u avoid`` at
+    rate ``stay`` and to ``alpha u avoid`` at rate ``enter``; zero rates
+    are dropped.  Both sides of a family are sub-cubes of the bitmask
+    index: the rows fix bit ``x`` to 1 and the ``avoid`` bits to 0, the
+    targets fix the ``avoid`` bits to 1 and bit ``x`` to 0 or 1, and the
+    free bits run over the subsets of the other sites, in the same order on
+    both sides.  A family is ``(row, target, shape, strides, rate)``: the
+    byte offsets of its first row and first target in a flat float vector,
+    and the shape and byte strides of the sub-cube.
     """
-    n, nsub = ground.n_sites, ground.n_subsets
-    live = rates != 0.0
-    movers, avoid, add, rates = movers[live], avoid[live], add[live], \
-        rates[live]
-    counts = np.left_shift(1, n - 1 - ground.subset_size[avoid])
-    count = int(np.sum(counts, dtype=float))
-    if count > ACTION_MAX_MOVES:
-        raise CapacityError(
-            f"{count} generator moves exceed the cap of {ACTION_MAX_MOVES}")
-    out = (np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64),
-           np.empty(count))
-    masks = np.arange(nsub)
-    start = 0
-    for x in range(n):
-        xb = 1 << x
-        alphas = masks[(masks & xb) != 0]
-        rest = alphas ^ xb
-        mine = movers == x
-        j, i = np.nonzero((avoid[mine][:, None] & rest) == 0)
-        part = slice(start, start + i.size)
-        out[0][part] = alphas[i]
-        np.bitwise_or(rest[i], np.repeat(add[mine], counts[mine]),
-                      out=out[1][part])
-        out[2][part] = np.repeat(rates[mine], counts[mine])
-        start = part.stop
-    return out
+    full = ground.n_subsets - 1
+    out = []
+    for x, a, s, e in zip(x.tolist(), avoid.tolist(), stay.tolist(),
+                          enter.tolist()):
+        if not (s or e):
+            continue
+        shape, strides = _sub_cube(full & ~(1 << x | a))
+        for target, rate in ((a, s), (a | 1 << x, e)):
+            if rate:
+                out.append((8 << x, 8 * target, shape, strides, rate))
+    return tuple(out)
 
 
 def _site_grid(kernel):
-    """``(x, omega, x in omega)`` over sites and masks with ``|omega| <=
-    k_trunc``, flattened: the only pairs where the kernel can be nonzero."""
+    """``(x, A)`` over sites ``x`` and masks ``A`` with ``x not in A`` and
+    ``|A| <= k_trunc``, flattened: the avoid sets of the move families."""
     ground = kernel.ground
-    small = np.nonzero(ground.subset_size <= kernel.k_trunc)[0]
+    small = _omega_list(ground, kernel.k_trunc)
     x = np.repeat(np.arange(ground.n_sites), small.size)
-    omega = np.tile(small, ground.n_sites)
-    return x, omega, (omega >> x) & 1 == 1
-
-
-def _generator_moves(kernel, z):
-    """The moves of ``L`` on configuration-function value vectors.
-
-    Death ``(x, omega)`` sends ``gamma`` to ``(gamma \\ x) u omega`` when
-    ``omega`` avoids ``gamma \\ x``; birth sends ``gamma`` to
-    ``gamma u omega`` when ``omega`` avoids ``gamma``.  Every move also
-    takes its rate off the diagonal.
-    """
-    ground = kernel.ground
-    w = ground.lp_weights(z)
-    x, omega, has_x = _site_grid(kernel)
-    xb = 1 << x
-    death = kernel.death[x, omega] * w[omega]
-    birth = np.where(has_x, 0.0, kernel.birth[x, omega] * w[omega])
-    rows, targets, rates = _moves(ground, np.concatenate([x, x]),
-                                  np.concatenate([omega & ~xb, omega]),
-                                  np.concatenate([omega, omega | xb]),
-                                  np.concatenate([death, birth]))
-    diag = -_bincount(rows, rates, ground.n_subsets)
-    return Moves(rows, targets, rates, diag)
-
-
-def _continuum_moves(kernel, z):
-    """The terms of the continuum form, see :func:`hat_L_continuum`."""
-    ground = kernel.ground
-    n = ground.n_sites
-    w = ground.lp_weights(z)
-    dk = derive_kernels(kernel, z)
-    x, xi, has_x = _site_grid(kernel)
-    xb = 1 << x
-    cd = np.where(has_x | (xi == 0), 0.0, dk.d1[x, xi] * w[xi])
-    cb = np.where(has_x, 0.0, dk.b1[x, xi] * w[xi])
-    sites = np.arange(n)
-    none = np.zeros(n, dtype=int)
-    return Moves(*_moves(ground, np.concatenate([sites, x, x]),
-                         np.concatenate([none, xi, xi]),
-                         np.concatenate([none, xi, xi | xb]),
-                         np.concatenate([-dk.b_bar, cd + cb, cb])),
-                 -(dk.D + dk.B))
+    avoid = np.tile(small, ground.n_sites)
+    keep = (avoid >> x) & 1 == 0
+    return x[keep], avoid[keep]
 
 
 def _check_dense(ground, what):
@@ -462,18 +393,32 @@ class LatticeOperator:
 class MoveOperator:
     """Matrix-free operator on set-function value vectors.
 
-    Acts through a :class:`Moves` list, conjugated by the lattice transform
-    when ``conjugated`` is set: ``apply`` is then ``Kinv(moves(K G))`` and
-    ``adjoint_apply`` runs the transposed steps in reverse order, the
-    superset Moebius sweep, the transposed moves and the superset zeta
-    sweep.  Same interface as :class:`LatticeOperator`, for the checks that
-    only need the operator on vectors.
+    ``diag * v`` plus the moves of a table of families (see
+    :func:`_families`), each one strided add between two views of the
+    vector, conjugated by the lattice transform when ``conjugated`` is set:
+    ``apply`` is then ``Kinv(moves(K G))`` and ``adjoint_apply`` runs the
+    transposed steps in reverse order, the superset Moebius sweep, the
+    transposed moves and the superset zeta sweep.  :meth:`dense` writes the
+    same families, unconjugated, into a matrix.  Same interface as
+    :class:`LatticeOperator`, for the checks that only need the operator on
+    vectors.
     """
 
     ground: object
-    moves: Moves
+    families: tuple
+    diag: np.ndarray
     conjugated: bool
     label: str = ""
+
+    def _moves(self, v, transpose=False):
+        """``diag * v`` plus, per family, ``out[rows] += rate * v[targets]``;
+        the transpose swaps the two views."""
+        out = self.diag * v
+        for row, target, shape, strides, rate in self.families:
+            src, dst = (row, target) if transpose else (target, row)
+            view = np.ndarray(shape, float, out, dst, strides)
+            view += rate * np.ndarray(shape, float, v, src, strides)
+        return out
 
     def apply(self, G):
         if G.ground != self.ground:
@@ -482,7 +427,7 @@ class MoveOperator:
         v = np.array(G.values, dtype=float)
         if self.conjugated:
             sweep(v, sites)
-        out = self.moves.gather(v)
+        out = self._moves(v)
         if self.conjugated:
             sweep(out, sites, sign=-1.0)
         return SetFunction(self.ground, out, f"{self.label}[{G.label}]")
@@ -496,27 +441,70 @@ class MoveOperator:
         v = w * k.values
         if self.conjugated:
             sweep(v, sites, superset=True, sign=-1.0)
-        out = self.moves.scatter(v)
+        out = self._moves(v, transpose=True)
         if self.conjugated:
             sweep(out, sites, superset=True)
         return SetFunction(self.ground, out / w,
                            f"adj[{self.label}][{k.label}]")
 
+    def dense(self):
+        """The matrix of the diagonal and the moves, without conjugation.
+
+        A family's entries ``(row + s, target + s)``, over the free masks
+        ``s``, lie on one strided diagonal of the flattened matrix.
+        """
+        nsub = self.ground.n_subsets
+        M = np.zeros((nsub, nsub))
+        flat = M.reshape(-1)
+        for row, target, shape, strides, rate in self.families:
+            view = np.ndarray(shape, float, flat, row * nsub + target,
+                              tuple(s * (nsub + 1) for s in strides))
+            view += rate
+        flat[::nsub + 1] += self.diag
+        return M
+
 
 def hat_L_action(kernel, z=1.0):
     """Matrix-free ``L^ = K^-1 L K``: agrees with :func:`hat_L_closed`.
 
-    Each application costs O(n 2^n) for the two sweeps plus one pass over
-    the moves, about ``n |Omega_K| 2^(n-1)`` entries.
+    For each ``(x, A)`` of :func:`_site_grid` the deaths ``d(x, A)`` send
+    ``gamma`` to ``(gamma \\ x) u A``, and the target ``gamma u A`` collects
+    the births ``b(x, A)`` with the deaths ``d(x, A u x)`` that re-occupy
+    the vacated site.  Each row loses its total move rate on the diagonal:
+    minus the families applied to the constant vector, one strided
+    subtraction per family.  An application costs O(n 2^n) for the two
+    sweeps plus one strided add per family, about ``n |Omega_K| 2^(n-1)``
+    terms in at most ``2 n |Omega_K|`` families.
     """
-    return MoveOperator(kernel.ground, _generator_moves(kernel, z), True,
-                        "hatL_action")
+    ground = kernel.ground
+    w = ground.lp_weights(z)
+    x, avoid = _site_grid(kernel)
+    enter = avoid | (1 << x)
+    families = _families(ground, x, avoid, kernel.death[x, avoid] * w[avoid],
+                         kernel.death[x, enter] * w[enter]
+                         + kernel.birth[x, avoid] * w[avoid])
+    diag = np.zeros(ground.n_subsets)
+    for row, _, shape, strides, rate in families:
+        view = np.ndarray(shape, float, diag, row, strides)
+        view -= rate
+    return MoveOperator(ground, families, diag, True, "hatL_action")
 
 
 def hat_L_continuum_action(kernel, z=1.0):
-    """Matrix-free :func:`hat_L_continuum`, from the same terms."""
-    return MoveOperator(kernel.ground, _continuum_moves(kernel, z), False,
-                        "hatL_continuum_action")
+    """Matrix-free :func:`hat_L_continuum`, from the same families.
+
+    For each ``(x, xi)`` of :func:`_site_grid`, ``(d1 + b1)(x, xi) wt(xi)``
+    moves ``eta`` to ``(eta \\ x) u xi`` (``xi != 0``) and ``b1(x, xi)
+    wt(xi)`` to ``eta u xi``; the diagonal is ``-(D + B)``.
+    """
+    ground = kernel.ground
+    w = ground.lp_weights(z)
+    dk = derive_kernels(kernel, z)
+    x, xi = _site_grid(kernel)
+    birth = dk.b1[x, xi] * w[xi]
+    stay = np.where(xi == 0, 0.0, dk.d1[x, xi] * w[xi] + birth)
+    return MoveOperator(ground, _families(ground, x, xi, stay, birth),
+                        -(dk.D + dk.B), False, "hatL_continuum_action")
 
 
 def hat_L_bruteforce(kernel, z=1.0):
@@ -524,11 +512,12 @@ def hat_L_bruteforce(kernel, z=1.0):
 
     Builds the matrix of ``G -> Kinv(L(KG))``: the zeta sweep maps basis
     columns up, the generator acts row-wise, the Moebius sweep maps back.
+    ``L``'s matrix is the families of :func:`hat_L_action`, written dense.
     """
     ground = kernel.ground
     n = ground.n_sites
     _check_dense(ground, "brute-force conjugation")
-    M = _generator_moves(kernel, z).dense()
+    M = hat_L_action(kernel, z).dense()
     # right-multiply by the zeta matrix: superset sums along each row
     sweep(M, range(n), superset=True)
     # left-multiply by the Moebius matrix: a signed sweep along the column
@@ -566,9 +555,9 @@ def _s_tables(kernel, z):
     ground = kernel.ground
     n = ground.n_sites
     w = ground.lp_weights(z)
-    small = ground.subset_size <= kernel.k_trunc
     d_strict, b_eff = _split_kernel(kernel, z)
-    return tuple(sweep(tab * (w * small), range(n), superset=True)
+    # both tables vanish beyond |omega| <= k_trunc, as the kernel's do
+    return tuple(sweep(tab * w, range(n), superset=True)
                  for tab in (d_strict, b_eff))
 
 
@@ -642,14 +631,16 @@ def hat_L_continuum(kernel, z=1.0):
     the raw birth rate in the first term the dual operator would couple
     second-order mass into the first-order stationarity equation, and the
     contact model would lose its closed first-moment equation.  The ``b1``
-    contraction cancels that coupling exactly.  (The death terms at
-    ``xi = 0`` cancel, since ``d1(x, 0) = d(x)``, and are left out.)
+    contraction cancels that coupling exactly.  (The terms at ``xi = 0``
+    and ``z = 0`` that reach ``eta \\ x`` cancel, since ``d1(x, 0) = d(x)``
+    and ``b1(x, 0) = b(x)``, and are left out.)
 
-    Its terms are the moves of :func:`hat_L_continuum_action`, scattered
-    into a dense matrix.
+    Its matrix is the move families of :func:`hat_L_continuum_action`,
+    written dense.
     """
     _check_dense(kernel.ground, "the dense continuum form")
-    return LatticeOperator(kernel.ground, _continuum_moves(kernel, z).dense(),
+    return LatticeOperator(kernel.ground,
+                           hat_L_continuum_action(kernel, z).dense(),
                            "hatL_continuum")
 
 

@@ -1,7 +1,7 @@
 """The matrix-free generator actions against independent oracles.
 
 The conjugated action ``hat_L_action`` is compared with the closed form
-``hat_L_closed`` (which never builds the move list) and with the dense
+``hat_L_closed`` (which never builds the move families) and with the dense
 adjoint ``adjoint_hat_L`` of that matrix; the continuum action
 ``hat_L_continuum_action`` with ``oracles.continuum_matrix``, a term-by-term
 transcription of the continuum formula.  Random kernels for n <= 8 cover
@@ -23,12 +23,13 @@ import oracles
 from conftest import pure_death_kernel
 from confpp.core import DiscreteGround, SetFunction, power_function
 from confpp.errors import CapacityError
-from confpp.generators import (BRUTEFORCE_MAX_SITES, BirthDeathKernel,
-                               adjoint_hat_L, contact_kernel, hat_L_action,
+from confpp.generators import (BRUTEFORCE_MAX_SITES, KERNEL_MAX_SITES,
+                               BirthDeathKernel, adjoint_hat_L,
+                               contact_kernel, hat_L_action,
                                hat_L_bruteforce, hat_L_closed,
                                hat_L_continuum, hat_L_continuum_action,
-                               invariance_residual, normalized_dispersal,
-                               random_kernel)
+                               invariance_residual, kernel_from_entries,
+                               normalized_dispersal, random_kernel)
 
 TOL = 1e-10
 CASES = dict(n=st.integers(0, 8), k_trunc=st.sampled_from([0, 1, 2, 3, None]),
@@ -71,6 +72,7 @@ def _assert_close(got, matrix, vec, rate, w=1.0):
 @example(n=8, k_trunc=3, z=2.0, seed=1, zero=False)
 @example(n=6, k_trunc=None, z=2.0, seed=1, zero=False)
 @example(n=5, k_trunc=2, z=1.0, seed=1, zero=True)
+@example(n=1, k_trunc=1, z=2.0, seed=10, zero=False)
 @settings(max_examples=40, deadline=None)
 def test_conjugated_action_matches_closed_form(n, k_trunc, z, seed, zero):
     g, ker, rate, G, k = _case(n, k_trunc, z, seed, zero)
@@ -88,6 +90,7 @@ def test_conjugated_action_matches_closed_form(n, k_trunc, z, seed, zero):
 @example(n=8, k_trunc=3, z=2.0, seed=2, zero=False)
 @example(n=6, k_trunc=None, z=0.5, seed=2, zero=False)
 @example(n=5, k_trunc=2, z=1.0, seed=2, zero=True)
+@example(n=1, k_trunc=1, z=0.5, seed=10, zero=False)
 @settings(max_examples=40, deadline=None)
 def test_continuum_action_matches_formula(n, k_trunc, z, seed, zero):
     g, ker, rate, G, k = _case(n, k_trunc, z, seed, zero)
@@ -97,7 +100,7 @@ def test_continuum_action_matches_formula(n, k_trunc, z, seed, zero):
     op = hat_L_continuum_action(ker, z)
     _assert_close(op.apply(G).values, want, G.values, rate)
     _assert_close(op.adjoint_apply(k, z).values, adj, k.values, rate, w)
-    # the dense continuum form is the same move list scattered into a matrix
+    # the dense continuum form is the same move families written dense
     dense = hat_L_continuum(ker, z).matrix
     assert np.max(np.abs(dense - want)) <= TOL * (np.max(np.abs(want))
                                                   + rate)
@@ -111,20 +114,30 @@ class TestCaps:
         with pytest.raises(CapacityError):
             build(pure_death_kernel(g))
 
-    def test_action_stops_above_the_move_cap(self):
-        # the contact model's continuum form at n = 17 has 21 168 128 moves
-        n = 17
+    def test_kernel_builders_stop_above_the_site_cap(self, monkeypatch):
+        n = KERNEL_MAX_SITES + 1
         g = DiscreteGround((1.0,) * n)
         a = np.ones((n, n)) - np.eye(n)
-        with pytest.raises(CapacityError, match="21168128"):
-            hat_L_continuum_action(contact_kernel(g, a))
+        rng = np.random.default_rng(0)
+
+        def no_tables(*args, **kwargs):
+            raise AssertionError("kernel tables allocated above the cap")
+
+        monkeypatch.setattr(np, "zeros", no_tables)
+        for build in (lambda: kernel_from_entries(g, [], [], 1),
+                      lambda: random_kernel(g, 1, rng),
+                      lambda: contact_kernel(g, a)):
+            with pytest.raises(CapacityError, match="limited to 20 sites"):
+                build()
 
 
-def test_contact_stationarity_at_sixteen_sites():
-    # a dense matrix here would hold 2^32 floats (32 GiB)
-    rng = np.random.default_rng(116)
-    g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, 16)))
-    a = normalized_dispersal(g, rng.uniform(0.2, 1.0, (16, 16)))
+@pytest.mark.parametrize("n, cs", [pytest.param(16, (0.5, 1.0, 3.0), id="16"),
+                                   pytest.param(20, (1.0,), id="20")])
+def test_contact_stationarity_at_large_n(n, cs):
+    # a dense matrix would hold 2^(2n) floats: 32 GiB at n = 16
+    rng = np.random.default_rng(100 + n)
+    g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
+    a = normalized_dispersal(g, rng.uniform(0.2, 1.0, (n, n)))
     op = hat_L_continuum_action(contact_kernel(g, a))
-    for c in (0.5, 1.0, 3.0):
+    for c in cs:
         assert invariance_residual(op, power_function(g, c))[1] <= 1e-12
