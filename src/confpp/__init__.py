@@ -17,9 +17,8 @@ from .errors import (CapacityError, CocycleError, ConfppError,
                      StabilityError, UndefinedConditionalError,
                      ValidationError)
 from .generators import (BirthDeathKernel, LatticeOperator, MoveOperator,
-                         adjoint_hat_L, apply_L, contact_kernel,
-                         derive_kernels, hat_L_action, hat_L_bruteforce,
-                         hat_L_closed, hat_L_continuum,
+                         adjoint_hat_L, contact_kernel, derive_kernels,
+                         hat_L_action, hat_L_bruteforce, hat_L_closed,
                          hat_L_continuum_action, kernel_from_entries)
 from .processes import (DiscreteTable, Gibbs, MixedPoisson, MixingDensity,
                         PapangelouSpec, Poisson, Superposition,

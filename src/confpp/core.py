@@ -469,6 +469,8 @@ def lp_integral_mc(G, z, window, n_max, samples_per_order, seed):
     """
     if n_max < 0 or samples_per_order < 1:
         raise ValidationError("n_max >= 0 and samples_per_order >= 1 required")
+    if not 0 < z < math.inf:
+        raise ValidationError("intensity z must be positive and finite")
     if not isinstance(window, BoxWindow):
         raise ValidationError("lp_integral_mc needs a continuum window")
     vol = window.volume

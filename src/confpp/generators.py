@@ -17,17 +17,22 @@ the transformed operator ``L^ = K^-1 L K`` three ways:
   overlap-correction terms (signed covering-pair sums) that have no continuum
   counterpart: they are supported on moves where new points collide with the
   surviving configuration, a null event for diffuse intensity measures;
-* :func:`hat_L_continuum` -- the collision-free limit form built from the
-  derived kernels ``d(x)``, ``D(eta)``, ``d1(x, xi)`` (and birth analogues)
-  only.  This variant drops the atomic corrections; it is the unique member
-  of the family with configuration-independent coefficients and therefore
-  the one satisfying the derivation (dual-sum) identity exactly.
+* :func:`hat_L_action` -- the conjugation applied to vectors.
 
-:func:`hat_L_action` and :func:`hat_L_continuum_action` apply ``L^`` and the
-continuum form, and their adjoints, to vectors without building a matrix.
-Both are a diagonal plus a table of move families, each family one strided
-add between two sub-cube views of the bitmask index; :func:`hat_L_bruteforce`
-and :func:`hat_L_continuum` write the same families into their matrices.
+:func:`hat_L_continuum_action` is the collision-free limit form built from
+the derived kernels ``d(x)``, ``D(eta)``, ``d1(x, xi)`` (and birth analogues)
+only.  It drops the atomic corrections; it is the unique member of the
+family with configuration-independent coefficients and therefore the one
+satisfying the derivation (dual-sum) identity exactly.
+
+Both actions apply their operator, and its adjoint, to vectors without
+building a matrix.  Each is a diagonal plus a table of move families, each
+family one strided add between two sub-cube views of the bitmask index;
+:meth:`MoveOperator.dense` writes the same families into a matrix, and
+:func:`hat_L_bruteforce` conjugates that matrix.  ``L`` itself is
+``K hat_L_action(kernel).apply(K^-1 F)``.  The checks read an operator only
+through ``apply`` and ``adjoint_apply``, so they take a dense
+:class:`LatticeOperator` and a :class:`MoveOperator` alike.
 
 No operator with genuine death or dispersal terms can have an adjoint that
 is a derivation of the disjoint convolution on the subset lattice: the
@@ -40,7 +45,7 @@ report the honest residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,15 +67,13 @@ class BirthDeathKernel:
     """Tabulated death/birth rates ``d(x, omega)``, ``b(x, omega)``.
 
     ``death`` and ``birth`` are ``(n_sites, 2**n_sites)`` arrays; entries for
-    ``|omega| > k_trunc`` must vanish.  ``total_rate`` caches the per-site
-    integrability sums.
+    ``|omega| > k_trunc`` must vanish.
     """
 
     ground: object
     death: np.ndarray
     birth: np.ndarray
     k_trunc: int
-    total_rate: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.ground.n_sites
@@ -99,8 +102,6 @@ class BirthDeathKernel:
         birth.setflags(write=False)
         object.__setattr__(self, "death", death)
         object.__setattr__(self, "birth", birth)
-        w = self.ground.lp_weights(1.0)
-        object.__setattr__(self, "total_rate", death @ w + birth @ w)
 
     def to_json(self):
         entries = {"death": [], "birth": []}
@@ -233,56 +234,13 @@ def derive_kernels(kernel, z=1.0):
 
 
 # ---------------------------------------------------------------------------
-# the generator on configuration functions
+# move families
 # ---------------------------------------------------------------------------
 
 def _omega_list(ground, k_trunc):
     """Masks ``omega`` with ``|omega| <= k_trunc``, ascending: the only
     columns where a kernel table can be nonzero."""
     return np.nonzero(ground.subset_size <= k_trunc)[0]
-
-
-def apply_L(kernel, F, gamma, z=1.0):
-    """Evaluate the birth-death generator at one configuration.
-
-    Death moves relocate mass to ``(gamma \\ x) u omega`` with ``omega``
-    disjoint from ``gamma \\ x``; birth moves add ``omega`` disjoint from
-    ``gamma``.
-    """
-    if F.ground != kernel.ground:
-        raise GroundMismatchError("function and kernel grounds differ")
-    if gamma.ground != kernel.ground:
-        raise GroundMismatchError("configuration and kernel grounds differ")
-    w = kernel.ground.lp_weights(z)
-    g = gamma.mask
-    vals = F.values
-    omegas = _omega_list(kernel.ground, kernel.k_trunc).tolist()
-    total = 0.0
-    for x in range(kernel.ground.n_sites):
-        if not (g >> x) & 1:
-            continue
-        gx = g & ~(1 << x)
-        for om in omegas:
-            if not om & gx:
-                rate = kernel.death[x, om]
-                if rate:
-                    total += rate * w[om] * (vals[gx | om] - vals[g])
-            if not om & g:
-                rate = kernel.birth[x, om]
-                if rate:
-                    total += rate * w[om] * (vals[g | om] - vals[g])
-    return float(total)
-
-
-def apply_contact(a, F, gamma):
-    """Contact-model generator: unit deaths plus dispersal births.
-
-    Matches :func:`apply_L` on the kernel from :func:`contact_kernel`
-    exactly.
-    """
-    ground = gamma.ground
-    kernel = contact_kernel(ground, a)
-    return apply_L(kernel, F, gamma)
 
 
 def _sub_cube(free):
@@ -453,6 +411,7 @@ class MoveOperator:
         A family's entries ``(row + s, target + s)``, over the free masks
         ``s``, lie on one strided diagonal of the flattened matrix.
         """
+        _check_dense(self.ground, "dense move matrices")
         nsub = self.ground.n_subsets
         M = np.zeros((nsub, nsub))
         flat = M.reshape(-1)
@@ -491,11 +450,29 @@ def hat_L_action(kernel, z=1.0):
 
 
 def hat_L_continuum_action(kernel, z=1.0):
-    """Matrix-free :func:`hat_L_continuum`, from the same families.
+    """Collision-free (diffuse-limit) form of the conjugated generator.
 
-    For each ``(x, xi)`` of :func:`_site_grid`, ``(d1 + b1)(x, xi) wt(xi)``
-    moves ``eta`` to ``(eta \\ x) u xi`` (``xi != 0``) and ``b1(x, xi)
-    wt(xi)`` to ``eta u xi``; the diagonal is ``-(D + B)``.
+    Implements ``(L^- G)(eta) = -D(eta) G(eta) - sum_x d(x) G(eta\\x) +
+    sum_x sum_xi d1(x, xi) wt(xi) G((eta\\x) u xi)`` and the birth analogue
+    ``(L^+ G)(eta) = sum_x sum_z b1(x, z) wt(z) G((eta\\x) u z) + sum_x
+    sum_z b1(x, z) wt(z) G(eta u z) - sum_x b(x) G(eta\\x) - B(eta) G(eta)``
+    with every ``xi``/``z`` disjoint from the corresponding argument
+    remainder.  All coefficients depend on ``(x, xi)`` only, which makes the
+    operator an exact derivation in the dual-sum sense; on an atomic ground
+    it differs from the conjugation by the collision corrections.
+
+    Both displacement terms contract the kernel through ``d1``/``b1``: with
+    the raw birth rate in the first term the dual operator would couple
+    second-order mass into the first-order stationarity equation, and the
+    contact model would lose its closed first-moment equation.  The ``b1``
+    contraction cancels that coupling exactly.  (The terms at ``xi = 0``
+    and ``z = 0`` that reach ``eta \\ x`` cancel, since ``d1(x, 0) = d(x)``
+    and ``b1(x, 0) = b(x)``, and are left out.)
+
+    As move families: for each ``(x, xi)`` of :func:`_site_grid`, ``(d1 +
+    b1)(x, xi) wt(xi)`` moves ``eta`` to ``(eta \\ x) u xi`` (``xi != 0``)
+    and ``b1(x, xi) wt(xi)`` to ``eta u xi``; the diagonal is ``-(D + B)``.
+    :meth:`MoveOperator.dense` gives the matrix.
     """
     ground = kernel.ground
     w = ground.lp_weights(z)
@@ -516,7 +493,6 @@ def hat_L_bruteforce(kernel, z=1.0):
     """
     ground = kernel.ground
     n = ground.n_sites
-    _check_dense(ground, "brute-force conjugation")
     M = hat_L_action(kernel, z).dense()
     # right-multiply by the zeta matrix: superset sums along each row
     sweep(M, range(n), superset=True)
@@ -564,9 +540,9 @@ def _s_tables(kernel, z):
 def hat_L_closed(kernel, z=1.0):
     """Exact closed form of the conjugated generator.
 
-    Beyond the collision-free terms of :func:`hat_L_continuum`, an atomic
-    ground contributes signed covering-pair corrections: for each mover
-    ``x`` and each nonempty collision set ``zeta``, every ordered pair
+    Beyond the collision-free terms of :func:`hat_L_continuum_action`, an
+    atomic ground contributes signed covering-pair corrections: for each
+    mover ``x`` and each nonempty collision set ``zeta``, every ordered pair
     ``(a, b)`` covering ``(alpha \\ x) \\ zeta`` adds
     ``(-1)^{|zeta n (alpha\\x)|} (-1)^{|a|} S_x(zeta u a)`` at the column
     ``b u zeta`` (death) and at ``b u zeta`` and ``b u zeta u {x}`` (birth),
@@ -615,35 +591,6 @@ def hat_L_closed(kernel, z=1.0):
     return LatticeOperator(ground, M, "hatL_closed")
 
 
-def hat_L_continuum(kernel, z=1.0):
-    """Collision-free (diffuse-limit) form of the conjugated generator.
-
-    Implements ``(L^- G)(eta) = -D(eta) G(eta) - sum_x d(x) G(eta\\x) +
-    sum_x sum_xi d1(x, xi) wt(xi) G((eta\\x) u xi)`` and the birth analogue
-    ``(L^+ G)(eta) = sum_x sum_z b1(x, z) wt(z) G((eta\\x) u z) + sum_x
-    sum_z b1(x, z) wt(z) G(eta u z) - sum_x b(x) G(eta\\x) - B(eta) G(eta)``
-    with every ``xi``/``z`` disjoint from the corresponding argument
-    remainder.  All coefficients depend on ``(x, xi)`` only, which makes the
-    operator an exact derivation in the dual-sum sense; on an atomic ground
-    it differs from the conjugation by the collision corrections.
-
-    Both displacement terms contract the kernel through ``d1``/``b1``: with
-    the raw birth rate in the first term the dual operator would couple
-    second-order mass into the first-order stationarity equation, and the
-    contact model would lose its closed first-moment equation.  The ``b1``
-    contraction cancels that coupling exactly.  (The terms at ``xi = 0``
-    and ``z = 0`` that reach ``eta \\ x`` cancel, since ``d1(x, 0) = d(x)``
-    and ``b1(x, 0) = b(x)``, and are left out.)
-
-    Its matrix is the move families of :func:`hat_L_continuum_action`,
-    written dense.
-    """
-    _check_dense(kernel.ground, "the dense continuum form")
-    return LatticeOperator(kernel.ground,
-                           hat_L_continuum_action(kernel, z).dense(),
-                           "hatL_continuum")
-
-
 # ---------------------------------------------------------------------------
 # adjoint and structural checks
 # ---------------------------------------------------------------------------
@@ -668,13 +615,15 @@ def pairing(G, k, z=1.0):
 
 
 def _shifted_image(op, G, shift):
-    """Value vector of ``L^(G(. u shift))`` over subsets disjoint from shift."""
-    nsub = op.ground.n_subsets
-    masks = np.arange(nsub)
-    free = masks[(masks & shift) == 0]
-    out = np.zeros(nsub)
-    out[free] = op.matrix[np.ix_(free, free)] @ G.values[free | shift]
-    return out
+    """``L^`` applied to ``G(. u shift)`` zero-padded off the subsets
+    disjoint from ``shift``; read it on those subsets only.
+
+    There it equals ``M[free, free] @ G[free u shift]`` for a matrix ``M``,
+    because the padded vector vanishes off ``free``.
+    """
+    masks = np.arange(op.ground.n_subsets)
+    padded = np.where(masks & shift, 0.0, G.values[masks | shift])
+    return op.apply(SetFunction(op.ground, padded)).values
 
 
 def check_derivation(op, G, eta, xi):
@@ -682,30 +631,33 @@ def check_derivation(op, G, eta, xi):
 
     Compares ``(L^G)(eta u xi)`` with the sum of the operator applied to the
     two shifted functions ``G(. u xi)`` and ``G(. u eta)``, each restricted
-    to subsets disjoint from its shift.
+    to subsets disjoint from its shift.  Three applications of the operator.
     """
     em = eta.mask if isinstance(eta, Configuration) else int(eta)
     xm = xi.mask if isinstance(xi, Configuration) else int(xi)
     if em & xm:
         raise ValidationError("derivation check needs disjoint arguments")
-    lhs = float((op.matrix @ G.values)[em | xm])
+    lhs = float(op.apply(G).values[em | xm])
     rhs = float(_shifted_image(op, G, xm)[em] + _shifted_image(op, G, em)[xm])
     return abs(lhs - rhs)
 
 
 def derivation_residual_max(op, G):
-    """Exhaustive dual-sum residual over every disjoint pair on the lattice."""
+    """Exhaustive dual-sum residual over every disjoint pair on the lattice.
+
+    Row ``s`` of the table ``T`` is the shifted image of shift ``s``, so the
+    residual at a disjoint pair ``(s, m)`` is ``(L^G)(s u m) - T[s, m] -
+    T[m, s]``.  The table holds 4^n floats, so the dense cap applies.
+    """
+    _check_dense(op.ground, "the exhaustive derivation check")
+    LG = op.apply(G).values
     nsub = op.ground.n_subsets
+    T = np.zeros((nsub, nsub))
+    for shift in range(nsub):
+        T[shift] = _shifted_image(op, G, shift)
     masks = np.arange(nsub)
-    LG = op.matrix @ G.values
-    shifted = {int(s): _shifted_image(op, G, int(s)) for s in masks}
-    worst = 0.0
-    for eta in range(nsub):
-        free = masks[(masks & eta) == 0]
-        res = np.abs(LG[free | eta] - shifted[eta][free]
-                     - np.array([shifted[int(x)][eta] for x in free]))
-        worst = max(worst, float(res.max()))
-    return worst
+    s, m = np.nonzero((masks[:, None] & masks) == 0)
+    return float(np.max(np.abs(LG[s | m] - T[s, m] - T[m, s])))
 
 
 def check_adjoint_leibniz(op, k1, k2, z=1.0):
@@ -755,10 +707,12 @@ def normalized_dispersal(ground, seed_matrix):
     S = np.asarray(seed_matrix, dtype=float)
     if S.shape != (n, n):
         raise ValidationError("seed matrix must be square over the sites")
+    off = S[~np.eye(n, dtype=bool)]
+    if not np.all((off > 0) & (off < math.inf)):
+        raise ValidationError(
+            "off-diagonal pattern entries must be positive and finite")
     S = 0.5 * (S + S.T)
     np.fill_diagonal(S, 0.0)
-    if np.any(S < 0) or np.any((S + np.eye(n)) <= 0):
-        raise ValidationError("off-diagonal pattern entries must be positive")
     m = np.asarray(ground.weights)
     d = np.ones(n)
     for _ in range(10_000):

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Configuration, SetFunction, power_function
-from .errors import (CocycleError, GroundMismatchError,
+from .errors import (CapacityError, CocycleError, GroundMismatchError,
                      UndefinedConditionalError, ValidationError)
 from .transforms import conv_disjoint, norm_fit, ranked_products, sweep
 
+GIBBS_MAX_SITES = 16
 MIXING_GRID_POINTS = 512
 MIXING_TAIL_MASS = 1e-8
 
@@ -247,9 +248,12 @@ def gibbs_table(ground, spec, tol=1e-9):
 
     ``u(gamma u x) = u(gamma) r(gamma, x) m(x)``, built up the lattice along
     lowest-bit insertion paths; every alternative last-insertion is checked
-    for path independence (the cocycle condition) before normalizing.
+    for path independence (the cocycle condition) before normalizing.  That
+    is O(n^2 2^n) evaluator calls, hence the cap of ``GIBBS_MAX_SITES``.
     """
     n = ground.n_sites
+    if n > GIBBS_MAX_SITES:
+        raise CapacityError(f"gibbs_table limited to {GIBBS_MAX_SITES} sites")
     u = np.zeros(ground.n_subsets)
     u[0] = 1.0
     order = np.argsort(ground.subset_size, kind="stable")

@@ -240,8 +240,8 @@ def norm_fit(k, C, delta):
     The essential sup over the finite lattice is an exact maximum; ties are
     broken by the lexicographically least bitmask.
     """
-    if C <= 0 or delta < 0:
-        raise ValidationError("need C > 0 and delta >= 0")
+    if not (0 < C < math.inf and 0 <= delta < math.inf):
+        raise ValidationError("need finite C > 0 and delta >= 0")
     size = k.ground.subset_size
     fact = np.array([math.factorial(m) for m in range(k.ground.n_sites + 1)],
                     dtype=float)[size]

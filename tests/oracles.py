@@ -221,13 +221,38 @@ def superset_contraction(table, ground, z):
     return out
 
 
+def generator_value(kernel, F, gamma, z=1.0):
+    """``(LF)(gamma)`` of the birth-death generator at one mask ``gamma``.
+
+    Every move out of ``gamma``, one term at a time: a death of ``x`` lands
+    on ``(gamma \\ x) u omega`` with ``omega`` disjoint from ``gamma \\ x``,
+    a birth on ``gamma u omega`` with ``omega`` disjoint from ``gamma``.
+    """
+    ground = kernel.ground
+    w = product_weights(ground, z)
+    vals = F.values
+    total = 0.0
+    for x in range(ground.n_sites):
+        if not gamma >> x & 1:
+            continue
+        rest = gamma & ~(1 << x)
+        for om in range(ground.n_subsets):
+            if not om & rest:
+                total += kernel.death[x, om] * w[om] * (vals[rest | om]
+                                                        - vals[gamma])
+            if not om & gamma:
+                total += kernel.birth[x, om] * w[om] * (vals[gamma | om]
+                                                        - vals[gamma])
+    return float(total)
+
+
 def continuum_matrix(kernel, z):
     """Matrix of the continuum form, one entry and one term at a time.
 
-    Row ``eta`` of ``generators.hat_L_continuum``: for each ``x in eta``,
-    with ``c_d``, ``c_b`` the superset contractions of the death and birth
-    tables, ``-(c_d + c_b)(x, 0)`` at ``eta``, ``-c_b(x, 0)`` at
-    ``eta \\ x``, and for every ``xi`` avoiding ``eta``,
+    Row ``eta`` of ``generators.hat_L_continuum_action(kernel, z).dense()``:
+    for each ``x in eta``, with ``c_d``, ``c_b`` the superset contractions of
+    the death and birth tables, ``-(c_d + c_b)(x, 0)`` at ``eta``,
+    ``-c_b(x, 0)`` at ``eta \\ x``, and for every ``xi`` avoiding ``eta``,
     ``[xi != 0] c_d(x, xi) + c_b(x, xi)`` at ``(eta \\ x) u xi`` and
     ``c_b(x, xi)`` at ``eta u xi``.
     """

@@ -14,7 +14,7 @@ from confpp.core import (BoxWindow, DiscreteGround, SetFunction,
 from confpp.generators import (check_adjoint_leibniz, contact_kernel,
                                convolution_closure_check,
                                derivation_residual_max, hat_L_bruteforce,
-                               hat_L_closed, hat_L_continuum,
+                               hat_L_closed, hat_L_continuum_action,
                                invariance_residual, normalized_dispersal,
                                random_kernel)
 from confpp.processes import (DiscreteTable, MixedPoisson, Poisson,
@@ -149,7 +149,7 @@ class TestGeneratorCalculus:
         rng = np.random.default_rng(108)
         g = _ground(8, rng)
         ker = random_kernel(g, 2, rng)
-        op = hat_L_continuum(ker)
+        op = hat_L_continuum_action(ker)
         G = SetFunction(g, rng.standard_normal(g.n_subsets))
         assert derivation_residual_max(op, G) <= 1e-10
 
@@ -207,7 +207,7 @@ class TestGeneratorCalculus:
         g = _ground(8, rng)
         a = normalized_dispersal(g, rng.uniform(0.2, 1.0,
                                                 (g.n_sites, g.n_sites)))
-        op = hat_L_continuum(contact_kernel(g, a))
+        op = hat_L_continuum_action(contact_kernel(g, a))
         for c in (0.5, 1.0, 3.0):
             res = invariance_residual(op, power_function(g, c))
             assert res[1] <= 1e-12

@@ -261,6 +261,12 @@ class TestLpIntegralMC:
         b = lp_integral_mc(G, 1.0, w, 6, 100, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_bad_intensity(self, z):
+        w = BoxWindow(((0.0, 1.0),))
+        with pytest.raises(ValidationError, match="intensity z"):
+            lp_integral_mc(lambda gamma: 1.0, z, w, 4, 10, seed=1)
+
 
 class TestStreams:
     def test_independent_reproducible(self):

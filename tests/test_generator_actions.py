@@ -4,7 +4,9 @@ The conjugated action ``hat_L_action`` is compared with the closed form
 ``hat_L_closed`` (which never builds the move families) and with the dense
 adjoint ``adjoint_hat_L`` of that matrix; the continuum action
 ``hat_L_continuum_action`` with ``oracles.continuum_matrix``, a term-by-term
-transcription of the continuum formula.  Random kernels for n <= 8 cover
+transcription of the continuum formula.  The derivation checks, which read
+an operator only through ``apply``, give on the actions what they give on
+the dense matrices.  Random kernels for n <= 8 cover
 every truncation order, full-range kernels for n <= 6 and the zero kernel.
 A result passes when its largest error is at most ``1e-10`` times the
 largest entry of ``|matrix| @ |vector|`` plus the generator's size, its
@@ -24,12 +26,13 @@ from conftest import pure_death_kernel
 from confpp.core import DiscreteGround, SetFunction, power_function
 from confpp.errors import CapacityError
 from confpp.generators import (BRUTEFORCE_MAX_SITES, KERNEL_MAX_SITES,
-                               BirthDeathKernel, adjoint_hat_L,
-                               contact_kernel, hat_L_action,
-                               hat_L_bruteforce, hat_L_closed,
-                               hat_L_continuum, hat_L_continuum_action,
-                               invariance_residual, kernel_from_entries,
-                               normalized_dispersal, random_kernel)
+                               BirthDeathKernel, LatticeOperator,
+                               adjoint_hat_L, check_derivation,
+                               contact_kernel, derivation_residual_max,
+                               hat_L_action, hat_L_bruteforce, hat_L_closed,
+                               hat_L_continuum_action, invariance_residual,
+                               kernel_from_entries, normalized_dispersal,
+                               random_kernel)
 
 TOL = 1e-10
 CASES = dict(n=st.integers(0, 8), k_trunc=st.sampled_from([0, 1, 2, 3, None]),
@@ -101,18 +104,77 @@ def test_continuum_action_matches_formula(n, k_trunc, z, seed, zero):
     _assert_close(op.apply(G).values, want, G.values, rate)
     _assert_close(op.adjoint_apply(k, z).values, adj, k.values, rate, w)
     # the dense continuum form is the same move families written dense
-    dense = hat_L_continuum(ker, z).matrix
+    dense = op.dense()
     assert np.max(np.abs(dense - want)) <= TOL * (np.max(np.abs(want))
                                                   + rate)
 
 
+@pytest.mark.parametrize("n", [5, 8])
+def test_derivation_checks_on_actions_match_dense(n):
+    rng = np.random.default_rng(5)
+    g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
+    ker = random_kernel(g, 2, rng)
+    G = SetFunction(g, rng.standard_normal(g.n_subsets))
+    pairs = [(0b101, 0b010), (0b1, 0b10), (0, g.n_subsets - 1)]
+    continuum = hat_L_continuum_action(ker)
+    for op in (continuum, LatticeOperator(g, continuum.dense())):
+        assert derivation_residual_max(op, G) <= 1e-10
+        for eta, xi in pairs:
+            assert check_derivation(op, G, eta, xi) <= 1e-10
+    # the exact conjugate is no derivation; its action and its closed form
+    # leave the same residuals
+    closed, action = hat_L_closed(ker), hat_L_action(ker)
+    worst = derivation_residual_max(closed, G)
+    assert worst > 1.0
+    assert derivation_residual_max(action, G) == pytest.approx(worst,
+                                                               rel=1e-9)
+    for eta, xi in pairs:
+        assert check_derivation(action, G, eta, xi) == pytest.approx(
+            check_derivation(closed, G, eta, xi), rel=1e-9, abs=1e-10)
+
+
+def test_check_derivation_at_sixteen_sites():
+    # one pair needs three applications, no 4^n table
+    n = 16
+    rng = np.random.default_rng(116)
+    g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
+    a = normalized_dispersal(g, rng.uniform(0.2, 1.0, (n, n)))
+    op = hat_L_continuum_action(contact_kernel(g, a))
+    G = SetFunction(g, rng.standard_normal(g.n_subsets))
+    for eta, xi in ((0b1011, 0b110100), (1, 1 << 15), (0, g.n_subsets - 1)):
+        assert check_derivation(op, G, eta, xi) <= 1e-10
+
+
 class TestCaps:
-    @pytest.mark.parametrize("build", [hat_L_closed, hat_L_continuum,
-                                       hat_L_bruteforce])
-    def test_dense_form_stops_above_the_cap(self, build):
+    @pytest.mark.parametrize("build", [
+        hat_L_closed, hat_L_bruteforce,
+        pytest.param(lambda ker: hat_L_continuum_action(ker).dense(),
+                     id="continuum_dense")])
+    def test_dense_form_stops_above_the_cap(self, build, monkeypatch):
         g = DiscreteGround((1.0,) * (BRUTEFORCE_MAX_SITES + 1))
+        ker = pure_death_kernel(g)
+        zeros = np.zeros
+
+        def vectors_only(shape, *args, **kwargs):
+            if np.prod(shape) > g.n_sites * g.n_subsets:
+                raise AssertionError("matrix allocated above the cap")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", vectors_only)
         with pytest.raises(CapacityError):
-            build(pure_death_kernel(g))
+            build(ker)
+
+    def test_exhaustive_derivation_stops_above_the_cap(self, monkeypatch):
+        g = DiscreteGround((1.0,) * (BRUTEFORCE_MAX_SITES + 1))
+        op = hat_L_continuum_action(pure_death_kernel(g))
+        G = SetFunction(g, np.ones(g.n_subsets))
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("table allocated above the cap")
+
+        monkeypatch.setattr(np, "zeros", no_table)
+        with pytest.raises(CapacityError, match="limited to 12 sites"):
+            derivation_residual_max(op, G)
 
     def test_kernel_builders_stop_above_the_site_cap(self, monkeypatch):
         n = KERNEL_MAX_SITES + 1

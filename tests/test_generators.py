@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import pure_death_kernel
+from oracles import generator_value
 from confpp.core import (Configuration, DiscreteGround, SetFunction,
                          indicator_empty, power_function)
-from confpp.errors import CapacityError, GroundMismatchError, ValidationError
-from confpp.generators import (BirthDeathKernel, adjoint_hat_L, apply_L,
-                               apply_contact, check_adjoint_leibniz,
-                               check_derivation, contact_kernel,
-                               convolution_closure_check, derivation_residual_max,
-                               derive_kernels, hat_L_action, hat_L_bruteforce,
-                               hat_L_closed, hat_L_continuum,
-                               invariance_residual,
+from confpp.errors import CapacityError, ValidationError
+from confpp.generators import (BirthDeathKernel, adjoint_hat_L,
+                               check_adjoint_leibniz, check_derivation,
+                               contact_kernel, convolution_closure_check,
+                               derivation_residual_max, derive_kernels,
+                               hat_L_action, hat_L_bruteforce, hat_L_closed,
+                               hat_L_continuum_action, invariance_residual,
                                kernel_from_entries, kernel_from_json,
                                LatticeOperator, normalized_dispersal, pairing,
                                random_kernel)
@@ -81,6 +81,8 @@ class TestKernelValidation:
 
 
 class TestApplyL:
+    """``L`` pointwise (the oracle) and as ``K hat_L_action K^-1``."""
+
     def test_matches_conjugated_matrix(self, rng):
         # L(KG) evaluated pointwise equals K applied to the brute matrix image
         ker = random_kernel(G5, 2, rng)
@@ -88,36 +90,25 @@ class TestApplyL:
         F = k_transform(G)
         image = k_transform(hat_L_bruteforce(ker).apply(G))
         for gamma in range(G5.n_subsets):
-            val = apply_L(ker, F, Configuration(G5, gamma))
+            val = generator_value(ker, F, gamma)
             assert val == pytest.approx(image(gamma), abs=1e-10)
 
     def test_constant_function_annihilated(self, rng):
+        # F = 1 is K of the indicator of the empty set; the action's rows
+        # cancel up to rounding in the sweeps
         ker = random_kernel(G5, 2, rng)
+        image = hat_L_action(ker).apply(indicator_empty(G5))
+        assert np.max(np.abs(image.values)) < 1e-12
         F = SetFunction(G5, np.ones(G5.n_subsets))
         for gamma in (0, 0b101, 0b11111):
-            assert apply_L(ker, F, Configuration(G5, gamma)) == 0.0
+            assert generator_value(ker, F, gamma) == 0.0
 
     def test_empty_configuration_has_no_moves(self, rng):
+        # K is the identity at the empty set, so (LF)(0) = (L^G)(0)
         ker = random_kernel(G5, 2, rng)
-        F = SetFunction(G5, rng.standard_normal(G5.n_subsets))
-        assert apply_L(ker, F, Configuration(G5, 0)) == 0.0
-
-    def test_contact_embedding(self, rng):
-        a = normalized_dispersal(G5, rng.uniform(0.3, 1.0,
-                                                 (G5.n_sites, G5.n_sites)))
-        F = SetFunction(G5, rng.standard_normal(G5.n_subsets))
-        ck = contact_kernel(G5, a)
-        for gamma in (0b1, 0b1010, 0b11011):
-            c = Configuration(G5, gamma)
-            assert apply_contact(a, F, c) == pytest.approx(
-                apply_L(ck, F, c), abs=1e-12)
-
-    def test_ground_mismatch(self, rng):
-        ker = random_kernel(G5, 1, rng)
-        other = DiscreteGround((1.0, 1.0))
-        with pytest.raises(GroundMismatchError):
-            apply_L(ker, SetFunction(other, np.zeros(4)),
-                    Configuration(other, 0))
+        G = SetFunction(G5, rng.standard_normal(G5.n_subsets))
+        assert hat_L_action(ker).apply(G).values[0] == 0.0
+        assert generator_value(ker, k_transform(G), 0) == 0.0
 
 
 class TestDerivedKernels:
@@ -163,8 +154,9 @@ class TestConjugatedOperator:
     def test_pure_death_collapses_to_counting_diagonal(self):
         ker = pure_death_kernel(G5)
         expected = np.diag(-G5.subset_size.astype(float))
-        for build in (hat_L_bruteforce, hat_L_closed, hat_L_continuum):
-            assert np.max(np.abs(build(ker).matrix - expected)) < 1e-12
+        for M in (hat_L_bruteforce(ker).matrix, hat_L_closed(ker).matrix,
+                  hat_L_continuum_action(ker).dense()):
+            assert np.max(np.abs(M - expected)) < 1e-12
 
     def test_linearity(self, rng):
         ker = random_kernel(G5, 2, rng)
@@ -224,20 +216,20 @@ class TestAdjoint:
 class TestDerivationProperty:
     def test_continuum_operator_is_derivation(self, rng):
         ker = random_kernel(G5, 2, rng)
-        op = hat_L_continuum(ker)
+        op = hat_L_continuum_action(ker)
         G = SetFunction(G5, rng.standard_normal(G5.n_subsets))
         assert derivation_residual_max(op, G) < 1e-10
 
     def test_single_pair_interface(self, rng):
         ker = random_kernel(G5, 1, rng)
-        op = hat_L_continuum(ker)
+        op = hat_L_continuum_action(ker)
         G = SetFunction(G5, rng.standard_normal(G5.n_subsets))
         assert check_derivation(op, G, 0b001, 0b110) < 1e-10
         with pytest.raises(ValidationError):
             check_derivation(op, G, 0b011, 0b110)
 
     def test_overlapping_arguments_rejected(self, rng):
-        op = hat_L_continuum(random_kernel(G5, 1, rng))
+        op = hat_L_continuum_action(random_kernel(G5, 1, rng))
         G = SetFunction(G5, np.ones(G5.n_subsets))
         with pytest.raises(ValidationError):
             check_derivation(op, G, Configuration(G5, 0b1),
@@ -275,7 +267,7 @@ class TestContactStationarity:
     def test_order_one_invariance(self, rng):
         a = normalized_dispersal(G5, rng.uniform(0.2, 1.0,
                                                  (G5.n_sites, G5.n_sites)))
-        op = hat_L_continuum(contact_kernel(G5, a))
+        op = hat_L_continuum_action(contact_kernel(G5, a))
         for c in (0.5, 1.0, 3.0):
             res = invariance_residual(op, power_function(G5, c))
             assert res[1] <= 1e-12
@@ -287,3 +279,10 @@ class TestContactStationarity:
         assert np.max(np.abs(a - a.T)) < 1e-14
         assert np.max(np.abs(np.diag(a))) == 0.0
         assert np.max(np.abs(a @ m - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.5])
+    def test_normalized_dispersal_rejects_bad_pattern(self, bad):
+        S = np.ones((G5.n_sites, G5.n_sites))
+        S[1, 3] = bad
+        with pytest.raises(ValidationError, match="off-diagonal"):
+            normalized_dispersal(G5, S)

@@ -9,11 +9,11 @@ import oracles
 
 from confpp.core import (Configuration, DiscreteGround, SetFunction,
                          indicator_empty, power_function)
-from confpp.errors import (CocycleError, GroundMismatchError,
+from confpp.errors import (CapacityError, CocycleError, GroundMismatchError,
                            UndefinedConditionalError, ValidationError)
-from confpp.processes import (DiscreteTable, Gibbs, MixedPoisson,
-                              MixingDensity, PapangelouSpec, Poisson,
-                              Superposition, additivity_residual,
+from confpp.processes import (GIBBS_MAX_SITES, DiscreteTable, Gibbs,
+                              MixedPoisson, MixingDensity, PapangelouSpec,
+                              Poisson, Superposition, additivity_residual,
                               check_cocycle, convolve_measures,
                               correlation_functional, exponential_mixing,
                               gamma_mixing, gibbs_table, lenard_pd_check,
@@ -158,6 +158,20 @@ class TestTables:
                 got = papangelou_of_table(T, Configuration(G4, mask), x)
                 want = spec(Configuration(G4, mask), x)
                 assert got == pytest.approx(want, abs=1e-10)
+
+    def test_gibbs_table_stops_above_the_site_cap(self, monkeypatch):
+        g = DiscreteGround((1.0,) * (GIBBS_MAX_SITES + 1))
+
+        def never(gamma, x):
+            raise AssertionError("evaluator called above the cap")
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("table allocated above the cap")
+
+        spec = PapangelouSpec(never)
+        monkeypatch.setattr(np, "zeros", no_table)
+        with pytest.raises(CapacityError, match="limited to 16 sites"):
+            gibbs_table(g, spec)
 
     def test_path_dependent_rates_rejected(self):
         bad = PapangelouSpec(

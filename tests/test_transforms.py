@@ -219,6 +219,12 @@ class TestNormFit:
         with pytest.raises(ValidationError):
             norm_fit(power_function(G5, 1.0), 1.0, -1.0)
 
+    @pytest.mark.parametrize("C, delta", [(math.nan, 0.0), (1.0, math.nan),
+                                          (math.inf, 0.0), (1.0, math.inf)])
+    def test_rejects_non_finite_scale(self, C, delta):
+        with pytest.raises(ValidationError):
+            norm_fit(power_function(G5, 1.0), C, delta)
+
     def test_factorial_scale(self):
         size = G5.subset_size
         import math
