@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from .errors import CapacityError, GroundMismatchError, ValidationError
 from .transforms import conv_disjoint, sweep
 
 BRUTEFORCE_MAX_SITES = 12
-KERNEL_MAX_SITES = 20
 MAX_K_TRUNC = 3
 
 
@@ -66,8 +66,10 @@ MAX_K_TRUNC = 3
 class BirthDeathKernel:
     """Tabulated death/birth rates ``d(x, omega)``, ``b(x, omega)``.
 
-    ``death`` and ``birth`` are ``(n_sites, 2**n_sites)`` arrays; entries for
-    ``|omega| > k_trunc`` must vanish.
+    A truncated kernel vanishes beyond ``|omega| <= k_trunc``, so it is
+    stored on that support only: ``death`` and ``birth`` are ``(n_sites,
+    omegas.size)`` arrays whose column ``j`` holds the rates at ``omega =
+    omegas[j]``.
     """
 
     ground: object
@@ -76,78 +78,81 @@ class BirthDeathKernel:
     k_trunc: int
 
     def __post_init__(self):
-        n = self.ground.n_sites
-        _check_kernel_size(n)
-        shape = (n, self.ground.n_subsets)
+        shape = (self.ground.n_sites, self.omegas.size)
         death = np.asarray(self.death, dtype=float)
         birth = np.asarray(self.birth, dtype=float)
         if death.shape != shape or birth.shape != shape:
             raise ValidationError(f"kernel tables must have shape {shape}")
-        if not (0 <= self.k_trunc <= MAX_K_TRUNC) and self.k_trunc != n:
-            raise ValidationError(
-                f"k_trunc must lie in [0, {MAX_K_TRUNC}] "
-                "(or equal the site count for full-range kernels)")
-        if self.k_trunc == n and n > 8:
-            raise CapacityError("full-range kernels limited to 8 sites")
-        small = _omega_list(self.ground, self.k_trunc)
         for name, tab in (("death", death), ("birth", birth)):
             if not np.all(np.isfinite(tab)):
                 raise ValidationError(f"{name} table has non-finite entries")
             if np.any(tab < 0):
                 raise ValidationError(f"{name} table has negative entries")
-            if np.count_nonzero(tab[:, small]) != np.count_nonzero(tab):
-                raise ValidationError(
-                    f"{name} entries beyond |omega| <= {self.k_trunc} must vanish")
         death.setflags(write=False)
         birth.setflags(write=False)
         object.__setattr__(self, "death", death)
         object.__setattr__(self, "birth", birth)
 
+    @cached_property
+    def omegas(self):
+        """Masks with ``|omega| <= k_trunc``, ascending: the columns."""
+        return _omega_list(self.ground, self.k_trunc)
+
     def to_json(self):
         entries = {"death": [], "birth": []}
         for name, tab in (("death", self.death), ("birth", self.birth)):
-            for x in range(self.ground.n_sites):
-                for omega in np.nonzero(tab[x])[0]:
-                    entries[name].append({
-                        "x": int(x),
-                        "omega": list(Configuration(self.ground,
-                                                    int(omega)).sites),
-                        "value": float(tab[x, omega]),
-                    })
+            for x, j in zip(*np.nonzero(tab)):
+                entries[name].append({
+                    "x": int(x),
+                    "omega": list(Configuration(
+                        self.ground, int(self.omegas[j])).sites),
+                    "value": float(tab[x, j]),
+                })
         return {"schema_version": 1, "k_trunc": int(self.k_trunc), **entries}
 
     def dumps(self):
         return json_dumps(self.to_json())
 
 
-def _check_kernel_size(n):
-    if n > KERNEL_MAX_SITES:
-        raise CapacityError(f"kernels limited to {KERNEL_MAX_SITES} sites")
+def _index(value, stop, what):
+    """``value`` as an int, if it is an integer (not a bool) in [0, stop)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not 0 <= value < stop:
+        raise ValidationError(f"{what} {value!r} is not in range({stop})")
+    return int(value)
 
 
-def _zero_tables(ground):
-    """Zero death and birth tables, after the size check."""
-    _check_kernel_size(ground.n_sites)
-    shape = (ground.n_sites, ground.n_subsets)
-    return np.zeros(shape), np.zeros(shape)
+def _omega_list(ground, k_trunc):
+    """Masks ``omega`` with ``|omega| <= k_trunc``, ascending, after checking
+    ``k_trunc``: the columns of a kernel table."""
+    n = ground.n_sites
+    if _index(k_trunc, max(n, MAX_K_TRUNC) + 1, "k_trunc") > MAX_K_TRUNC \
+            and k_trunc != n:
+        raise ValidationError(f"k_trunc above {MAX_K_TRUNC} must equal the "
+                              "site count (a full-range kernel)")
+    if k_trunc == n and n > 8:
+        raise CapacityError("full-range kernels limited to 8 sites")
+    return np.nonzero(ground.subset_size <= k_trunc)[0]
 
 
 def kernel_from_entries(ground, death_entries, birth_entries, k_trunc):
     """Build a kernel from sparse ``{"x": i, "omega": [...], "value": v}`` rows."""
     n = ground.n_sites
-    death, birth = _zero_tables(ground)
+    omegas = _omega_list(ground, k_trunc)
+    death, birth = np.zeros((2, n, omegas.size))
     for tab, entries in ((death, death_entries), (birth, birth_entries)):
         for e in entries:
-            x = int(e["x"])
-            if not 0 <= x < n:
-                raise ValidationError(f"site index {x} out of range")
+            x = _index(e["x"], n, "site")
             mask = 0
             for s in e["omega"]:
-                bit = 1 << int(s)
+                bit = 1 << _index(s, n, "site")
                 if mask & bit:
                     raise ValidationError("duplicate site in omega")
                 mask |= bit
-            tab[x, mask] += float(e["value"])
+            if mask.bit_count() > k_trunc:
+                raise ValidationError(
+                    f"omega has more than k_trunc = {k_trunc} sites")
+            tab[x, np.searchsorted(omegas, mask)] += float(e["value"])
     return BirthDeathKernel(ground, death, birth, k_trunc)
 
 
@@ -159,20 +164,22 @@ def random_kernel(ground, k_trunc, rng):
     ``x`` is not in ``omega``, a birth rate likewise; the draw order fixes
     the kernel for a given generator state.
     """
-    death, birth = _zero_tables(ground)
-    omegas = _omega_list(ground, k_trunc).tolist()
+    omegas = _omega_list(ground, k_trunc)
+    death, birth = np.zeros((2, ground.n_sites, omegas.size))
     for x in range(ground.n_sites):
-        for omega in omegas:
+        for j, omega in enumerate(omegas.tolist()):
             if rng.random() < 0.5:
-                death[x, omega] = rng.uniform(0.1, 1.0)
+                death[x, j] = rng.uniform(0.1, 1.0)
             if not omega >> x & 1 and rng.random() < 0.5:
-                birth[x, omega] = rng.uniform(0.1, 1.0)
+                birth[x, j] = rng.uniform(0.1, 1.0)
     return BirthDeathKernel(ground, death, birth, k_trunc)
 
 
 def kernel_from_json(ground, data):
+    if data.get("schema_version") != 1:
+        raise ValidationError("kernel JSON needs schema_version 1")
     return kernel_from_entries(ground, data.get("death", ()),
-                               data.get("birth", ()), int(data["k_trunc"]))
+                               data.get("birth", ()), data["k_trunc"])
 
 
 def contact_kernel(ground, a):
@@ -189,10 +196,11 @@ def contact_kernel(ground, a):
         raise ValidationError("dispersal matrix must be nonnegative and finite")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
         raise ValidationError("dispersal matrix must be symmetric")
-    death, birth = _zero_tables(ground)
+    # the columns at k_trunc = 1 are the empty set, then {0}, {1}, ...
+    death = np.zeros((n, n + 1))
     death[:, 0] = 1.0
-    birth[:, 1 << np.arange(n)] = a
-    return BirthDeathKernel(ground, death, birth, k_trunc=1)
+    return BirthDeathKernel(ground, death, np.hstack([np.zeros((n, 1)), a]),
+                            k_trunc=1)
 
 
 @dataclass(frozen=True)
@@ -200,8 +208,9 @@ class DerivedKernels:
     """First-moment contractions of a birth-death kernel.
 
     ``d_bar[x] = sum_omega d(x, omega) wt(omega)``; ``D[eta] = sum_{x in eta}
-    d_bar[x]``; ``d1[x, xi] = sum_{omega n xi = 0} d(x, omega u xi) wt(omega)``
-    (so ``d1[x, 0] = d_bar[x]``); likewise for birth.
+    d_bar[x]``, over the whole lattice; ``d1[x, j] = sum_{omega n xi = 0}
+    d(x, omega u xi) wt(omega)`` at ``xi = omegas[j]``, on the kernel's
+    columns (so ``d1[:, 0] = d_bar``); likewise for birth.
     """
 
     d_bar: np.ndarray
@@ -213,35 +222,29 @@ class DerivedKernels:
 
 
 def derive_kernels(kernel, z=1.0):
+    """The contractions on the kernel's columns: ``d1`` and ``b1`` are one
+    product with the column containment matrix, ``d_bar`` and ``b_bar``
+    row sums apart from it, ``D`` and ``B`` one zeta sweep."""
     ground = kernel.ground
     n = ground.n_sites
-    w = ground.lp_weights(z)
-    out = {}
-    for name, tab in (("d", kernel.death), ("b", kernel.birth)):
-        weighted = tab * w[np.newaxis, :]
-        bar = weighted.sum(axis=1)
-        # superset sums give wt(xi) * k1(x, xi), every row in one sweep
-        sweep(weighted, range(n), superset=True)
-        weighted /= w
-        out[name] = (bar, weighted)
-    d_bar, d1 = out["d"]
-    b_bar, b1 = out["b"]
+    om = kernel.omegas
+    w = ground.lp_weights(z)[om]
+    weighted = np.stack([kernel.death, kernel.birth]) * w
+    bars = weighted.sum(axis=2)
+    # contained[i, j]: omegas[i] is a subset of omegas[j]
+    contained = (om[:, None] & om) == om[:, None]
+    d1, b1 = weighted @ contained.T / w
     # D(eta) = sum_{x in eta} d_bar(x): the zeta sweep of the singletons
     DB = np.zeros((2, ground.n_subsets))
-    DB[:, 1 << np.arange(n)] = d_bar, b_bar
+    DB[:, 1 << np.arange(n)] = bars
     D, B = sweep(DB, range(n))
-    return DerivedKernels(d_bar=d_bar, D=D, d1=d1, b_bar=b_bar, B=B, b1=b1)
+    return DerivedKernels(d_bar=bars[0], D=D, d1=d1, b_bar=bars[1], B=B,
+                          b1=b1)
 
 
 # ---------------------------------------------------------------------------
 # move families
 # ---------------------------------------------------------------------------
-
-def _omega_list(ground, k_trunc):
-    """Masks ``omega`` with ``|omega| <= k_trunc``, ascending: the only
-    columns where a kernel table can be nonzero."""
-    return np.nonzero(ground.subset_size <= k_trunc)[0]
-
 
 def _sub_cube(free):
     """Shape and byte strides of the masks over the bits of ``free``.
@@ -286,14 +289,11 @@ def _families(ground, x, avoid, stay, enter):
 
 
 def _site_grid(kernel):
-    """``(x, A)`` over sites ``x`` and masks ``A`` with ``x not in A`` and
-    ``|A| <= k_trunc``, flattened: the avoid sets of the move families."""
-    ground = kernel.ground
-    small = _omega_list(ground, kernel.k_trunc)
-    x = np.repeat(np.arange(ground.n_sites), small.size)
-    avoid = np.tile(small, ground.n_sites)
-    keep = (avoid >> x) & 1 == 0
-    return x[keep], avoid[keep]
+    """``(x, j)`` over sites ``x`` and kernel columns ``j`` with ``x`` not
+    in ``omegas[j]``, flattened: ``omegas[j]`` are the avoid sets of the
+    move families."""
+    sites = np.arange(kernel.ground.n_sites)[:, None]
+    return np.nonzero((kernel.omegas >> sites) & 1 == 0)
 
 
 def _check_dense(ground, what):
@@ -309,8 +309,18 @@ def _pairing_weights(ground, z):
     return ground.lp_weights(z)
 
 
+class _RowOperator:
+    """``apply`` through the subclass's ``_apply_rows`` on a stack of rows."""
+
+    def apply(self, G):
+        if G.ground != self.ground:
+            raise GroundMismatchError("operand lives on a different ground")
+        return SetFunction(self.ground, self._apply_rows(G.values[None])[0],
+                           f"{self.label}[{G.label}]")
+
+
 @dataclass(frozen=True)
-class LatticeOperator:
+class LatticeOperator(_RowOperator):
     """A linear operator on set-function value vectors, subset-bitmask basis.
 
     A float array passed as ``matrix`` is not copied: the operator holds a
@@ -332,11 +342,9 @@ class LatticeOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def apply(self, G):
-        if G.ground != self.ground:
-            raise GroundMismatchError("operand lives on a different ground")
-        return SetFunction(self.ground, self.matrix @ G.values,
-                           f"{self.label}[{G.label}]")
+    def _apply_rows(self, P):
+        """The operator applied to each row of the stack ``P``."""
+        return P @ self.matrix.T
 
     def adjoint_apply(self, k, z=1.0):
         """Adjoint image w.r.t. ``<<G, k>> = sum G k wt_z``, on one vector."""
@@ -348,7 +356,7 @@ class LatticeOperator:
 
 
 @dataclass(frozen=True)
-class MoveOperator:
+class MoveOperator(_RowOperator):
     """Matrix-free operator on set-function value vectors.
 
     ``diag * v`` plus the moves of a table of families (see
@@ -369,26 +377,28 @@ class MoveOperator:
     label: str = ""
 
     def _moves(self, v, transpose=False):
-        """``diag * v`` plus, per family, ``out[rows] += rate * v[targets]``;
-        the transpose swaps the two views."""
+        """``diag * v`` plus, per family, ``out[:, rows] += rate * v[:,
+        targets]`` on each row of the C-contiguous stack ``v``; the
+        transpose swaps the two views."""
         out = self.diag * v
+        lead = v.shape[:1], v.strides[:1]
         for row, target, shape, strides, rate in self.families:
             src, dst = (row, target) if transpose else (target, row)
+            shape, strides = lead[0] + shape, lead[1] + strides
             view = np.ndarray(shape, float, out, dst, strides)
             view += rate * np.ndarray(shape, float, v, src, strides)
         return out
 
-    def apply(self, G):
-        if G.ground != self.ground:
-            raise GroundMismatchError("operand lives on a different ground")
+    def _apply_rows(self, P):
+        """The operator applied to each row of the stack ``P``."""
         sites = range(self.ground.n_sites)
-        v = np.array(G.values, dtype=float)
+        v = np.array(P, dtype=float)
         if self.conjugated:
             sweep(v, sites)
         out = self._moves(v)
         if self.conjugated:
             sweep(out, sites, sign=-1.0)
-        return SetFunction(self.ground, out, f"{self.label}[{G.label}]")
+        return out
 
     def adjoint_apply(self, k, z=1.0):
         """Adjoint image w.r.t. ``<<G, k>> = sum G k wt_z``, on one vector."""
@@ -396,10 +406,10 @@ class MoveOperator:
             raise GroundMismatchError("operand lives on a different ground")
         sites = range(self.ground.n_sites)
         w = _pairing_weights(self.ground, z)
-        v = w * k.values
+        v = (w * k.values)[None]
         if self.conjugated:
             sweep(v, sites, superset=True, sign=-1.0)
-        out = self._moves(v, transpose=True)
+        out = self._moves(v, transpose=True)[0]
         if self.conjugated:
             sweep(out, sites, superset=True)
         return SetFunction(self.ground, out / w,
@@ -426,22 +436,26 @@ class MoveOperator:
 def hat_L_action(kernel, z=1.0):
     """Matrix-free ``L^ = K^-1 L K``: agrees with :func:`hat_L_closed`.
 
-    For each ``(x, A)`` of :func:`_site_grid` the deaths ``d(x, A)`` send
-    ``gamma`` to ``(gamma \\ x) u A``, and the target ``gamma u A`` collects
-    the births ``b(x, A)`` with the deaths ``d(x, A u x)`` that re-occupy
-    the vacated site.  Each row loses its total move rate on the diagonal:
-    minus the families applied to the constant vector, one strided
-    subtraction per family.  An application costs O(n 2^n) for the two
-    sweeps plus one strided add per family, about ``n |Omega_K| 2^(n-1)``
-    terms in at most ``2 n |Omega_K|`` families.
+    For each ``(x, A = omegas[j])`` of :func:`_site_grid` the deaths ``d(x,
+    A)`` send ``gamma`` to ``(gamma \\ x) u A``, and the target ``gamma u A``
+    collects the births ``b(x, A)`` with the deaths ``d(x, A u x)`` that
+    re-occupy the vacated site, looked up among the columns.  Each row loses
+    its total move rate on the diagonal: minus the families applied to the
+    constant vector, one strided subtraction per family.  An application
+    costs O(n 2^n) for the two sweeps plus one strided add per family,
+    about ``n |Omega_K| 2^(n-1)`` terms in at most ``2 n |Omega_K|`` families.
     """
     ground = kernel.ground
     w = ground.lp_weights(z)
-    x, avoid = _site_grid(kernel)
+    om = kernel.omegas
+    x, j = _site_grid(kernel)
+    avoid = om[j]
     enter = avoid | (1 << x)
-    families = _families(ground, x, avoid, kernel.death[x, avoid] * w[avoid],
-                         kernel.death[x, enter] * w[enter]
-                         + kernel.birth[x, avoid] * w[avoid])
+    # d(x, A u x) is no column when |A| = k_trunc: the rate is 0 there
+    col = np.minimum(np.searchsorted(om, enter), om.size - 1)
+    d_enter = np.where(om[col] == enter, kernel.death[x, col], 0.0)
+    families = _families(ground, x, avoid, kernel.death[x, j] * w[avoid],
+                         d_enter * w[enter] + kernel.birth[x, j] * w[avoid])
     diag = np.zeros(ground.n_subsets)
     for row, _, shape, strides, rate in families:
         view = np.ndarray(shape, float, diag, row, strides)
@@ -469,17 +483,18 @@ def hat_L_continuum_action(kernel, z=1.0):
     and ``z = 0`` that reach ``eta \\ x`` cancel, since ``d1(x, 0) = d(x)``
     and ``b1(x, 0) = b(x)``, and are left out.)
 
-    As move families: for each ``(x, xi)`` of :func:`_site_grid`, ``(d1 +
-    b1)(x, xi) wt(xi)`` moves ``eta`` to ``(eta \\ x) u xi`` (``xi != 0``)
-    and ``b1(x, xi) wt(xi)`` to ``eta u xi``; the diagonal is ``-(D + B)``.
-    :meth:`MoveOperator.dense` gives the matrix.
+    As move families: for each ``(x, xi = omegas[j])`` of :func:`_site_grid`,
+    ``(d1 + b1)(x, xi) wt(xi)`` moves ``eta`` to ``(eta \\ x) u xi`` (``xi
+    != 0``) and ``b1(x, xi) wt(xi)`` to ``eta u xi``; the diagonal is ``-(D
+    + B)``.  :meth:`MoveOperator.dense` gives the matrix.
     """
     ground = kernel.ground
     w = ground.lp_weights(z)
     dk = derive_kernels(kernel, z)
-    x, xi = _site_grid(kernel)
-    birth = dk.b1[x, xi] * w[xi]
-    stay = np.where(xi == 0, 0.0, dk.d1[x, xi] * w[xi] + birth)
+    x, j = _site_grid(kernel)
+    xi = kernel.omegas[j]
+    birth = dk.b1[x, j] * w[xi]
+    stay = np.where(xi == 0, 0.0, dk.d1[x, j] * w[xi] + birth)
     return MoveOperator(ground, _families(ground, x, xi, stay, birth),
                         -(dk.D + dk.B), False, "hatL_continuum_action")
 
@@ -502,37 +517,29 @@ def hat_L_bruteforce(kernel, z=1.0):
     return LatticeOperator(ground, M, "hatL_brute")
 
 
-def _split_kernel(kernel, z):
-    """Fold death moves that re-occupy the vacated site into a birth table.
+def _s_tables(kernel, z):
+    """``S[x, tau] = sum_{omega >= tau, x not in omega} ker(x, omega)
+    wt(omega)`` for the death and the effective birth table.
 
-    A death term with ``x in omega`` removes ``x`` and immediately restores
-    it, so it acts as a pure birth of ``omega \\ x``; the remaining death
-    moves never touch ``x``.  Returns ``(d_strict, b_eff)`` with both tables
-    supported on ``x not in omega``.
+    The kernel's columns are scattered into ``(n, 2^n)`` tables, under the
+    dense cap.  A death term with ``x in omega`` removes ``x`` and
+    immediately restores it, so it is folded into the birth table as a pure
+    birth of ``omega \\ x``; the remaining death moves never touch ``x``.
     """
     ground = kernel.ground
     n = ground.n_sites
     w = ground.lp_weights(z)
-    d_strict = np.array(kernel.death)
-    b_eff = np.array(kernel.birth)
+    d_strict, b_eff = np.zeros((2, n, ground.n_subsets))
+    d_strict[:, kernel.omegas] = kernel.death
+    b_eff[:, kernel.omegas] = kernel.birth
     masks = np.arange(ground.n_subsets)
     for x in range(n):
         xb = 1 << x
         has_x = (masks & xb) == xb
         lacks = masks[~has_x]
-        b_eff[x, lacks] += kernel.death[x, lacks | xb] * w[xb]
+        b_eff[x, lacks] += d_strict[x, lacks | xb] * w[xb]
         d_strict[x, has_x] = 0.0
         b_eff[x, has_x] = 0.0
-    return d_strict, b_eff
-
-
-def _s_tables(kernel, z):
-    """S[x, tau] = sum_{omega >= tau, x not in omega} ker(x, omega) wt(omega)."""
-    ground = kernel.ground
-    n = ground.n_sites
-    w = ground.lp_weights(z)
-    d_strict, b_eff = _split_kernel(kernel, z)
-    # both tables vanish beyond |omega| <= k_trunc, as the kernel's do
     return tuple(sweep(tab * w, range(n), superset=True)
                  for tab in (d_strict, b_eff))
 
@@ -614,16 +621,12 @@ def pairing(G, k, z=1.0):
     return float(np.dot(G.values * k.values, w))
 
 
-def _shifted_image(op, G, shift):
-    """``L^`` applied to ``G(. u shift)`` zero-padded off the subsets
-    disjoint from ``shift``; read it on those subsets only.
-
-    There it equals ``M[free, free] @ G[free u shift]`` for a matrix ``M``,
-    because the padded vector vanishes off ``free``.
-    """
-    masks = np.arange(op.ground.n_subsets)
-    padded = np.where(masks & shift, 0.0, G.values[masks | shift])
-    return op.apply(SetFunction(op.ground, padded)).values
+def _padded(G, shifts):
+    """Row ``r``: ``G(. u shifts[r])`` on the subsets disjoint from the
+    shift, zero elsewhere; one index operation for the whole stack."""
+    masks = np.arange(G.ground.n_subsets)
+    shifts = np.asarray(shifts)[:, None]
+    return np.where(masks & shifts, 0.0, G.values[masks | shifts])
 
 
 def check_derivation(op, G, eta, xi):
@@ -631,33 +634,30 @@ def check_derivation(op, G, eta, xi):
 
     Compares ``(L^G)(eta u xi)`` with the sum of the operator applied to the
     two shifted functions ``G(. u xi)`` and ``G(. u eta)``, each restricted
-    to subsets disjoint from its shift.  Three applications of the operator.
+    to subsets disjoint from its shift (see :func:`_padded`).  One
+    application of the operator to the stack of ``G`` and the two shifts.
     """
     em = eta.mask if isinstance(eta, Configuration) else int(eta)
     xm = xi.mask if isinstance(xi, Configuration) else int(xi)
     if em & xm:
         raise ValidationError("derivation check needs disjoint arguments")
-    lhs = float(op.apply(G).values[em | xm])
-    rhs = float(_shifted_image(op, G, xm)[em] + _shifted_image(op, G, em)[xm])
-    return abs(lhs - rhs)
+    LG, at_xi, at_eta = op._apply_rows(_padded(G, [0, xm, em]))
+    return abs(float(LG[em | xm]) - float(at_xi[em] + at_eta[xm]))
 
 
 def derivation_residual_max(op, G):
     """Exhaustive dual-sum residual over every disjoint pair on the lattice.
 
-    Row ``s`` of the table ``T`` is the shifted image of shift ``s``, so the
-    residual at a disjoint pair ``(s, m)`` is ``(L^G)(s u m) - T[s, m] -
-    T[m, s]``.  The table holds 4^n floats, so the dense cap applies.
+    Row ``s`` of the table ``T`` is the operator's image of the padded shift
+    ``s`` (row 0 is ``L^G``), all rows in one application, so the residual
+    at a disjoint pair ``(s, m)`` is ``T[0, s u m] - T[s, m] - T[m, s]``.
+    The table holds 4^n floats, so the dense cap applies.
     """
     _check_dense(op.ground, "the exhaustive derivation check")
-    LG = op.apply(G).values
-    nsub = op.ground.n_subsets
-    T = np.zeros((nsub, nsub))
-    for shift in range(nsub):
-        T[shift] = _shifted_image(op, G, shift)
-    masks = np.arange(nsub)
+    masks = np.arange(op.ground.n_subsets)
+    T = op._apply_rows(_padded(G, masks))
     s, m = np.nonzero((masks[:, None] & masks) == 0)
-    return float(np.max(np.abs(LG[s | m] - T[s, m] - T[m, s])))
+    return float(np.max(np.abs(T[0, s | m] - T[s, m] - T[m, s])))
 
 
 def check_adjoint_leibniz(op, k1, k2, z=1.0):

@@ -7,9 +7,7 @@ from confpp.generators import BirthDeathKernel
 
 def pure_death_kernel(ground):
     """Unit per-point death, no birth."""
-    n = ground.n_sites
-    death = np.zeros((n, ground.n_subsets))
-    death[:, 0] = 1.0
+    death = np.ones((ground.n_sites, 1))  # the one column, omega = 0
     return BirthDeathKernel(ground, death, np.zeros_like(death), 0)
 
 

@@ -221,6 +221,23 @@ def superset_contraction(table, ground, z):
     return out
 
 
+def dense_tables(kernel):
+    """``(death, birth)`` scattered into ``(n, 2^n)`` tables.
+
+    Column ``j`` of a kernel table holds the rates at the ``j``-th mask, in
+    ascending order, of those with at most ``k_trunc`` sites.
+    """
+    n = kernel.ground.n_sites
+    masks = [m for m in range(1 << n) if bin(m).count("1") <= kernel.k_trunc]
+    out = []
+    for tab in (kernel.death, kernel.birth):
+        dense = np.zeros((n, 1 << n))
+        for j, m in enumerate(masks):
+            dense[:, m] = tab[:, j]
+        out.append(dense)
+    return tuple(out)
+
+
 def generator_value(kernel, F, gamma, z=1.0):
     """``(LF)(gamma)`` of the birth-death generator at one mask ``gamma``.
 
@@ -230,6 +247,7 @@ def generator_value(kernel, F, gamma, z=1.0):
     """
     ground = kernel.ground
     w = product_weights(ground, z)
+    death, birth = dense_tables(kernel)
     vals = F.values
     total = 0.0
     for x in range(ground.n_sites):
@@ -238,11 +256,11 @@ def generator_value(kernel, F, gamma, z=1.0):
         rest = gamma & ~(1 << x)
         for om in range(ground.n_subsets):
             if not om & rest:
-                total += kernel.death[x, om] * w[om] * (vals[rest | om]
-                                                        - vals[gamma])
+                total += death[x, om] * w[om] * (vals[rest | om]
+                                                 - vals[gamma])
             if not om & gamma:
-                total += kernel.birth[x, om] * w[om] * (vals[gamma | om]
-                                                        - vals[gamma])
+                total += birth[x, om] * w[om] * (vals[gamma | om]
+                                                 - vals[gamma])
     return float(total)
 
 
@@ -258,8 +276,8 @@ def continuum_matrix(kernel, z):
     """
     ground = kernel.ground
     n, nsub = ground.n_sites, ground.n_subsets
-    cd = superset_contraction(kernel.death, ground, z)
-    cb = superset_contraction(kernel.birth, ground, z)
+    cd, cb = (superset_contraction(tab, ground, z)
+              for tab in dense_tables(kernel))
     M = np.zeros((nsub, nsub))
     for eta in range(nsub):
         free = (nsub - 1) & ~eta

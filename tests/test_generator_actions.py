@@ -25,10 +25,10 @@ import oracles
 from conftest import pure_death_kernel
 from confpp.core import DiscreteGround, SetFunction, power_function
 from confpp.errors import CapacityError
-from confpp.generators import (BRUTEFORCE_MAX_SITES, KERNEL_MAX_SITES,
-                               BirthDeathKernel, LatticeOperator,
-                               adjoint_hat_L, check_derivation,
-                               contact_kernel, derivation_residual_max,
+from confpp.generators import (BRUTEFORCE_MAX_SITES, BirthDeathKernel,
+                               LatticeOperator, adjoint_hat_L,
+                               check_derivation, contact_kernel,
+                               derivation_residual_max, derive_kernels,
                                hat_L_action, hat_L_bruteforce, hat_L_closed,
                                hat_L_continuum_action, invariance_residual,
                                kernel_from_entries, normalized_dispersal,
@@ -51,12 +51,12 @@ def _case(n, k_trunc, z, seed, zero):
     rng = np.random.default_rng(seed)
     g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
     if zero:
-        tab = np.zeros((n, g.n_subsets))
+        tab = np.zeros((n, int(np.sum(g.subset_size <= k_trunc))))
         ker = BirthDeathKernel(g, tab, tab, k_trunc)
     else:
         ker = random_kernel(g, k_trunc, rng)
-    rate = float(np.sum((ker.death + ker.birth)
-                        * oracles.product_weights(g, z)))
+    death, birth = oracles.dense_tables(ker)
+    rate = float(np.sum((death + birth) * oracles.product_weights(g, z)))
     G = SetFunction(g, rng.standard_normal(g.n_subsets))
     k = SetFunction(g, rng.standard_normal(g.n_subsets))
     return g, ker, rate, G, k
@@ -107,6 +107,24 @@ def test_continuum_action_matches_formula(n, k_trunc, z, seed, zero):
     dense = op.dense()
     assert np.max(np.abs(dense - want)) <= TOL * (np.max(np.abs(want))
                                                   + rate)
+
+
+@given(**CASES)
+@example(n=8, k_trunc=3, z=2.0, seed=3, zero=False)
+@example(n=6, k_trunc=None, z=0.5, seed=3, zero=False)
+@example(n=0, k_trunc=0, z=1.0, seed=3, zero=False)
+@settings(max_examples=40, deadline=None)
+def test_derived_kernels_match_superset_contraction(n, k_trunc, z, seed,
+                                                    zero):
+    # d1 and b1 on the kernel's columns against the superset sums of the
+    # densified tables, one superset at a time
+    g, ker, _, _, _ = _case(n, k_trunc, z, seed, zero)
+    dk = derive_kernels(ker, z)
+    om = np.nonzero(g.subset_size <= ker.k_trunc)[0]
+    w = oracles.product_weights(g, z)[om]
+    for got, tab in zip((dk.d1, dk.b1), oracles.dense_tables(ker)):
+        want = oracles.superset_contraction(tab, g, z)[:, om] / w
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 @pytest.mark.parametrize("n", [5, 8])
@@ -176,21 +194,19 @@ class TestCaps:
         with pytest.raises(CapacityError, match="limited to 12 sites"):
             derivation_residual_max(op, G)
 
-    def test_kernel_builders_stop_above_the_site_cap(self, monkeypatch):
-        n = KERNEL_MAX_SITES + 1
-        g = DiscreteGround((1.0,) * n)
-        a = np.ones((n, n)) - np.eye(n)
-        rng = np.random.default_rng(0)
 
-        def no_tables(*args, **kwargs):
-            raise AssertionError("kernel tables allocated above the cap")
-
-        monkeypatch.setattr(np, "zeros", no_tables)
-        for build in (lambda: kernel_from_entries(g, [], [], 1),
-                      lambda: random_kernel(g, 1, rng),
-                      lambda: contact_kernel(g, a)):
-            with pytest.raises(CapacityError, match="limited to 20 sites"):
-                build()
+def test_kernels_build_at_the_ground_cap():
+    # a kernel holds only its columns |omega| <= k_trunc, so the ground's
+    # 24-site cap is the only one on kernels and on the continuum action
+    n = 24
+    rng = np.random.default_rng(24)
+    g = DiscreteGround((1.0,) * n)
+    a = np.ones((n, n)) - np.eye(n)
+    entries = [{"x": 23, "omega": [0], "value": 0.5}]
+    assert kernel_from_entries(g, entries, [], 1).death[23, 1] == 0.5
+    assert random_kernel(g, 1, rng).death.shape == (n, n + 1)
+    op = hat_L_continuum_action(contact_kernel(g, a))
+    assert op.diag.shape == (g.n_subsets,)
 
 
 @pytest.mark.parametrize("n, cs", [pytest.param(16, (0.5, 1.0, 3.0), id="16"),

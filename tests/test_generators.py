@@ -22,18 +22,37 @@ G5 = DiscreteGround((0.7, 1.2, 0.5, 0.9, 1.1))
 
 class TestKernelValidation:
     def test_truncation_enforced(self):
+        # a table holds only the columns |omega| <= k_trunc, and the entry
+        # list rejects a wider omega
         n = G5.n_sites
         death = np.zeros((n, G5.n_subsets))
-        death[0, 0b111] = 1.0  # |omega| = 3 > k_trunc = 2
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="shape"):
             BirthDeathKernel(G5, death, np.zeros_like(death), 2)
+        wide = [{"x": 0, "omega": [0, 1, 2], "value": 1.0}]
+        with pytest.raises(ValidationError, match="k_trunc"):
+            kernel_from_entries(G5, wide, [], 2)
 
     def test_negative_rates_rejected(self):
         n = G5.n_sites
-        death = np.zeros((n, G5.n_subsets))
+        death = np.zeros((n, 1 + n))  # the columns of k_trunc = 1
         death[0, 0] = -1.0
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="negative"):
             BirthDeathKernel(G5, death, np.zeros_like(death), 1)
+
+    @pytest.mark.parametrize("entry, top", [
+        ({"x": 1.9}, {}), ({"x": True}, {}), ({"x": 5}, {}), ({"x": -1}, {}),
+        ({"omega": [0.5, 2.7]}, {}), ({"omega": [10]}, {}),
+        ({"omega": [-1]}, {}), ({"omega": [False]}, {}),
+        ({}, {"k_trunc": 2.9}), ({}, {"k_trunc": True}),
+        ({}, {"schema_version": 99})], ids=repr)
+    def test_json_boundary_rejects_bad_entries(self, entry, top):
+        row = {"x": 1, "omega": [0, 2], "value": 0.5}
+        data = {"schema_version": 1, "k_trunc": 2, "death": [row],
+                "birth": []}
+        assert kernel_from_json(G5, data).death.sum() == 0.5  # the base loads
+        data = dict(data, death=[dict(row, **entry)], **top)
+        with pytest.raises(ValidationError):
+            kernel_from_json(G5, data)
 
     def test_full_range_flag(self, rng):
         # k_trunc equal to the site count enables full-range kernels
@@ -121,7 +140,7 @@ class TestDerivedKernels:
     def test_bar_sums(self, rng):
         ker = random_kernel(G5, 2, rng)
         dk = derive_kernels(ker)
-        w = G5.lp_weights(1.0)
+        w = G5.lp_weights(1.0)[ker.omegas]
         assert np.allclose(dk.d_bar, ker.death @ w, atol=1e-12)
         assert np.allclose(dk.D[0b101], dk.d_bar[0] + dk.d_bar[2])
 
@@ -129,10 +148,11 @@ class TestDerivedKernels:
         ker = random_kernel(G5, 2, rng)
         dk = derive_kernels(ker)
         w = G5.lp_weights(1.0)
+        om = ker.omegas.tolist()
         x, xi = 1, 0b100
-        acc = sum(ker.death[x, om] * w[om & ~xi]
-                  for om in range(G5.n_subsets) if om & xi == xi)
-        assert dk.d1[x, xi] == pytest.approx(acc, rel=1e-12)
+        acc = sum(ker.death[x, j] * w[o & ~xi]
+                  for j, o in enumerate(om) if o & xi == xi)
+        assert dk.d1[x, om.index(xi)] == pytest.approx(acc, rel=1e-12)
 
 
 class TestConjugatedOperator:
