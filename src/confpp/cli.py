@@ -72,6 +72,10 @@ TASKS = {
 # config validation
 # ---------------------------------------------------------------------------
 
+_PARAMETER_TYPES = {int: ("integer", int), float: ("number", (int, float)),
+                    str: ("string", str)}
+
+
 def validate_config(doc):
     """Check an experiment config document; returns the normalized config."""
     if not isinstance(doc, dict):
@@ -95,7 +99,20 @@ def validate_config(doc):
     if need == "continuum" and not isinstance(ground, BoxWindow):
         raise ValidationError(f"task {task} needs a continuum window")
     params = dict(TASKS[task]["parameters"])
-    params.update(doc.get("parameters", {}))
+    given = doc.get("parameters", {})
+    if not isinstance(given, dict):
+        raise ValidationError("parameters must be a JSON object")
+    for key, value in given.items():
+        if key not in params:
+            raise ValidationError(
+                f"unknown parameter {key!r} for task {task}; allowed: "
+                f"{', '.join(sorted(params))}")
+        # the default's type fixes the accepted JSON type; bool is an int
+        name, kinds = _PARAMETER_TYPES[type(params[key])]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValidationError(f"parameter {key} must be a JSON {name}, "
+                                  f"got {value!r}")
+    params.update(given)
     plan = {"replicas": 2000, "burn_in": 10_000, "thinning": 10,
             "proposal_points": 64}
     plan.update(doc.get("plan", {}))
@@ -127,7 +144,7 @@ def _run_algebra_suite(cfg):
     from .transforms import (conv_disjoint, conv_union, exp_vector,
                              k_inverse, k_transform, minlos_pairing)
     ground = cfg["ground"]
-    trials = int(cfg["parameters"]["trials"])
+    trials = cfg["parameters"]["trials"]
     rng = split_streams(cfg["seed"], 1)[0]
     n = ground.n_subsets
     tol = 1e-10
@@ -204,14 +221,14 @@ def _run_generator_suite(cfg):
 
     worst = 0.0
     diff = None  # allocated by the first subtraction, after the size checks
-    for _ in range(int(params["kernels"])):
-        ker = random_kernel(ground, int(params["k_trunc"]), rng)
+    for _ in range(params["kernels"]):
+        ker = random_kernel(ground, params["k_trunc"], rng)
         diff = np.subtract(hat_L_closed(ker).matrix,
                            hat_L_bruteforce(ker).matrix, out=diff)
         worst = max(worst, float(np.abs(diff, out=diff).max()))
     results.append(_record("closed_vs_bruteforce", worst, 1e-10))
 
-    ker = random_kernel(ground, int(params["k_trunc"]), rng)
+    ker = random_kernel(ground, params["k_trunc"], rng)
     dk = derive_kernels(ker)
     results.append(_record(
         "first_order_death_consistency",
@@ -270,7 +287,7 @@ def _run_identity(cfg):
         z1, z2 = float(params["z1"]), float(params["z2"])
         model = Superposition(Poisson(z1), Poisson(z2))
         rep = count_distribution_check(model, window,
-                                       int(params["n_max"]), plan)
+                                       params["n_max"], plan)
         rng = split_streams(cfg["seed"] + 1, 1)[0]
         samples = sample_batch(model, window, rng, plan.replicas)
         lo, hi = window.box[0]
@@ -299,7 +316,7 @@ def _run_identity(cfg):
         else:
             raise ValidationError(f"unknown count model {kind!r}")
         rep = count_distribution_check(model, window,
-                                       int(params["n_max"]), plan)
+                                       params["n_max"], plan)
         return [{"check": f"counts_{kind}", "tv": rep["tv"],
                  "pass": rep["pass"], "per_n": rep["per_n"]}]
     raise ValidationError(f"unknown identity task {task}")

@@ -4,7 +4,7 @@ Two kinds of ground model coexist:
 
 * a *discrete* ground: a finite list of weighted sites, on which every
   function of finite configurations is a dense table indexed by subset
-  bitmask (bit ``i`` = site ``i``, little-endian);
+  bitmask (bit ``i`` = site ``i``, little-endian), as is a configuration;
 * a *continuum* window: an axis-aligned box carrying Lebesgue measure, on
   which configurations are finite sorted point sets and integrals are
   estimated by Monte Carlo.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -89,11 +89,6 @@ class DiscreteGround:
     def site_mass(self, i):
         return self.weights[i]
 
-    def validate_mask(self, mask):
-        if not 0 <= mask < self.n_subsets:
-            raise ValidationError(f"bitmask {mask} out of range for "
-                                  f"{self.n_sites} sites")
-
 
 @dataclass(frozen=True)
 class BoxWindow:
@@ -126,10 +121,6 @@ class BoxWindow:
         for lo, hi in self.box:
             v *= hi - lo
         return v
-
-    @property
-    def total_mass(self):
-        return self.volume
 
     def contains(self, point):
         if len(point) != len(self.box):
@@ -232,77 +223,86 @@ def _require_discrete(ground):
 
 @dataclass(frozen=True)
 class Configuration:
-    """A finite simple point set over a ground model.
+    """A finite subset of a discrete ground, as a bitmask.
 
-    On a discrete ground the points are a subset bitmask; on a continuum
-    window a strictly sorted tuple of coordinate tuples.  Duplicate points
-    are rejected, never merged.
+    ``Configuration(window, points=...)`` is the validating build of a
+    :class:`PointConfiguration`: the points must lie in the window and be
+    strictly sorted, so a repeated point is rejected, never merged.
     """
 
-    ground: object
+    ground: DiscreteGround
     mask: int = 0
-    points: tuple = ()
+
+    def __new__(cls, ground, mask=0, points=None):
+        if not isinstance(ground, BoxWindow):
+            if points is not None:
+                raise ValidationError("discrete configurations carry a "
+                                      "bitmask, not points")
+            return super().__new__(cls)
+        if mask:
+            raise ValidationError("continuum configurations carry points, "
+                                  "not a bitmask")
+        pts = () if points is None else tuple(
+            tuple(float(c) for c in p) for p in points)
+        for p in pts:
+            if not ground.contains(p):
+                raise ValidationError(f"point {p} outside the window")
+        for a, b in zip(pts, pts[1:]):
+            if a == b:
+                raise ValidationError(f"duplicate point {a}")
+            if a > b:
+                raise ValidationError("continuum points must be sorted")
+        return PointConfiguration(ground, pts)
 
     def __post_init__(self):
-        if isinstance(self.ground, DiscreteGround):
-            if self.points:
-                raise ValidationError("discrete configurations carry a bitmask, "
-                                      "not points")
-            self.ground.validate_mask(self.mask)
-        elif isinstance(self.ground, BoxWindow):
-            if self.mask:
-                raise ValidationError("continuum configurations carry points, "
-                                      "not a bitmask")
-            pts = tuple(tuple(float(c) for c in p) for p in self.points)
-            for p in pts:
-                if not self.ground.contains(p):
-                    raise ValidationError(f"point {p} outside the window")
-            for a, b in zip(pts, pts[1:]):
-                if a == b:
-                    raise ValidationError(f"duplicate point {a}")
-                if a > b:
-                    raise ValidationError("continuum points must be sorted")
-            object.__setattr__(self, "points", pts)
-        else:
+        if not isinstance(self.ground, DiscreteGround):
             raise ValidationError(f"not a ground model: {self.ground!r}")
+        if not 0 <= self.mask < self.ground.n_subsets:
+            raise ValidationError(f"bitmask {self.mask} out of range for "
+                                  f"{self.ground.n_sites} sites")
 
     def __len__(self):
-        if isinstance(self.ground, DiscreteGround):
-            return int(self.mask).bit_count()
-        return len(self.points)
+        return int(self.mask).bit_count()
 
     @property
     def sites(self):
-        """Site indices of a discrete configuration."""
-        _require_discrete(self.ground)
+        """Site indices in ascending order."""
         return tuple(i for i in range(self.ground.n_sites)
                      if self.mask >> i & 1)
 
-    @classmethod
-    def _unchecked(cls, ground, points):
-        """Continuum configuration built without ``__post_init__``.
+    def with_point(self, site):
+        """New configuration with one more site; occupied sites are errors."""
+        bit = 1 << site
+        if self.mask & bit:
+            raise ValidationError(f"site {site} already occupied")
+        return Configuration(self.ground, self.mask | bit)
 
-        Only for callers that keep the invariants themselves: ``points`` is
-        a strictly sorted tuple of float tuples inside ``ground``.
-        """
-        gamma = object.__new__(cls)
-        # the fields live in the instance dict; filling it directly skips
-        # the frozen __setattr__ as well as the validation
-        gamma.__dict__.update(ground=ground, mask=0, points=points)
-        return gamma
+    def without_point(self, site):
+        bit = 1 << site
+        if not self.mask & bit:
+            raise ValidationError(f"site {site} not occupied")
+        return Configuration(self.ground, self.mask & ~bit)
+
+
+@dataclass(frozen=True, slots=True)
+class PointConfiguration:
+    """A finite point set of a continuum window: ``points`` is a strictly
+    sorted tuple of float tuples inside ``ground``.  The constructor trusts
+    its caller; ``Configuration(window, points=...)`` is the validating build.
+    """
+
+    ground: BoxWindow
+    points: tuple = ()
+
+    def __len__(self):
+        return len(self.points)
 
     def with_point(self, p):
         """New configuration with one point added; duplicates are an error.
 
-        On a window only the added point is checked (inside, not already
-        present); the points already held were validated when this
-        configuration was built.
+        Only the added point is checked (inside, not already present); the
+        points already held keep the invariant.
         """
-        if isinstance(self.ground, DiscreteGround):
-            bit = 1 << p
-            if self.mask & bit:
-                raise ValidationError(f"site {p} already occupied")
-            return Configuration(self.ground, self.mask | bit)
         p = tuple(map(float, p))
         if not self.ground.contains(p):
             raise ValidationError(f"point {p} outside the window")
@@ -310,20 +310,15 @@ class Configuration:
         i = bisect.bisect_left(pts, p)
         if i < len(pts) and pts[i] == p:
             raise ValidationError(f"duplicate point {p}")
-        return Configuration._unchecked(self.ground, pts[:i] + (p,) + pts[i:])
+        return PointConfiguration(self.ground, pts[:i] + (p,) + pts[i:])
 
     def without_point(self, p):
-        if isinstance(self.ground, DiscreteGround):
-            bit = 1 << p
-            if not self.mask & bit:
-                raise ValidationError(f"site {p} not occupied")
-            return Configuration(self.ground, self.mask & ~bit)
         p = tuple(map(float, p))
         pts = self.points
         i = bisect.bisect_left(pts, p)
         if i == len(pts) or pts[i] != p:
             raise ValidationError(f"point {p} not in the configuration")
-        return Configuration._unchecked(self.ground, pts[:i] + pts[i + 1:])
+        return PointConfiguration(self.ground, pts[:i] + pts[i + 1:])
 
 
 def count_in(gamma, region):
@@ -508,7 +503,7 @@ def uniform_configuration(window, rng, n):
     if not all(lo <= min(col) and max(col) <= hi
                for col, (lo, hi) in zip(zip(*pts), window.box)):
         raise ValidationError("a drawn point lies outside the window")
-    return Configuration._unchecked(window, tuple(pts))
+    return PointConfiguration(window, tuple(pts))
 
 
 def _eval_continuum(G, gamma):

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BoxWindow, Configuration, split_streams,
-                   uniform_configuration)
+from .core import (BoxWindow, Configuration, PointConfiguration,
+                   split_streams, uniform_configuration)
 from .errors import OverlapError, StabilityError, ValidationError
 from .processes import (Gibbs, MixedPoisson, PapangelouSpec, Poisson,
                         Superposition, mixing_convolution, point_mass_mixing)
@@ -275,7 +275,7 @@ class _BirthDeathChain:
 
     The state is the sorted list of point tuples: it finds duplicates and
     indexes deaths in sorted order.  Each move makes one scalar call of the
-    spec on an unvalidated configuration of those tuples.
+    spec on a :class:`~confpp.core.PointConfiguration` of those tuples.
     """
 
     def __init__(self, spec, window, rng):
@@ -289,12 +289,24 @@ class _BirthDeathChain:
     def intensity(self, points, x):
         """``r(gamma, x)`` for the sorted points of gamma, checked against
         the stated bound ``r_max``."""
-        r = self.spec(Configuration._unchecked(self.window, tuple(points)), x)
+        r = self.spec(PointConfiguration(self.window, tuple(points)), x)
         if self.r_max is not None and r > self.r_max * (1 + 1e-12):
             raise StabilityError(
                 f"conditional intensity {r} exceeds the stated bound "
                 f"{self.r_max}")
         return r
+
+    def birth_ratio(self, points, x):
+        """Unclipped acceptance ratio ``r(gamma, x) vol / (n + 1)`` of adding
+        ``x`` to the ``n`` sorted points of gamma."""
+        return self.intensity(points, x) * self.vol / (len(points) + 1)
+
+    def death_ratio(self, points, i):
+        """Unclipped acceptance ratio ``n / (r(gamma \\ x, x) vol)`` of
+        removing ``x = points[i]`` from the ``n`` sorted points of gamma;
+        ``inf`` where ``r(gamma \\ x, x) = 0``."""
+        r = self.intensity(points[:i] + points[i + 1:], points[i])
+        return len(points) / (r * self.vol) if r > 0.0 else math.inf
 
     def step(self):
         """One birth--death proposal, applied in place."""
@@ -304,15 +316,15 @@ class _BirthDeathChain:
             i = bisect.bisect_left(pts, x)
             if i < n and pts[i] == x:
                 return
-            r = self.intensity(pts, x)
-            if rng.random() < min(1.0, r * self.vol / (n + 1)):
+            if rng.random() < min(1.0, self.birth_ratio(pts, x)):
                 pts.insert(i, x)
         else:  # death
             if not n:
                 return
             i = int(rng.integers(n))
-            r = self.intensity(pts[:i] + pts[i + 1:], pts[i])
-            if r <= 0.0 or rng.random() < min(1.0, n / (r * self.vol)):
+            ratio = self.death_ratio(pts, i)
+            # a point of zero intensity dies without a draw
+            if ratio == math.inf or rng.random() < min(1.0, ratio):
                 del pts[i]
 
 
@@ -341,19 +353,20 @@ def detailed_balance_residual(spec, plan, n_moves=200):
     """Machine-precision self-test of the birth--death acceptance ratios.
 
     For states along a short chain, the product of the unclipped birth ratio
-    at ``(gamma, x)`` and the unclipped death ratio at ``(gamma u x, x)``
-    must equal one identically.  Returns the maximum |product - 1|.
+    at ``(gamma, x)`` and the unclipped death ratio at ``(gamma u x, x)``,
+    each computed as the chain's moves compute it, must equal one
+    identically.  Returns the maximum |product - 1|.
     """
     rng = split_streams(plan.master_seed, 1)[0]
     chain = _BirthDeathChain(spec, plan.window, rng)
-    vol = chain.vol
     worst = 0.0
     for _ in range(n_moves):
-        r = chain.intensity(chain.points, plan.window.sample_point(rng))
-        if r > 0:
-            birth_ratio = r * vol / (len(chain.points) + 1)
-            death_ratio = (len(chain.points) + 1) / (r * vol)
-            worst = max(worst, abs(birth_ratio * death_ratio - 1.0))
+        pts, x = chain.points, plan.window.sample_point(rng)
+        birth = chain.birth_ratio(pts, x)
+        if birth > 0:
+            i = bisect.bisect_left(pts, x)
+            death = chain.death_ratio(pts[:i] + [x] + pts[i:], i)
+            worst = max(worst, abs(birth * death - 1.0))
         chain.step()
     return worst
 
@@ -424,7 +437,7 @@ def _insertion_values(h, gamma, array, proposals):
     pts, values = gamma.points, []
     for u in map(tuple, proposals.tolist()):
         i = bisect.bisect_left(pts, u)
-        values.append(h(Configuration._unchecked(
+        values.append(h(PointConfiguration(
             gamma.ground, pts[:i] + (u,) + pts[i:]), u))
     return np.array(values, dtype=float)
 
@@ -445,6 +458,26 @@ def _sum_in_order(values):
     return acc
 
 
+def _insertion_sides(states, h, window, rng, S, scale, spec=None):
+    """Paired sides of an insertion identity, one pair per state.
+
+    lhs is ``sum_{x in gamma} h(gamma, x)``; rhs is ``scale`` times the mean
+    over ``S`` uniform proposals u of ``h(gamma u {u}, u)``, times
+    ``r(gamma, u)`` when ``spec`` is given.  A state's proposals are drawn
+    from ``rng`` as soon as ``states`` yields that state.
+    """
+    lhs, rhs = [], []
+    for gamma in states:
+        lhs.append(math.fsum(h(gamma, x) for x in gamma.points))
+        array = _point_array(gamma)
+        proposals = _fresh(array, window.sample_uniform(rng, S))
+        terms = _insertion_values(h, gamma, array, proposals)
+        if spec is not None:
+            terms = terms * _intensities(spec, gamma, array, proposals)
+        rhs.append(scale * _sum_in_order(terms) / S)
+    return np.array(lhs), np.array(rhs)
+
+
 def verify_mecke(z, window, h, plan):
     """Verifier of the defining integral identity of the Poisson process.
 
@@ -454,17 +487,9 @@ def verify_mecke(z, window, h, plan):
     ``h`` may carry a batched form (see :func:`constant_h`).
     """
     rng = split_streams(plan.master_seed, 1)[0]
-    S = plan.proposal_points
-    vol = window.volume
-    lhs = np.empty(plan.replicas)
-    rhs = np.empty(plan.replicas)
-    for i in range(plan.replicas):
-        gamma = sample_poisson(window, z, rng)
-        lhs[i] = math.fsum(h(gamma, x) for x in gamma.points)
-        array = _point_array(gamma)
-        proposals = _fresh(array, window.sample_uniform(rng, S))
-        acc = _sum_in_order(_insertion_values(h, gamma, array, proposals))
-        rhs[i] = z * vol * acc / S
+    states = (sample_poisson(window, z, rng) for _ in range(plan.replicas))
+    lhs, rhs = _insertion_sides(states, h, window, rng,
+                                plan.proposal_points, z * window.volume)
     return _paired_report("mecke", lhs, rhs)
 
 
@@ -492,18 +517,9 @@ def verify_gnz(spec, h, plan):
     """
     streams = split_streams(plan.master_seed, 2)
     chain = sample_gibbs_bd(spec, plan, streams[0])
-    rng = streams[1]
-    S = plan.proposal_points
-    vol = plan.window.volume
-    lhs = np.empty(len(chain))
-    rhs = np.empty(len(chain))
-    for i, gamma in enumerate(chain):
-        lhs[i] = math.fsum(h(gamma, x) for x in gamma.points)
-        array = _point_array(gamma)
-        proposals = _fresh(array, plan.window.sample_uniform(rng, S))
-        terms = (_insertion_values(h, gamma, array, proposals)
-                 * _intensities(spec, gamma, array, proposals))
-        rhs[i] = vol * _sum_in_order(terms) / S
+    lhs, rhs = _insertion_sides(chain, h, plan.window, streams[1],
+                                plan.proposal_points, plan.window.volume,
+                                spec)
     se, n_eff = _batch_se(lhs - rhs)
     return _paired_report("gnz", lhs, rhs, se, n_eff)
 

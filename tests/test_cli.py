@@ -8,6 +8,7 @@ from confpp.errors import ValidationError
 DISCRETE = {"kind": "discrete",
             "weights": [0.7, 1.2, 0.5, 0.9, 1.1, 0.6]}
 BOX = {"kind": "continuum", "box": [[0.0, 1.0]]}
+GEN = "generator-suite"
 
 
 def _write(tmp_path, name, doc):
@@ -83,6 +84,36 @@ class TestExitCodes:
         assert main(["run", str(path), "--no-timestamp"]) == 2
         assert f"plan {field} must be a JSON integer" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, parameters, message", [
+        (GEN, {"k_trunc": 2.9}, "k_trunc must be a JSON integer"),
+        (GEN, {"kernels": 1.5}, "kernels must be a JSON integer"),
+        (GEN, {"kernels": True}, "kernels must be a JSON integer"),
+        (GEN, {"k_truc": 3}, "allowed: k_trunc, kernels"),
+        ("algebra-suite", {"trials": "25"}, "trials must be a JSON integer"),
+        ("identity:counts", {"n_max": 6.7}, "n_max must be a JSON integer"),
+        ("identity:counts", {"model": 3}, "model must be a JSON string"),
+        ("identity:counts", {"z": False}, "z must be a JSON number"),
+        ("identity:mecke", {"z": "2.0"}, "z must be a JSON number"),
+        ("identity:mecke", [["z", 2.0]], "parameters must be a JSON object"),
+    ])
+    def test_task_parameters_checked(self, tmp_path, capsys, task,
+                                     parameters, message):
+        ground = BOX if TASKS[task]["needs_ground"] == "continuum" \
+            else DISCRETE
+        path = _write(tmp_path, "params.json",
+                      {"name": "x", "ground": ground, "task": task,
+                       "seed": 1, "parameters": parameters,
+                       "plan": {"replicas": 10}})
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--no-timestamp"]) == 2
+        assert capsys.readouterr().err.count(message) == 2
+
+    def test_integer_accepted_for_float_parameter(self):
+        cfg = validate_config({"name": "x", "ground": BOX, "seed": 1,
+                               "task": "identity:mecke",
+                               "parameters": {"z": 2}})
+        assert cfg["parameters"] == {"z": 2}
 
     @pytest.mark.parametrize("parameters", [
         '{"model": "poisson", "z": NaN}',

@@ -1,14 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from confpp.core import (BoxWindow, Configuration, DiscreteGround, SetFunction,
-                         constant_function, count_in, indicator_empty,
-                         lp_integral, lp_integral_mc, lp_truncation_tail,
-                         make_ground, ground_to_json, power_function,
-                         split_streams)
+from confpp.core import (BoxWindow, Configuration, DiscreteGround,
+                         PointConfiguration, SetFunction, constant_function,
+                         count_in, indicator_empty, lp_integral,
+                         lp_integral_mc, lp_truncation_tail, make_ground,
+                         ground_to_json, power_function, split_streams,
+                         uniform_configuration)
 from confpp.errors import CapacityError, ValidationError
+from confpp.samplers import (RunPlan, sample_gibbs_bd, sample_poisson,
+                             strauss_spec)
 
 
 class TestDiscreteGround:
@@ -166,6 +170,52 @@ class TestConfiguration:
                 c.without_point(p)
         with pytest.raises(ValidationError):
             Configuration(w).without_point((0.5,))
+
+    def test_validated_build_is_the_point_type(self):
+        w = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
+        pts = ((0.2, 0.9), (0.5, 0.1))
+        c = Configuration(w, points=[list(p) for p in pts])
+        assert type(c) is PointConfiguration
+        assert c == PointConfiguration(w, pts)
+        assert hash(c) == hash(PointConfiguration(w, pts))
+        assert Configuration(w, points=np.array(pts)) == c
+        assert Configuration(w) == PointConfiguration(w)
+        assert type(c.with_point((0.3, 0.3))) is PointConfiguration
+        assert type(c.without_point((0.2, 0.9))) is PointConfiguration
+
+    def test_ground_kind_decides_the_type(self):
+        w = BoxWindow(((0.0, 1.0),))
+        g = DiscreteGround((1.0, 1.0, 1.0))
+        with pytest.raises(ValidationError, match="carry points"):
+            Configuration(w, mask=1)
+        with pytest.raises(ValidationError, match="carry a bitmask"):
+            Configuration(g, points=((0.5,),))
+        with pytest.raises(ValidationError, match="out of range"):
+            Configuration(g, 0b1000)
+        with pytest.raises(ValidationError, match="not a ground model"):
+            Configuration("ground", 0)
+        c = Configuration(g, 0b101)
+        assert type(c) is Configuration and len(c) == 2
+        assert not hasattr(c, "points")
+
+    @pytest.mark.parametrize("c, field", [
+        (Configuration(DiscreteGround((1.0, 1.0)), 0b01), "mask"),
+        (Configuration(BoxWindow(((0.0, 1.0),)), points=((0.5,),)), "points"),
+    ])
+    def test_immutable(self, c, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, field, getattr(c, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.ground = None
+
+    def test_samplers_build_the_point_type(self):
+        w = BoxWindow(((0.0, 1.0),))
+        rng = split_streams(1, 1)[0]
+        assert type(uniform_configuration(w, rng, 3)) is PointConfiguration
+        assert type(sample_poisson(w, 2.0, rng)) is PointConfiguration
+        chain = sample_gibbs_bd(strauss_spec(2.0, 0.5, 0.1),
+                                RunPlan(w, 5, 1, burn_in=20))
+        assert {type(gamma) for gamma in chain} == {PointConfiguration}
 
     def test_count_in(self):
         g = DiscreteGround((1.0,) * 4)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from confpp import samplers
 from confpp.core import BoxWindow, Configuration, split_streams
 from confpp.errors import OverlapError, StabilityError, ValidationError
 from confpp.processes import (MixedPoisson, PapangelouSpec, Poisson,
@@ -104,6 +105,17 @@ class TestSuperpose:
             superpose(a, a)
 
 
+def _death_ratio_wrong_count(chain, points, i):
+    """The death ratio with the count of gamma, not of gamma u x."""
+    r = chain.intensity(points[:i] + points[i + 1:], points[i])
+    return (len(points) - 1) / (r * chain.vol)
+
+
+def _death_ratio_r_with_x(chain, points, i):
+    """The death ratio with ``r(gamma u x, x)``: Strauss counts x itself."""
+    return len(points) / (chain.intensity(points, points[i]) * chain.vol)
+
+
 class TestGibbsSampler:
     def test_constant_rate_matches_poisson_counts(self):
         spec = PapangelouSpec(lambda gamma, x: 1.5, {"r_max": 1.5})
@@ -130,6 +142,15 @@ class TestGibbsSampler:
         res = detailed_balance_residual(strauss_spec(2.0, 0.5, 0.1),
                                         RunPlan(W, 10, 7, burn_in=200))
         assert res <= 1e-12
+
+    @pytest.mark.parametrize("wrong", [_death_ratio_wrong_count,
+                                       _death_ratio_r_with_x])
+    def test_detailed_balance_sees_a_wrong_death_ratio(self, monkeypatch,
+                                                       wrong):
+        monkeypatch.setattr(samplers._BirthDeathChain, "death_ratio", wrong)
+        res = detailed_balance_residual(strauss_spec(2.0, 0.5, 0.1),
+                                        RunPlan(W, 10, 7, burn_in=200))
+        assert res > 0.1
 
     def test_stability_error(self):
         lying = PapangelouSpec(lambda gamma, x: 2.0, {"r_max": 1.0})
