@@ -74,6 +74,8 @@ TASKS = {
 
 _PARAMETER_TYPES = {int: ("integer", int), float: ("number", (int, float)),
                     str: ("string", str)}
+# below these a suite runs no trial, kernel or count and would report a pass
+_PARAMETER_FLOORS = {"trials": 1, "kernels": 1, "n_max": 0}
 
 
 def validate_config(doc):
@@ -112,6 +114,9 @@ def validate_config(doc):
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ValidationError(f"parameter {key} must be a JSON {name}, "
                                   f"got {value!r}")
+        if key in _PARAMETER_FLOORS and value < _PARAMETER_FLOORS[key]:
+            raise ValidationError(f"parameter {key} must be at least "
+                                  f"{_PARAMETER_FLOORS[key]}, got {value!r}")
     params.update(given)
     plan = {"replicas": 2000, "burn_in": 10_000, "thinning": 10,
             "proposal_points": 64}

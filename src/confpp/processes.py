@@ -19,7 +19,7 @@ from .errors import (CapacityError, CocycleError, GroundMismatchError,
                      UndefinedConditionalError, ValidationError)
 from .transforms import conv_disjoint, norm_fit, ranked_products, sweep
 
-GIBBS_MAX_SITES = 16
+GIBBS_MAX_SITES = 17
 MIXING_GRID_POINTS = 512
 MIXING_TAIL_MASS = 1e-8
 
@@ -138,7 +138,7 @@ class PapangelouSpec:
     ``points`` holds the points of ``gamma`` in sorted order (an ``(n, d)``
     coordinate array on a window, the site indices on a discrete ground)
     and ``proposals`` holds the query points in the same layout.  The
-    verifiers use it for their proposal points when it is present; the
+    verifiers and :func:`papangelou_table` use it when present; the
     birth--death chain always makes one scalar call per step.
     """
 
@@ -165,6 +165,14 @@ class PapangelouSpec:
                     f"conditional intensity must be finite and nonnegative, "
                     f"got {value!r}")
         return values
+
+    def intensities(self, gamma, points, proposals):
+        """``r(gamma, u)`` for each ``u`` in ``proposals`` (as for ``batch``)."""
+        if self.batch is not None:
+            return self.batched(points, proposals)
+        rows = proposals.tolist()
+        queries = map(tuple, rows) if proposals.ndim > 1 else rows
+        return np.array([self(gamma, u) for u in queries], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -243,42 +251,52 @@ def poisson_table(ground, z):
     return DiscreteTable(ground, w / w.sum())
 
 
-def gibbs_table(ground, spec, tol=1e-9):
-    """Flatten a Papangelou evaluator by telescoping energies from the void.
+def papangelou_table(ground, spec):
+    """``R[x, gamma] = r(gamma, x)``, and 0 for ``x`` in ``gamma``: one
+    :meth:`PapangelouSpec.intensities` call per mask for all its free sites.
+    The site cap is checked before any allocation or evaluator call."""
+    if ground.n_sites > GIBBS_MAX_SITES:
+        raise CapacityError(f"Gibbs tables limited to {GIBBS_MAX_SITES} sites")
+    sites = np.arange(ground.n_sites)
+    held = (np.arange(ground.n_subsets)[:, np.newaxis] >> sites & 1) == 1
+    R = np.zeros((sites.size, ground.n_subsets))
+    for mask, (on, off) in enumerate(zip(held, ~held)):
+        R[off, mask] = spec.intensities(Configuration(ground, mask), sites[on],
+                                        sites[off])
+    return R
 
-    ``u(gamma u x) = u(gamma) r(gamma, x) m(x)``, built up the lattice along
-    lowest-bit insertion paths; every alternative last-insertion is checked
-    for path independence (the cocycle condition) before normalizing.  That
-    is O(n^2 2^n) evaluator calls, hence the cap of ``GIBBS_MAX_SITES``.
+
+def gibbs_table(ground, spec):
+    """Flatten a Papangelou evaluator by telescoping from the void.
+
+    The cocycle ``R[x, g] R[y, g u x] = R[y, g] R[x, g u y]`` of
+    :func:`papangelou_table` must hold to 1e-9 relative for every ``g`` and
+    ``x < y`` outside it, or :class:`CocycleError` names a failing mask.
+    Then ``u(g u x) = u(g) R[x, g] m_x`` fills the masks of lowest bit ``i``
+    as one strided slice, from the highest bit down.
     """
-    n = ground.n_sites
-    if n > GIBBS_MAX_SITES:
-        raise CapacityError(f"gibbs_table limited to {GIBBS_MAX_SITES} sites")
+    return _gibbs_law(ground, papangelou_table(ground, spec))
+
+
+def _gibbs_law(ground, R):
+    """:func:`gibbs_table` from a :func:`papangelou_table`."""
+    for y in range(ground.n_sites):
+        for x in range(y):  # masks as (high, bit y, middle, bit x, low)
+            rx, ry = (R[i].reshape(-1, 2, 1 << y - x - 1, 2, 1 << x)
+                      for i in (x, y))
+            lhs = rx[:, 0, :, 0] * ry[:, 0, :, 1]  # R[x, g] R[y, g u x]
+            rhs = ry[:, 0, :, 0] * rx[:, 1, :, 0]  # R[y, g] R[x, g u y]
+            bad = ~(abs(lhs - rhs) <= 1e-9 * np.maximum(lhs, rhs))  # and NaN
+            if bad.any():
+                high, mid, low = np.unravel_index(np.argmax(bad), bad.shape)
+                raise CocycleError(f"intensities are path-dependent at mask "
+                                   f"{high << y + 1 | mid << x + 1 | low:#b} "
+                                   f"for sites {x} and {y}")
     u = np.zeros(ground.n_subsets)
     u[0] = 1.0
-    order = np.argsort(ground.subset_size, kind="stable")
-    for gamma in order:
-        gamma = int(gamma)
-        if gamma == 0:
-            continue
-        low = gamma & -gamma
-        x = low.bit_length() - 1
-        prev = gamma & ~low
-        u[gamma] = (u[prev]
-                    * spec(Configuration(ground, prev), x)
-                    * ground.site_mass(x))
-        for y in range(n):
-            bit = 1 << y
-            if bit == low or not gamma & bit:
-                continue
-            alt = (u[gamma & ~bit]
-                   * spec(Configuration(ground, gamma & ~bit), y)
-                   * ground.site_mass(y))
-            scale = max(abs(u[gamma]), abs(alt), 1e-300)
-            if abs(alt - u[gamma]) > tol * scale:
-                raise CocycleError(
-                    "conditional intensities are path-dependent at mask "
-                    f"{gamma:#b} (relative gap {abs(alt - u[gamma]) / scale:.3e})")
+    for i in reversed(range(ground.n_sites)):
+        u[1 << i::2 << i] = (u[0::2 << i] * R[i, 0::2 << i]
+                             * ground.site_mass(i))
     return DiscreteTable(ground, u / u.sum())
 
 
@@ -475,23 +493,34 @@ def uniqueness_diagnostic(k, N):
 
 def papangelou_of_table(table, gamma, x):
     """Discrete conditional intensity ``mu(gamma u x) / (mu(gamma) m(x))``."""
-    g = gamma.mask
-    bit = 1 << int(x)
+    ground = table.ground
+    if gamma.ground != ground:
+        raise GroundMismatchError("configuration and table on different grounds")
+    if not (isinstance(x, (int, np.integer)) and 0 <= x < ground.n_sites):
+        raise ValidationError(f"site {x!r} is not an integer in range")
+    g, x = gamma.mask, int(x)
+    bit = 1 << x
     if g & bit:
         raise ValidationError("site already occupied")
     p = table.probs[g]
     if p <= 0.0:
         raise UndefinedConditionalError(
             f"conditioning configuration {g:#b} has zero mass")
-    return float(table.probs[g | bit] / (p * table.ground.site_mass(int(x))))
+    return float(table.probs[g | bit] / (p * ground.site_mass(x)))
 
 
 def pairwise_gibbs_spec(ground, couplings, z=1.0):
-    """Pairwise-energy model: ``r(gamma, x) = z exp(-sum_{y in gamma} J[x,y])``."""
+    """Pairwise-energy model: ``r(gamma, x) = z exp(-sum_{y in gamma} J[x,y])``.
+
+    A coupling of ``+inf`` is a hard core."""
     J = np.asarray(couplings, dtype=float)
     n = ground.n_sites
-    if J.shape != (n, n) or not np.allclose(J, J.T, atol=1e-12):
-        raise ValidationError("couplings must be a symmetric site matrix")
+    if not 0 < z < math.inf:  # NaN fails too
+        raise ValidationError("activity z must be positive and finite")
+    if (J.shape != (n, n) or not np.all(J > -math.inf)  # NaN fails too
+            or not np.allclose(J, J.T, atol=1e-12)):
+        raise ValidationError("couplings must be a symmetric site matrix "
+                              "above -inf, without NaN")
 
     def evaluator(gamma, x):
         energy = sum(J[x, y] for y in gamma.sites)
@@ -508,30 +537,35 @@ def pairwise_gibbs_spec(ground, couplings, z=1.0):
                           batch=batch)
 
 
-def check_cocycle(spec, samples, tol=1e-9):
-    """Max relative defect of ``r(g u y, x) r(g, y) = r(g u x, y) r(g, x)``."""
-    worst = 0.0
-    for gamma, x, y in samples:
-        lhs = spec(gamma.with_point(y), x) * spec(gamma, y)
-        rhs = spec(gamma.with_point(x), y) * spec(gamma, x)
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst, worst <= tol
+def _convolution_sides(mu1, mu2, R1, R2):
+    """The two sides of :func:`gibbs_convolution_check`'s identity, as
+    ``(n, 2^n)`` tables that are 0 where ``x`` is in ``gamma``."""
+    g = mu1.ground
+    rho = convolve_measures(mu1, mu2).disjoint_part()
+    f1, f2 = SetFunction(g, mu1.probs), SetFunction(g, mu2.probs)
+    lhs, rhs = np.zeros_like(R1), np.zeros_like(R1)
+    for x in range(g.n_sites):
+        rhs[x] = (conv_disjoint(SetFunction(g, mu1.probs * R1[x]), f2).values
+                  + conv_disjoint(f1, SetFunction(g, mu2.probs * R2[x])).values)
+        shape = (-1, 2, 1 << x)  # masks as (high bits, bit x, low bits)
+        lhs[x].reshape(shape)[:, 0] = rho.reshape(shape)[:, 1] / g.site_mass(x)
+        rhs[x].reshape(shape)[:, 1] = 0.0
+    return lhs, rhs
 
 
-def additivity_residual(r1, r2, samples):
-    """Necessary-condition probe for additivity of convolved intensities.
+def gibbs_convolution_check(ground, spec1, spec2):
+    """Exact certificate of the Gibbs convolution identity on the lattice.
 
-    Each sample ``(gamma_plus, gamma_minus, x, y)`` evaluates the product of
-    the three bracketed factors; returns summary statistics of ``|residual|``.
+    With ``mu_i = gibbs_table(ground, spec_i)``, the disjoint part ``rho`` of
+    ``mu1 * mu2`` satisfies ``rho(gamma u x) / m_x = sum_{g1 u g2 = gamma
+    disjoint} mu1(g1) mu2(g2) [r1(g1, x) + r2(g2, x)]`` for ``x`` not in
+    ``gamma`` (Nguyen & Zessin, 1979).  Returns ``(residual, gamma, x)``: the
+    largest gap relative to the largest left side, at the least ``x``, then
+    the least ``gamma``, where it occurs.
     """
-    values = []
-    for gp, gm, x, y in samples:
-        first = r1(gp, x) * r2(gm, x)
-        middle = r1(gp, x) * r2(gm, y) - r1(gp, y) * r2(gm, x)
-        last = (r1(gp.with_point(x), y) * r2(gm, y)
-                - r2(gm.with_point(x), y) * r1(gp, y))
-        values.append(abs(first * middle * last))
-    arr = np.array(values) if values else np.zeros(1)
-    return {"max": float(arr.max()), "mean": float(arr.mean()),
-            "count": len(values)}
+    R1, R2 = papangelou_table(ground, spec1), papangelou_table(ground, spec2)
+    lhs, rhs = _convolution_sides(_gibbs_law(ground, R1),
+                                  _gibbs_law(ground, R2), R1, R2)
+    gap = np.abs(lhs - rhs)
+    x, gamma = map(int, np.unravel_index(np.argmax(gap), gap.shape))
+    return float(gap[x, gamma] / lhs.max()), Configuration(ground, gamma), x

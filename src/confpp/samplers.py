@@ -442,14 +442,6 @@ def _insertion_values(h, gamma, array, proposals):
     return np.array(values, dtype=float)
 
 
-def _intensities(spec, gamma, array, proposals):
-    """``r(gamma, u)`` for each proposal row u."""
-    if spec.batch is not None:
-        return spec.batched(array, proposals)
-    return np.array([spec(gamma, u) for u in map(tuple, proposals.tolist())],
-                    dtype=float)
-
-
 def _sum_in_order(values):
     """Left-to-right sum, so batched and scalar paths round alike."""
     acc = 0.0
@@ -473,7 +465,7 @@ def _insertion_sides(states, h, window, rng, S, scale, spec=None):
         proposals = _fresh(array, window.sample_uniform(rng, S))
         terms = _insertion_values(h, gamma, array, proposals)
         if spec is not None:
-            terms = terms * _intensities(spec, gamma, array, proposals)
+            terms = terms * spec.intensities(gamma, array, proposals)
         rhs.append(scale * _sum_in_order(terms) / S)
     return np.array(lhs), np.array(rhs)
 

@@ -7,14 +7,17 @@ Array-valued oracles take and return plain value tables, so that the same
 call on ``abs`` of the inputs gives the sum of the absolute values of the
 terms, the scale that rounding in the fast paths is judged against.
 :func:`cell_moments` is the continuum counterpart: the point-by-point loop
-that the batched correlation estimator replaced.
+that the batched correlation estimator replaced.  :func:`gibbs_table` and
+:func:`gibbs_convolution_rhs` are the one-query-at-a-time forms of the
+lattice Gibbs layer.
 """
 
 import math
 
 import numpy as np
 
-from confpp.core import SetFunction
+from confpp.core import Configuration, SetFunction
+from confpp.errors import CocycleError
 
 
 def k_transform_naive(G):
@@ -311,3 +314,54 @@ def cell_moments(samples, cells):
             prod *= sum(1 for p in gamma.points if c.contains(p))
         vals[i] = prod / vols
     return vals
+
+
+def gibbs_table(ground, spec, tol=1e-9):
+    """Gibbs law of ``spec`` by a scalar double loop, one mask at a time.
+
+    ``u(gamma) = u(gamma - low) r(gamma - low, low) m_low`` along the
+    lowest-bit insertion path, in order of size; every other last insertion
+    ``y`` must give the same weight to ``tol`` relative, or
+    :class:`CocycleError` is raised.  One evaluator call and one
+    :class:`Configuration` per (mask, site).  Returns the normalized weights.
+    """
+    u = np.zeros(ground.n_subsets)
+    u[0] = 1.0
+    for gamma in np.argsort(ground.subset_size, kind="stable").tolist():
+        if gamma == 0:
+            continue
+        low = gamma & -gamma
+        x = low.bit_length() - 1
+        prev = gamma & ~low
+        u[gamma] = (u[prev] * spec(Configuration(ground, prev), x)
+                    * ground.site_mass(x))
+        for y in range(ground.n_sites):
+            bit = 1 << y
+            if bit == low or not gamma & bit:
+                continue
+            alt = (u[gamma & ~bit] * spec(Configuration(ground, gamma & ~bit), y)
+                   * ground.site_mass(y))
+            if abs(alt - u[gamma]) > tol * max(abs(u[gamma]), abs(alt), 1e-300):
+                raise CocycleError(f"path-dependent at mask {gamma:#b}")
+    return u / u.sum()
+
+
+def gibbs_convolution_rhs(mu1, mu2, R1, R2):
+    """``sum_{g1 u g2 = gamma disjoint} mu1(g1) mu2(g2) [R1[x, g1] + R2[x, g2]]``.
+
+    Every split of every mask, one at a time, for all sites ``x`` at once;
+    0 where ``x`` is in ``gamma``.  Calls no convolution and no sweep.
+    """
+    n_sites, n_subsets = R1.shape
+    out = np.zeros(R1.shape)
+    for gamma in range(n_subsets):
+        g1 = gamma
+        while True:
+            g2 = gamma ^ g1
+            out[:, gamma] += mu1[g1] * mu2[g2] * (R1[:, g1] + R2[:, g2])
+            if g1 == 0:
+                break
+            g1 = (g1 - 1) & gamma
+    for x in range(n_sites):
+        out[x, [g for g in range(n_subsets) if g >> x & 1]] = 0.0
+    return out

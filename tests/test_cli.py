@@ -96,6 +96,10 @@ class TestExitCodes:
         ("identity:counts", {"z": False}, "z must be a JSON number"),
         ("identity:mecke", {"z": "2.0"}, "z must be a JSON number"),
         ("identity:mecke", [["z", 2.0]], "parameters must be a JSON object"),
+        # each would run nothing and report a pass
+        (GEN, {"kernels": 0}, "kernels must be at least 1, got 0"),
+        ("algebra-suite", {"trials": 0}, "trials must be at least 1, got 0"),
+        ("identity:counts", {"n_max": -1}, "n_max must be at least 0, got -1"),
     ])
     def test_task_parameters_checked(self, tmp_path, capsys, task,
                                      parameters, message):

@@ -11,20 +11,28 @@ from confpp.core import (Configuration, DiscreteGround, SetFunction,
                          indicator_empty, power_function)
 from confpp.errors import (CapacityError, CocycleError, GroundMismatchError,
                            UndefinedConditionalError, ValidationError)
+from confpp import processes
 from confpp.processes import (GIBBS_MAX_SITES, DiscreteTable, Gibbs,
                               MixedPoisson, MixingDensity, PapangelouSpec,
-                              Poisson, Superposition, additivity_residual,
-                              check_cocycle, convolve_measures,
+                              Poisson, Superposition, convolve_measures,
                               correlation_functional, exponential_mixing,
-                              gamma_mixing, gibbs_table, lenard_pd_check,
+                              gamma_mixing, gibbs_convolution_check,
+                              gibbs_table, lenard_pd_check,
                               mixing_convolution, papangelou_of_table,
-                              pairwise_gibbs_spec, point_mass_mixing,
-                              poisson_table, projection_density,
-                              recover_correlation, to_discrete_table,
-                              uniqueness_diagnostic)
+                              papangelou_table, pairwise_gibbs_spec,
+                              point_mass_mixing, poisson_table,
+                              projection_density, recover_correlation,
+                              to_discrete_table, uniqueness_diagnostic)
 from confpp.transforms import conv_disjoint
 
 G4 = DiscreteGround((0.7, 1.2, 0.5, 0.9))
+
+
+def _random_pairwise(rng, ground, z, low=-0.5, high=1.0):
+    """Pairwise spec with symmetric couplings drawn from ``[low, high)``."""
+    n = ground.n_sites
+    J = rng.uniform(low, high, (n, n))
+    return pairwise_gibbs_spec(ground, J + J.T, z=z)
 
 
 def _split_support_tables(ground, rng, split_mask):
@@ -162,28 +170,90 @@ class TestTables:
     def test_gibbs_table_stops_above_the_site_cap(self, monkeypatch):
         g = DiscreteGround((1.0,) * (GIBBS_MAX_SITES + 1))
 
-        def never(gamma, x):
+        def never(*args):
             raise AssertionError("evaluator called above the cap")
 
         def no_table(*args, **kwargs):
             raise AssertionError("table allocated above the cap")
 
-        spec = PapangelouSpec(never)
+        spec = PapangelouSpec(never, batch=never)
         monkeypatch.setattr(np, "zeros", no_table)
-        with pytest.raises(CapacityError, match="limited to 16 sites"):
-            gibbs_table(g, spec)
+        monkeypatch.setattr(np, "arange", no_table)
+        for build in (papangelou_table, gibbs_table):
+            with pytest.raises(CapacityError,
+                               match=f"limited to {GIBBS_MAX_SITES} sites"):
+                build(g, spec)
+        with pytest.raises(CapacityError):
+            gibbs_convolution_check(g, spec, spec)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_gibbs_table_matches_the_scalar_loop(self, n):
+        """Bit for bit: the batched and the scalar-only forms alike."""
+        rng = np.random.default_rng(n)
+        g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
+        pair = _random_pairwise(rng, g, 0.8)
+        specs = (pair, PapangelouSpec(pair.evaluator),
+                 PapangelouSpec(lambda gamma, x: 1.3),
+                 PapangelouSpec(lambda gamma, x: 1.3,
+                                batch=lambda points, proposals:
+                                np.full(len(proposals), 1.3)))
+        for spec in specs:
+            assert np.array_equal(gibbs_table(g, spec).probs,
+                                  oracles.gibbs_table(g, spec))
+
+    def test_papangelou_table_layout(self):
+        spec = _random_pairwise(np.random.default_rng(3), G4, 0.9)
+        R = papangelou_table(G4, spec)
+        assert R.shape == (4, 16)
+        for mask in range(16):
+            for x in range(4):
+                want = (0.0 if mask >> x & 1
+                        else spec(Configuration(G4, mask), x))
+                assert R[x, mask] == want
+
+    def test_hard_core(self):
+        J = np.zeros((4, 4))
+        J[0, 1] = J[1, 0] = math.inf
+        T = gibbs_table(G4, pairwise_gibbs_spec(G4, J, z=1.5))
+        both = [m for m in range(16) if m & 0b11 == 0b11]
+        assert np.all(T.probs[both] == 0.0)
+        assert np.all(np.delete(T.probs, both) > 0.0)
 
     def test_path_dependent_rates_rejected(self):
         bad = PapangelouSpec(
             lambda gamma, x: 1.0 + 0.5 * (len(gamma) % 2) * (x == 0))
         with pytest.raises(CocycleError):
             gibbs_table(G4, bad)
+        with pytest.raises(CocycleError):
+            oracles.gibbs_table(G4, bad)
 
     def test_cocycle_check(self):
+        """Every square is checked, and the first failing one is named."""
+        def rates(gap):
+            # the entry R[3, {2}] lies in the squares ({2}, x, 3) for x = 0
+            # and 1; the check meets y = 3, x = 0 first
+            return PapangelouSpec(lambda gamma, x: 1.0 + gap * (
+                (gamma.mask, x) == (0b100, 3)))
+
+        with pytest.raises(CocycleError,
+                           match="at mask 0b100 for sites 0 and 3"):
+            gibbs_table(G4, rates(1e-7))
+        gibbs_table(G4, rates(1e-11))  # within the 1e-9 tolerance
         spec = pairwise_gibbs_spec(G4, np.zeros((4, 4)), z=2.0)
-        samples = [(Configuration(G4, 0b0011), 2, 3)]
-        worst, ok = check_cocycle(spec, samples)
-        assert ok and worst < 1e-12
+        assert np.max(np.abs(gibbs_table(G4, spec).probs
+                             - poisson_table(G4, 2.0).probs)) < 1e-15
+
+    @pytest.mark.parametrize("z", [math.nan, -1.0, 0.0, math.inf])
+    def test_pairwise_rejects_bad_activity(self, z):
+        with pytest.raises(ValidationError, match="activity"):
+            pairwise_gibbs_spec(G4, np.zeros((4, 4)), z=z)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_pairwise_rejects_bad_couplings(self, bad):
+        J = np.zeros((4, 4))
+        J[0, 1] = J[1, 0] = bad
+        with pytest.raises(ValidationError, match="couplings"):
+            pairwise_gibbs_spec(G4, J)
 
 
 class TestCorrelation:
@@ -438,30 +508,102 @@ class TestPapangelou:
         with pytest.raises(ValidationError):
             papangelou_of_table(T, Configuration(G4, 0b1), 0)
 
+    @pytest.mark.parametrize("x", [7, 4, -1, 2.5, "1", None])
+    def test_site_must_be_an_integer_in_range(self, x):
+        T = poisson_table(G4, 1.0)
+        with pytest.raises(ValidationError, match="not an integer in range"):
+            papangelou_of_table(T, Configuration(G4, 0), x)
+
+    def test_numpy_integer_site(self):
+        T = poisson_table(G4, 0.8)
+        assert papangelou_of_table(T, Configuration(G4, 0b1),
+                                   np.int64(2)) == pytest.approx(0.8)
+
+    def test_foreign_ground_rejected(self):
+        T = poisson_table(G4, 1.0)
+        g3 = DiscreteGround((0.7, 1.2, 0.5))
+        with pytest.raises(GroundMismatchError):
+            papangelou_of_table(T, Configuration(g3, 0b1), 1)
+
 
 class TestAdditivity:
+    """The exact Gibbs convolution certificate.
+
+    The disjoint part of ``mu1 * mu2`` has the posterior mean of ``r1 + r2``
+    over the splits of gamma as its conditional intensity.
+    """
+
     def test_constant_rates_vanish(self):
         r1 = PapangelouSpec(lambda gamma, x: 0.5)
         r2 = PapangelouSpec(lambda gamma, x: 0.7)
-        samples = [(Configuration(G4, 0b1), Configuration(G4, 0b10), 2, 3)]
-        assert additivity_residual(r1, r2, samples)["max"] == 0.0
+        residual, _, _ = gibbs_convolution_check(G4, r1, r2)
+        assert residual < 1e-14
 
     def test_point_independent_rates_vanish(self):
         r1 = PapangelouSpec(lambda gamma, x: 1.0 + 0.1 * len(gamma))
         r2 = PapangelouSpec(lambda gamma, x: 2.0 / (1.0 + len(gamma)))
-        samples = [(Configuration(G4, 0b1), Configuration(G4, 0b10), 2, 3),
-                   (Configuration(G4, 0b11), Configuration(G4, 0b100), 3, 0)]
-        # the middle bracket vanishes when rates ignore the location
-        assert additivity_residual(r1, r2, samples)["max"] < 1e-14
+        residual, _, _ = gibbs_convolution_check(G4, r1, r2)
+        assert residual < 1e-14
 
-    def test_generic_interaction_nonzero(self):
-        # non-uniform couplings so the candidate points x and y interact
-        # differently with the occupied sites
-        rng = np.random.default_rng(77)
-        J = rng.uniform(0.1, 0.9, (4, 4))
-        J = 0.5 * (J + J.T)
-        np.fill_diagonal(J, 0.0)
-        r1 = pairwise_gibbs_spec(G4, J, z=1.0)
-        r2 = pairwise_gibbs_spec(G4, 0.5 * J, z=2.0)
-        samples = [(Configuration(G4, 0b1), Configuration(G4, 0b10), 2, 3)]
-        assert additivity_residual(r1, r2, samples)["max"] > 1e-6
+    def test_pairwise_at_ten_sites(self):
+        rng = np.random.default_rng(10)
+        g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, 10)))
+        specs = [_random_pairwise(rng, g, z) for z in (0.4, 1.3)]
+        residual, _, _ = gibbs_convolution_check(g, *specs)
+        assert residual <= 1e-10
+        mus = [gibbs_table(g, s) for s in specs]
+        R = [papangelou_table(g, s) for s in specs]
+        _, rhs = processes._convolution_sides(*mus, *R)
+        want = oracles.gibbs_convolution_rhs(mus[0].probs, mus[1].probs, *R)
+        assert np.max(np.abs(rhs - want)) <= 1e-12 * want.max()
+
+    def test_tampered_rate_is_witnessed(self, monkeypatch):
+        """One entry of R2 scaled by 1.01 after mu2 is built.
+
+        The gap appears at every superset of the tampered mask, scaled by
+        mu1 of the added sites; repulsive couplings with ``z m < 1`` make
+        the void the heaviest mask of mu1, so the tampered mask is the
+        witness.
+        """
+        rng = np.random.default_rng(11)
+        g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, 10)))
+        s1, s2 = (_random_pairwise(rng, g, 0.6, low=0.0) for _ in range(2))
+        assert int(np.argmax(gibbs_table(g, s1).probs)) == 0
+        g0, x0 = 0b1000100, 3
+        real = processes._convolution_sides
+
+        def tampered(mu1, mu2, R1, R2):
+            R2 = R2.copy()
+            R2[x0, g0] *= 1.01
+            return real(mu1, mu2, R1, R2)
+
+        assert gibbs_convolution_check(g, s1, s2)[0] <= 1e-10
+        monkeypatch.setattr(processes, "_convolution_sides", tampered)
+        residual, gamma, x = gibbs_convolution_check(g, s1, s2)
+        assert residual > 1e-6
+        assert (gamma.mask, x) == (g0, x0)
+
+
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       batched=st.booleans())
+@example(n=8, seed=5, batched=True)
+@example(n=8, seed=5, batched=False)
+@settings(max_examples=25, deadline=None)
+def test_gibbs_layer_matches_oracles(n, seed, batched):
+    """Random symmetric couplings against both oracles: the table bit for
+    bit, and the certificate's right-hand side split by split."""
+    rng = np.random.default_rng(seed)
+    g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
+    specs = []
+    for _ in range(2):
+        spec = _random_pairwise(rng, g, rng.uniform(0.2, 2.0), -1.0, 1.0)
+        specs.append(spec if batched else PapangelouSpec(spec.evaluator))
+    mus = [gibbs_table(g, s) for s in specs]
+    for spec, mu in zip(specs, mus):
+        assert np.array_equal(mu.probs, oracles.gibbs_table(g, spec))
+    R = [papangelou_table(g, s) for s in specs]
+    lhs, rhs = processes._convolution_sides(*mus, *R)
+    want = oracles.gibbs_convolution_rhs(mus[0].probs, mus[1].probs, *R)
+    assert np.max(np.abs(rhs - want)) <= 1e-12 * want.max()
+    assert np.max(np.abs(lhs - want)) <= 1e-10 * lhs.max()
+    assert gibbs_convolution_check(g, *specs)[0] <= 1e-10
