@@ -20,6 +20,7 @@ from . import __version__
 from .core import (BoxWindow, DiscreteGround, SetFunction, json_dumps,
                    make_ground, power_function, split_streams)
 from .errors import ConfppError, ValidationError
+from .processes import MixedPoisson, Poisson, Superposition, exponential_mixing
 
 SCHEMA_VERSION = 1
 
@@ -72,6 +73,13 @@ TASKS = {
 # config validation
 # ---------------------------------------------------------------------------
 
+# identity:counts models by name: each builds its model from the parameters
+COUNT_MODELS = {
+    "poisson": lambda p: Poisson(float(p["z"])),
+    "mixed-exponential": lambda p: MixedPoisson(
+        exponential_mixing(float(p["theta"]))),
+}
+
 _PARAMETER_TYPES = {int: ("integer", int), float: ("number", (int, float)),
                     str: ("string", str)}
 # below these a suite runs no trial, kernel or count and would report a pass
@@ -118,6 +126,9 @@ def validate_config(doc):
             raise ValidationError(f"parameter {key} must be at least "
                                   f"{_PARAMETER_FLOORS[key]}, got {value!r}")
     params.update(given)
+    if task == "identity:counts" and params["model"] not in COUNT_MODELS:
+        raise ValidationError(f"unknown count model {params['model']!r}; "
+                              f"available: {', '.join(sorted(COUNT_MODELS))}")
     plan = {"replicas": 2000, "burn_in": 10_000, "thinning": 10,
             "proposal_points": 64}
     plan.update(doc.get("plan", {}))
@@ -213,6 +224,18 @@ def _run_algebra_suite(cfg):
     return results
 
 
+def _max_abs_diff(C, B):
+    """``max |C - B|`` over two matrices, at most 64 rows at a time through
+    one buffer in place of a full-size difference."""
+    buf = np.empty((min(64, len(C)), C.shape[1]))
+    worst = 0.0
+    for i in range(0, len(C), len(buf)):
+        diff = buf[:len(C) - i]  # short only at a short last block
+        np.subtract(C[i:i + len(buf)], B[i:i + len(buf)], out=diff)
+        worst = max(worst, float(np.abs(diff, out=diff).max()))
+    return worst
+
+
 def _run_generator_suite(cfg):
     from .generators import (contact_kernel, derive_kernels, hat_L_action,
                              hat_L_bruteforce, hat_L_closed,
@@ -225,12 +248,10 @@ def _run_generator_suite(cfg):
     results = []
 
     worst = 0.0
-    diff = None  # allocated by the first subtraction, after the size checks
     for _ in range(params["kernels"]):
         ker = random_kernel(ground, params["k_trunc"], rng)
-        diff = np.subtract(hat_L_closed(ker).matrix,
-                           hat_L_bruteforce(ker).matrix, out=diff)
-        worst = max(worst, float(np.abs(diff, out=diff).max()))
+        worst = max(worst, _max_abs_diff(hat_L_closed(ker).matrix,
+                                         hat_L_bruteforce(ker).matrix))
     results.append(_record("closed_vs_bruteforce", worst, 1e-10))
 
     ker = random_kernel(ground, params["k_trunc"], rng)
@@ -270,8 +291,6 @@ def _make_plan(cfg):
 
 
 def _run_identity(cfg):
-    from .processes import MixedPoisson, Poisson, Superposition, \
-        exponential_mixing
     from .samplers import (constant_h, count_distribution_check,
                            estimate_correlation, sample_batch, strauss_spec,
                            verify_gnz, verify_mecke)
@@ -314,12 +333,7 @@ def _run_identity(cfg):
         ]
     if task == "identity:counts":
         kind = params["model"]
-        if kind == "poisson":
-            model = Poisson(float(params["z"]))
-        elif kind == "mixed-exponential":
-            model = MixedPoisson(exponential_mixing(float(params["theta"])))
-        else:
-            raise ValidationError(f"unknown count model {kind!r}")
+        model = COUNT_MODELS[kind](params)
         rep = count_distribution_check(model, window,
                                        params["n_max"], plan)
         return [{"check": f"counts_{kind}", "tv": rep["tv"],

@@ -11,7 +11,8 @@ with ``omega`` disjoint from the respective target (so a death move may
 re-occupy the vacated site) and ``|omega| <= k_trunc``.  The module computes
 the transformed operator ``L^ = K^-1 L K`` three ways:
 
-* :func:`hat_L_bruteforce` -- literal conjugation through the lattice sweeps;
+* :func:`hat_L_bruteforce` -- literal conjugation through the lattice sweeps,
+  all of them along the leading axis of the matrix;
 * :func:`hat_L_closed` -- an exact closed-form summation that reproduces the
   conjugation entrywise.  On an atomic ground the closed form carries
   overlap-correction terms (signed covering-pair sums) that have no continuum
@@ -28,8 +29,10 @@ satisfying the derivation (dual-sum) identity exactly.
 Both actions apply their operator, and its adjoint, to vectors without
 building a matrix.  Each is a diagonal plus a table of move families, each
 family one strided add between two sub-cube views of the bitmask index;
-:meth:`MoveOperator.dense` writes the same families into a matrix, and
-:func:`hat_L_bruteforce` conjugates that matrix.  ``L`` itself is
+:meth:`MoveOperator.dense` writes the same families into a matrix.
+:func:`hat_L_bruteforce` writes them transposed and conjugates that matrix
+by sweeps over its row-index bits, with one tiled in-place transpose
+between the zeta and the Moebius sweep.  ``L`` itself is
 ``K hat_L_action(kernel).apply(K^-1 F)``.  The checks read an operator only
 through ``apply`` and ``adjoint_apply``, so they take a dense
 :class:`LatticeOperator` and a :class:`MoveOperator` alike.
@@ -499,21 +502,48 @@ def hat_L_continuum_action(kernel, z=1.0):
                         -(dk.D + dk.B), False, "hatL_continuum_action")
 
 
+def _transpose_in_place(M):
+    """Transpose the square C-contiguous matrix ``M``, whose side is a power
+    of two, in place, in tiles of at most 64 x 64: the diagonal tiles
+    through one tile-sized buffer, the others by swapping each pair across
+    the diagonal."""
+    N = M.shape[0]
+    t = min(64, N)
+    buf = np.empty((t, t))
+    for i in range(0, N, t):
+        block = M[i:i + t, i:i + t]
+        np.copyto(buf, block.T)
+        block[...] = buf
+        for j in range(i + t, N, t):
+            upper, lower = M[i:i + t, j:j + t], M[j:j + t, i:i + t]
+            np.copyto(buf, upper)
+            upper[...] = lower.T
+            lower[...] = buf.T
+    return M
+
+
 def hat_L_bruteforce(kernel, z=1.0):
     """Conjugate the generator through the lattice transform pair.
 
-    Builds the matrix of ``G -> Kinv(L(KG))``: the zeta sweep maps basis
-    columns up, the generator acts row-wise, the Moebius sweep maps back.
-    ``L``'s matrix is the families of :func:`hat_L_action`, written dense.
+    Builds the matrix of ``G -> Kinv(L(KG))`` with every sweep along the
+    row-index bits ``n .. 2n-1`` of the flattened matrix, whose inner runs
+    are whole rows: the families of :func:`hat_L_action`, each with its row
+    and target swapped, write ``L``'s transpose, a superset sweep (the zeta
+    matrix, applied on the right) makes it ``(LK)^T``, a tiled in-place
+    transpose gives ``LK``, and a signed sweep (the Moebius matrix, on the
+    left) gives ``L^``.  Each entry sees the additions of a row-wise
+    superset sweep of ``L`` in the same order, so the matrix does not
+    depend on the sweep layout.
     """
     ground = kernel.ground
     n = ground.n_sites
-    M = hat_L_action(kernel, z).dense()
-    # right-multiply by the zeta matrix: superset sums along each row
-    sweep(M, range(n), superset=True)
-    # left-multiply by the Moebius matrix: a signed sweep along the column
-    # axis, which is the row-index bits n .. 2n-1 of the flattened matrix
-    sweep(M.reshape(-1), range(n, 2 * n), sign=-1.0)
+    op = hat_L_action(kernel, z)
+    M = MoveOperator(ground, tuple((t, r, *f) for r, t, *f in op.families),
+                     op.diag, False).dense()
+    rows = range(n, 2 * n)
+    sweep(M.reshape(-1), rows, superset=True)
+    _transpose_in_place(M)
+    sweep(M.reshape(-1), rows, sign=-1.0)
     return LatticeOperator(ground, M, "hatL_brute")
 
 
@@ -591,10 +621,13 @@ def hat_L_closed(kernel, z=1.0):
         C = np.concatenate([-Sd[x, small], S, Sb[x, zeta | a]]) * parity[A]
         live = C != 0.0
         Z, A, X, C = Z[live], A[live], X[live], C[live]
-        flat = ((A | xb)[:, None] | others) * nsub
-        flat += (Z | X)[:, None] | others
-        np.add.at(M.reshape(-1), flat.reshape(-1),
-                  (C[:, None] * parity[Z[:, None] & others]).reshape(-1))
+        # row (A u x u m) * nsub + column (Z u X u m) over m in others;
+        # times nsub is a shift by n bits, which distributes over unions
+        flat = ((A | xb) * nsub | Z | X)[:, None] | others * (nsub + 1)
+        # every Z is in small (ascending): one sign row per collision set
+        values = parity[small[:, None] & others][np.searchsorted(small, Z)]
+        values *= C[:, None]
+        np.add.at(M.reshape(-1), flat.reshape(-1), values.reshape(-1))
     return LatticeOperator(ground, M, "hatL_closed")
 
 

@@ -522,16 +522,23 @@ def pairwise_gibbs_spec(ground, couplings, z=1.0):
         raise ValidationError("couplings must be a symmetric site matrix "
                               "above -inf, without NaN")
 
+    def boltzmann(energy):
+        """``z exp(-energy)``; ``inf`` where ``exp`` overflows, which the
+        spec's finiteness check rejects."""
+        try:
+            return z * math.exp(-energy)
+        except OverflowError:
+            return math.inf
+
     def evaluator(gamma, x):
-        energy = sum(J[x, y] for y in gamma.sites)
-        return z * math.exp(-energy)
+        return boltzmann(sum(J[x, y] for y in gamma.sites))
 
     def batch(sites, proposals):
         proposals = np.asarray(proposals, dtype=int)
         energy = np.zeros(proposals.shape)
         for y in np.asarray(sites, dtype=int).tolist():
             energy += J[proposals, y]  # site by site, as the scalar sum
-        return np.array([z * math.exp(-e) for e in energy.tolist()])
+        return np.array([boltzmann(e) for e in energy.tolist()])
 
     return PapangelouSpec(evaluator, {"model": "pairwise", "z": z},
                           batch=batch)

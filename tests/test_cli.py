@@ -100,6 +100,8 @@ class TestExitCodes:
         (GEN, {"kernels": 0}, "kernels must be at least 1, got 0"),
         ("algebra-suite", {"trials": 0}, "trials must be at least 1, got 0"),
         ("identity:counts", {"n_max": -1}, "n_max must be at least 0, got -1"),
+        ("identity:counts", {"model": "foo"},
+         "unknown count model 'foo'; available: mixed-exponential, poisson"),
     ])
     def test_task_parameters_checked(self, tmp_path, capsys, task,
                                      parameters, message):

@@ -1,8 +1,12 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import pure_death_kernel
 from oracles import generator_value
+from confpp.cli import run_experiment, validate_config
 from confpp.core import (Configuration, DiscreteGround, SetFunction,
                          indicator_empty, power_function)
 from confpp.errors import CapacityError, ValidationError
@@ -14,7 +18,7 @@ from confpp.generators import (BirthDeathKernel, adjoint_hat_L,
                                hat_L_continuum_action, invariance_residual,
                                kernel_from_entries, kernel_from_json,
                                LatticeOperator, normalized_dispersal, pairing,
-                               random_kernel)
+                               random_kernel, _transpose_in_place)
 from confpp.transforms import conv_disjoint, k_transform
 
 G5 = DiscreteGround((0.7, 1.2, 0.5, 0.9, 1.1))
@@ -201,6 +205,84 @@ class TestConjugatedOperator:
         # the void act on quasi-observables
         ker = random_kernel(G5, 2, rng)
         assert np.max(np.abs(hat_L_bruteforce(ker).matrix[0])) < 1e-12
+
+
+def _seeded_ground(n):
+    rng = np.random.default_rng(1000 + n)
+    return DiscreteGround(tuple(rng.uniform(0.5, 1.5, n))), rng
+
+
+def _pinned_kernel(case):
+    if case == "contact-8":
+        ground, rng = _seeded_ground(8)
+        a = normalized_dispersal(ground, rng.uniform(0.2, 1.0, (8, 8)))
+        return contact_kernel(ground, a)
+    n, k_trunc = {"n0": (0, 0), "n6-full": (6, 6), "n10-k3": (10, 3),
+                  "n12-k2": (12, 2)}[case]
+    ground, rng = _seeded_ground(n)
+    return random_kernel(ground, k_trunc, rng)
+
+
+# SHA-256 of the matrices' bytes as computed before the dense conjugations
+# were laid out along the leading axis: (hat_L_closed, hat_L_bruteforce)
+PINNED_DIGESTS = {
+    "n0": ("af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+           "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    "n6-full": (
+        "178e3f0a5da179a3af3dc1bfe57a5681f307fa80b26f0df5010cfe5eeef82055",
+        "d73cd7cea9ff47bd18995c6f7ff8632af548a620974da1f07d56e32e78c9c842"),
+    "n10-k3": (
+        "5639554eb1600802e92a7faf57161eac937e0b295acfbcf80050b3c39da72696",
+        "1fbeeedcb44cebd5675e7cda918c10baf8d16354f4e47c4cae8becab7c031241"),
+    "n12-k2": (
+        "17885053229fd295b101d539ce1448b816eb087eb329466965a250ec90d221c4",
+        "f3bca8c4bb9cded46532db2aba3f77541aa9cf2777410eff8cac654c9f943ca1"),
+    "contact-8": (
+        "55a2751792b174fb297cf884512af935f7a1f6debe10c11ee52a93fbab3924d0",
+        "6e6b67e10eb61a039e46306d947bebbc337d8d56c06e18e53351295c818cbf4e"),
+}
+
+
+class TestDenseLayout:
+    @pytest.mark.parametrize("N", [1, 2, 32, 64, 128, 1024])
+    def test_transpose_in_place(self, rng, N):
+        # below, at and above one 64 x 64 tile
+        M = rng.standard_normal((N, N))
+        want = M.T.copy()
+        assert _transpose_in_place(M) is M
+        assert np.array_equal(M, want)
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+    def test_matrices_are_bit_identical(self, case):
+        ker = _pinned_kernel(case)
+        got = tuple(hashlib.sha256(f(ker).matrix.tobytes()).hexdigest()
+                    for f in (hat_L_closed, hat_L_bruteforce))
+        assert got == PINNED_DIGESTS[case]
+
+    def test_memory_budget(self):
+        # tracemalloc sees numpy's buffers; peaks are in units of one
+        # 4^n-float matrix at n = 12, the brute-force cap
+        ground, rng = _seeded_ground(12)
+        unit = 8 * ground.n_subsets ** 2
+        cfg = validate_config({
+            "name": "mem", "task": "generator-suite", "seed": 3,
+            "ground": {"kind": "discrete", "weights": list(ground.weights)},
+            "parameters": {"kernels": 1, "k_trunc": 2}})
+        ker = random_kernel(ground, 2, rng)
+        tracemalloc.start()
+        try:
+            hat_L_bruteforce(ker)
+            brute = tracemalloc.get_traced_memory()[1] / unit
+            tracemalloc.reset_peak()
+            report = run_experiment(cfg)
+            suite = tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+        assert report["pass"]
+        # the brute force holds its matrix and little more; the suite holds
+        # the closed form and the brute force, compared through row blocks
+        assert brute <= 1.25
+        assert suite <= 2.25
 
 
 class TestAdjoint:

@@ -255,6 +255,18 @@ class TestTables:
         with pytest.raises(ValidationError, match="couplings"):
             pairwise_gibbs_spec(G4, J)
 
+    def test_pairwise_overflow_is_a_validation_error(self):
+        # J = -400 on every pair: one neighbour gives exp(400), two give
+        # exp(800), past the largest float
+        g = DiscreteGround((1.0, 1.0, 1.0))
+        spec = pairwise_gibbs_spec(g, np.full((3, 3), -400.0))
+        assert spec(Configuration(g, 0b01), 2) == math.exp(400.0)
+        for call in (lambda: spec(Configuration(g, 0b11), 2),
+                     lambda: spec.batched(np.array([0, 1]), np.array([2])),
+                     lambda: gibbs_table(g, spec)):
+            with pytest.raises(ValidationError, match="must be finite"):
+                call()
+
 
 class TestCorrelation:
     def test_poisson_analytic(self):
