@@ -19,7 +19,7 @@ from .errors import (CapacityError, CocycleError, GroundMismatchError,
                      UndefinedConditionalError, ValidationError)
 from .transforms import conv_disjoint, norm_fit, ranked_products, sweep
 
-GIBBS_MAX_SITES = 17
+GIBBS_MAX_SITES = 20
 MIXING_GRID_POINTS = 512
 MIXING_TAIL_MASS = 1e-8
 
@@ -133,13 +133,16 @@ def mixing_convolution(p1, p2):
 class PapangelouSpec:
     """Conditional-intensity evaluator ``r(gamma, x)`` with a descriptor.
 
-    ``batch``, when given, is the same intensity on arrays:
-    ``batch(points, proposals)[j] == evaluator(gamma, proposals[j])``, where
-    ``points`` holds the points of ``gamma`` in sorted order (an ``(n, d)``
-    coordinate array on a window, the site indices on a discrete ground)
-    and ``proposals`` holds the query points in the same layout.  The
-    verifiers and :func:`papangelou_table` use it when present; the
-    birth--death chain always makes one scalar call per step.
+    ``batch``, when given, is the same intensity as a generalized ufunc of
+    signature ``(n,d),(m,d)->(m)`` on a window and ``(n),(m)->(m)`` on a
+    discrete ground: ``batch(points, proposals)[..., j] == evaluator(gamma,
+    proposals[..., j])``, where ``points`` holds the points of ``gamma`` in
+    sorted order (coordinate rows on a window, site indices on a discrete
+    ground) and ``proposals`` the query points in the same layout.  Leading
+    axes are a stack of configurations that all have ``n`` points; a single
+    configuration has none.  The verifiers and :func:`papangelou_table` use
+    it when present; the birth--death chain always makes one scalar call per
+    step.
     """
 
     evaluator: object
@@ -155,24 +158,15 @@ class PapangelouSpec:
         return value
 
     def batched(self, points, proposals):
-        """``batch(points, proposals)`` with the checks of ``__call__``."""
+        """``batch(points, proposals)`` with the checks of ``__call__``, on
+        the whole stack at once; the first failing value is named."""
         values = np.asarray(self.batch(points, proposals), dtype=float)
-        # a Python pass: cheaper than numpy's per-call overhead at the
-        # verifiers' sizes (64 proposals)
-        for value in values.tolist():
-            if not 0.0 <= value < math.inf:
-                raise ValidationError(
-                    f"conditional intensity must be finite and nonnegative, "
-                    f"got {value!r}")
+        ok = (0.0 <= values) & (values < math.inf)  # NaN fails too
+        if not ok.all():
+            raise ValidationError(
+                f"conditional intensity must be finite and nonnegative, "
+                f"got {values[~ok][0].item()!r}")
         return values
-
-    def intensities(self, gamma, points, proposals):
-        """``r(gamma, u)`` for each ``u`` in ``proposals`` (as for ``batch``)."""
-        if self.batch is not None:
-            return self.batched(points, proposals)
-        rows = proposals.tolist()
-        queries = map(tuple, rows) if proposals.ndim > 1 else rows
-        return np.array([self(gamma, u) for u in queries], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -252,17 +246,34 @@ def poisson_table(ground, z):
 
 
 def papangelou_table(ground, spec):
-    """``R[x, gamma] = r(gamma, x)``, and 0 for ``x`` in ``gamma``: one
-    :meth:`PapangelouSpec.intensities` call per mask for all its free sites.
+    """``R[x, gamma] = r(gamma, x)``, and 0 for ``x`` in ``gamma``.
+
+    One :meth:`PapangelouSpec.batched` call per subset size ``k``, on the
+    stack of every ``k``-site mask's sites against its free sites; a spec
+    without ``batch`` makes one checked scalar call per mask and free site.
     The site cap is checked before any allocation or evaluator call."""
     if ground.n_sites > GIBBS_MAX_SITES:
         raise CapacityError(f"Gibbs tables limited to {GIBBS_MAX_SITES} sites")
-    sites = np.arange(ground.n_sites)
-    held = (np.arange(ground.n_subsets)[:, np.newaxis] >> sites & 1) == 1
-    R = np.zeros((sites.size, ground.n_subsets))
-    for mask, (on, off) in enumerate(zip(held, ~held)):
-        R[off, mask] = spec.intensities(Configuration(ground, mask), sites[on],
-                                        sites[off])
+    n = ground.n_sites
+    sites = np.arange(n)
+    size = ground.subset_size
+    R = np.zeros((n, ground.n_subsets))
+    for k in range(n + 1):
+        masks = np.flatnonzero(size == k)
+        held = (masks[:, np.newaxis] >> sites & 1) == 1
+        every = np.broadcast_to(sites, held.shape)
+        on = every[held].reshape(masks.size, k)  # ascending in each row
+        off = every[~held].reshape(masks.size, n - k)
+        if spec.batch is None:
+            gammas = (Configuration(ground, mask) for mask in masks.tolist())
+            values = np.array([[spec(gamma, x) for x in row]
+                               for gamma, row in zip(gammas, off.tolist())])
+        else:
+            values = spec.batched(on, off)
+        if values.shape != off.shape:  # e.g. a batch form without stacking
+            raise ValidationError(f"batch returned shape {values.shape} "
+                                  f"for proposals of shape {off.shape}")
+        R[off, masks[:, np.newaxis]] = values
     return R
 
 
@@ -534,11 +545,14 @@ def pairwise_gibbs_spec(ground, couplings, z=1.0):
         return boltzmann(sum(J[x, y] for y in gamma.sites))
 
     def batch(sites, proposals):
+        sites = np.asarray(sites, dtype=int)
         proposals = np.asarray(proposals, dtype=int)
-        energy = np.zeros(proposals.shape)
-        for y in np.asarray(sites, dtype=int).tolist():
-            energy += J[proposals, y]  # site by site, as the scalar sum
-        return np.array([boltzmann(e) for e in energy.tolist()])
+        energy = np.zeros(np.broadcast_shapes(sites.shape[:-1] + (1,),
+                                              proposals.shape))
+        for k in range(sites.shape[-1]):  # site by site, as the scalar sum
+            energy += J[proposals, sites[..., k, np.newaxis]]
+        return np.fromiter(map(boltzmann, energy.ravel().tolist()), float,
+                           energy.size).reshape(energy.shape)
 
     return PapangelouSpec(evaluator, {"model": "pairwise", "z": z},
                           batch=batch)

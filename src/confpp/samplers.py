@@ -9,6 +9,7 @@ rule; MCMC standard errors use batch means.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -257,13 +258,16 @@ def strauss_spec(beta, g, R):
 
     def batch(points, proposals):
         nonlocal powers
-        if len(points) >= powers.size:  # s never exceeds len(points)
-            powers = np.array([beta * g ** k
-                               for k in range(len(points) + 1)])
-        diff = proposals[:, None, :] - points
-        diff *= diff
-        near = sum(diff[..., k] for k in range(diff.shape[2])) <= r2
-        return powers[np.add.reduce(near, axis=1)]
+        n = points.shape[-2]
+        if n >= powers.size:  # s never exceeds n
+            powers = np.array([beta * g ** k for k in range(n + 1)])
+        d2 = 0.0  # (..., m, n) squared distances, axis by axis
+        for k in range(points.shape[-1]):
+            diff = (proposals[..., :, np.newaxis, k]
+                    - points[..., np.newaxis, :, k])
+            diff *= diff
+            d2 += diff
+        return powers[np.add.reduce(d2 <= r2, axis=-1)]
 
     return PapangelouSpec(evaluator, {"model": "strauss", "beta": beta,
                                       "g": g, "R": R, "r_max": beta},
@@ -334,7 +338,10 @@ def sample_gibbs_bd(spec, plan, rng=None):
     Spatial birth--death Metropolis--Hastings: with probability 1/2 propose a
     uniform birth (acceptance ``min(1, r vol / (n+1))``), else a uniform
     death (acceptance ``min(1, n / (r vol))``).  Returns ``plan.replicas``
-    states taken every ``plan.thinning`` moves after ``plan.burn_in`` moves.
+    states taken every ``plan.thinning`` moves after ``plan.burn_in`` moves,
+    as :class:`~confpp.core.PointConfiguration` objects built without
+    re-validation: births are window draws and the step keeps the points
+    sorted and free of repeats.
     """
     if rng is None:
         rng = split_streams(plan.master_seed, 1)[0]
@@ -345,7 +352,7 @@ def sample_gibbs_bd(spec, plan, rng=None):
     for _ in range(plan.replicas):
         for _ in range(max(plan.thinning, 1)):
             chain.step()
-        out.append(Configuration(plan.window, points=tuple(chain.points)))
+        out.append(PointConfiguration(plan.window, tuple(chain.points)))
     return out
 
 
@@ -378,28 +385,36 @@ def detailed_balance_residual(spec, plan, n_moves=200):
 def constant_h(value=1.0):
     """Test function ``h(gamma, x) = value``, with its batched form.
 
-    A test function ``h`` may carry ``h.batch(points, proposals)``: for the
-    ``(n, d)`` points of gamma and ``(m, d)`` proposals it returns the ``m``
-    values ``h(gamma u {u_j}, u_j)`` that the verifiers' right-hand sides
-    need, without building a configuration per proposal.
+    A test function ``h`` may carry ``h.batch(points, proposals)``, a
+    generalized ufunc of signature ``(n,d),(m,d)->(m)`` as for
+    :class:`~confpp.processes.PapangelouSpec`: for the points of gamma and
+    ``m`` proposals it returns the values ``h(gamma u {u_j}, u_j)`` that the
+    verifiers' right-hand sides need, without building a configuration per
+    proposal.
     """
     def h(gamma, x):
         return value
 
-    h.batch = lambda points, proposals: np.full(len(proposals), value,
+    h.batch = lambda points, proposals: np.full(proposals.shape[:-1], value,
                                                 dtype=float)
     return h
 
 
 def _paired_report(identity, lhs, rhs, se_d=None, n_effective=None):
-    """Report on paired samples; ``se_d`` defaults to the i.i.d. SE."""
+    """Report on paired samples; ``se_d`` defaults to the i.i.d. SE.
+
+    With ``se_d = 0`` the gap is known exactly: the report passes only when
+    the mean gap is 0.
+    """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = lhs.size
     diff = lhs - rhs
     if se_d is None:
         se_d = float(diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    z = float(diff.mean() / se_d) if se_d > 0 else 0.0
+    gap = float(diff.mean())
+    # with se_d = 0: +-inf for a nonzero gap and NaN for NaN, both failing
+    z = gap / se_d if se_d > 0 else 0.0 if gap == 0 else gap * math.inf
     return IdentityReport(
         identity=identity,
         lhs_mean=float(lhs.mean()), rhs_mean=float(rhs.mean()),
@@ -409,65 +424,80 @@ def _paired_report(identity, lhs, rhs, se_d=None, n_effective=None):
         n_effective=n_effective if n_effective is not None else n)
 
 
-def _point_array(gamma):
-    """The points of a window configuration as an ``(n, d)`` array."""
-    return np.array(gamma.points, dtype=float).reshape(
-        len(gamma.points), gamma.ground.dimension)
+# states per right-hand-side block: bounds the stacked (states, S, n, d)
+# arrays of the batched forms
+_BLOCK = 256
 
 
-def _fresh(array, proposals):
-    """The proposal rows that are not already points of the configuration."""
-    if len(array):
-        taken = (proposals[:, None, :] == array[None, :, :]).all(axis=2)
-        taken = taken.any(axis=1)
-        if taken.any():
-            return proposals[~taken]
-    return proposals
+def _stacked(batch, points, proposals):
+    """``batch(points, proposals)``, checked to give one value per proposal."""
+    values = np.asarray(batch(points, proposals), dtype=float)
+    if values.shape != proposals.shape[:-1]:
+        raise ValidationError(f"batch returned shape {values.shape} for "
+                              f"proposals of shape {proposals.shape}")
+    return values
 
 
-def _insertion_values(h, gamma, array, proposals):
-    """``h(gamma u {u}, u)`` for each proposal row u.
-
-    The rows were drawn in the window and are not points of gamma (see
-    :func:`_fresh`), so the scalar path inserts them without re-checking.
-    """
-    batch = getattr(h, "batch", None)
-    if batch is not None:
-        return np.asarray(batch(array, proposals), dtype=float)
-    pts, values = gamma.points, []
-    for u in map(tuple, proposals.tolist()):
-        i = bisect.bisect_left(pts, u)
-        values.append(h(PointConfiguration(
-            gamma.ground, pts[:i] + (u,) + pts[i:]), u))
-    return np.array(values, dtype=float)
-
-
-def _sum_in_order(values):
-    """Left-to-right sum, so batched and scalar paths round alike."""
-    acc = 0.0
-    for v in values.tolist():
-        acc += v
-    return acc
-
-
-def _insertion_sides(states, h, window, rng, S, scale, spec=None):
+def _insertion_sides(blocks, h, S, scale, spec=None):
     """Paired sides of an insertion identity, one pair per state.
 
     lhs is ``sum_{x in gamma} h(gamma, x)``; rhs is ``scale`` times the mean
     over ``S`` uniform proposals u of ``h(gamma u {u}, u)``, times
-    ``r(gamma, u)`` when ``spec`` is given.  A state's proposals are drawn
-    from ``rng`` as soon as ``states`` yields that state.
+    ``r(gamma, u)`` when ``spec`` is given.  ``blocks`` yields ``(states,
+    proposals)`` with proposals of shape ``(len(states), S, d)``.
+
+    A proposal that is already a point of gamma adds a 0 term.  A batched
+    form is called once per point count in a block, on the stack of those
+    states' points and proposals (every proposal, also such a repeat); a
+    scalar form makes one call per other proposal, state by state.  Each
+    row of terms is summed left to right, so both paths give the same bits.
     """
+    h_batch = getattr(h, "batch", None)
+    scalar_r = spec is not None and spec.batch is None
     lhs, rhs = [], []
-    for gamma in states:
-        lhs.append(math.fsum(h(gamma, x) for x in gamma.points))
-        array = _point_array(gamma)
-        proposals = _fresh(array, window.sample_uniform(rng, S))
-        terms = _insertion_values(h, gamma, array, proposals)
-        if spec is not None:
-            terms = terms * spec.intensities(gamma, array, proposals)
-        rhs.append(scale * _sum_in_order(terms) / S)
-    return np.array(lhs), np.array(rhs)
+    for states, proposals in blocks:
+        k, d = len(states), proposals.shape[2]
+        counts = np.fromiter(map(len, states), np.intp, k)
+        starts = np.cumsum(counts) - counts
+        flat = np.fromiter(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(g.points for g in states)),
+            float, int(counts.sum()) * d).reshape(-1, d)
+        taken = np.zeros((k, S), dtype=bool)
+        h_vals = np.zeros((k, S))
+        r_vals = None if spec is None else np.zeros((k, S))
+        for n in np.flatnonzero(np.bincount(counts)).tolist():
+            rows = np.flatnonzero(counts == n)
+            points = flat[starts[rows, np.newaxis] + np.arange(n)]
+            props = proposals[rows]
+            if n:
+                taken[rows] = (props[:, :, np.newaxis] == points[:, np.newaxis]
+                               ).all(axis=3).any(axis=2)
+            if h_batch is not None:
+                h_vals[rows] = _stacked(h_batch, points, props)
+            if spec is not None and not scalar_r:
+                r_vals[rows] = _stacked(spec.batched, points, props)
+        for i, gamma in enumerate(states):
+            lhs.append(math.fsum(h(gamma, x) for x in gamma.points))
+            if h_batch is not None and not scalar_r:
+                continue
+            fresh = [j for j, t in enumerate(taken[i].tolist()) if not t]
+            us = list(map(tuple, proposals[i, fresh].tolist()))
+            if h_batch is None:
+                pts, values = gamma.points, []
+                for u in us:
+                    at = bisect.bisect_left(pts, u)
+                    values.append(h(PointConfiguration(
+                        gamma.ground, pts[:at] + (u,) + pts[at:]), u))
+                h_vals[i, fresh] = values
+            if scalar_r:
+                r_vals[i, fresh] = [spec(gamma, u) for u in us]
+        h_vals[taken] = 0.0
+        terms = h_vals if spec is None else np.multiply(h_vals, r_vals,
+                                                         out=h_vals)
+        # + 0.0 turns a -0.0 sum into the 0.0 of a sum started at 0.0
+        sums = np.add.accumulate(terms, axis=1, out=terms)[:, -1] + 0.0
+        rhs.append(scale * sums / S)
+    return np.array(lhs), np.concatenate(rhs)
 
 
 def verify_mecke(z, window, h, plan):
@@ -476,12 +506,24 @@ def verify_mecke(z, window, h, plan):
     lhs averages ``sum_{x in gamma} h(gamma, x)`` over independent Poisson
     samples; rhs averages ``z vol mean_S h(gamma u x, x)`` over uniform
     insertion points of the same samples, so the two sides are paired.
-    ``h`` may carry a batched form (see :func:`constant_h`).
+    Each sample's proposals are drawn right after it, on the same stream.
+    ``h`` may carry a batched form (see :func:`constant_h`).  Needs at
+    least two replicas for a standard error.
     """
+    if plan.replicas < 2:
+        raise ValidationError("the Mecke verifier needs replicas >= 2")
     rng = split_streams(plan.master_seed, 1)[0]
-    states = (sample_poisson(window, z, rng) for _ in range(plan.replicas))
-    lhs, rhs = _insertion_sides(states, h, window, rng,
-                                plan.proposal_points, z * window.volume)
+    S = plan.proposal_points
+
+    def blocks():
+        for start in range(0, plan.replicas, _BLOCK):
+            states, proposals = [], []
+            for _ in range(min(_BLOCK, plan.replicas - start)):
+                states.append(sample_poisson(window, z, rng))
+                proposals.append(window.sample_uniform(rng, S))
+            yield states, np.stack(proposals)
+
+    lhs, rhs = _insertion_sides(blocks(), h, S, z * window.volume)
     return _paired_report("mecke", lhs, rhs)
 
 
@@ -504,14 +546,21 @@ def verify_gnz(spec, h, plan):
     lhs averages ``sum_{x in gamma} h(gamma, x)`` along the stationary MCMC
     stream; rhs averages the uniform-MC estimate of
     ``vol mean_S h(gamma u x, x) r(gamma, x)``.  Standard errors use batch
-    means to absorb chain autocorrelation.  The batched forms of ``spec``
-    and ``h`` are used where present.
+    means to absorb chain autocorrelation.  The proposals come from a
+    stream of their own, one draw per block of states.  The batched forms
+    of ``spec`` and ``h`` are used where present.
     """
     streams = split_streams(plan.master_seed, 2)
     chain = sample_gibbs_bd(spec, plan, streams[0])
-    lhs, rhs = _insertion_sides(chain, h, plan.window, streams[1],
-                                plan.proposal_points, plan.window.volume,
-                                spec)
+    window, S = plan.window, plan.proposal_points
+
+    def blocks():
+        for start in range(0, len(chain), _BLOCK):
+            states = chain[start:start + _BLOCK]
+            yield states, window.sample_uniform(
+                streams[1], len(states) * S).reshape(len(states), S, -1)
+
+    lhs, rhs = _insertion_sides(blocks(), h, S, window.volume, spec)
     se, n_eff = _batch_se(lhs - rhs)
     return _paired_report("gnz", lhs, rhs, se, n_eff)
 

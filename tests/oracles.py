@@ -7,16 +7,19 @@ Array-valued oracles take and return plain value tables, so that the same
 call on ``abs`` of the inputs gives the sum of the absolute values of the
 terms, the scale that rounding in the fast paths is judged against.
 :func:`cell_moments` is the continuum counterpart: the point-by-point loop
-that the batched correlation estimator replaced.  :func:`gibbs_table` and
+that the batched correlation estimator replaced, and
+:func:`insertion_sides` the one-state-at-a-time loop behind the Mecke and
+GNZ right-hand sides.  :func:`papangelou_table`, :func:`gibbs_table` and
 :func:`gibbs_convolution_rhs` are the one-query-at-a-time forms of the
 lattice Gibbs layer.
 """
 
+import bisect
 import math
 
 import numpy as np
 
-from confpp.core import Configuration, SetFunction
+from confpp.core import Configuration, PointConfiguration, SetFunction
 from confpp.errors import CocycleError
 
 
@@ -314,6 +317,62 @@ def cell_moments(samples, cells):
             prod *= sum(1 for p in gamma.points if c.contains(p))
         vals[i] = prod / vols
     return vals
+
+
+def insertion_sides(states, proposals, h, scale, spec=None):
+    """Paired sides of an insertion identity, one state at a time.
+
+    ``proposals[i]`` is the ``(S, d)`` array of state ``i``'s uniform
+    proposals.  The rows that are already points of the state are dropped;
+    ``h`` and ``spec`` are called on the others through their single-
+    configuration batched form when they have one, else once per proposal.
+    The terms are summed left to right from 0.0 in proposal order.
+    """
+    lhs, rhs = [], []
+    for gamma, props in zip(states, proposals):
+        lhs.append(math.fsum(h(gamma, x) for x in gamma.points))
+        S, d = props.shape
+        array = np.array(gamma.points, dtype=float).reshape(len(gamma), d)
+        if len(array):
+            taken = (props[:, None, :] == array[None, :, :]).all(axis=2)
+            props = props[~taken.any(axis=1)]
+        rows = [tuple(u) for u in props.tolist()]
+        if getattr(h, "batch", None) is not None:
+            terms = np.asarray(h.batch(array, props), dtype=float)
+        else:
+            terms = []
+            for u in rows:
+                i = bisect.bisect_left(gamma.points, u)
+                terms.append(h(PointConfiguration(
+                    gamma.ground,
+                    gamma.points[:i] + (u,) + gamma.points[i:]), u))
+            terms = np.array(terms, dtype=float)
+        if spec is not None:
+            terms = terms * (spec.batched(array, props)
+                             if spec.batch is not None
+                             else np.array([spec(gamma, u) for u in rows]))
+        acc = 0.0
+        for v in terms.tolist():
+            acc += v
+        rhs.append(scale * acc / S)
+    return np.array(lhs), np.array(rhs)
+
+
+def papangelou_table(ground, spec):
+    """``R[x, gamma] = r(gamma, x)`` for ``x`` not in ``gamma``, else 0:
+    one mask at a time, with one single-configuration batched call for its
+    free sites, or one scalar call per free site."""
+    n = ground.n_sites
+    R = np.zeros((n, ground.n_subsets))
+    for mask in range(ground.n_subsets):
+        on = [x for x in range(n) if mask >> x & 1]
+        off = [x for x in range(n) if not mask >> x & 1]
+        if spec.batch is not None:
+            R[off, mask] = spec.batched(np.array(on, dtype=int),
+                                        np.array(off, dtype=int))
+        else:
+            R[off, mask] = [spec(Configuration(ground, mask), x) for x in off]
+    return R
 
 
 def gibbs_table(ground, spec, tol=1e-9):

@@ -192,7 +192,8 @@ class TestErrorPaths:
         plan = RunPlan(WINDOWS[2], replicas=32, master_seed=2, burn_in=50)
         for spec in _both_paths(
                 lambda gamma, x: bad,
-                lambda points, proposals: np.full(len(proposals), bad), {}):
+                lambda points, proposals: np.full(proposals.shape[:-1], bad),
+                {}):
             with pytest.raises(ValidationError):
                 sample_gibbs_bd(spec, plan)
             with pytest.raises(ValidationError):
@@ -205,7 +206,7 @@ class TestErrorPaths:
             return math.nan if x[0] > 0.999 else 1.0
 
         def batch(points, proposals):
-            return np.where(proposals[:, 0] > 0.999, math.nan, 1.0)
+            return np.where(proposals[..., 0] > 0.999, math.nan, 1.0)
 
         plan = RunPlan(WINDOWS[1], replicas=32, master_seed=3, burn_in=0,
                        proposal_points=5000)

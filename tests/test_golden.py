@@ -42,13 +42,15 @@ def h_pair(gamma, x):
 
 
 def h_pair_batch(points, proposals):
-    """``h_pair(gamma u {u}, u)`` for each proposal row u."""
-    lo, hi = np.array(CELLS[proposals.shape[1]].box).T
+    """``h_pair(gamma u {u}, u)`` for each proposal row u, on a stack of
+    configurations (leading axes) as well."""
+    lo, hi = np.array(CELLS[proposals.shape[-1]].box).T
 
     def inside(a):
-        return np.all((lo <= a) & (a <= hi), axis=1)
+        return np.all((lo <= a) & (a <= hi), axis=-1)
 
-    return inside(proposals) * float(np.count_nonzero(inside(points)))
+    counts = np.count_nonzero(inside(points), axis=-1).astype(float)
+    return inside(proposals) * counts[..., np.newaxis]
 
 
 def batched_h(h):

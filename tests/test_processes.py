@@ -196,10 +196,28 @@ class TestTables:
                  PapangelouSpec(lambda gamma, x: 1.3),
                  PapangelouSpec(lambda gamma, x: 1.3,
                                 batch=lambda points, proposals:
-                                np.full(len(proposals), 1.3)))
+                                np.full(proposals.shape, 1.3)))
         for spec in specs:
             assert np.array_equal(gibbs_table(g, spec).probs,
                                   oracles.gibbs_table(g, spec))
+
+    @pytest.mark.parametrize("n", [1, 7, 12])
+    def test_papangelou_table_matches_the_per_mask_loop(self, n):
+        """Bit for bit: one stacked call per subset size against one call
+        per mask, for the batched and the scalar-only forms."""
+        rng = np.random.default_rng(100 + n)
+        g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
+        pair = _random_pairwise(rng, g, 0.8)
+        for spec in (pair, PapangelouSpec(pair.evaluator)):
+            assert np.array_equal(papangelou_table(g, spec),
+                                  oracles.papangelou_table(g, spec))
+
+    def test_papangelou_table_rejects_an_unstacked_batch(self):
+        spec = PapangelouSpec(lambda gamma, x: 1.3,
+                              batch=lambda points, proposals:
+                              np.full(len(proposals), 1.3))
+        with pytest.raises(ValidationError, match="shape"):
+            papangelou_table(G4, spec)
 
     def test_papangelou_table_layout(self):
         spec = _random_pairwise(np.random.default_rng(3), G4, 0.9)

@@ -195,6 +195,34 @@ class TestVerifyMecke:
         doc = rep.to_json()
         assert doc["identity"] == "mecke" and "z_score" in doc
 
+    def test_needs_two_replicas(self):
+        # one replica has no standard error: it used to pass with z = 0
+        # although lhs 6.0 and rhs 14.0 differ
+        plan = RunPlan(W, replicas=1, master_seed=1)
+        with pytest.raises(ValidationError, match="replicas >= 2"):
+            verify_mecke(2.0, W, lambda gamma, x: 5.0 + len(gamma.points),
+                         plan)
+
+
+class TestZeroSpread:
+    """A gap with zero standard error is exact: only a zero gap passes."""
+
+    def test_constant_nonzero_gap_fails(self):
+        rep = samplers._paired_report("mecke", [6.0, 7.0, 8.0],
+                                      [14.0, 15.0, 16.0])
+        assert rep.z_score == -math.inf and not rep.passed
+        rep = samplers._paired_report("gnz", [2.0, 3.0], [1.0, 1.0], 0.0, 2)
+        assert rep.z_score == math.inf and not rep.passed
+
+    def test_zero_gap_passes(self):
+        rep = samplers._paired_report("mecke", [2.0, 3.0], [2.0, 3.0])
+        assert rep.z_score == 0.0 and rep.passed
+
+    def test_nan_gap_fails(self):
+        rep = samplers._paired_report("gnz", [1.0, math.nan], [1.0, 1.0],
+                                      0.0, 2)
+        assert math.isnan(rep.z_score) and not rep.passed
+
 
 class TestVerifyGnz:
     def test_constant_rate(self):
