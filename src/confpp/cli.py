@@ -170,7 +170,7 @@ def _run_algebra_suite(cfg):
     # side for pairing_identity): entries, and their rounding, grow with n
     worst = 0.0
     for _ in range(trials):
-        G = SetFunction(ground, rng.standard_normal(n))
+        G = SetFunction._take(ground, rng.standard_normal(n))
         worst = max(worst, _rel_err(k_inverse(k_transform(G)).values,
                                     G.values))
     results.append(_record("k_round_trip", worst, tol))
@@ -192,9 +192,9 @@ def _run_algebra_suite(cfg):
 
     worst = 0.0
     for _ in range(trials):
-        H = SetFunction(ground, rng.standard_normal(n))
-        G1 = SetFunction(ground, rng.standard_normal(n))
-        G2 = SetFunction(ground, rng.standard_normal(n))
+        H = SetFunction._take(ground, rng.standard_normal(n))
+        G1 = SetFunction._take(ground, rng.standard_normal(n))
+        G2 = SetFunction._take(ground, rng.standard_normal(n))
         lhs, rhs = minlos_pairing(H, G1, G2, 1.0)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     results.append(_record("pairing_identity", worst, tol))
@@ -216,8 +216,8 @@ def _run_algebra_suite(cfg):
 
     worst = 0.0
     for _ in range(trials):
-        G1 = SetFunction(ground, rng.standard_normal(n))
-        G2 = SetFunction(ground, rng.standard_normal(n))
+        G1 = SetFunction._take(ground, rng.standard_normal(n))
+        G2 = SetFunction._take(ground, rng.standard_normal(n))
         worst = max(worst, _rel_err(conv_disjoint(G1, G2).values,
                                     conv_disjoint(G2, G1).values))
     results.append(_record("disjoint_conv_commutative", worst, tol))
@@ -263,8 +263,8 @@ def _run_generator_suite(cfg):
     # the matrix-free action: apply adds each move family's target view into
     # its row view, adjoint_apply the reverse, so the two sides differ
     op = hat_L_action(ker)
-    G = SetFunction(ground, rng.standard_normal(n))
-    k = SetFunction(ground, rng.standard_normal(n))
+    G = SetFunction._take(ground, rng.standard_normal(n))
+    k = SetFunction._take(ground, rng.standard_normal(n))
     lhs = pairing(op.apply(G), k)
     rhs = pairing(G, op.adjoint_apply(k))
     results.append(_record("adjoint_pairing",

@@ -68,9 +68,7 @@ class DiscreteGround:
     @cached_property
     def subset_size(self):
         """Popcount of every bitmask, shape ``(2**n,)`` of int64."""
-        size = np.zeros(1, dtype=np.int64)
-        for _ in self.weights:
-            size = np.concatenate([size, size + 1])
+        size = np.bitwise_count(np.arange(self.n_subsets)).astype(np.int64)
         size.flags.writeable = False
         return size
 
@@ -359,15 +357,27 @@ class SetFunction:
     label: str = ""
 
     def __post_init__(self):
+        self._hold(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _take(cls, ground, values, label=""):
+        """The set function on ``values``, a new float array that nothing
+        else refers to, held without the copy that the constructor makes
+        of a caller's array."""
+        sf = cls.__new__(cls)
+        object.__setattr__(sf, "ground", ground)
+        object.__setattr__(sf, "label", label)
+        sf._hold(np.asarray(values, dtype=float))
+        return sf
+
+    def _hold(self, vals):
         _require_discrete(self.ground)
-        vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.ground.n_subsets,):
             raise ValidationError(
                 f"table length {vals.shape} != 2**n_sites "
                 f"({self.ground.n_subsets})")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("set-function entries must be finite")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -381,13 +391,16 @@ class SetFunction:
 
     # small algebra, enough for building test functionals
     def __add__(self, other):
-        return SetFunction(self.ground, self.values + _coerce(self, other))
+        return SetFunction._take(self.ground,
+                                 self.values + _coerce(self, other))
 
     def __sub__(self, other):
-        return SetFunction(self.ground, self.values - _coerce(self, other))
+        return SetFunction._take(self.ground,
+                                 self.values - _coerce(self, other))
 
     def __mul__(self, other):
-        return SetFunction(self.ground, self.values * _coerce(self, other))
+        return SetFunction._take(self.ground,
+                                 self.values * _coerce(self, other))
 
     __rmul__ = __mul__
 
@@ -397,7 +410,8 @@ class SetFunction:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(make_ground(doc["ground"]), np.asarray(doc["values"]))
+        return cls._take(make_ground(doc["ground"]),
+                         np.asarray(doc["values"], dtype=float))
 
 
 def _coerce(sf, other):
@@ -409,20 +423,21 @@ def _coerce(sf, other):
 
 
 def constant_function(ground, value=1.0, label="const"):
-    return SetFunction(ground, np.full(ground.n_subsets, float(value)), label)
+    return SetFunction._take(ground, np.full(ground.n_subsets, float(value)),
+                             label)
 
 
 def indicator_empty(ground):
     """Indicator of the empty configuration, the unit of both convolutions."""
     v = np.zeros(ground.n_subsets)
     v[0] = 1.0
-    return SetFunction(ground, v, "1_{empty}")
+    return SetFunction._take(ground, v, "1_{empty}")
 
 
 def power_function(ground, z, label=None):
     """The functional ``eta -> z**|eta|`` (Poisson-type correlation table)."""
     v = float(z) ** ground.subset_size
-    return SetFunction(ground, v, label or f"{z}^|.|")
+    return SetFunction._take(ground, v, label or f"{z}^|.|")
 
 
 # ---------------------------------------------------------------------------

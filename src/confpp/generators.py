@@ -55,7 +55,7 @@ import numpy as np
 
 from .core import Configuration, SetFunction, json_dumps
 from .errors import CapacityError, GroundMismatchError, ValidationError
-from .transforms import conv_disjoint, sweep
+from .transforms import _transpose_in_place, conv_disjoint, sweep
 
 BRUTEFORCE_MAX_SITES = 12
 MAX_K_TRUNC = 3
@@ -318,8 +318,9 @@ class _RowOperator:
     def apply(self, G):
         if G.ground != self.ground:
             raise GroundMismatchError("operand lives on a different ground")
-        return SetFunction(self.ground, self._apply_rows(G.values[None])[0],
-                           f"{self.label}[{G.label}]")
+        return SetFunction._take(self.ground,
+                                 self._apply_rows(G.values[None])[0],
+                                 f"{self.label}[{G.label}]")
 
 
 @dataclass(frozen=True)
@@ -354,8 +355,9 @@ class LatticeOperator(_RowOperator):
         if k.ground != self.ground:
             raise GroundMismatchError("operand lives on a different ground")
         w = _pairing_weights(self.ground, z)
-        return SetFunction(self.ground, (self.matrix.T @ (w * k.values)) / w,
-                           f"adj[{self.label}][{k.label}]")
+        return SetFunction._take(self.ground,
+                                 (self.matrix.T @ (w * k.values)) / w,
+                                 f"adj[{self.label}][{k.label}]")
 
 
 @dataclass(frozen=True)
@@ -415,8 +417,8 @@ class MoveOperator(_RowOperator):
         out = self._moves(v, transpose=True)[0]
         if self.conjugated:
             sweep(out, sites, superset=True)
-        return SetFunction(self.ground, out / w,
-                           f"adj[{self.label}][{k.label}]")
+        return SetFunction._take(self.ground, out / w,
+                                 f"adj[{self.label}][{k.label}]")
 
     def dense(self):
         """The matrix of the diagonal and the moves, without conjugation.
@@ -500,26 +502,6 @@ def hat_L_continuum_action(kernel, z=1.0):
     stay = np.where(xi == 0, 0.0, dk.d1[x, j] * w[xi] + birth)
     return MoveOperator(ground, _families(ground, x, xi, stay, birth),
                         -(dk.D + dk.B), False, "hatL_continuum_action")
-
-
-def _transpose_in_place(M):
-    """Transpose the square C-contiguous matrix ``M``, whose side is a power
-    of two, in place, in tiles of at most 64 x 64: the diagonal tiles
-    through one tile-sized buffer, the others by swapping each pair across
-    the diagonal."""
-    N = M.shape[0]
-    t = min(64, N)
-    buf = np.empty((t, t))
-    for i in range(0, N, t):
-        block = M[i:i + t, i:i + t]
-        np.copyto(buf, block.T)
-        block[...] = buf
-        for j in range(i + t, N, t):
-            upper, lower = M[i:i + t, j:j + t], M[j:j + t, i:i + t]
-            np.copyto(buf, upper)
-            upper[...] = lower.T
-            lower[...] = buf.T
-    return M
 
 
 def hat_L_bruteforce(kernel, z=1.0):

@@ -388,7 +388,7 @@ def correlation_functional(model, ground=None, exclude_overlap=False):
         vals = np.zeros(ground.n_subsets)
         for z, mass in zip(model.mixing.grid, model.mixing.masses):
             vals += mass * float(z) ** size
-        return SetFunction(ground, vals, "mixed_poisson")
+        return SetFunction._take(ground, vals, "mixed_poisson")
     if isinstance(model, Superposition):
         g = ground
         return conv_disjoint(
@@ -396,8 +396,9 @@ def correlation_functional(model, ground=None, exclude_overlap=False):
             correlation_functional(model.right, g, exclude_overlap))
     if isinstance(model, DiscreteTable):
         mass = model.disjoint_part() if exclude_overlap else model.probs
-        return SetFunction(model.ground,
-                           _table_correlation(model.ground, mass), "k_table")
+        return SetFunction._take(model.ground,
+                                 _table_correlation(model.ground, mass),
+                                 "k_table")
     if isinstance(model, Gibbs):
         raise ValidationError(
             "flatten Gibbs models with to_discrete_table first")
@@ -430,13 +431,15 @@ def projection_density(k, z):
     matching the weights used by :func:`recover_correlation`.
     """
     out, norm = _reference_sweep(k, z, -1.0)
-    return SetFunction(k.ground, norm * out, f"density[{k.label}]")
+    out *= norm
+    return SetFunction._take(k.ground, out, f"density[{k.label}]")
 
 
 def recover_correlation(density, z):
     """Integrate a local density against the Poisson law: inverse projection."""
     out, norm = _reference_sweep(density, z, 1.0)
-    return SetFunction(density.ground, out / norm, f"k[{density.label}]")
+    out /= norm
+    return SetFunction._take(density.ground, out, f"k[{density.label}]")
 
 
 def lenard_pd_check(k, tol=1e-10):
@@ -566,8 +569,9 @@ def _convolution_sides(mu1, mu2, R1, R2):
     f1, f2 = SetFunction(g, mu1.probs), SetFunction(g, mu2.probs)
     lhs, rhs = np.zeros_like(R1), np.zeros_like(R1)
     for x in range(g.n_sites):
-        rhs[x] = (conv_disjoint(SetFunction(g, mu1.probs * R1[x]), f2).values
-                  + conv_disjoint(f1, SetFunction(g, mu2.probs * R2[x])).values)
+        g1 = SetFunction._take(g, mu1.probs * R1[x])
+        g2 = SetFunction._take(g, mu2.probs * R2[x])
+        rhs[x] = conv_disjoint(g1, f2).values + conv_disjoint(f1, g2).values
         shape = (-1, 2, 1 << x)  # masks as (high bits, bit x, low bits)
         lhs[x].reshape(shape)[:, 0] = rho.reshape(shape)[:, 1] / g.site_mass(x)
         rhs[x].reshape(shape)[:, 1] = 0.0

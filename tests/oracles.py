@@ -11,7 +11,9 @@ that the batched correlation estimator replaced, and
 :func:`insertion_sides` the one-state-at-a-time loop behind the Mecke and
 GNZ right-hand sides.  :func:`papangelou_table`, :func:`gibbs_table` and
 :func:`gibbs_convolution_rhs` are the one-query-at-a-time forms of the
-lattice Gibbs layer.
+lattice Gibbs layer.  :func:`sweep_per_bit` is the reference for that
+sweep itself: one in-place pass per bit over the whole table, with no
+change of layout.
 """
 
 import bisect
@@ -21,6 +23,24 @@ import numpy as np
 
 from confpp.core import Configuration, PointConfiguration, SetFunction
 from confpp.errors import CocycleError
+
+
+def sweep_per_bit(table, sites, superset=False, sign=1.0, weights=None):
+    """:func:`confpp.transforms.sweep` as one pass per bit ``i``, with the
+    last axis viewed as ``(..., 2**(n-1-i), 2, 2**i)`` every time."""
+    lead = table.shape[:-1]
+    for j, i in enumerate(sites):
+        view = table.reshape(lead + (-1, 2, 1 << i))
+        lo, hi = view[..., 0, :], view[..., 1, :]
+        src, dst = (hi, lo) if superset else (lo, hi)
+        c = sign if weights is None else sign * weights[j]
+        if c == 1.0:
+            dst += src
+        elif c == -1.0:
+            dst -= src
+        else:
+            dst += c * src
+    return table
 
 
 def k_transform_naive(G):

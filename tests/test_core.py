@@ -30,6 +30,12 @@ class TestDiscreteGround:
             DiscreteGround((1.0,) * 25)
         DiscreteGround((1.0,) * 24)  # at the cap is fine
 
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    def test_subset_size_is_a_read_only_popcount(self, n):
+        size = DiscreteGround((1.0,) * n).subset_size
+        assert size.dtype == np.int64 and not size.flags.writeable
+        assert size.tolist() == [bin(m).count("1") for m in range(1 << n)]
+
     def test_invalid_weights(self):
         with pytest.raises(ValidationError):
             DiscreteGround((1.0, 0.0))
@@ -251,6 +257,15 @@ class TestSetFunction:
         F = SetFunction(g, [1.0, 2.0])
         with pytest.raises(ValueError):
             F.values[0] = 5.0
+
+    @pytest.mark.parametrize("values", [np.arange(4.0), np.arange(4),
+                                        [0.0, 1.0, 2.0, 3.0]])
+    def test_copies_the_callers_table(self, values):
+        F = SetFunction(DiscreteGround((1.0, 2.0)), values)
+        values[0] = 7
+        assert F.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert not np.shares_memory(F.values, np.asarray(values))
+        assert np.asarray(values).flags.writeable
 
     def test_json_round_trip(self):
         g = DiscreteGround((1.0, 2.0))

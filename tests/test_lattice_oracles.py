@@ -185,6 +185,58 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep(np.zeros((4, 4)).T, range(2))
 
+    @pytest.mark.parametrize("shape", [(12,), (3, 12), (0,), ()])
+    def test_rejects_a_last_axis_not_a_power_of_two(self, shape):
+        table = np.arange(float(np.prod(shape))).reshape(shape)
+        with pytest.raises(ValidationError):
+            sweep(table, [0, 1] if shape else [])
+        assert np.array_equal(table.reshape(-1),
+                              np.arange(float(table.size)))
+
+    @pytest.mark.parametrize("sites", [[3], [0, 1, 2, 3], [-1], [0, -1]])
+    def test_rejects_sites_outside_the_lattice(self, sites):
+        table = np.arange(8.0)
+        with pytest.raises(ValidationError):
+            sweep(table, sites)
+        assert np.array_equal(table, np.arange(8.0))
+
+    @given(n=st.one_of(st.integers(0, 16), st.sampled_from([18, 21])),
+           lead=st.lists(st.integers(1, 3), max_size=2),
+           order=st.sampled_from(["ascending", "permuted", "repeated"]),
+           superset=st.booleans(), sign=st.sampled_from([1.0, -1.0]),
+           weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=21, lead=[], order="ascending", superset=False, sign=1.0,
+             weighted=False, seed=1)
+    @example(n=12, lead=[2, 3], order="ascending", superset=True, sign=-1.0,
+             weighted=True, seed=2)
+    @example(n=13, lead=[3], order="repeated", superset=False, sign=-1.0,
+             weighted=False, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_bit_oracle_bit_for_bit(
+            self, n, lead, order, superset, sign, weighted, seed):
+        rng = np.random.default_rng(seed)
+        if n > 16:
+            lead = [1] * len(lead)  # one table: 2**21 floats are 16 MB
+        table = rng.standard_normal((*lead, 1 << n))
+        zeros = rng.random(table.shape) < 0.3
+        table[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        if order == "ascending":
+            sites = list(range(n))
+        elif order == "permuted":
+            sites = rng.permutation(n).tolist()
+        else:  # each site may come back, in any order
+            sites = rng.integers(0, max(n, 1), 2 * n).tolist()
+        weights = None
+        if weighted:
+            weights = rng.standard_normal(len(sites))
+            weights[rng.random(len(sites)) < 0.3] = 1.0
+        fast, want = table.copy(), table.copy()
+        kw = dict(superset=superset, sign=sign, weights=weights)
+        sweep(fast, sites, **kw)
+        oracles.sweep_per_bit(want, sites, **kw)
+        assert np.array_equal(fast, want)
+        assert np.array_equal(np.signbit(fast), np.signbit(want))
+
 
 class TestRankedCapacity:
     """Above the cap the ranked kernels refuse before allocating anything."""

@@ -10,6 +10,7 @@ from confpp import transforms
 from confpp.core import (DiscreteGround, SetFunction, constant_function,
                          indicator_empty, lp_integral, power_function)
 from confpp.errors import GroundMismatchError, ValidationError
+from confpp.processes import projection_density, recover_correlation
 from confpp.transforms import (conv_disjoint, conv_union, exp_vector,
                                k_inverse, k_transform, minlos_pairing,
                                norm_fit, poly_bound_check)
@@ -66,6 +67,23 @@ class TestKTransform:
         G = SetFunction(g, vals)
         back = k_inverse(k_transform(G)).values
         assert np.max(np.abs(back - G.values)) < 1e-9
+
+
+@pytest.mark.parametrize("produce", [
+    k_transform, k_inverse, lambda G: conv_disjoint(G, G),
+    lambda G: conv_union(G, G), lambda G: G + G, lambda G: G - G,
+    lambda G: G * G, lambda G: 2.0 * G,
+    lambda G: projection_density(G, 0.5),
+    lambda G: recover_correlation(G, 0.5)])
+def test_results_are_read_only_and_share_no_memory(produce, rng):
+    G = _random_sf(G5, rng)
+    before = G.values.copy()
+    out = produce(G).values
+    assert not out.flags.writeable
+    assert not np.shares_memory(out, G.values)
+    with pytest.raises(ValueError):
+        out[0] = 1.0
+    assert np.array_equal(G.values, before)
 
 
 class TestConvolutions:
