@@ -18,8 +18,8 @@ from .errors import (CapacityError, CocycleError, ConfppError,
                      StabilityError, UndefinedConditionalError,
                      ValidationError)
 from .generators import (BirthDeathKernel, LatticeOperator, MoveOperator,
-                         adjoint_hat_L, contact_kernel, derive_kernels,
-                         hat_L_action, hat_L_bruteforce, hat_L_closed,
+                         contact_kernel, derive_kernels, hat_L_action,
+                         hat_L_bruteforce, hat_L_closed,
                          hat_L_continuum_action, kernel_from_entries)
 from .processes import (DiscreteTable, Gibbs, MixedPoisson, MixingDensity,
                         PapangelouSpec, Poisson, Superposition,
@@ -32,8 +32,7 @@ from .processes import (DiscreteTable, Gibbs, MixedPoisson, MixingDensity,
 from .samplers import (IdentityReport, PointBatch, RunPlan, constant_h,
                        count_distribution_check, density_estimator,
                        estimate_correlation, sample_batch, sample_gibbs_bd,
-                       sample_mixed_poisson, sample_poisson,
-                       strauss_spec, superpose, verify_gnz, verify_mecke)
+                       sample_poisson, strauss_spec, verify_gnz, verify_mecke)
 from .transforms import (conv_disjoint, conv_union, exp_vector, k_inverse,
                          k_transform, minlos_pairing, norm_fit)
 from .two_type import (PairConfiguration, PairSetFunction, conv_star2,

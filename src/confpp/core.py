@@ -221,40 +221,14 @@ def _require_discrete(ground):
 
 @dataclass(frozen=True)
 class Configuration:
-    """A finite subset of a discrete ground, as a bitmask.
-
-    ``Configuration(window, points=...)`` is the validating build of a
-    :class:`PointConfiguration`: the points must lie in the window and be
-    strictly sorted, so a repeated point is rejected, never merged.
-    """
+    """A finite subset of a discrete ground, as a bitmask."""
 
     ground: DiscreteGround
     mask: int = 0
 
-    def __new__(cls, ground, mask=0, points=None):
-        if not isinstance(ground, BoxWindow):
-            if points is not None:
-                raise ValidationError("discrete configurations carry a "
-                                      "bitmask, not points")
-            return super().__new__(cls)
-        if mask:
-            raise ValidationError("continuum configurations carry points, "
-                                  "not a bitmask")
-        pts = () if points is None else tuple(
-            tuple(float(c) for c in p) for p in points)
-        for p in pts:
-            if not ground.contains(p):
-                raise ValidationError(f"point {p} outside the window")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValidationError(f"duplicate point {a}")
-            if a > b:
-                raise ValidationError("continuum points must be sorted")
-        return PointConfiguration(ground, pts)
-
     def __post_init__(self):
         if not isinstance(self.ground, DiscreteGround):
-            raise ValidationError(f"not a ground model: {self.ground!r}")
+            raise ValidationError(f"not a discrete ground: {self.ground!r}")
         if not 0 <= self.mask < self.ground.n_subsets:
             raise ValidationError(f"bitmask {self.mask} out of range for "
                                   f"{self.ground.n_sites} sites")
@@ -286,11 +260,30 @@ class Configuration:
 class PointConfiguration:
     """A finite point set of a continuum window: ``points`` is a strictly
     sorted tuple of float tuples inside ``ground``.  The constructor trusts
-    its caller; ``Configuration(window, points=...)`` is the validating build.
+    its caller; :meth:`checked` is the validating build.
     """
 
     ground: BoxWindow
     points: tuple = ()
+
+    @classmethod
+    def checked(cls, window, points):
+        """The configuration of ``points`` on ``window``, each point inside
+        the window and the points strictly sorted, so a repeated point is
+        rejected, never merged."""
+        if not isinstance(window, BoxWindow):
+            raise ValidationError("point configurations need a continuum "
+                                  "window; a discrete ground takes a bitmask")
+        pts = tuple(tuple(float(c) for c in p) for p in points)
+        for p in pts:
+            if not window.contains(p):
+                raise ValidationError(f"point {p} outside the window")
+        for a, b in zip(pts, pts[1:]):
+            if a == b:
+                raise ValidationError(f"duplicate point {a}")
+            if a > b:
+                raise ValidationError("continuum points must be sorted")
+        return cls(window, pts)
 
     def __len__(self):
         return len(self.points)
@@ -344,8 +337,27 @@ def count_in(gamma, region):
 # set functions on the subset lattice
 # ---------------------------------------------------------------------------
 
+class _Table:
+    """Building of a frozen ``(ground, values, label)`` table: the
+    constructor holds a copy of the caller's array, :meth:`_take` a new
+    float array that nothing else refers to, without the copy.  The
+    subclass's ``_hold`` checks the array, makes it read-only and stores it.
+    """
+
+    def __post_init__(self):
+        self._hold(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _take(cls, ground, values, label=""):
+        table = cls.__new__(cls)
+        object.__setattr__(table, "ground", ground)
+        object.__setattr__(table, "label", label)
+        table._hold(np.asarray(values, dtype=float))
+        return table
+
+
 @dataclass(frozen=True)
-class SetFunction:
+class SetFunction(_Table):
     """A real function on finite configurations of a discrete ground,
     tabulated densely over the subset lattice.
 
@@ -355,20 +367,6 @@ class SetFunction:
     ground: DiscreteGround
     values: np.ndarray
     label: str = ""
-
-    def __post_init__(self):
-        self._hold(np.array(self.values, dtype=float))
-
-    @classmethod
-    def _take(cls, ground, values, label=""):
-        """The set function on ``values``, a new float array that nothing
-        else refers to, held without the copy that the constructor makes
-        of a caller's array."""
-        sf = cls.__new__(cls)
-        object.__setattr__(sf, "ground", ground)
-        object.__setattr__(sf, "label", label)
-        sf._hold(np.asarray(values, dtype=float))
-        return sf
 
     def _hold(self, vals):
         _require_discrete(self.ground)
@@ -490,7 +488,7 @@ def lp_integral_mc(G, z, window, n_max, samples_per_order, seed):
     for n, rng in enumerate(streams):
         coef = (z * vol) ** n / math.factorial(n)
         if n == 0:
-            g0 = _eval_continuum(G, Configuration(window))
+            g0 = _eval_continuum(G, PointConfiguration(window))
             estimate += coef * g0
             continue
         vals = np.empty(samples_per_order)

@@ -617,17 +617,6 @@ def hat_L_closed(kernel, z=1.0):
 # adjoint and structural checks
 # ---------------------------------------------------------------------------
 
-def adjoint_hat_L(op, z=1.0):
-    """Adjoint w.r.t. ``<<G, k>> = sum_eta G(eta) k(eta) wt_z(eta)``.
-
-    The dense matrix; the checks below use ``op.adjoint_apply`` instead and
-    never build it.
-    """
-    w = _pairing_weights(op.ground, z)
-    mat = (op.matrix * w[:, np.newaxis]).T / w[:, np.newaxis]
-    return LatticeOperator(op.ground, mat, f"adj[{op.label}]")
-
-
 def pairing(G, k, z=1.0):
     """``<<G, k>>`` against the weighted counting reference."""
     if not G.same_ground(k):

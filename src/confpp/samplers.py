@@ -9,15 +9,14 @@ rule; MCMC standard errors use batch means.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BoxWindow, Configuration, PointConfiguration,
-                   split_streams, uniform_configuration)
-from .errors import OverlapError, StabilityError, ValidationError
+from .core import (BoxWindow, PointConfiguration, split_streams,
+                   uniform_configuration)
+from .errors import StabilityError, ValidationError
 from .processes import (Gibbs, MixedPoisson, PapangelouSpec, Poisson,
                         Superposition, mixing_convolution, point_mass_mixing)
 
@@ -88,34 +87,14 @@ def sample_poisson(window, z, rng):
                                  int(rng.poisson(z * window.volume)))
 
 
-def sample_mixed_poisson(window, mixing, rng):
-    """Draw an intensity from the mixing masses, then a Poisson sample."""
-    j = int(rng.choice(mixing.grid.size, p=mixing.masses))
-    return sample_poisson(window, float(mixing.grid[j]), rng)
-
-
-def superpose(gamma1, gamma2):
-    """Sorted merge of two configurations on one window.
-
-    A coincident coordinate pair is rejected: unions are formed pointwise
-    and a collision would silently drop a point.
-    """
-    if gamma1.ground != gamma2.ground:
-        raise ValidationError("configurations on different windows")
-    merged = gamma1.points + gamma2.points
-    if len(set(merged)) != len(merged):
-        raise OverlapError("superposed configurations share a point")
-    return Configuration(gamma1.ground, points=tuple(sorted(merged)))
-
-
 @dataclass(frozen=True)
 class PointBatch:
     """A ragged batch of window samples.
 
     Sample ``i`` is ``coords[offsets[i]:offsets[i + 1]]``, an ``(n_i, d)``
     block of rows in lexicographic order with no repeated row, as the points
-    of a :class:`~confpp.core.Configuration` are.  ``overlap_events`` counts
-    the samples that were redrawn because a row repeated.
+    of a :class:`~confpp.core.PointConfiguration` are.  ``overlap_events``
+    counts the samples that were redrawn because a row repeated.
     """
 
     offsets: np.ndarray
@@ -438,66 +417,77 @@ def _stacked(batch, points, proposals):
     return values
 
 
-def _insertion_sides(blocks, h, S, scale, spec=None):
+def _insertion_sides(blocks, window, h, S, scale, spec=None):
     """Paired sides of an insertion identity, one pair per state.
 
     lhs is ``sum_{x in gamma} h(gamma, x)``; rhs is ``scale`` times the mean
     over ``S`` uniform proposals u of ``h(gamma u {u}, u)``, times
-    ``r(gamma, u)`` when ``spec`` is given.  ``blocks`` yields ``(states,
-    proposals)`` with proposals of shape ``(len(states), S, d)``.
+    ``r(gamma, u)`` when ``spec`` is given.  ``blocks`` yields ``(batch,
+    proposals)``: a :class:`PointBatch` of states on ``window`` and their
+    proposals, of shape ``(len(batch), S, d)``.
 
     A proposal that is already a point of gamma adds a 0 term.  A batched
     form is called once per point count in a block, on the stack of those
     states' points and proposals (every proposal, also such a repeat); a
-    scalar form makes one call per other proposal, state by state.  Each
-    row of terms is summed left to right, so both paths give the same bits.
+    batched ``h`` gives lhs by one more call per count, on each point x
+    against the other points gamma \\ x.  A scalar form is called on a
+    :class:`~confpp.core.PointConfiguration` built from the state's rows,
+    once per point for lhs and once per other proposal for rhs.  lhs is
+    summed by ``math.fsum`` and each row of terms left to right, so both
+    paths give the same bits.
     """
     h_batch = getattr(h, "batch", None)
     scalar_r = spec is not None and spec.batch is None
     lhs, rhs = [], []
-    for states, proposals in blocks:
-        k, d = len(states), proposals.shape[2]
-        counts = np.fromiter(map(len, states), np.intp, k)
-        starts = np.cumsum(counts) - counts
-        flat = np.fromiter(itertools.chain.from_iterable(
-            itertools.chain.from_iterable(g.points for g in states)),
-            float, int(counts.sum()) * d).reshape(-1, d)
+    for batch, proposals in blocks:
+        k, counts, offsets = len(batch), batch.counts, batch.offsets
+        left = np.zeros(k)
         taken = np.zeros((k, S), dtype=bool)
         h_vals = np.zeros((k, S))
         r_vals = None if spec is None else np.zeros((k, S))
         for n in np.flatnonzero(np.bincount(counts)).tolist():
             rows = np.flatnonzero(counts == n)
-            points = flat[starts[rows, np.newaxis] + np.arange(n)]
+            points = batch.coords[offsets[rows, np.newaxis] + np.arange(n)]
             props = proposals[rows]
             if n:
                 taken[rows] = (props[:, :, np.newaxis] == points[:, np.newaxis]
                                ).all(axis=3).any(axis=2)
             if h_batch is not None:
                 h_vals[rows] = _stacked(h_batch, points, props)
+            if h_batch is not None and n:
+                # row i of `others` indexes every point but point i
+                others = np.arange(n - 1) + (np.arange(n - 1)
+                                             >= np.arange(n)[:, np.newaxis])
+                at_x = _stacked(h_batch, points[:, others],
+                                points[:, :, np.newaxis])
+                left[rows] = list(map(math.fsum, at_x.reshape(-1, n).tolist()))
             if spec is not None and not scalar_r:
                 r_vals[rows] = _stacked(spec.batched, points, props)
-        for i, gamma in enumerate(states):
-            lhs.append(math.fsum(h(gamma, x) for x in gamma.points))
-            if h_batch is not None and not scalar_r:
-                continue
-            fresh = [j for j, t in enumerate(taken[i].tolist()) if not t]
-            us = list(map(tuple, proposals[i, fresh].tolist()))
-            if h_batch is None:
-                pts, values = gamma.points, []
-                for u in us:
-                    at = bisect.bisect_left(pts, u)
-                    values.append(h(PointConfiguration(
-                        gamma.ground, pts[:at] + (u,) + pts[at:]), u))
-                h_vals[i, fresh] = values
-            if scalar_r:
-                r_vals[i, fresh] = [spec(gamma, u) for u in us]
+        if h_batch is None or scalar_r:
+            coords, bounds = batch.coords.tolist(), offsets.tolist()
+            for i in range(k):
+                gamma = PointConfiguration(window, tuple(
+                    map(tuple, coords[bounds[i]:bounds[i + 1]])))
+                fresh = [j for j, t in enumerate(taken[i].tolist()) if not t]
+                us = list(map(tuple, proposals[i, fresh].tolist()))
+                if h_batch is None:
+                    pts, values = gamma.points, []
+                    left[i] = math.fsum(h(gamma, x) for x in pts)
+                    for u in us:
+                        at = bisect.bisect_left(pts, u)
+                        values.append(h(PointConfiguration(
+                            window, pts[:at] + (u,) + pts[at:]), u))
+                    h_vals[i, fresh] = values
+                if scalar_r:
+                    r_vals[i, fresh] = [spec(gamma, u) for u in us]
         h_vals[taken] = 0.0
         terms = h_vals if spec is None else np.multiply(h_vals, r_vals,
                                                          out=h_vals)
         # + 0.0 turns a -0.0 sum into the 0.0 of a sum started at 0.0
         sums = np.add.accumulate(terms, axis=1, out=terms)[:, -1] + 0.0
+        lhs.append(left)
         rhs.append(scale * sums / S)
-    return np.array(lhs), np.concatenate(rhs)
+    return np.concatenate(lhs), np.concatenate(rhs)
 
 
 def verify_mecke(z, window, h, plan):
@@ -521,9 +511,9 @@ def verify_mecke(z, window, h, plan):
             for _ in range(min(_BLOCK, plan.replicas - start)):
                 states.append(sample_poisson(window, z, rng))
                 proposals.append(window.sample_uniform(rng, S))
-            yield states, np.stack(proposals)
+            yield PointBatch.from_configurations(states), np.stack(proposals)
 
-    lhs, rhs = _insertion_sides(blocks(), h, S, z * window.volume)
+    lhs, rhs = _insertion_sides(blocks(), window, h, S, z * window.volume)
     return _paired_report("mecke", lhs, rhs)
 
 
@@ -556,11 +546,12 @@ def verify_gnz(spec, h, plan):
 
     def blocks():
         for start in range(0, len(chain), _BLOCK):
-            states = chain[start:start + _BLOCK]
+            states = PointBatch.from_configurations(
+                chain[start:start + _BLOCK])
             yield states, window.sample_uniform(
                 streams[1], len(states) * S).reshape(len(states), S, -1)
 
-    lhs, rhs = _insertion_sides(blocks(), h, S, window.volume, spec)
+    lhs, rhs = _insertion_sides(blocks(), window, h, S, window.volume, spec)
     se, n_eff = _batch_se(lhs - rhs)
     return _paired_report("gnz", lhs, rhs, se, n_eff)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, SetFunction
+from .core import Configuration, SetFunction, _Table
 from .errors import (CapacityError, GroundMismatchError, OverlapError,
                      ValidationError)
 from .transforms import covering_values, moebius_values, sweep, zeta_values
@@ -47,7 +47,7 @@ class PairConfiguration:
 
 
 @dataclass(frozen=True)
-class PairSetFunction:
+class PairSetFunction(_Table):
     """Real table over the product lattice, plus-mask major.
 
     ``values[i, j]`` is the value at plus-mask ``i``, minus-mask ``j``.
@@ -57,17 +57,16 @@ class PairSetFunction:
     values: np.ndarray
     label: str = ""
 
-    def __post_init__(self):
+    def _hold(self, vals):
         if self.ground.n_sites > PAIR_MAX_SITES:
             raise CapacityError(
                 f"pair tables limited to {PAIR_MAX_SITES} sites per coordinate")
-        vals = np.asarray(self.values, dtype=float)
         n = self.ground.n_subsets
         if vals.shape != (n, n):
             raise ValidationError(f"pair table must be {n}x{n}")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("pair table has non-finite entries")
-        vals.setflags(write=False)
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def __call__(self, pair):
@@ -80,8 +79,9 @@ class PairSetFunction:
         if isinstance(other, PairSetFunction):
             if not self.same_ground(other):
                 raise GroundMismatchError("operands on different grounds")
-            return PairSetFunction(self.ground, self.values * other.values)
-        return PairSetFunction(self.ground, self.values * float(other))
+            return PairSetFunction._take(self.ground,
+                                         self.values * other.values)
+        return PairSetFunction._take(self.ground, self.values * float(other))
 
     def to_json(self):
         # row-major: plus-mask outer, minus-mask inner
@@ -95,14 +95,14 @@ def pair_product(G1, G2, label=None):
     """Tensor pair function ``(eta+, eta-) -> G1(eta+) G2(eta-)``."""
     if not G1.same_ground(G2):
         raise GroundMismatchError("factors on different grounds")
-    return PairSetFunction(G1.ground, np.outer(G1.values, G2.values),
-                           label or f"({G1.label})x({G2.label})")
+    return PairSetFunction._take(G1.ground, np.outer(G1.values, G2.values),
+                                 label or f"({G1.label})x({G2.label})")
 
 
 def pair_indicator_empty(ground):
     vals = np.zeros((ground.n_subsets, ground.n_subsets))
     vals[0, 0] = 1.0
-    return PairSetFunction(ground, vals, "delta_(0,0)")
+    return PairSetFunction._take(ground, vals, "delta_(0,0)")
 
 
 def kk_transform(G):
@@ -112,15 +112,15 @@ def kk_transform(G):
     bits (minus sites low, plus sites high), swept in one pass.
     """
     vals = zeta_values(G.values.reshape(-1), 2 * G.ground.n_sites)
-    return PairSetFunction(G.ground, vals.reshape(G.values.shape),
-                           f"KK[{G.label}]")
+    return PairSetFunction._take(G.ground, vals.reshape(G.values.shape),
+                                 f"KK[{G.label}]")
 
 
 def kk_inverse(F):
     """Coordinatewise signed Moebius sweep; exact inverse of the transform."""
     vals = moebius_values(F.values.reshape(-1), 2 * F.ground.n_sites)
-    return PairSetFunction(F.ground, vals.reshape(F.values.shape),
-                           f"KKinv[{F.label}]")
+    return PairSetFunction._take(F.ground, vals.reshape(F.values.shape),
+                                 f"KKinv[{F.label}]")
 
 
 def conv_star2(G1, G2):
@@ -134,8 +134,8 @@ def conv_star2(G1, G2):
         raise GroundMismatchError("operands on different grounds")
     n = G1.ground.n_sites
     out = covering_values(G1.values.reshape(-1), G2.values.reshape(-1), 2 * n)
-    return PairSetFunction(G1.ground, out.reshape(G1.values.shape),
-                           f"({G1.label})star2({G2.label})")
+    return PairSetFunction._take(G1.ground, out.reshape(G1.values.shape),
+                                 f"({G1.label})star2({G2.label})")
 
 
 def marginal_correlation(k, side):

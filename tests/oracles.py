@@ -13,7 +13,8 @@ GNZ right-hand sides.  :func:`papangelou_table`, :func:`gibbs_table` and
 :func:`gibbs_convolution_rhs` are the one-query-at-a-time forms of the
 lattice Gibbs layer.  :func:`sweep_per_bit` is the reference for that
 sweep itself: one in-place pass per bit over the whole table, with no
-change of layout.
+change of layout.  :func:`adjoint_hat_L` is the dense adjoint of a
+generator matrix, which the program's checks never build.
 """
 
 import bisect
@@ -22,6 +23,7 @@ import math
 import numpy as np
 
 from confpp.core import Configuration, PointConfiguration, SetFunction
+from confpp.generators import LatticeOperator
 from confpp.errors import CocycleError
 
 
@@ -147,6 +149,15 @@ def product_weights(ground, c):
     return np.array([math.prod(c * m for i, m in enumerate(ground.weights)
                                if eta >> i & 1)
                      for eta in range(ground.n_subsets)])
+
+
+def adjoint_hat_L(op, z=1.0):
+    """Dense adjoint of ``op`` w.r.t. ``<<G, k>> = sum_eta G(eta) k(eta)
+    wt_z(eta)``: ``W^-1 M^T W`` with the weights of :func:`product_weights`.
+    """
+    w = product_weights(op.ground, z)
+    mat = (op.matrix * w[:, np.newaxis]).T / w[:, np.newaxis]
+    return LatticeOperator(op.ground, mat, f"adj[{op.label}]")
 
 
 def reference_sum(values, ground, z, sign):

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confpp.core import BoxWindow, Configuration, DiscreteGround
+from confpp.core import (BoxWindow, Configuration, DiscreteGround,
+                         PointConfiguration)
 from confpp.errors import StabilityError, ValidationError
 from confpp.processes import PapangelouSpec, pairwise_gibbs_spec
 from confpp.samplers import (RunPlan, detailed_balance_residual,
@@ -39,7 +40,7 @@ def strauss_cases(draw):
     beta = draw(st.floats(0.01, 50.0))
     g = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
     R = draw(st.integers(1, 16)) / 32
-    gamma = Configuration(WINDOWS[d], points=tuple(sorted(pts)))
+    gamma = PointConfiguration.checked(WINDOWS[d], tuple(sorted(pts)))
     return gamma, np.array(proposals, dtype=float), (beta, g, R)
 
 
@@ -64,7 +65,7 @@ class TestStraussBatch:
     def test_matches_scalar_off_grid(self, case, R):
         pts, proposals = case
         d = len(proposals[0])
-        gamma = Configuration(WINDOWS[d], points=tuple(sorted(pts)))
+        gamma = PointConfiguration.checked(WINDOWS[d], tuple(sorted(pts)))
         spec = strauss_spec(3.0, 0.4, R)
         props = np.array(proposals)
         assert np.array_equal(
@@ -82,7 +83,8 @@ class TestStraussBatch:
         d0, d1 = p[0] - x[0], p[1] - x[1]
         assert (d0 * d0 + d1 * d1 <= R * R) == counted
         expected = 1.0 if counted else 2.0
-        assert spec(Configuration(WINDOWS[2], points=(p,)), x) == expected
+        gamma = PointConfiguration.checked(WINDOWS[2], (p,))
+        assert spec(gamma, x) == expected
         assert spec.batched(np.array([p]), np.array([x])).tolist() == [
             expected]
 
@@ -98,8 +100,8 @@ class TestStraussBatch:
             for p in (math.nextafter(below, -math.inf), below, edge, above,
                       math.nextafter(above, math.inf)):
                 if 0.0 <= p <= 1.0:
-                    yield (Configuration(WINDOWS[d],
-                                         points=((p,) + (y,) * (d - 1),)),
+                    yield (PointConfiguration.checked(
+                        WINDOWS[d], ((p,) + (y,) * (d - 1),)),
                            proposal)
 
     @pytest.mark.parametrize("d", [1, 2])

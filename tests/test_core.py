@@ -141,22 +141,22 @@ class TestConfiguration:
 
     def test_continuum_points(self):
         w = BoxWindow(((0.0, 1.0),))
-        c = Configuration(w, points=((0.2,), (0.5,)))
+        c = PointConfiguration.checked(w, ((0.2,), (0.5,)))
         assert len(c) == 2
-        with pytest.raises(ValidationError):
-            Configuration(w, points=((0.5,), (0.2,)))  # unsorted
-        with pytest.raises(ValidationError):
-            Configuration(w, points=((0.2,), (0.2,)))  # duplicate
-        with pytest.raises(ValidationError):
-            Configuration(w, points=((1.5,),))  # outside
+        with pytest.raises(ValidationError, match="sorted"):
+            PointConfiguration.checked(w, ((0.5,), (0.2,)))
+        with pytest.raises(ValidationError, match="duplicate"):
+            PointConfiguration.checked(w, ((0.2,), (0.2,)))
+        with pytest.raises(ValidationError, match="outside"):
+            PointConfiguration.checked(w, ((1.5,),))
 
     def test_continuum_with_and_without_point(self):
         w = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
-        c = Configuration(w, points=((0.2, 0.9), (0.5, 0.1)))
+        c = PointConfiguration.checked(w, ((0.2, 0.9), (0.5, 0.1)))
         for p in ((0.1, 0.5), (0.3, 0.3), (0.5, 0.05), (0.9, 0.9)):
             added = c.with_point(p)
-            assert added == Configuration(
-                w, points=tuple(sorted(c.points + (p,))))
+            assert added == PointConfiguration.checked(
+                w, sorted(c.points + (p,)))
             assert added.without_point(p) == c
         assert c.with_point([0.0, 1.0]).points[0] == (0.0, 1.0)
         with pytest.raises(ValidationError):
@@ -170,35 +170,36 @@ class TestConfiguration:
 
     def test_without_absent_point(self):
         w = BoxWindow(((0.0, 1.0),))
-        c = Configuration(w, points=((0.2,), (0.5,)))
+        c = PointConfiguration.checked(w, ((0.2,), (0.5,)))
         for p in ((0.3,), (0.9,), (0.0,)):
             with pytest.raises(ValidationError):
                 c.without_point(p)
         with pytest.raises(ValidationError):
-            Configuration(w).without_point((0.5,))
+            PointConfiguration(w).without_point((0.5,))
 
     def test_validated_build_is_the_point_type(self):
         w = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
         pts = ((0.2, 0.9), (0.5, 0.1))
-        c = Configuration(w, points=[list(p) for p in pts])
+        c = PointConfiguration.checked(w, [list(p) for p in pts])
         assert type(c) is PointConfiguration
         assert c == PointConfiguration(w, pts)
         assert hash(c) == hash(PointConfiguration(w, pts))
-        assert Configuration(w, points=np.array(pts)) == c
-        assert Configuration(w) == PointConfiguration(w)
+        assert PointConfiguration.checked(w, np.array(pts)) == c
+        assert PointConfiguration.checked(w, ()) == PointConfiguration(w)
         assert type(c.with_point((0.3, 0.3))) is PointConfiguration
         assert type(c.without_point((0.2, 0.9))) is PointConfiguration
 
     def test_ground_kind_decides_the_type(self):
         w = BoxWindow(((0.0, 1.0),))
         g = DiscreteGround((1.0, 1.0, 1.0))
-        with pytest.raises(ValidationError, match="carry points"):
-            Configuration(w, mask=1)
-        with pytest.raises(ValidationError, match="carry a bitmask"):
-            Configuration(g, points=((0.5,),))
+        for mask in (0, 1):
+            with pytest.raises(ValidationError, match="not a discrete"):
+                Configuration(w, mask)
+        with pytest.raises(ValidationError, match="continuum window"):
+            PointConfiguration.checked(g, ((0.5,),))
         with pytest.raises(ValidationError, match="out of range"):
             Configuration(g, 0b1000)
-        with pytest.raises(ValidationError, match="not a ground model"):
+        with pytest.raises(ValidationError, match="not a discrete"):
             Configuration("ground", 0)
         c = Configuration(g, 0b101)
         assert type(c) is Configuration and len(c) == 2
@@ -206,7 +207,8 @@ class TestConfiguration:
 
     @pytest.mark.parametrize("c, field", [
         (Configuration(DiscreteGround((1.0, 1.0)), 0b01), "mask"),
-        (Configuration(BoxWindow(((0.0, 1.0),)), points=((0.5,),)), "points"),
+        (PointConfiguration.checked(BoxWindow(((0.0, 1.0),)), ((0.5,),)),
+         "points"),
     ])
     def test_immutable(self, c, field):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -229,7 +231,7 @@ class TestConfiguration:
         assert count_in(c, [0, 1]) == 2
         assert count_in(c, [2]) == 0
         w = BoxWindow(((0.0, 1.0),))
-        cc = Configuration(w, points=((0.1,), (0.6,)))
+        cc = PointConfiguration.checked(w, ((0.1,), (0.6,)))
         assert count_in(cc, BoxWindow(((0.0, 0.5),))) == 1
 
 

@@ -2,7 +2,7 @@
 
 The conjugated action ``hat_L_action`` is compared with the closed form
 ``hat_L_closed`` (which never builds the move families) and with the dense
-adjoint ``adjoint_hat_L`` of that matrix; the continuum action
+adjoint ``oracles.adjoint_hat_L`` of that matrix; the continuum action
 ``hat_L_continuum_action`` with ``oracles.continuum_matrix``, a term-by-term
 transcription of the continuum formula.  The derivation checks, which read
 an operator only through ``apply``, give on the actions what they give on
@@ -26,9 +26,9 @@ from conftest import pure_death_kernel
 from confpp.core import DiscreteGround, SetFunction, power_function
 from confpp.errors import CapacityError
 from confpp.generators import (BRUTEFORCE_MAX_SITES, BirthDeathKernel,
-                               LatticeOperator, adjoint_hat_L,
-                               check_derivation, contact_kernel,
-                               derivation_residual_max, derive_kernels,
+                               LatticeOperator, check_derivation,
+                               contact_kernel, derivation_residual_max,
+                               derive_kernels,
                                hat_L_action, hat_L_bruteforce, hat_L_closed,
                                hat_L_continuum_action, invariance_residual,
                                kernel_from_entries, normalized_dispersal,
@@ -81,7 +81,7 @@ def test_conjugated_action_matches_closed_form(n, k_trunc, z, seed, zero):
     g, ker, rate, G, k = _case(n, k_trunc, z, seed, zero)
     w = oracles.product_weights(g, z)
     closed = hat_L_closed(ker, z)
-    adj = adjoint_hat_L(closed, z).matrix
+    adj = oracles.adjoint_hat_L(closed, z).matrix
     op = hat_L_action(ker, z)
     _assert_close(op.apply(G).values, closed.matrix, G.values, rate)
     _assert_close(op.adjoint_apply(k, z).values, adj, k.values, rate, w)

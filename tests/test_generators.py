@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import pure_death_kernel
-from oracles import generator_value
+from oracles import adjoint_hat_L, generator_value
 from confpp.cli import run_experiment, validate_config
 from confpp.core import (Configuration, DiscreteGround, SetFunction,
                          indicator_empty, power_function)
 from confpp.errors import CapacityError, ValidationError
-from confpp.generators import (BirthDeathKernel, adjoint_hat_L,
-                               check_adjoint_leibniz, check_derivation,
-                               contact_kernel, convolution_closure_check,
+from confpp.generators import (BirthDeathKernel, check_adjoint_leibniz,
+                               check_derivation, contact_kernel,
+                               convolution_closure_check,
                                derivation_residual_max, derive_kernels,
                                hat_L_action, hat_L_bruteforce, hat_L_closed,
                                hat_L_continuum_action, invariance_residual,
@@ -302,8 +302,7 @@ class TestAdjoint:
         ker = random_kernel(G5, 2, rng)
         op = hat_L_closed(ker)
         k = SetFunction(G5, rng.standard_normal(G5.n_subsets))
-        for call in (lambda: adjoint_hat_L(op, z),
-                     lambda: op.adjoint_apply(k, z),
+        for call in (lambda: op.adjoint_apply(k, z),
                      lambda: hat_L_action(ker).adjoint_apply(k, z)):
             with pytest.raises(ValidationError, match="pairing activity"):
                 call()

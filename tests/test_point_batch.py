@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from confpp.core import BoxWindow, Configuration, split_streams
+from confpp.core import BoxWindow, PointConfiguration, split_streams
 from confpp.errors import ValidationError
 from confpp.processes import (MixedPoisson, Poisson, Superposition,
                               exponential_mixing)
@@ -36,9 +36,8 @@ MODELS = [Poisson(2.0), MixedPoisson(exponential_mixing(1.0)),
 
 def configurations(batch, window):
     """Each sample as a validated configuration: rows inside the window,
-    sorted, no repeated point, or ``Configuration`` raises."""
-    return [Configuration(window, points=tuple(
-                map(tuple, batch.coords[lo:hi].tolist())))
+    sorted, no repeated point, or ``PointConfiguration.checked`` raises."""
+    return [PointConfiguration.checked(window, batch.coords[lo:hi])
             for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])]
 
 
@@ -62,7 +61,7 @@ def configuration_lists(draw):
     d = draw(st.sampled_from([1, 2]))
     window = WINDOWS[d]
     point = st.tuples(*[coordinate] * d).filter(window.contains)
-    samples = [Configuration(window, points=tuple(sorted(set(pts))))
+    samples = [PointConfiguration.checked(window, tuple(sorted(set(pts))))
                for pts in draw(st.lists(st.lists(point, max_size=6),
                                         min_size=1, max_size=12))]
     return d, samples

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from confpp import samplers
-from confpp.core import BoxWindow, Configuration, split_streams
-from confpp.errors import OverlapError, StabilityError, ValidationError
+from confpp.core import BoxWindow, PointConfiguration, split_streams
+from confpp.errors import StabilityError, ValidationError
 from confpp.processes import (MixedPoisson, PapangelouSpec, Poisson,
                               Superposition, exponential_mixing,
                               point_mass_mixing)
@@ -13,8 +13,7 @@ from confpp.samplers import (IdentityReport, RunPlan, analytic_count_pmf,
                              count_distribution_check,
                              detailed_balance_residual, density_estimator,
                              estimate_correlation, sample_gibbs_bd,
-                             sample_mixed_poisson, sample_poisson,
-                             strauss_spec, superpose, verify_gnz,
+                             sample_poisson, strauss_spec, verify_gnz,
                              verify_mecke)
 
 W = BoxWindow(((0.0, 1.0),))
@@ -62,47 +61,6 @@ class TestSamplePoisson:
     def test_rejects_nan_and_inf(self, z):
         with pytest.raises(ValidationError):
             sample_poisson(W, z, split_streams(1, 1)[0])
-
-
-class TestSampleMixedPoisson:
-    def test_point_mass_is_poisson(self):
-        rng = split_streams(3, 1)[0]
-        counts = [len(sample_mixed_poisson(W, point_mass_mixing(1.5), rng))
-                  for _ in range(20_000)]
-        se = np.std(counts, ddof=1) / math.sqrt(len(counts))
-        assert abs(np.mean(counts) - 1.5) <= 4 * se
-
-    def test_exponential_count_law(self):
-        # unit window, Exp(1) mixing: P(N = n) = 2^{-(n+1)}
-        rng = split_streams(4, 1)[0]
-        mix = exponential_mixing(1.0)
-        counts = np.array([len(sample_mixed_poisson(W, mix, rng))
-                           for _ in range(20_000)])
-        for n in range(5):
-            p = float(np.mean(counts == n))
-            target = 2.0 ** -(n + 1)
-            se = math.sqrt(target * (1 - target) / counts.size)
-            assert abs(p - target) <= 4 * se
-
-
-class TestSuperpose:
-    def test_merge(self):
-        a = Configuration(W, points=((0.1,), (0.5,), (0.8,)))
-        b = Configuration(W, points=((0.2,), (0.3,), (0.6,), (0.9,)))
-        assert len(superpose(a, b)) == 7
-        assert superpose(Configuration(W), b) == b
-
-    def test_commutative_associative(self):
-        a = Configuration(W, points=((0.1,),))
-        b = Configuration(W, points=((0.2,),))
-        c = Configuration(W, points=((0.3,),))
-        assert superpose(a, b) == superpose(b, a)
-        assert superpose(superpose(a, b), c) == superpose(a, superpose(b, c))
-
-    def test_coincident_rejected(self):
-        a = Configuration(W, points=((0.5,),))
-        with pytest.raises(OverlapError):
-            superpose(a, a)
 
 
 def _death_ratio_wrong_count(chain, points, i):
@@ -266,15 +224,15 @@ class TestEstimators:
         assert e1 == pytest.approx(dens, abs=1e-12)
 
     def test_overlapping_cells_rejected(self):
-        samples = [Configuration(W)]
+        samples = [PointConfiguration(W)]
         with pytest.raises(ValidationError):
             estimate_correlation(samples,
                                  [BoxWindow(((0.0, 0.5),)),
                                   BoxWindow(((0.4, 0.9),))], 2)
 
     def test_density_estimator(self):
-        assert density_estimator(Configuration(W)) == 0.0
-        g = Configuration(W, points=((0.1,), (0.2,), (0.3,)))
+        assert density_estimator(PointConfiguration(W)) == 0.0
+        g = PointConfiguration.checked(W, ((0.1,), (0.2,), (0.3,)))
         assert density_estimator(g) == 3.0
 
 

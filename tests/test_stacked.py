@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 import oracles
 from confpp import samplers
 from confpp.core import (BoxWindow, Configuration, DiscreteGround,
-                         split_streams)
+                         PointConfiguration, split_streams)
 from confpp.errors import ValidationError
 from confpp.processes import PapangelouSpec, pairwise_gibbs_spec
-from confpp.samplers import (RunPlan, constant_h, sample_gibbs_bd,
-                             sample_poisson, strauss_spec, verify_gnz,
-                             verify_mecke)
+from confpp.samplers import (PointBatch, RunPlan, constant_h,
+                             sample_gibbs_bd, sample_poisson, strauss_spec,
+                             verify_gnz, verify_mecke)
 
 WINDOWS = {1: BoxWindow(((0.0, 1.0),)),
            2: BoxWindow(((0.0, 1.0), (0.0, 1.0)))}
@@ -76,7 +76,7 @@ class TestStackedForms:
         assert np.array_equal(
             stacked, _per_configuration(spec.batched, points, proposals, 2))
         k, window = int(np.prod(proposals.shape[:-2], dtype=int)), WINDOWS[d]
-        scalar = [[spec(Configuration(window, points=map(tuple, p)), tuple(u))
+        scalar = [[spec(PointConfiguration.checked(window, p), tuple(u))
                    for u in us.tolist()]
                   for p, us in zip(points.reshape((k,) + points.shape[-2:])
                                    .tolist(),
@@ -174,7 +174,8 @@ def _spec(form, args):
 def _blocks(states, proposals):
     block = samplers._BLOCK
     for i in range(0, len(states), block):
-        yield states[i:i + block], np.stack(proposals[i:i + block])
+        yield (PointBatch.from_configurations(states[i:i + block]),
+               np.stack(proposals[i:i + block]))
 
 
 def _with_repeats(states, proposals):
@@ -202,8 +203,8 @@ class TestGroupedSides:
         rng = np.random.default_rng(d)
         proposals = _with_repeats(
             states, [window.sample_uniform(rng, S) for _ in states])
-        got = samplers._insertion_sides(_blocks(states, proposals), h, S,
-                                        window.volume, spec)
+        got = samplers._insertion_sides(_blocks(states, proposals), window,
+                                        h, S, window.volume, spec)
         want = oracles.insertion_sides(states, proposals, h, window.volume,
                                        spec)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -217,10 +218,36 @@ class TestGroupedSides:
         proposals = _with_repeats(
             states, [window.sample_uniform(rng, S) for _ in states])
         scale = z * window.volume
-        got = samplers._insertion_sides(_blocks(states, proposals), h, S,
-                                        scale)
+        got = samplers._insertion_sides(_blocks(states, proposals), window,
+                                        h, S, scale)
         want = oracles.insertion_sides(states, proposals, h, scale)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("d, args", [(1, (2.0, 0.5, 0.1)),
+                                         (2, (20.0, 0.3, 0.1))])
+    def test_batched_forms_build_no_configuration(self, monkeypatch, d,
+                                                  args):
+        """With a batched h, and a batched spec or none, both sides are
+        read from the batch rows alone: no configuration is built."""
+        window, S, h = WINDOWS[d], 16, _h("batched")
+        spec = strauss_spec(*args)
+        plan = RunPlan(window, replicas=300, master_seed=d, burn_in=300,
+                       thinning=2, proposal_points=S)
+        states = sample_gibbs_bd(spec, plan)
+        rng = np.random.default_rng(d)
+        proposals = _with_repeats(
+            states, [window.sample_uniform(rng, S) for _ in states])
+        want = [oracles.insertion_sides(states, proposals, h, window.volume,
+                                        r) for r in (None, spec)]
+
+        def refuse(*args):
+            raise AssertionError("a configuration was built")
+
+        monkeypatch.setattr(samplers, "PointConfiguration", refuse)
+        for r, sides in zip((None, spec), want):
+            got = samplers._insertion_sides(_blocks(states, proposals),
+                                            window, h, S, window.volume, r)
+            assert all(np.array_equal(a, b) for a, b in zip(got, sides))
 
     @pytest.mark.parametrize("h_form", ["scalar", "batched"])
     def test_verifier_streams(self, h_form):

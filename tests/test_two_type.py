@@ -194,6 +194,14 @@ class TestPairFunctionals:
         doc = G.to_json()
         assert len(doc["values"]) == G4.n_subsets ** 2
 
+    def test_caller_array_stays_writeable(self):
+        caller = np.zeros((4, 4))
+        P = PairSetFunction(DiscreteGround((1.0, 1.0)), caller)
+        assert caller.flags.writeable and not P.values.flags.writeable
+        assert not np.shares_memory(caller, P.values)
+        caller[0, 0] = 1.0
+        assert P.values[0, 0] == 0.0
+
 
 @given(n=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 @example(n=0, seed=1)
