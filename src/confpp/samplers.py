@@ -38,9 +38,9 @@ class RunPlan:
     def __post_init__(self):
         if not isinstance(self.window, BoxWindow):
             raise ValidationError("plan window must be a continuum box")
-        if self.replicas < 1 or self.burn_in < 0 or self.thinning < 0:
+        if self.replicas < 1 or self.burn_in < 0 or self.thinning < 1:
             raise ValidationError(
-                "need replicas >= 1 and nonnegative burn_in/thinning")
+                "need replicas >= 1, thinning >= 1 and burn_in >= 0")
         if self.proposal_points < 1:
             raise ValidationError("need at least one proposal point")
 
@@ -253,18 +253,37 @@ def strauss_spec(beta, g, R):
                           batch=batch)
 
 
+# doubles per refill; rng.random(k) blocks of any sizes concatenate to the
+# doubles of successive rng.random() calls, so the size changes no result
+_UNIFORM_BLOCK = 4096
+
+
+class _Uniforms:
+    """``rng``'s successive doubles, drawn ``_UNIFORM_BLOCK`` at a time."""
+
+    def __init__(self, rng):
+        self.rng, self.left = rng, []  # the unused doubles, next one last
+
+    def random(self):
+        if not self.left:
+            self.left = self.rng.random(_UNIFORM_BLOCK)[::-1].tolist()
+        return self.left.pop()
+
+
 class _BirthDeathChain:
     """State of the birth--death chain and its moves.
 
     The state is the sorted list of point tuples: it finds duplicates and
     indexes deaths in sorted order.  Each move makes one scalar call of the
     spec on a :class:`~confpp.core.PointConfiguration` of those tuples.
+    Every uniform comes from ``self.uniforms``; the death index ``int(u *
+    n)`` is at most ``n - 1`` for every double ``u < 1``.
     """
 
     def __init__(self, spec, window, rng):
         self.spec = spec
         self.window = window
-        self.rng = rng
+        self.uniforms = _Uniforms(rng)
         self.vol = window.volume
         self.r_max = spec.descriptor.get("r_max")
         self.points = []
@@ -293,21 +312,21 @@ class _BirthDeathChain:
 
     def step(self):
         """One birth--death proposal, applied in place."""
-        rng, pts, n = self.rng, self.points, len(self.points)
-        if rng.random() < 0.5:  # birth
-            x = self.window.sample_point(rng)
+        u, pts, n = self.uniforms, self.points, len(self.points)
+        if u.random() < 0.5:  # birth
+            x = self.window.sample_point(u)
             i = bisect.bisect_left(pts, x)
             if i < n and pts[i] == x:
                 return
-            if rng.random() < min(1.0, self.birth_ratio(pts, x)):
+            if u.random() < min(1.0, self.birth_ratio(pts, x)):
                 pts.insert(i, x)
         else:  # death
             if not n:
                 return
-            i = int(rng.integers(n))
+            i = int(u.random() * n)
             ratio = self.death_ratio(pts, i)
             # a point of zero intensity dies without a draw
-            if ratio == math.inf or rng.random() < min(1.0, ratio):
+            if ratio == math.inf or u.random() < min(1.0, ratio):
                 del pts[i]
 
 
@@ -315,10 +334,12 @@ def sample_gibbs_bd(spec, plan, rng=None):
     """Thinned stationary stream of the Gibbs law defined by ``spec``.
 
     Spatial birth--death Metropolis--Hastings: with probability 1/2 propose a
-    uniform birth (acceptance ``min(1, r vol / (n+1))``), else a uniform
-    death (acceptance ``min(1, n / (r vol))``).  Returns ``plan.replicas``
-    states taken every ``plan.thinning`` moves after ``plan.burn_in`` moves,
-    as :class:`~confpp.core.PointConfiguration` objects built without
+    uniform birth (acceptance ``min(1, r vol / (n+1))``), else the death of
+    sorted point ``int(u n)`` (acceptance ``min(1, n / (r vol))``).  Each
+    uniform u is the next double of ``rng``, drawn in blocks, so ``rng``
+    runs up to a block ahead.  Returns ``plan.replicas`` states taken every
+    ``plan.thinning`` moves after ``plan.burn_in`` moves, as
+    :class:`~confpp.core.PointConfiguration` objects built without
     re-validation: births are window draws and the step keeps the points
     sorted and free of repeats.
     """
@@ -329,7 +350,7 @@ def sample_gibbs_bd(spec, plan, rng=None):
         chain.step()
     out = []
     for _ in range(plan.replicas):
-        for _ in range(max(plan.thinning, 1)):
+        for _ in range(plan.thinning):
             chain.step()
         out.append(PointConfiguration(plan.window, tuple(chain.points)))
     return out
@@ -338,16 +359,16 @@ def sample_gibbs_bd(spec, plan, rng=None):
 def detailed_balance_residual(spec, plan, n_moves=200):
     """Machine-precision self-test of the birth--death acceptance ratios.
 
-    For states along a short chain, the product of the unclipped birth ratio
-    at ``(gamma, x)`` and the unclipped death ratio at ``(gamma u x, x)``,
-    each computed as the chain's moves compute it, must equal one
-    identically.  Returns the maximum |product - 1|.
+    For states along a short chain and x the chain's next uniform point,
+    the product of the unclipped birth ratio at ``(gamma, x)`` and the
+    unclipped death ratio at ``(gamma u x, x)``, each computed as the
+    chain's moves compute it, must be one.  Returns the maximum |product - 1|.
     """
     rng = split_streams(plan.master_seed, 1)[0]
     chain = _BirthDeathChain(spec, plan.window, rng)
     worst = 0.0
     for _ in range(n_moves):
-        pts, x = chain.points, plan.window.sample_point(rng)
+        pts, x = chain.points, plan.window.sample_point(chain.uniforms)
         birth = chain.birth_ratio(pts, x)
         if birth > 0:
             i = bisect.bisect_left(pts, x)

@@ -15,6 +15,9 @@ lattice Gibbs layer.  :func:`sweep_per_bit` is the reference for that
 sweep itself: one in-place pass per bit over the whole table, with no
 change of layout.  :func:`adjoint_hat_L` is the dense adjoint of a
 generator matrix, which the program's checks never build.
+:func:`birth_death_states` and :func:`birth_death_residual` run the
+birth--death chain with one ``rng.random()`` call per uniform, and
+:func:`tonks_count_pmf` is the exact count law of the 1-D hard-core gas.
 """
 
 import bisect
@@ -455,3 +458,80 @@ def gibbs_convolution_rhs(mu1, mu2, R1, R2):
     for x in range(n_sites):
         out[x, [g for g in range(n_subsets) if g >> x & 1]] = 0.0
     return out
+
+
+def _chain_stream(plan):
+    """The chain's default stream: the first child of the master seed."""
+    return np.random.default_rng(
+        np.random.SeedSequence(plan.master_seed).spawn(1)[0])
+
+
+def _uniform_point(window, rng):
+    return tuple([lo + (hi - lo) * rng.random() for lo, hi in window.box])
+
+
+def _birth_death_move(points, spec, window, rng):
+    """One birth--death move on the sorted list ``points``, in place.
+
+    One ``rng.random()`` per uniform, in this order: the birth/death coin;
+    for a birth, x's coordinates and, unless x is already a point, the
+    accept draw; for a death of one of n > 0 points, the sorted index
+    ``int(u * n)`` and, unless the ratio is infinite, the accept draw.
+    """
+    vol, n = window.volume, len(points)
+    if rng.random() < 0.5:
+        x = _uniform_point(window, rng)
+        if x in points:
+            return
+        r = spec(PointConfiguration(window, tuple(points)), x)
+        if rng.random() < r * vol / (n + 1):
+            bisect.insort(points, x)
+    elif n:
+        i = int(rng.random() * n)
+        rest = points[:i] + points[i + 1:]
+        r = spec(PointConfiguration(window, tuple(rest)), points[i])
+        ratio = n / (r * vol) if r > 0.0 else math.inf
+        if ratio == math.inf or rng.random() < ratio:
+            del points[i]
+
+
+def birth_death_states(spec, plan):
+    """The point tuples of ``sample_gibbs_bd(spec, plan)``'s states."""
+    rng, points, states = _chain_stream(plan), [], []
+    for _ in range(plan.burn_in):
+        _birth_death_move(points, spec, plan.window, rng)
+    for _ in range(plan.replicas):
+        for _ in range(plan.thinning):
+            _birth_death_move(points, spec, plan.window, rng)
+        states.append(tuple(points))
+    return states
+
+
+def birth_death_residual(spec, plan, n_moves=200):
+    """``detailed_balance_residual(spec, plan, n_moves)``: before each move,
+    a uniform test point x and |birth ratio * death ratio - 1| at
+    ``(gamma, x)`` and ``(gamma u x, x)``."""
+    rng, points, worst = _chain_stream(plan), [], 0.0
+    vol = plan.window.volume
+    for _ in range(n_moves):
+        x = _uniform_point(plan.window, rng)
+        n = len(points)
+        r = spec(PointConfiguration(plan.window, tuple(points)), x)
+        birth = r * vol / (n + 1)
+        if birth > 0:
+            worst = max(worst, abs(birth * ((n + 1) / (r * vol)) - 1.0))
+        _birth_death_move(points, spec, plan.window, rng)
+    return worst
+
+
+def tonks_count_pmf(beta, R, L=1.0):
+    """``P(N = n)`` of the hard-core gas on [0, L], for n = 0 .. ceil(L / R).
+
+    n points at pairwise distance more than R fill the volume
+    ``(L - (n - 1) R)_+^n / n!`` of ordered placements times n!, so
+    ``P(N = n)`` is proportional to ``beta^n (L - (n - 1) R)_+^n / n!``,
+    which is 0 from ``n = ceil(L / R) + 1`` on.
+    """
+    w = np.array([beta ** n * max(L - (n - 1) * R, 0.0) ** n
+                  / math.factorial(n) for n in range(math.ceil(L / R) + 1)])
+    return w / w.sum()

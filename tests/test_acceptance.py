@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import pure_death_kernel
-from oracles import covering_conv
+from oracles import covering_conv, tonks_count_pmf
 from confpp.core import (BoxWindow, DiscreteGround, SetFunction,
                          indicator_empty, power_function, split_streams)
 from confpp.generators import (check_adjoint_leibniz, contact_kernel,
@@ -24,7 +24,8 @@ from confpp.processes import (DiscreteTable, MixedPoisson, Poisson,
                               recover_correlation)
 from confpp.samplers import (RunPlan, count_distribution_check,
                              estimate_correlation, sample_batch,
-                             strauss_spec, verify_gnz, verify_mecke)
+                             sample_gibbs_bd, strauss_spec, verify_gnz,
+                             verify_mecke)
 from confpp.transforms import (conv_disjoint, conv_union, k_inverse,
                                k_transform, minlos_pairing)
 
@@ -250,6 +251,49 @@ class TestStatisticalLayer:
         assert rep.n_effective >= 100_000
         assert rep.passed, rep
         assert elapsed < 300.0
+
+    def test_13_tonks_gas_count_law(self):
+        """The chain's count law for the 1-D hard-core (Tonks) gas against
+        its exact law; the law at R = 0.105 fails the same statistic on the
+        same states."""
+        beta, R, wrong_R, z_max, thinning = 20.0, 0.1, 0.105, 4.0, 10
+        p, q = tonks_count_pmf(beta, R), tonks_count_pmf(beta, wrong_R)
+        n = np.arange(p.size)
+        mean, wrong_mean = n @ p, n @ q
+        sd = math.sqrt(n ** 2 @ p - mean ** 2)
+        assert (round(mean, 4), round(sd ** 2, 3)) == (4.814, 1.464)
+        assert (p.size, round(wrong_mean, 3)) == (q.size, 4.663)
+        # Power calculation.  A law passes when the batch-means z of the
+        # mean count is within z_max and the TV distance is within half the
+        # two laws' TV distance.  n_eff independent states put the wrong
+        # law's expected z at 2 z_max, and bound the expected TV noise,
+        # 1/2 sum_n E|emp_n - p_n| <= 1/2 sum_n sqrt(p_n (1 - p_n) / n_eff),
+        # by half the TV bound.  tau bounds the integrated autocorrelation
+        # time of the count in states (about 2.8 at this thinning); it is
+        # checked by Geyer's initial positive sequence estimate.
+        tv_bound = 0.25 * np.abs(p - q).sum()
+        n_eff = max((2 * z_max * sd / (mean - wrong_mean)) ** 2,
+                    (np.sqrt(p * (1 - p)).sum() / tv_bound) ** 2)
+        tau = 4
+        plan = RunPlan(UNIT_BOX, replicas=math.ceil(tau * n_eff),
+                       master_seed=306, burn_in=2_000, thinning=thinning)
+        counts = np.array([len(g) for g in sample_gibbs_bd(
+            strauss_spec(beta, 0.0, R), plan)])
+        x = counts - counts.mean()
+        f = np.fft.rfft(x, 2 * x.size)
+        acf = np.fft.irfft(f * f.conj())[:x.size // 2 * 2]
+        pairs = (acf[0::2] + acf[1::2]) / acf[0]
+        assert 2 * pairs[:np.flatnonzero(pairs <= 0)[0]].sum() - 1 <= tau
+        b = counts.size // 32
+        se = (counts[:32 * b].reshape(32, b).mean(axis=1).std(ddof=1)
+              / math.sqrt(32))
+        emp = np.bincount(counts, minlength=p.size) / counts.size
+        assert emp.size == p.size  # nothing past close packing
+        assert abs(counts.mean() - mean) / se <= z_max
+        assert 0.5 * np.abs(emp - p).sum() <= tv_bound
+        # negative control: the same statistic rejects the R = 0.105 law
+        assert abs(counts.mean() - wrong_mean) / se > z_max
+        assert 0.5 * np.abs(emp - q).sum() > tv_bound
 
     def test_10_superposition(self):
         z1, z2 = 0.7, 1.3

@@ -85,6 +85,13 @@ class TestExitCodes:
         assert f"plan {field} must be a JSON integer" in \
             capsys.readouterr().err
 
+    def test_zero_thinning_exits_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "plan.json", {
+            "name": "x", "ground": BOX, "task": "identity:gnz", "seed": 1,
+            "plan": {"thinning": 0}})
+        assert main(["run", path, "--no-timestamp"]) == 2
+        assert "thinning >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("task, parameters, message", [
         (GEN, {"k_trunc": 2.9}, "k_trunc must be a JSON integer"),
         (GEN, {"kernels": 1.5}, "kernels must be a JSON integer"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from confpp import samplers
 from confpp.core import BoxWindow, PointConfiguration, split_streams
 from confpp.errors import StabilityError, ValidationError
@@ -25,6 +26,8 @@ class TestRunPlan:
             RunPlan(W, replicas=0, master_seed=1)
         with pytest.raises(ValidationError):
             RunPlan(W, replicas=1, master_seed=1, burn_in=-1)
+        with pytest.raises(ValidationError, match="thinning >= 1"):
+            RunPlan(W, replicas=1, master_seed=1, thinning=0)
         from confpp.core import DiscreteGround
         with pytest.raises(ValidationError):
             RunPlan(DiscreteGround((1.0,)), replicas=1, master_seed=1)
@@ -121,6 +124,60 @@ class TestGibbsSampler:
         plan = RunPlan(W, replicas=50, master_seed=123, burn_in=200,
                        thinning=2)
         assert sample_gibbs_bd(spec, plan) == sample_gibbs_bd(spec, plan)
+
+
+W2 = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
+
+# the chain's models: (window, spec, run plan)
+CHAIN_CASES = {
+    "strauss-1d": (W, strauss_spec(2.0, 0.5, 0.1),
+                   dict(replicas=150, master_seed=5, burn_in=300,
+                        thinning=3)),
+    "strauss-2d": (W2, strauss_spec(20.0, 0.3, 0.1),
+                   dict(replicas=60, master_seed=6, burn_in=300, thinning=2)),
+    "hardcore-1d": (W, strauss_spec(3.0, 0.0, 0.05),
+                    dict(replicas=100, master_seed=8, burn_in=300,
+                         thinning=2)),
+    "scalar-only": (W, PapangelouSpec(lambda gamma, x: 1.5, {"r_max": 1.5}),
+                    dict(replicas=100, master_seed=9, burn_in=300,
+                         thinning=2)),
+}
+
+
+class TestBufferedUniforms:
+    """The chain reads ``rng``'s doubles in blocks; the reference loop
+    calls ``rng.random()`` once per uniform.  The block size changes no
+    result."""
+
+    @pytest.mark.parametrize("block", [1, 3, samplers._UNIFORM_BLOCK])
+    @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+    def test_states_match_the_one_draw_loop(self, monkeypatch, name, block):
+        monkeypatch.setattr(samplers, "_UNIFORM_BLOCK", block)
+        window, spec, plan = CHAIN_CASES[name]
+        plan = RunPlan(window, **plan)
+        states = [g.points for g in sample_gibbs_bd(spec, plan)]
+        assert states == oracles.birth_death_states(spec, plan)
+        assert len(set(states)) > 10  # the chain moved
+
+    @pytest.mark.parametrize("block", [1, 3, samplers._UNIFORM_BLOCK])
+    @pytest.mark.parametrize("name", ["strauss-1d", "strauss-2d"])
+    def test_detailed_balance_matches_the_one_draw_loop(self, monkeypatch,
+                                                        name, block):
+        monkeypatch.setattr(samplers, "_UNIFORM_BLOCK", block)
+        window, spec, _ = CHAIN_CASES[name]
+        plan = RunPlan(window, 10, 7, burn_in=200)
+        assert (detailed_balance_residual(spec, plan, n_moves=400)
+                == oracles.birth_death_residual(spec, plan, n_moves=400))
+
+    def test_death_index_stays_below_the_count(self):
+        # the largest double below 1; rounding is monotone, so int(u * n)
+        # for any smaller u is at most this one
+        u = 1.0 - 2.0 ** -53
+        assert u < 1.0 and math.nextafter(u, 2.0) == 1.0
+        n = np.arange(1, 2 ** 20 + 1)
+        assert np.all(np.floor(u * n) <= n - 1)
+        for n in [2 ** k for k in range(21)] + [3, 5, 2 ** 20 - 1]:
+            assert int(u * n) == n - 1
 
 
 class TestStraussSpec:
