@@ -21,6 +21,7 @@ from .core import (BoxWindow, DiscreteGround, SetFunction, json_dumps,
                    make_ground, power_function, split_streams)
 from .errors import ConfppError, ValidationError
 from .processes import MixedPoisson, Poisson, Superposition, exponential_mixing
+from .samplers import RunPlan
 
 SCHEMA_VERSION = 1
 
@@ -137,6 +138,9 @@ def validate_config(doc):
         if isinstance(plan[key], bool) or not isinstance(plan[key], int):
             raise ValidationError(f"plan {key} must be a JSON integer, got "
                                   f"{plan[key]!r}")
+    # RunPlan's floors, on a stand-in window so that every task is checked
+    RunPlan(BoxWindow(((0.0, 1.0),)), plan["replicas"], 0, plan["burn_in"],
+            plan["thinning"], plan["proposal_points"])
     return {"name": doc["name"], "ground": ground, "task": task,
             "seed": int(doc["seed"]), "parameters": params, "plan": plan,
             "output": doc.get("output")}
@@ -282,12 +286,9 @@ def _run_generator_suite(cfg):
 
 
 def _make_plan(cfg):
-    from .samplers import RunPlan
     p = cfg["plan"]
-    return RunPlan(cfg["ground"], replicas=p["replicas"],
-                   master_seed=cfg["seed"], burn_in=p["burn_in"],
-                   thinning=p["thinning"],
-                   proposal_points=p["proposal_points"])
+    return RunPlan(cfg["ground"], p["replicas"], cfg["seed"], p["burn_in"],
+                   p["thinning"], p["proposal_points"])
 
 
 def _run_identity(cfg):

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (BoxWindow, PointConfiguration, split_streams,
                    uniform_configuration)
 from .errors import StabilityError, ValidationError
-from .processes import (Gibbs, MixedPoisson, PapangelouSpec, Poisson,
-                        Superposition, mixing_convolution, point_mass_mixing)
+from .processes import (MixedPoisson, PapangelouSpec, Poisson, Superposition,
+                        mixing_convolution, point_mass_mixing)
 
 Z_THRESHOLD = 4.0
 GNZ_BATCHES = 32
@@ -117,8 +117,9 @@ class PointBatch:
         d = samples[0].ground.dimension
         offsets = np.zeros(len(samples) + 1, dtype=np.int64)
         np.cumsum([len(g.points) for g in samples], out=offsets[1:])
-        coords = np.array([c for g in samples for p in g.points for c in p],
-                          dtype=float).reshape(-1, d)
+        # counted, so no list of every coordinate is built (a whole chain)
+        coords = np.fromiter((c for g in samples for p in g.points for c in p),
+                             float, offsets[-1] * d).reshape(-1, d)
         return cls(offsets, coords)
 
 
@@ -425,8 +426,11 @@ def _paired_report(identity, lhs, rhs, se_d=None, n_effective=None):
 
 
 # states per right-hand-side block: bounds the stacked (states, S, n, d)
-# arrays of the batched forms
+# arrays of the batched forms, and changes no result
 _BLOCK = 256
+# the slots' own setters for _configuration; the class stays frozen
+_set_ground = PointConfiguration.ground.__set__
+_set_points = PointConfiguration.points.__set__
 
 
 def _stacked(batch, points, proposals):
@@ -438,14 +442,34 @@ def _stacked(batch, points, proposals):
     return values
 
 
+def _proposal_blocks(states, window, rng, S):
+    """``(batch, proposals)`` for each run of at most ``_BLOCK`` states of
+    the :class:`PointBatch` ``states``: the run and its ``(k, S, d)``
+    uniform proposals, one ``window.sample_uniform(rng, k * S)`` draw."""
+    for start in range(0, len(states), _BLOCK):
+        k = min(_BLOCK, len(states) - start)
+        at = states.offsets[start:start + k + 1]
+        yield (PointBatch(at - at[0], states.coords[at[0]:at[-1]]),
+               window.sample_uniform(rng, k * S).reshape(k, S, -1))
+
+
+def _configuration(window, points):
+    """``PointConfiguration(window, points)`` without the dataclass
+    ``__init__``, for points the caller keeps sorted, inside and distinct."""
+    gamma = object.__new__(PointConfiguration)
+    _set_ground(gamma, window)
+    _set_points(gamma, points)
+    return gamma
+
+
 def _insertion_sides(blocks, window, h, S, scale, spec=None):
     """Paired sides of an insertion identity, one pair per state.
 
     lhs is ``sum_{x in gamma} h(gamma, x)``; rhs is ``scale`` times the mean
     over ``S`` uniform proposals u of ``h(gamma u {u}, u)``, times
     ``r(gamma, u)`` when ``spec`` is given.  ``blocks`` yields ``(batch,
-    proposals)``: a :class:`PointBatch` of states on ``window`` and their
-    proposals, of shape ``(len(batch), S, d)``.
+    proposals)`` from :func:`_proposal_blocks`: a :class:`PointBatch` of
+    states on ``window`` and their ``(len(batch), S, d)`` proposals.
 
     A proposal that is already a point of gamma adds a 0 term.  A batched
     form is called once per point count in a block, on the stack of those
@@ -486,19 +510,16 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
                 r_vals[rows] = _stacked(spec.batched, points, props)
         if h_batch is None or scalar_r:
             coords, bounds = batch.coords.tolist(), offsets.tolist()
-            for i in range(k):
-                gamma = PointConfiguration(window, tuple(
-                    map(tuple, coords[bounds[i]:bounds[i + 1]])))
-                fresh = [j for j, t in enumerate(taken[i].tolist()) if not t]
+            for i, repeat in enumerate(taken.any(axis=1).tolist()):
+                pts = tuple(map(tuple, coords[bounds[i]:bounds[i + 1]]))
+                gamma = _configuration(window, pts)
+                fresh = ~taken[i] if repeat else slice(None)
                 us = list(map(tuple, proposals[i, fresh].tolist()))
                 if h_batch is None:
-                    pts, values = gamma.points, []
                     left[i] = math.fsum(h(gamma, x) for x in pts)
-                    for u in us:
-                        at = bisect.bisect_left(pts, u)
-                        values.append(h(PointConfiguration(
-                            window, pts[:at] + (u,) + pts[at:]), u))
-                    h_vals[i, fresh] = values
+                    h_vals[i, fresh] = [h(_configuration(
+                        window, pts[:(at := bisect.bisect_left(pts, u))]
+                        + (u,) + pts[at:]), u) for u in us]
                 if scalar_r:
                     r_vals[i, fresh] = [spec(gamma, u) for u in us]
         h_vals[taken] = 0.0
@@ -517,24 +538,18 @@ def verify_mecke(z, window, h, plan):
     lhs averages ``sum_{x in gamma} h(gamma, x)`` over independent Poisson
     samples; rhs averages ``z vol mean_S h(gamma u x, x)`` over uniform
     insertion points of the same samples, so the two sides are paired.
-    Each sample's proposals are drawn right after it, on the same stream.
-    ``h`` may carry a batched form (see :func:`constant_h`).  Needs at
-    least two replicas for a standard error.
+    The samples are one :func:`sample_batch` draw on one stream, their
+    proposals come from another (:func:`_proposal_blocks`).  ``h`` may
+    carry a batched form (see :func:`constant_h`).  Needs at least two
+    replicas for a standard error.
     """
     if plan.replicas < 2:
         raise ValidationError("the Mecke verifier needs replicas >= 2")
-    rng = split_streams(plan.master_seed, 1)[0]
+    streams = split_streams(plan.master_seed, 2)
+    states = sample_batch(Poisson(z), window, streams[0], plan.replicas)
     S = plan.proposal_points
-
-    def blocks():
-        for start in range(0, plan.replicas, _BLOCK):
-            states, proposals = [], []
-            for _ in range(min(_BLOCK, plan.replicas - start)):
-                states.append(sample_poisson(window, z, rng))
-                proposals.append(window.sample_uniform(rng, S))
-            yield PointBatch.from_configurations(states), np.stack(proposals)
-
-    lhs, rhs = _insertion_sides(blocks(), window, h, S, z * window.volume)
+    blocks = _proposal_blocks(states, window, streams[1], S)
+    lhs, rhs = _insertion_sides(blocks, window, h, S, z * window.volume)
     return _paired_report("mecke", lhs, rhs)
 
 
@@ -558,21 +573,15 @@ def verify_gnz(spec, h, plan):
     stream; rhs averages the uniform-MC estimate of
     ``vol mean_S h(gamma u x, x) r(gamma, x)``.  Standard errors use batch
     means to absorb chain autocorrelation.  The proposals come from a
-    stream of their own, one draw per block of states.  The batched forms
+    stream of their own (see :func:`_proposal_blocks`).  The batched forms
     of ``spec`` and ``h`` are used where present.
     """
     streams = split_streams(plan.master_seed, 2)
-    chain = sample_gibbs_bd(spec, plan, streams[0])
+    states = PointBatch.from_configurations(
+        sample_gibbs_bd(spec, plan, streams[0]))
     window, S = plan.window, plan.proposal_points
-
-    def blocks():
-        for start in range(0, len(chain), _BLOCK):
-            states = PointBatch.from_configurations(
-                chain[start:start + _BLOCK])
-            yield states, window.sample_uniform(
-                streams[1], len(states) * S).reshape(len(states), S, -1)
-
-    lhs, rhs = _insertion_sides(blocks(), window, h, S, window.volume, spec)
+    blocks = _proposal_blocks(states, window, streams[1], S)
+    lhs, rhs = _insertion_sides(blocks, window, h, S, window.volume, spec)
     se, n_eff = _batch_se(lhs - rhs)
     return _paired_report("gnz", lhs, rhs, se, n_eff)
 

@@ -252,31 +252,35 @@ class TestStatisticalLayer:
         assert rep.passed, rep
         assert elapsed < 300.0
 
-    def test_13_tonks_gas_count_law(self):
-        """The chain's count law for the 1-D hard-core (Tonks) gas against
-        its exact law; the law at R = 0.105 fails the same statistic on the
-        same states."""
-        beta, R, wrong_R, z_max, thinning = 20.0, 0.1, 0.105, 4.0, 10
-        p, q = tonks_count_pmf(beta, R), tonks_count_pmf(beta, wrong_R)
+    @staticmethod
+    def _tonks_count_law(beta, R, wrong, summary, seed):
+        """The chain's count law for the 1-D hard-core (Tonks) gas at
+        activity beta and range R against its exact law; the law at the
+        ``wrong`` (beta, R) fails the same statistic on the same states.
+        ``summary`` pins the exact mean, variance and wrong mean."""
+        z_max, thinning = 4.0, 10
+        p, q = tonks_count_pmf(beta, R), tonks_count_pmf(*wrong)
         n = np.arange(p.size)
         mean, wrong_mean = n @ p, n @ q
         sd = math.sqrt(n ** 2 @ p - mean ** 2)
-        assert (round(mean, 4), round(sd ** 2, 3)) == (4.814, 1.464)
-        assert (p.size, round(wrong_mean, 3)) == (q.size, 4.663)
+        assert (round(mean, 4), round(sd ** 2, 3),
+                round(wrong_mean, 3)) == summary
+        assert p.size == q.size
         # Power calculation.  A law passes when the batch-means z of the
         # mean count is within z_max and the TV distance is within half the
         # two laws' TV distance.  n_eff independent states put the wrong
         # law's expected z at 2 z_max, and bound the expected TV noise,
         # 1/2 sum_n E|emp_n - p_n| <= 1/2 sum_n sqrt(p_n (1 - p_n) / n_eff),
         # by half the TV bound.  tau bounds the integrated autocorrelation
-        # time of the count in states (about 2.8 at this thinning); it is
-        # checked by Geyer's initial positive sequence estimate.
+        # time of the count in states (about 2.8 at this thinning for
+        # beta = 20, 1.2 for beta = 3); it is checked by Geyer's initial
+        # positive sequence estimate.
         tv_bound = 0.25 * np.abs(p - q).sum()
         n_eff = max((2 * z_max * sd / (mean - wrong_mean)) ** 2,
                     (np.sqrt(p * (1 - p)).sum() / tv_bound) ** 2)
         tau = 4
         plan = RunPlan(UNIT_BOX, replicas=math.ceil(tau * n_eff),
-                       master_seed=306, burn_in=2_000, thinning=thinning)
+                       master_seed=seed, burn_in=2_000, thinning=thinning)
         counts = np.array([len(g) for g in sample_gibbs_bd(
             strauss_spec(beta, 0.0, R), plan)])
         x = counts - counts.mean()
@@ -291,9 +295,23 @@ class TestStatisticalLayer:
         assert emp.size == p.size  # nothing past close packing
         assert abs(counts.mean() - mean) / se <= z_max
         assert 0.5 * np.abs(emp - p).sum() <= tv_bound
-        # negative control: the same statistic rejects the R = 0.105 law
+        # negative control: the same statistic rejects the wrong law
         assert abs(counts.mean() - wrong_mean) / se > z_max
         assert 0.5 * np.abs(emp - q).sum() > tv_bound
+
+    def test_13_tonks_gas_count_law(self):
+        """At beta = 20 every unblocked birth is accepted (beta / (n + 1)
+        >= 1 up to close packing), so this case checks the death side; the
+        wrong law has R = 0.105."""
+        self._tonks_count_law(20.0, 0.1, (20.0, 0.105), (4.814, 1.464, 4.663),
+                              seed=306)
+
+    def test_13_tonks_gas_birth_side(self):
+        """At beta = 3 an unblocked birth from n >= 3 points is accepted
+        with probability 3 / (n + 1) < 1, so an error in the birth ratio
+        moves the law; the wrong law has beta = 2.7."""
+        self._tonks_count_law(3.0, 0.1, (2.7, 0.1), (1.951, 1.299, 1.817),
+                              seed=307)
 
     def test_10_superposition(self):
         z1, z2 = 0.7, 1.3

@@ -92,6 +92,25 @@ class TestExitCodes:
         assert main(["run", path, "--no-timestamp"]) == 2
         assert "thinning >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["identity:gnz", "algebra-suite"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("replicas", 0, "need replicas >= 1"),
+        ("thinning", 0, "thinning >= 1"),
+        ("burn_in", -1, "burn_in >= 0"),
+        ("proposal_points", 0, "need at least one proposal point"),
+    ])
+    def test_validate_enforces_plan_floors(self, tmp_path, capsys, task,
+                                           field, value, message):
+        """validate rejects what RunPlan rejects, with RunPlan's message,
+        for every task."""
+        ground = BOX if TASKS[task]["needs_ground"] == "continuum" \
+            else DISCRETE
+        path = _write(tmp_path, "plan.json", {
+            "name": "x", "ground": ground, "task": task, "seed": 1,
+            "plan": {field: value}})
+        assert main(["validate", path]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("task, parameters, message", [
         (GEN, {"k_trunc": 2.9}, "k_trunc must be a JSON integer"),
         (GEN, {"kernels": 1.5}, "kernels must be a JSON integer"),

@@ -10,6 +10,7 @@ from confpp.core import (BoxWindow, Configuration, DiscreteGround,
                          lp_integral_mc, lp_truncation_tail, make_ground,
                          ground_to_json, power_function, split_streams,
                          uniform_configuration)
+from confpp import samplers
 from confpp.errors import CapacityError, ValidationError
 from confpp.samplers import (RunPlan, sample_gibbs_bd, sample_poisson,
                              strauss_spec)
@@ -209,12 +210,22 @@ class TestConfiguration:
         (Configuration(DiscreteGround((1.0, 1.0)), 0b01), "mask"),
         (PointConfiguration.checked(BoxWindow(((0.0, 1.0),)), ((0.5,),)),
          "points"),
+        (samplers._configuration(BoxWindow(((0.0, 1.0),)), ((0.5,),)),
+         "points"),
     ])
     def test_immutable(self, c, field):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(c, field, getattr(c, field))
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.ground = None
+
+    def test_trusted_build_is_the_constructor(self):
+        w = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
+        pts = ((0.25, 0.5), (0.5, 0.25))
+        c = samplers._configuration(w, pts)
+        assert type(c) is PointConfiguration and not hasattr(c, "__dict__")
+        assert c == PointConfiguration(w, pts)
+        assert hash(c) == hash(PointConfiguration(w, pts))
 
     def test_samplers_build_the_point_type(self):
         w = BoxWindow(((0.0, 1.0),))

@@ -1,16 +1,16 @@
 """Golden values of the continuum Monte Carlo layer.
 
-The Mecke values were recorded from the first scalar implementation, which
-built a validated ``Configuration`` for every proposal point.  The chain
-values (``CHAINS``, the scalar-spec digest and ``GNZ``) were recorded when
-the chain began to read its uniforms in blocks of ``rng.random(k)`` and to
-pick the dying point as ``int(u * n)``; the detailed-balance values did not
-move then.  They pin the random stream: the chain, which makes one scalar
-call of the spec per step whether or not the spec has a batched form, and
-the verifiers, whose right-hand sides take the batched or the scalar path,
-must reproduce them bit for bit.  The GNZ plans are far too short for
-batch means (8 chain steps a batch), so their ``pass`` fields pin values,
-not verdicts.
+The Mecke values were recorded when the verifier began to draw its samples
+in one ``sample_batch`` call on the first of two streams and their
+proposals on the second.  The chain values (``CHAINS``, the scalar-spec
+digest and ``GNZ``) were recorded when the chain began to read its
+uniforms in blocks of ``rng.random(k)`` and to pick the dying point as
+``int(u * n)``; the detailed-balance values did not move then.  They pin
+the random stream: the chain, which makes one scalar call of the spec per
+step whether or not the spec has a batched form, and the verifiers, whose
+right-hand sides take the batched or the scalar path, must reproduce them
+bit for bit.  The GNZ plans are far too short for batch means (8 chain
+steps a batch), so their ``pass`` fields pin values, not verdicts.
 """
 
 import hashlib
@@ -123,20 +123,20 @@ GNZ = {
 MECKE = {
     "mecke-1d-pair": (
         W1, 2.0, h_pair, dict(replicas=300, master_seed=15),
-        {'identity': 'mecke', 'lhs': 0.8066666666666666, 'rhs': 0.8740625,
-         'lhs_se': 0.12023697646358388, 'rhs_se': 0.05539781768182626,
-         'z_score': -0.800866987102392, 'pass': True, 'n_effective': 300}),
+        {'identity': 'mecke', 'lhs': 0.8866666666666667,
+         'rhs': 0.9538541666666667, 'lhs_se': 0.11134861276069384,
+         'rhs_se': 0.055810757613155744, 'z_score': -0.9138408593175437,
+         'pass': True, 'n_effective': 300}),
     "mecke-2d-pair": (
         W2, 8.0, h_pair, dict(replicas=150, master_seed=16),
-        {'identity': 'mecke', 'lhs': 3.493333333333333,
-         'rhs': 3.5083333333333333, 'lhs_se': 0.4730543968102783,
-         'rhs_se': 0.22727739639973682, 'z_score': -0.047447793505216565,
-         'pass': True, 'n_effective': 150}),
+        {'identity': 'mecke', 'lhs': 2.96, 'rhs': 3.6625,
+         'lhs_se': 0.35330083004440715, 'rhs_se': 0.23028757797204924,
+         'z_score': -3.6939398573114404, 'pass': True, 'n_effective': 150}),
     "mecke-1d-h1": (
         W1, 2.0, h_one, dict(replicas=300, master_seed=17),
-        {'identity': 'mecke', 'lhs': 1.97, 'rhs': 2.0,
-         'lhs_se': 0.07692023406118025, 'rhs_se': 0.0,
-         'z_score': -0.39001441384251145, 'pass': True, 'n_effective': 300}),
+        {'identity': 'mecke', 'lhs': 2.026666666666667, 'rhs': 2.0,
+         'lhs_se': 0.07728580402331521, 'rhs_se': 0.0,
+         'z_score': 0.3450396486607294, 'pass': True, 'n_effective': 300}),
 }
 
 

@@ -21,8 +21,8 @@ from confpp import samplers
 from confpp.core import (BoxWindow, Configuration, DiscreteGround,
                          PointConfiguration, split_streams)
 from confpp.errors import ValidationError
-from confpp.processes import PapangelouSpec, pairwise_gibbs_spec
-from confpp.samplers import (PointBatch, RunPlan, constant_h,
+from confpp.processes import PapangelouSpec, Poisson, pairwise_gibbs_spec
+from confpp.samplers import (PointBatch, RunPlan, constant_h, sample_batch,
                              sample_gibbs_bd, sample_poisson, strauss_spec,
                              verify_gnz, verify_mecke)
 
@@ -251,9 +251,9 @@ class TestGroupedSides:
 
     @pytest.mark.parametrize("h_form", ["scalar", "batched"])
     def test_verifier_streams(self, h_form):
-        """The verifiers draw what the per-state loop drew: GNZ's proposals
-        one state after another on their own stream, Mecke's right after
-        each state on the state's stream."""
+        """The verifiers draw what the per-state loop drew: proposals one
+        state after another on a stream of their own; GNZ's states from
+        the chain, Mecke's from one ``sample_batch`` call."""
         window, S, h = WINDOWS[2], 8, _h(h_form)
         spec = strauss_spec(20.0, 0.3, 0.1)
         plan = RunPlan(window, replicas=300, master_seed=21, burn_in=200,
@@ -267,15 +267,38 @@ class TestGroupedSides:
         assert verify_gnz(spec, h, plan) == samplers._paired_report(
             "gnz", lhs, rhs, se, n_eff)
 
-        rng = split_streams(plan.master_seed, 1)[0]
-        states, proposals = [], []
-        for _ in range(plan.replicas):
-            states.append(sample_poisson(window, 8.0, rng))
-            proposals.append(window.sample_uniform(rng, S))
+        state_rng, rhs_rng = split_streams(plan.master_seed, 2)
+        batch = sample_batch(Poisson(8.0), window, state_rng, plan.replicas)
+        states = [PointConfiguration.checked(window, batch.coords[lo:hi])
+                  for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])]
+        proposals = [window.sample_uniform(rhs_rng, S) for _ in states]
         lhs, rhs = oracles.insertion_sides(states, proposals, h,
                                            8.0 * window.volume)
         assert verify_mecke(8.0, window, h, plan) == samplers._paired_report(
             "mecke", lhs, rhs)
+
+
+def test_block_size_changes_no_report(monkeypatch):
+    """Blocks of 1, 7 and the default number of states give one report per
+    verifier, with a scalar and a batched h alike."""
+    window, S = WINDOWS[2], 8
+    spec = strauss_spec(20.0, 0.3, 0.1)
+    plan = RunPlan(window, replicas=300, master_seed=22, burn_in=200,
+                   thinning=2, proposal_points=S)
+
+    def reports():
+        return {(name, form): verify(_h(form))
+                for form in ("scalar", "batched")
+                for name, verify in (
+                    ("mecke", lambda h: verify_mecke(8.0, window, h, plan)),
+                    ("gnz", lambda h: verify_gnz(spec, h, plan)))}
+
+    want = reports()
+    for name in ("mecke", "gnz"):
+        assert want[name, "scalar"] == want[name, "batched"]
+    for block in (1, 7, samplers._BLOCK):
+        monkeypatch.setattr(samplers, "_BLOCK", block)
+        assert reports() == want
 
 
 def _rhs_peak_mb(monkeypatch, block):
