@@ -30,9 +30,9 @@ from .processes import (DiscreteTable, Gibbs, MixedPoisson, MixingDensity,
                         recover_correlation, to_discrete_table,
                         uniqueness_diagnostic)
 from .samplers import (IdentityReport, PointBatch, RunPlan, constant_h,
-                       count_distribution_check, density_estimator,
-                       estimate_correlation, sample_batch, sample_gibbs_bd,
-                       sample_poisson, strauss_spec, verify_gnz, verify_mecke)
+                       count_distribution_check, estimate_correlation,
+                       sample_batch, sample_gibbs_bd, strauss_spec,
+                       verify_gnz, verify_mecke)
 from .transforms import (conv_disjoint, conv_union, exp_vector, k_inverse,
                          k_transform, minlos_pairing, norm_fit)
 from .two_type import (PairConfiguration, PairSetFunction, conv_star2,

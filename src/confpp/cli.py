@@ -85,6 +85,26 @@ _PARAMETER_TYPES = {int: ("integer", int), float: ("number", (int, float)),
                     str: ("string", str)}
 # below these a suite runs no trial, kernel or count and would report a pass
 _PARAMETER_FLOORS = {"trials": 1, "kernels": 1, "n_max": 0}
+_PLAN_DEFAULTS = {"replicas": 2000, "burn_in": 10_000, "thinning": 10,
+                  "proposal_points": 64}
+
+
+def _fields(doc, block, defaults, label):
+    """``defaults`` updated by the JSON object ``doc[block]``, if given:
+    each key one of the defaults', each value of that default's JSON type."""
+    given = doc.get(block, {})
+    if not isinstance(given, dict):
+        raise ValidationError(f"{block} must be a JSON object")
+    for key, value in given.items():
+        if key not in defaults:
+            raise ValidationError(f"unknown {label} key {key!r}; allowed: "
+                                  f"{', '.join(sorted(defaults))}")
+        name, kinds = _PARAMETER_TYPES[type(defaults[key])]
+        # bool is a subclass of int; json.load gives floats for NaN, 1e400
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValidationError(f"{label} {key} must be a JSON {name}, "
+                                  f"got {value!r}")
+    return {**defaults, **given}
 
 
 def validate_config(doc):
@@ -109,35 +129,16 @@ def validate_config(doc):
         raise ValidationError(f"task {task} needs a discrete ground")
     if need == "continuum" and not isinstance(ground, BoxWindow):
         raise ValidationError(f"task {task} needs a continuum window")
-    params = dict(TASKS[task]["parameters"])
-    given = doc.get("parameters", {})
-    if not isinstance(given, dict):
-        raise ValidationError("parameters must be a JSON object")
-    for key, value in given.items():
-        if key not in params:
-            raise ValidationError(
-                f"unknown parameter {key!r} for task {task}; allowed: "
-                f"{', '.join(sorted(params))}")
-        # the default's type fixes the accepted JSON type; bool is an int
-        name, kinds = _PARAMETER_TYPES[type(params[key])]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ValidationError(f"parameter {key} must be a JSON {name}, "
-                                  f"got {value!r}")
-        if key in _PARAMETER_FLOORS and value < _PARAMETER_FLOORS[key]:
-            raise ValidationError(f"parameter {key} must be at least "
-                                  f"{_PARAMETER_FLOORS[key]}, got {value!r}")
-    params.update(given)
+    params = _fields(doc, "parameters", TASKS[task]["parameters"],
+                      "parameter")
+    for key, floor in _PARAMETER_FLOORS.items():
+        if params.get(key, floor) < floor:
+            raise ValidationError(f"parameter {key} must be at least {floor}, "
+                                  f"got {params[key]!r}")
     if task == "identity:counts" and params["model"] not in COUNT_MODELS:
         raise ValidationError(f"unknown count model {params['model']!r}; "
                               f"available: {', '.join(sorted(COUNT_MODELS))}")
-    plan = {"replicas": 2000, "burn_in": 10_000, "thinning": 10,
-            "proposal_points": 64}
-    plan.update(doc.get("plan", {}))
-    for key in ("replicas", "burn_in", "thinning", "proposal_points"):
-        # bool is a subclass of int; json.load gives floats for NaN, 1e400
-        if isinstance(plan[key], bool) or not isinstance(plan[key], int):
-            raise ValidationError(f"plan {key} must be a JSON integer, got "
-                                  f"{plan[key]!r}")
+    plan = _fields(doc, "plan", _PLAN_DEFAULTS, "plan")
     # RunPlan's floors, on a stand-in window so that every task is checked
     RunPlan(BoxWindow(((0.0, 1.0),)), plan["replicas"], 0, plan["burn_in"],
             plan["thinning"], plan["proposal_points"])

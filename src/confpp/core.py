@@ -189,15 +189,23 @@ def make_ground(spec):
     """Build a validated ground model from a JSON-style description.
 
     ``{"kind": "discrete", "weights": [...]}`` or
-    ``{"kind": "continuum", "box": [[lo, hi], ...]}``.
+    ``{"kind": "continuum", "box": [[lo, hi], ...]}``; a missing or
+    malformed field is a ``ValidationError``.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("ground spec must be a dict with a 'kind' key")
     kind = spec["kind"]
-    if kind == "discrete":
-        return DiscreteGround(tuple(spec["weights"]))
-    if kind == "continuum":
-        return BoxWindow(tuple(tuple(b) for b in spec["box"]))
+    try:
+        if kind == "discrete":
+            return DiscreteGround(tuple(spec["weights"]))
+        if kind == "continuum":
+            return BoxWindow(tuple(tuple(b) for b in spec["box"]))
+    except ValidationError:  # the model's own check, e.g. a negative weight
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # missing or misshapen
+        need = ("'weights', a list of numbers" if kind == "discrete"
+                else "'box', a list of [lo, hi] pairs of numbers")
+        raise ValidationError(f"a {kind} ground needs {need}") from exc
     raise ValidationError(f"unknown ground kind {kind!r}")
 
 
@@ -448,28 +456,13 @@ def lp_integral(G, z):
     return float(np.dot(G.values, w))
 
 
-def lp_truncation_tail(z, volume, n_max):
-    """Upper bound on the mass ignored by truncating the order sum at n_max.
-
-    Bounds ``sum_{n>n_max} (z vol)^n / n!`` by the first omitted term times
-    a geometric correction.
-    """
-    a = z * volume
-    t = a ** (n_max + 1) / math.factorial(n_max + 1)
-    if a < n_max + 2:
-        t /= 1.0 - a / (n_max + 2)
-    else:  # crude but safe
-        t = math.exp(a)
-    return t
-
-
 def lp_integral_mc(G, z, window, n_max, samples_per_order, seed):
     """Monte Carlo estimate of the continuum reference-measure integral.
 
     Truncates the order expansion at ``n_max`` and, for each order ``n``,
     averages ``G`` over i.i.d. uniform ``n``-point configurations:
     ``sum_{n<=n_max} z^n vol^n / n! * mean_n``.  Deterministic for a fixed
-    seed.
+    seed.  A draw that repeats a point is redrawn.
 
     Returns
     -------
@@ -493,30 +486,20 @@ def lp_integral_mc(G, z, window, n_max, samples_per_order, seed):
             continue
         vals = np.empty(samples_per_order)
         for s in range(samples_per_order):
-            gamma = uniform_configuration(window, rng, n)
-            vals[s] = _eval_continuum(G, gamma)
+            while True:
+                pts = tuple(sorted(map(
+                    tuple, window.sample_uniform(rng, n).tolist())))
+                if all(a != b for a, b in zip(pts, pts[1:])):
+                    break
+            # per axis on the tuples: a numpy check costs more on a few points
+            if not all(lo <= min(col) and max(col) <= hi
+                       for col, (lo, hi) in zip(zip(*pts), window.box)):
+                raise ValidationError("a drawn point lies outside the window")
+            vals[s] = _eval_continuum(G, PointConfiguration(window, pts))
         estimate += coef * float(vals.mean())
         if samples_per_order > 1:
             variance += coef ** 2 * float(vals.var(ddof=1)) / samples_per_order
     return estimate, math.sqrt(variance)
-
-
-def uniform_configuration(window, rng, n):
-    """Configuration of ``n`` i.i.d. uniform points of ``window``.
-
-    A draw that repeats a point is redrawn.  The sorted point tuples are
-    checked once for adjacent repeats and once per axis for window
-    membership, so the configuration is built without re-validation.
-    """
-    while True:
-        pts = sorted(map(tuple, window.sample_uniform(rng, n).tolist()))
-        if all(a != b for a, b in zip(pts, pts[1:])):
-            break
-    # per axis on the tuples: a numpy check costs more on a few points
-    if not all(lo <= min(col) and max(col) <= hi
-               for col, (lo, hi) in zip(zip(*pts), window.box)):
-        raise ValidationError("a drawn point lies outside the window")
-    return PointConfiguration(window, tuple(pts))
 
 
 def _eval_continuum(G, gamma):

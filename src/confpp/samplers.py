@@ -8,14 +8,15 @@ rule; MCMC standard errors use batch means.
 
 from __future__ import annotations
 
+import array
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BoxWindow, PointConfiguration, split_streams,
-                   uniform_configuration)
+from .core import BoxWindow, PointConfiguration, split_streams
 from .errors import StabilityError, ValidationError
 from .processes import (MixedPoisson, PapangelouSpec, Poisson, Superposition,
                         mixing_convolution, point_mass_mixing)
@@ -75,18 +76,6 @@ class IdentityReport:
 # direct samplers
 # ---------------------------------------------------------------------------
 
-def sample_poisson(window, z, rng):
-    """One Poisson(z) configuration: Poisson count, i.i.d. uniform points.
-
-    A draw that repeats a point is redrawn with the same count (see
-    :func:`~confpp.core.uniform_configuration`).
-    """
-    if not 0 < z < math.inf:  # NaN fails too
-        raise ValidationError("intensity must be positive and finite")
-    return uniform_configuration(window, rng,
-                                 int(rng.poisson(z * window.volume)))
-
-
 @dataclass(frozen=True)
 class PointBatch:
     """A ragged batch of window samples.
@@ -108,19 +97,6 @@ class PointBatch:
     def counts(self):
         """Points per sample, shape ``(len(self),)``."""
         return np.diff(self.offsets)
-
-    @classmethod
-    def from_configurations(cls, samples):
-        """The points of a nonempty sequence of window configurations."""
-        if not samples:
-            raise ValidationError("need at least one sample")
-        d = samples[0].ground.dimension
-        offsets = np.zeros(len(samples) + 1, dtype=np.int64)
-        np.cumsum([len(g.points) for g in samples], out=offsets[1:])
-        # counted, so no list of every coordinate is built (a whole chain)
-        coords = np.fromiter((c for g in samples for p in g.points for c in p),
-                             float, offsets[-1] * d).reshape(-1, d)
-        return cls(offsets, coords)
 
 
 def _model_counts(model, volume, rng, size):
@@ -254,6 +230,20 @@ def strauss_spec(beta, g, R):
                           batch=batch)
 
 
+# the slots' own setters for _configuration; the class stays frozen
+_set_ground = PointConfiguration.ground.__set__
+_set_points = PointConfiguration.points.__set__
+
+
+def _configuration(window, points):
+    """``PointConfiguration(window, points)`` without the dataclass
+    ``__init__``, for points the caller keeps sorted, inside and distinct."""
+    gamma = object.__new__(PointConfiguration)
+    _set_ground(gamma, window)
+    _set_points(gamma, points)
+    return gamma
+
+
 # doubles per refill; rng.random(k) blocks of any sizes concatenate to the
 # doubles of successive rng.random() calls, so the size changes no result
 _UNIFORM_BLOCK = 4096
@@ -276,9 +266,9 @@ class _BirthDeathChain:
 
     The state is the sorted list of point tuples: it finds duplicates and
     indexes deaths in sorted order.  Each move makes one scalar call of the
-    spec on a :class:`~confpp.core.PointConfiguration` of those tuples.
-    Every uniform comes from ``self.uniforms``; the death index ``int(u *
-    n)`` is at most ``n - 1`` for every double ``u < 1``.
+    spec on a trusted :func:`_configuration` of those tuples.  Every
+    uniform comes from ``self.uniforms``; the death index ``int(u * n)`` is
+    at most ``n - 1`` for every double ``u < 1``.
     """
 
     def __init__(self, spec, window, rng):
@@ -292,7 +282,7 @@ class _BirthDeathChain:
     def intensity(self, points, x):
         """``r(gamma, x)`` for the sorted points of gamma, checked against
         the stated bound ``r_max``."""
-        r = self.spec(PointConfiguration(self.window, tuple(points)), x)
+        r = self.spec(_configuration(self.window, tuple(points)), x)
         if self.r_max is not None and r > self.r_max * (1 + 1e-12):
             raise StabilityError(
                 f"conditional intensity {r} exceeds the stated bound "
@@ -338,23 +328,26 @@ def sample_gibbs_bd(spec, plan, rng=None):
     uniform birth (acceptance ``min(1, r vol / (n+1))``), else the death of
     sorted point ``int(u n)`` (acceptance ``min(1, n / (r vol))``).  Each
     uniform u is the next double of ``rng``, drawn in blocks, so ``rng``
-    runs up to a block ahead.  Returns ``plan.replicas`` states taken every
-    ``plan.thinning`` moves after ``plan.burn_in`` moves, as
-    :class:`~confpp.core.PointConfiguration` objects built without
-    re-validation: births are window draws and the step keeps the points
-    sorted and free of repeats.
+    runs up to a block ahead.  Returns the ``plan.replicas`` states taken
+    every ``plan.thinning`` moves after ``plan.burn_in`` moves as one
+    :class:`PointBatch` that views the ``array.array`` the chain appends
+    them to, without re-validation: births are window draws and the step
+    keeps the points sorted and free of repeats.
     """
     if rng is None:
         rng = split_streams(plan.master_seed, 1)[0]
     chain = _BirthDeathChain(spec, plan.window, rng)
     for _ in range(plan.burn_in):
         chain.step()
-    out = []
+    coords, ends = array.array("d"), array.array("q", [0])
     for _ in range(plan.replicas):
         for _ in range(plan.thinning):
             chain.step()
-        out.append(PointConfiguration(plan.window, tuple(chain.points)))
-    return out
+        coords.extend(itertools.chain.from_iterable(chain.points))
+        ends.append(len(coords))
+    d = plan.window.dimension
+    return PointBatch(np.frombuffer(ends, dtype=np.int64) // d,
+                      np.frombuffer(coords).reshape(-1, d))
 
 
 def detailed_balance_residual(spec, plan, n_moves=200):
@@ -428,9 +421,6 @@ def _paired_report(identity, lhs, rhs, se_d=None, n_effective=None):
 # states per right-hand-side block: bounds the stacked (states, S, n, d)
 # arrays of the batched forms, and changes no result
 _BLOCK = 256
-# the slots' own setters for _configuration; the class stays frozen
-_set_ground = PointConfiguration.ground.__set__
-_set_points = PointConfiguration.points.__set__
 
 
 def _stacked(batch, points, proposals):
@@ -451,15 +441,6 @@ def _proposal_blocks(states, window, rng, S):
         at = states.offsets[start:start + k + 1]
         yield (PointBatch(at - at[0], states.coords[at[0]:at[-1]]),
                window.sample_uniform(rng, k * S).reshape(k, S, -1))
-
-
-def _configuration(window, points):
-    """``PointConfiguration(window, points)`` without the dataclass
-    ``__init__``, for points the caller keeps sorted, inside and distinct."""
-    gamma = object.__new__(PointConfiguration)
-    _set_ground(gamma, window)
-    _set_points(gamma, points)
-    return gamma
 
 
 def _insertion_sides(blocks, window, h, S, scale, spec=None):
@@ -577,8 +558,7 @@ def verify_gnz(spec, h, plan):
     of ``spec`` and ``h`` are used where present.
     """
     streams = split_streams(plan.master_seed, 2)
-    states = PointBatch.from_configurations(
-        sample_gibbs_bd(spec, plan, streams[0]))
+    states = sample_gibbs_bd(spec, plan, streams[0])
     window, S = plan.window, plan.proposal_points
     blocks = _proposal_blocks(states, window, streams[1], S)
     lhs, rhs = _insertion_sides(blocks, window, h, S, window.volume, spec)
@@ -598,20 +578,19 @@ def _boxes_disjoint(b1, b2):
 def estimate_correlation(samples, cells, order):
     """Empirical order-n correlation averaged over disjoint cells.
 
-    ``samples`` is a :class:`PointBatch` or a sequence of window
-    configurations, which is converted to one.  Estimates the cell-product
-    moment by ``prod_i count_in(gamma, B_i)`` per sample (closed cells) and
-    divides by the product of cell volumes.  Returns
+    ``samples`` is a nonempty :class:`PointBatch`.  Estimates the
+    cell-product moment by ``prod_i count_in(gamma, B_i)`` per sample
+    (closed cells) and divides by the product of cell volumes.  Returns
     ``(estimate, standard_error)``.
     """
+    if not isinstance(samples, PointBatch) or not len(samples):
+        raise ValidationError("samples must be a nonempty PointBatch")
     if order != len(cells):
         raise ValidationError("order must equal the number of cells")
     for i, c1 in enumerate(cells):
         for c2 in cells[i + 1:]:
             if not _boxes_disjoint(c1, c2):
                 raise ValidationError("cells must be pairwise disjoint")
-    if not isinstance(samples, PointBatch):
-        samples = PointBatch.from_configurations(samples)
     n = len(samples)
     owner = np.repeat(np.arange(n), samples.counts)
     prod = np.ones(n)
@@ -621,11 +600,6 @@ def estimate_correlation(samples, cells, order):
     vals = prod / np.prod([c.volume for c in cells])
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(vals.mean()), se
-
-
-def density_estimator(gamma):
-    """Finite-window empirical intensity ``|gamma| / vol``."""
-    return len(gamma) / gamma.ground.volume
 
 
 def _model_mixing(model):

@@ -9,7 +9,10 @@ terms, the scale that rounding in the fast paths is judged against.
 :func:`cell_moments` is the continuum counterpart: the point-by-point loop
 that the batched correlation estimator replaced, and
 :func:`insertion_sides` the one-state-at-a-time loop behind the Mecke and
-GNZ right-hand sides.  :func:`papangelou_table`, :func:`gibbs_table` and
+GNZ right-hand sides.  :func:`point_batch` packs configurations into a
+``PointBatch`` one point at a time, and :func:`point_tuples` and
+:func:`configurations` read a batch back one sample at a time.
+:func:`papangelou_table`, :func:`gibbs_table` and
 :func:`gibbs_convolution_rhs` are the one-query-at-a-time forms of the
 lattice Gibbs layer.  :func:`sweep_per_bit` is the reference for that
 sweep itself: one in-place pass per bit over the whole table, with no
@@ -28,6 +31,7 @@ import numpy as np
 from confpp.core import Configuration, PointConfiguration, SetFunction
 from confpp.generators import LatticeOperator
 from confpp.errors import CocycleError
+from confpp.samplers import PointBatch
 
 
 def sweep_per_bit(table, sites, superset=False, sign=1.0, weights=None):
@@ -351,6 +355,33 @@ def cell_moments(samples, cells):
             prod *= sum(1 for p in gamma.points if c.contains(p))
         vals[i] = prod / vols
     return vals
+
+
+def point_batch(samples):
+    """The :class:`~confpp.samplers.PointBatch` of a nonempty list of window
+    configurations, one point at a time."""
+    offsets = [0]
+    for gamma in samples:
+        offsets.append(offsets[-1] + len(gamma))
+    coords = [p for gamma in samples for p in gamma.points]
+    return PointBatch(np.array(offsets, dtype=np.int64),
+                      np.array(coords, dtype=float).reshape(
+                          -1, samples[0].ground.dimension))
+
+
+def point_tuples(batch):
+    """Each sample of a ``PointBatch`` as its tuple of point tuples."""
+    bounds = batch.offsets.tolist()
+    return [tuple(map(tuple, batch.coords[lo:hi].tolist()))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def configurations(batch, window):
+    """Each sample of a ``PointBatch`` as a validated configuration: rows
+    inside the window, sorted, no repeated point, or
+    ``PointConfiguration.checked`` raises."""
+    return [PointConfiguration.checked(window, pts)
+            for pts in point_tuples(batch)]
 
 
 def insertion_sides(states, proposals, h, scale, spec=None):

@@ -281,8 +281,7 @@ class TestStatisticalLayer:
         tau = 4
         plan = RunPlan(UNIT_BOX, replicas=math.ceil(tau * n_eff),
                        master_seed=seed, burn_in=2_000, thinning=thinning)
-        counts = np.array([len(g) for g in sample_gibbs_bd(
-            strauss_spec(beta, 0.0, R), plan)])
+        counts = sample_gibbs_bd(strauss_spec(beta, 0.0, R), plan).counts
         x = counts - counts.mean()
         f = np.fft.rfft(x, 2 * x.size)
         acf = np.fft.irfft(f * f.conj())[:x.size // 2 * 2]

@@ -141,6 +141,36 @@ class TestExitCodes:
         assert main(["run", path, "--no-timestamp"]) == 2
         assert capsys.readouterr().err.count(message) == 2
 
+    @pytest.mark.parametrize("plan, message", [
+        ({"replica": 0}, "unknown plan key 'replica'; allowed: burn_in, "
+                         "proposal_points, replicas, thinning"),
+        ([1, 2], "plan must be a JSON object"),
+        ("replicas", "plan must be a JSON object"),
+    ])
+    def test_plan_keys_checked(self, tmp_path, capsys, plan, message):
+        path = _write(tmp_path, "plan.json", {
+            "name": "x", "ground": BOX, "task": "identity:mecke", "seed": 1,
+            "plan": plan})
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--no-timestamp"]) == 2
+        assert capsys.readouterr().err.count(message) == 2
+
+    @pytest.mark.parametrize("ground, task", [
+        ({"kind": "continuum"}, "identity:mecke"),
+        ({"kind": "continuum", "box": 5}, "identity:mecke"),
+        ({"kind": "continuum", "box": [[0, 1, 2]]}, "identity:mecke"),
+        ({"kind": "discrete"}, "algebra-suite"),
+        ({"kind": "discrete", "weights": [1, None]}, "algebra-suite"),
+    ])
+    def test_malformed_ground_exits_2(self, tmp_path, capsys, ground, task):
+        path = _write(tmp_path, "ground.json", {
+            "name": "x", "ground": ground, "task": task, "seed": 1})
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--no-timestamp"]) == 2
+        field = "box" if ground["kind"] == "continuum" else "weights"
+        assert capsys.readouterr().err.count(
+            f"ground needs '{field}'") == 2
+
     def test_integer_accepted_for_float_parameter(self):
         cfg = validate_config({"name": "x", "ground": BOX, "seed": 1,
                                "task": "identity:mecke",

@@ -7,12 +7,11 @@ import pytest
 from confpp.core import (BoxWindow, Configuration, DiscreteGround,
                          PointConfiguration, SetFunction, constant_function,
                          count_in, indicator_empty, lp_integral,
-                         lp_integral_mc, lp_truncation_tail, make_ground,
-                         ground_to_json, power_function, split_streams,
-                         uniform_configuration)
+                         lp_integral_mc, make_ground, ground_to_json,
+                         power_function, split_streams)
 from confpp import samplers
 from confpp.errors import CapacityError, ValidationError
-from confpp.samplers import (RunPlan, sample_gibbs_bd, sample_poisson,
+from confpp.samplers import (PointBatch, RunPlan, sample_gibbs_bd,
                              strauss_spec)
 
 
@@ -127,6 +126,27 @@ class TestGroundSerialization:
         with pytest.raises(ValidationError):
             make_ground([1, 2, 3])
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "continuum"},
+        {"kind": "continuum", "box": 5},
+        {"kind": "continuum", "box": [[0, 1, 2]]},
+        {"kind": "continuum", "box": [[0, "one"]]},
+        {"kind": "discrete"},
+        {"kind": "discrete", "weights": [1, None]},
+        {"kind": "discrete", "weights": 3},
+    ])
+    def test_malformed_field(self, spec):
+        with pytest.raises(ValidationError, match="needs '(box|weights)'"):
+            make_ground(spec)
+
+    def test_the_models_own_errors_pass_through(self):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            make_ground({"kind": "discrete", "weights": [1.0, -1.0]})
+        with pytest.raises(CapacityError):
+            make_ground({"kind": "discrete", "weights": [1.0] * 30})
+        with pytest.raises(ValidationError, match="nonempty and finite"):
+            make_ground({"kind": "continuum", "box": [[1.0, 0.0]]})
+
 
 class TestConfiguration:
     def test_discrete_mask(self):
@@ -228,13 +248,20 @@ class TestConfiguration:
         assert hash(c) == hash(PointConfiguration(w, pts))
 
     def test_samplers_build_the_point_type(self):
+        """``lp_integral_mc`` hands ``G`` point configurations, and the chain
+        hands its states out as one ``PointBatch``."""
         w = BoxWindow(((0.0, 1.0),))
-        rng = split_streams(1, 1)[0]
-        assert type(uniform_configuration(w, rng, 3)) is PointConfiguration
-        assert type(sample_poisson(w, 2.0, rng)) is PointConfiguration
+        seen = set()
+
+        def G(gamma):
+            seen.add(type(gamma))
+            return 1.0
+
+        lp_integral_mc(G, 2.0, w, 3, 4, seed=1)
+        assert seen == {PointConfiguration}
         chain = sample_gibbs_bd(strauss_spec(2.0, 0.5, 0.1),
                                 RunPlan(w, 5, 1, burn_in=20))
-        assert {type(gamma) for gamma in chain} == {PointConfiguration}
+        assert type(chain) is PointBatch and len(chain) == 5
 
     def test_count_in(self):
         g = DiscreteGround((1.0,) * 4)
@@ -303,14 +330,6 @@ class TestLpIntegral:
         val = lp_integral(power_function(g, 2.0), 1.0)
         assert val == pytest.approx((1 + 2 * 0.5) * (1 + 2 * 2.0))
 
-    def test_truncation_tail_bound(self):
-        # remainder of exp(a) after n_max terms is below the bound
-        a = 1.3
-        n_max = 6
-        exact_tail = math.exp(a) - sum(a ** k / math.factorial(k)
-                                       for k in range(n_max + 1))
-        assert exact_tail <= lp_truncation_tail(1.3, 1.0, n_max)
-
 
 class TestLpIntegralMC:
     def test_constant_function_integral(self):
@@ -344,6 +363,50 @@ class TestLpIntegralMC:
         w = BoxWindow(((0.0, 1.0),))
         with pytest.raises(ValidationError, match="intensity z"):
             lp_integral_mc(lambda gamma: 1.0, z, w, 4, 10, seed=1)
+
+    @pytest.mark.parametrize("window, z, n_max, samples, seed, value", [
+        (BoxWindow(((0.0, 1.0),)), 1.0, 6, 50, 3,
+         (2.3293272869899977, 0.06555955240496701)),
+        (BoxWindow(((0.0, 1.0), (-0.5, 0.5))), 2.0, 5, 40, 4,
+         (15.525284613164072, 0.5109224977723592)),
+    ])
+    def test_golden(self, window, z, n_max, samples, seed, value):
+        """Values recorded when the draws went through a separate
+        one-configuration builder; ``G`` weights each point by its rank,
+        so the sort order and every coordinate count."""
+        def G(gamma):
+            return math.fsum((i + 1) * sum(p)
+                             for i, p in enumerate(gamma.points))
+
+        assert lp_integral_mc(G, z, window, n_max, samples, seed) == value
+
+    def test_repeated_point_is_redrawn(self, monkeypatch):
+        w = BoxWindow(((0.0, 1.0),))
+        draw = BoxWindow.sample_uniform
+        calls = []
+
+        def repeat_first(self, rng, n):
+            """The first two-point draw repeats its point."""
+            calls.append(n)
+            u = draw(self, rng, n)
+            if calls == [1, 2]:
+                u[:] = 0.5
+            return u
+
+        monkeypatch.setattr(BoxWindow, "sample_uniform", repeat_first)
+        seen = []
+        lp_integral_mc(lambda gamma: seen.append(gamma.points) or 1.0, 1.0,
+                       w, 2, 1, seed=1)
+        assert calls == [1, 2, 2]
+        assert len(seen[2]) == 2 and seen[2][0] != seen[2][1]
+
+    def test_point_outside_the_window_is_rejected(self, monkeypatch):
+        w = BoxWindow(((0.0, 1.0),))
+        draw = BoxWindow.sample_uniform
+        monkeypatch.setattr(BoxWindow, "sample_uniform",
+                            lambda self, rng, n: draw(self, rng, n) + 1.0)
+        with pytest.raises(ValidationError, match="outside the window"):
+            lp_integral_mc(lambda gamma: 1.0, 1.0, w, 2, 3, seed=1)
 
 
 class TestStreams:

@@ -18,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import oracles
 from confpp.core import BoxWindow
 from confpp.processes import PapangelouSpec
 from confpp.samplers import (RunPlan, constant_h, detailed_balance_residual,
@@ -31,7 +32,9 @@ CELLS = {1: BoxWindow(((0.25, 0.75),)),
 
 
 def _digest(chain):
-    return hashlib.sha256(repr([g.points for g in chain]).encode()).hexdigest()
+    """sha256 of the repr of the list of the states' point tuples."""
+    states = oracles.point_tuples(chain)
+    return hashlib.sha256(repr(states).encode()).hexdigest()
 
 
 def h_one(gamma, x):

@@ -4,8 +4,8 @@ estimators that run on its ragged ``(offsets, coords)`` batches.
 Counts and cell moments are compared with ``oracles.cell_moments``, the
 point-by-point loop, on hand-made configurations (points on shared cell
 edges included) and on sampled batches rebuilt as validated
-configurations.  A generator whose uniforms lie on a k/64 grid forces
-repeated points, so the redraw path runs.
+configurations (``oracles.configurations``).  A generator whose uniforms
+lie on a k/64 grid forces repeated points, so the redraw path runs.
 """
 
 import numpy as np
@@ -18,9 +18,8 @@ from confpp.core import BoxWindow, PointConfiguration, split_streams
 from confpp.errors import ValidationError
 from confpp.processes import (MixedPoisson, Poisson, Superposition,
                               exponential_mixing)
-from confpp.samplers import (PointBatch, RunPlan, count_distribution_check,
-                             estimate_correlation, sample_batch,
-                             sample_poisson)
+from confpp.samplers import (RunPlan, count_distribution_check,
+                             estimate_correlation, sample_batch)
 
 WINDOWS = {1: BoxWindow(((0.0, 1.0),)),
            2: BoxWindow(((0.0, 1.0), (-0.5, 0.5)))}
@@ -34,13 +33,6 @@ MODELS = [Poisson(2.0), MixedPoisson(exponential_mixing(1.0)),
           Superposition(MixedPoisson(exponential_mixing(2.0)), Poisson(0.5))]
 
 
-def configurations(batch, window):
-    """Each sample as a validated configuration: rows inside the window,
-    sorted, no repeated point, or ``PointConfiguration.checked`` raises."""
-    return [PointConfiguration.checked(window, batch.coords[lo:hi])
-            for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])]
-
-
 def assert_matches_loop(samples, batch, d):
     assert batch.counts.tolist() == [len(g) for g in samples]
     for cells in (CELLS[d][:1], CELLS[d]):
@@ -49,7 +41,6 @@ def assert_matches_loop(samples, batch, d):
         se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         expected = (float(vals.mean()), se)
         assert estimate_correlation(batch, cells, len(cells)) == expected
-        assert estimate_correlation(samples, cells, len(cells)) == expected
 
 
 coordinate = st.one_of(st.sampled_from(EDGES),
@@ -72,8 +63,7 @@ class TestAgainstTheLoop:
     @given(configuration_lists())
     def test_configurations(self, case):
         d, samples = case
-        assert_matches_loop(samples, PointBatch.from_configurations(samples),
-                            d)
+        assert_matches_loop(samples, oracles.point_batch(samples), d)
 
     @settings(max_examples=60, deadline=None)
     @given(model=st.sampled_from(MODELS), d=st.sampled_from([1, 2]),
@@ -83,7 +73,7 @@ class TestAgainstTheLoop:
         batch = sample_batch(model, window, np.random.default_rng(seed),
                              size)
         assert len(batch) == size and batch.overlap_events == 0
-        assert_matches_loop(configurations(batch, window), batch, d)
+        assert_matches_loop(oracles.configurations(batch, window), batch, d)
 
     @settings(max_examples=30, deadline=None)
     @given(model=st.sampled_from(MODELS), n_max=st.integers(0, 6),
@@ -93,7 +83,7 @@ class TestAgainstTheLoop:
         plan = RunPlan(window, replicas=200, master_seed=seed)
         rep = count_distribution_check(model, window, n_max, plan)
         batch = sample_batch(model, window, split_streams(seed, 1)[0], 200)
-        lengths = [len(g) for g in configurations(batch, window)]
+        lengths = [len(g) for g in oracles.configurations(batch, window)]
         for rec in rep["per_n"]:
             assert rec["empirical"] == lengths.count(rec["n"]) / 200
 
@@ -124,15 +114,21 @@ class TestRepeatedPoints:
         window = WINDOWS[1]
         batch = sample_batch(model, window, GridRNG(7), 400)
         assert batch.overlap_events > 0
-        samples = configurations(batch, window)  # raises on a repeated point
+        # raises on a repeated point
+        samples = oracles.configurations(batch, window)
         assert len(samples) == 400
         assert_matches_loop(samples, batch, 1)
 
     def test_sample_poisson_redraws(self):
-        rng = GridRNG(8)
+        """One-sample Poisson draws at z = 4 on the grid repeat points and
+        are redrawn."""
+        rng, redrawn = GridRNG(8), 0
         for _ in range(300):
-            gamma = sample_poisson(WINDOWS[1], 4.0, rng)
+            batch = sample_batch(Poisson(4.0), WINDOWS[1], rng, 1)
+            gamma, = oracles.configurations(batch, WINDOWS[1])
             assert len(set(gamma.points)) == len(gamma)
+            redrawn += batch.overlap_events
+        assert redrawn > 0
 
 
 class TestWindowMembership:
@@ -142,7 +138,7 @@ class TestWindowMembership:
                 sample_batch(MODELS[0], window, OutsideRNG(1), 50)
             with pytest.raises(ValidationError):
                 for _ in range(50):
-                    sample_poisson(window, 2.0, OutsideRNG(1))
+                    sample_batch(MODELS[0], window, OutsideRNG(1), 1)
 
 
 class TestInputs:
@@ -153,6 +149,16 @@ class TestInputs:
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValidationError):
             estimate_correlation([], CELLS[1][:1], 1)
+        empty = sample_batch(MODELS[0], WINDOWS[1], np.random.default_rng(3),
+                             0)
+        assert len(empty) == 0
+        with pytest.raises(ValidationError, match="nonempty PointBatch"):
+            estimate_correlation(empty, CELLS[1][:1], 1)
+
+    def test_a_list_of_configurations_is_rejected(self):
+        samples = [PointConfiguration.checked(WINDOWS[1], ((0.1,),))]
+        with pytest.raises(ValidationError, match="nonempty PointBatch"):
+            estimate_correlation(samples, CELLS[1][:1], 1)
 
     def test_cell_dimension_must_match(self):
         batch = sample_batch(MODELS[0], WINDOWS[1], np.random.default_rng(2),

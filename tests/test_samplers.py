@@ -10,12 +10,11 @@ from confpp.errors import StabilityError, ValidationError
 from confpp.processes import (MixedPoisson, PapangelouSpec, Poisson,
                               Superposition, exponential_mixing,
                               point_mass_mixing)
-from confpp.samplers import (IdentityReport, RunPlan, analytic_count_pmf,
-                             count_distribution_check,
-                             detailed_balance_residual, density_estimator,
-                             estimate_correlation, sample_gibbs_bd,
-                             sample_poisson, strauss_spec, verify_gnz,
-                             verify_mecke)
+from confpp.samplers import (IdentityReport, PointBatch, RunPlan,
+                             analytic_count_pmf, count_distribution_check,
+                             detailed_balance_residual, estimate_correlation,
+                             sample_batch, sample_gibbs_bd, strauss_spec,
+                             verify_gnz, verify_mecke)
 
 W = BoxWindow(((0.0, 1.0),))
 
@@ -40,7 +39,7 @@ class TestRunPlan:
 class TestSamplePoisson:
     def test_mean_count(self):
         rng = split_streams(1, 1)[0]
-        counts = [len(sample_poisson(W, 2.0, rng)) for _ in range(20_000)]
+        counts = sample_batch(Poisson(2.0), W, rng, 20_000).counts
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - 2.0) <= 4 * se
 
@@ -48,9 +47,10 @@ class TestSamplePoisson:
         rng = split_streams(2, 1)[0]
         B = BoxWindow(((0.2, 0.7),))
         z = 2.0
-        hits = [all(not B.contains(p) for p in
-                    sample_poisson(W, z, rng).points)
-                for _ in range(20_000)]
+        samples = oracles.configurations(
+            sample_batch(Poisson(z), W, rng, 20_000), W)
+        hits = [all(not B.contains(p) for p in gamma.points)
+                for gamma in samples]
         p = np.mean(hits)
         target = math.exp(-z * B.volume)
         se = math.sqrt(target * (1 - target) / len(hits))
@@ -58,12 +58,12 @@ class TestSamplePoisson:
 
     def test_invalid_intensity(self):
         with pytest.raises(ValidationError):
-            sample_poisson(W, 0.0, split_streams(1, 1)[0])
+            sample_batch(Poisson(0.0), W, split_streams(1, 1)[0], 1)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf])
     def test_rejects_nan_and_inf(self, z):
         with pytest.raises(ValidationError):
-            sample_poisson(W, z, split_streams(1, 1)[0])
+            sample_batch(Poisson(z), W, split_streams(1, 1)[0], 1)
 
 
 def _death_ratio_wrong_count(chain, points, i):
@@ -82,8 +82,7 @@ class TestGibbsSampler:
         spec = PapangelouSpec(lambda gamma, x: 1.5, {"r_max": 1.5})
         plan = RunPlan(W, replicas=6000, master_seed=9, burn_in=2000,
                        thinning=5)
-        chain = sample_gibbs_bd(spec, plan)
-        counts = np.array([len(g) for g in chain])
+        counts = sample_gibbs_bd(spec, plan).counts
         emp = np.array([np.mean(counts == n) for n in range(9)])
         pois = np.array([math.exp(-1.5) * 1.5 ** n / math.factorial(n)
                          for n in range(9)])
@@ -96,7 +95,7 @@ class TestGibbsSampler:
         plan = RunPlan(W, replicas=4000, master_seed=10, burn_in=3000,
                        thinning=5)
         chain = sample_gibbs_bd(strauss_spec(beta, g, R), plan)
-        mean = np.mean([len(c) for c in chain])
+        mean = chain.counts.mean()
         assert mean < beta  # repulsion pushes the mean below the free rate
 
     def test_detailed_balance(self):
@@ -123,7 +122,23 @@ class TestGibbsSampler:
         spec = strauss_spec(2.0, 0.5, 0.1)
         plan = RunPlan(W, replicas=50, master_seed=123, burn_in=200,
                        thinning=2)
-        assert sample_gibbs_bd(spec, plan) == sample_gibbs_bd(spec, plan)
+        first, again = sample_gibbs_bd(spec, plan), sample_gibbs_bd(spec, plan)
+        assert np.array_equal(first.offsets, again.offsets)
+        assert np.array_equal(first.coords, again.coords)
+
+    @pytest.mark.parametrize("window", [W, BoxWindow(((0.0, 1.0),) * 2)])
+    def test_states_are_one_point_batch(self, window):
+        """One offset per state and a ``(points, d)`` block of rows, each
+        state sorted, inside the window and free of repeats."""
+        plan = RunPlan(window, replicas=40, master_seed=3, burn_in=100,
+                       thinning=2)
+        batch = sample_gibbs_bd(strauss_spec(20.0, 0.3, 0.1), plan)
+        assert type(batch) is PointBatch and len(batch) == 40
+        assert batch.offsets[0] == 0 and batch.offsets.dtype == np.int64
+        assert batch.coords.shape == (batch.offsets[-1], window.dimension)
+        assert batch.overlap_events == 0
+        assert len(oracles.configurations(batch, window)) == 40
+        assert batch.counts.sum() > 40  # the chain holds points
 
 
 W2 = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
@@ -155,7 +170,7 @@ class TestBufferedUniforms:
         monkeypatch.setattr(samplers, "_UNIFORM_BLOCK", block)
         window, spec, plan = CHAIN_CASES[name]
         plan = RunPlan(window, **plan)
-        states = [g.points for g in sample_gibbs_bd(spec, plan)]
+        states = oracles.point_tuples(sample_gibbs_bd(spec, plan))
         assert states == oracles.birth_death_states(spec, plan)
         assert len(set(states)) > 10  # the chain moved
 
@@ -265,7 +280,7 @@ class TestVerifyGnz:
 class TestEstimators:
     def test_correlation_orders(self):
         rng = split_streams(15, 1)[0]
-        samples = [sample_poisson(W, 2.0, rng) for _ in range(8000)]
+        samples = sample_batch(Poisson(2.0), W, rng, 8000)
         c1 = BoxWindow(((0.0, 0.4),))
         c2 = BoxWindow(((0.5, 0.9),))
         e1, s1 = estimate_correlation(samples, [c1], 1)
@@ -275,22 +290,26 @@ class TestEstimators:
 
     def test_order1_matches_density_estimator(self):
         rng = split_streams(16, 1)[0]
-        samples = [sample_poisson(W, 2.0, rng) for _ in range(4000)]
+        samples = sample_batch(Poisson(2.0), W, rng, 4000)
         e1, s1 = estimate_correlation(samples, [W], 1)
-        dens = float(np.mean([density_estimator(g) for g in samples]))
+        dens = float(np.mean(samples.counts / W.volume))
         assert e1 == pytest.approx(dens, abs=1e-12)
 
     def test_overlapping_cells_rejected(self):
-        samples = [PointConfiguration(W)]
+        samples = oracles.point_batch([PointConfiguration(W)])
         with pytest.raises(ValidationError):
             estimate_correlation(samples,
                                  [BoxWindow(((0.0, 0.5),)),
                                   BoxWindow(((0.4, 0.9),))], 2)
 
     def test_density_estimator(self):
-        assert density_estimator(PointConfiguration(W)) == 0.0
-        g = PointConfiguration.checked(W, ((0.1,), (0.2,), (0.3,)))
-        assert density_estimator(g) == 3.0
+        """Order 1 on the whole window is the mean of ``|gamma| / vol``."""
+        w = BoxWindow(((0.0, 2.0),))
+        batch = oracles.point_batch([
+            PointConfiguration(w),
+            PointConfiguration.checked(w, ((0.1,), (0.2,), (1.3,)))])
+        assert (batch.counts / w.volume).tolist() == [0.0, 1.5]
+        assert estimate_correlation(batch, [w], 1)[0] == 0.75
 
 
 class TestCountDistribution:

@@ -22,9 +22,9 @@ from confpp.core import (BoxWindow, Configuration, DiscreteGround,
                          PointConfiguration, split_streams)
 from confpp.errors import ValidationError
 from confpp.processes import PapangelouSpec, Poisson, pairwise_gibbs_spec
-from confpp.samplers import (PointBatch, RunPlan, constant_h, sample_batch,
-                             sample_gibbs_bd, sample_poisson, strauss_spec,
-                             verify_gnz, verify_mecke)
+from confpp.samplers import (RunPlan, constant_h, sample_batch,
+                             sample_gibbs_bd, strauss_spec, verify_gnz,
+                             verify_mecke)
 
 WINDOWS = {1: BoxWindow(((0.0, 1.0),)),
            2: BoxWindow(((0.0, 1.0), (0.0, 1.0)))}
@@ -174,7 +174,7 @@ def _spec(form, args):
 def _blocks(states, proposals):
     block = samplers._BLOCK
     for i in range(0, len(states), block):
-        yield (PointBatch.from_configurations(states[i:i + block]),
+        yield (oracles.point_batch(states[i:i + block]),
                np.stack(proposals[i:i + block]))
 
 
@@ -199,7 +199,7 @@ class TestGroupedSides:
         spec, h = _spec(spec_form, args), _h(h_form)
         plan = RunPlan(window, replicas=300, master_seed=d, burn_in=300,
                        thinning=2, proposal_points=S)
-        states = sample_gibbs_bd(spec, plan)
+        states = oracles.configurations(sample_gibbs_bd(spec, plan), window)
         rng = np.random.default_rng(d)
         proposals = _with_repeats(
             states, [window.sample_uniform(rng, S) for _ in states])
@@ -214,7 +214,8 @@ class TestGroupedSides:
     def test_mecke(self, d, z, h_form):
         window, S, h = WINDOWS[d], 16, _h(h_form)
         rng = np.random.default_rng(10 + d)
-        states = [sample_poisson(window, z, rng) for _ in range(300)]
+        states = oracles.configurations(
+            sample_batch(Poisson(z), window, rng, 300), window)
         proposals = _with_repeats(
             states, [window.sample_uniform(rng, S) for _ in states])
         scale = z * window.volume
@@ -233,7 +234,7 @@ class TestGroupedSides:
         spec = strauss_spec(*args)
         plan = RunPlan(window, replicas=300, master_seed=d, burn_in=300,
                        thinning=2, proposal_points=S)
-        states = sample_gibbs_bd(spec, plan)
+        states = oracles.configurations(sample_gibbs_bd(spec, plan), window)
         rng = np.random.default_rng(d)
         proposals = _with_repeats(
             states, [window.sample_uniform(rng, S) for _ in states])
@@ -259,7 +260,8 @@ class TestGroupedSides:
         plan = RunPlan(window, replicas=300, master_seed=21, burn_in=200,
                        thinning=2, proposal_points=S)
         chain_rng, rhs_rng = split_streams(plan.master_seed, 2)
-        states = sample_gibbs_bd(spec, plan, chain_rng)
+        states = oracles.configurations(
+            sample_gibbs_bd(spec, plan, chain_rng), window)
         proposals = [window.sample_uniform(rhs_rng, S) for _ in states]
         lhs, rhs = oracles.insertion_sides(states, proposals, h,
                                            window.volume, spec)
@@ -269,8 +271,7 @@ class TestGroupedSides:
 
         state_rng, rhs_rng = split_streams(plan.master_seed, 2)
         batch = sample_batch(Poisson(8.0), window, state_rng, plan.replicas)
-        states = [PointConfiguration.checked(window, batch.coords[lo:hi])
-                  for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])]
+        states = oracles.configurations(batch, window)
         proposals = [window.sample_uniform(rhs_rng, S) for _ in states]
         lhs, rhs = oracles.insertion_sides(states, proposals, h,
                                            8.0 * window.volume)
