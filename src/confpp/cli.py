@@ -21,53 +21,11 @@ from .core import (BoxWindow, DiscreteGround, SetFunction, json_dumps,
                    make_ground, power_function, split_streams)
 from .errors import ConfppError, ValidationError
 from .processes import MixedPoisson, Poisson, Superposition, exponential_mixing
-from .samplers import RunPlan
+from .samplers import (RunPlan, constant_h, count_distribution_check,
+                       estimate_correlation, sample_batch, strauss_spec,
+                       verify_gnz, verify_mecke)
 
 SCHEMA_VERSION = 1
-
-TASKS = {
-    "algebra-suite": {
-        "summary": "exact transform/convolution identity suite on a discrete "
-                   "ground",
-        "parameters": {"trials": 25},
-        "needs_ground": "discrete",
-    },
-    "identity:mecke": {
-        "summary": "statistical check of the Poisson insertion identity",
-        "parameters": {"z": 2.0},
-        "needs_ground": "continuum",
-    },
-    "identity:gnz": {
-        "summary": "statistical check of the conditional-intensity identity "
-                   "for the Strauss model",
-        "parameters": {"beta": 2.0, "g": 0.5, "R": 0.1},
-        "needs_ground": "continuum",
-    },
-    "identity:superposition": {
-        "summary": "count law and order-1/2 correlations of superposed "
-                   "Poisson processes",
-        "parameters": {"z1": 1.0, "z2": 1.0, "n_max": 8},
-        "needs_ground": "continuum",
-    },
-    "identity:counts": {
-        "summary": "empirical vs analytic count distribution for "
-                   "(mixed) Poisson models",
-        "parameters": {"model": "poisson", "z": 1.0, "theta": 1.0,
-                       "n_max": 8},
-        "needs_ground": "continuum",
-    },
-    "generator-suite": {
-        "summary": "exact birth--death generator identity suite",
-        "parameters": {"kernels": 5, "k_trunc": 2},
-        "needs_ground": "discrete",
-    },
-    "process-report": {
-        "summary": "correlation, positivity and uniqueness diagnostics for "
-                   "lattice process models",
-        "parameters": {"z": 0.8},
-        "needs_ground": "discrete",
-    },
-}
 
 
 # ---------------------------------------------------------------------------
@@ -85,24 +43,27 @@ _PARAMETER_TYPES = {int: ("integer", int), float: ("number", (int, float)),
                     str: ("string", str)}
 # below these a suite runs no trial, kernel or count and would report a pass
 _PARAMETER_FLOORS = {"trials": 1, "kernels": 1, "n_max": 0}
-_PLAN_DEFAULTS = {"replicas": 2000, "burn_in": 10_000, "thinning": 10,
-                  "proposal_points": 64}
 
 
-def _fields(doc, block, defaults, label):
-    """``defaults`` updated by the JSON object ``doc[block]``, if given:
-    each key one of the defaults', each value of that default's JSON type."""
+def _fields(doc, block, task):
+    """The task's ``block`` defaults updated by the JSON object
+    ``doc[block]``, if given: each key one of the defaults', each value of
+    that default's JSON type."""
+    defaults = TASKS[task][block]
+    what = "parameter" if block == "parameters" else block
     given = doc.get(block, {})
     if not isinstance(given, dict):
         raise ValidationError(f"{block} must be a JSON object")
     for key, value in given.items():
         if key not in defaults:
-            raise ValidationError(f"unknown {label} key {key!r}; allowed: "
-                                  f"{', '.join(sorted(defaults))}")
+            allowed = (", ".join(sorted(defaults))
+                       or f"none, task {task} takes no {block}")
+            raise ValidationError(f"unknown {what} key {key!r}; "
+                                  f"allowed: {allowed}")
         name, kinds = _PARAMETER_TYPES[type(defaults[key])]
         # bool is a subclass of int; json.load gives floats for NaN, 1e400
         if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ValidationError(f"{label} {key} must be a JSON {name}, "
+            raise ValidationError(f"{what} {key} must be a JSON {name}, "
                                   f"got {value!r}")
     return {**defaults, **given}
 
@@ -121,16 +82,17 @@ def validate_config(doc):
     if task not in TASKS:
         hints = ", ".join(sorted(TASKS))
         raise ValidationError(f"unknown task {task!r}; available: {hints}")
-    if not isinstance(doc["seed"], int):
+    if isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int):
         raise ValidationError("seed must be an explicit integer")
+    if not isinstance(doc.get("output", ""), str):
+        raise ValidationError("output must be a string path")
     ground = make_ground(doc["ground"])
     need = TASKS[task]["needs_ground"]
     if need == "discrete" and not isinstance(ground, DiscreteGround):
         raise ValidationError(f"task {task} needs a discrete ground")
     if need == "continuum" and not isinstance(ground, BoxWindow):
         raise ValidationError(f"task {task} needs a continuum window")
-    params = _fields(doc, "parameters", TASKS[task]["parameters"],
-                      "parameter")
+    params = _fields(doc, "parameters", task)
     for key, floor in _PARAMETER_FLOORS.items():
         if params.get(key, floor) < floor:
             raise ValidationError(f"parameter {key} must be at least {floor}, "
@@ -138,13 +100,12 @@ def validate_config(doc):
     if task == "identity:counts" and params["model"] not in COUNT_MODELS:
         raise ValidationError(f"unknown count model {params['model']!r}; "
                               f"available: {', '.join(sorted(COUNT_MODELS))}")
-    plan = _fields(doc, "plan", _PLAN_DEFAULTS, "plan")
-    # RunPlan's floors, on a stand-in window so that every task is checked
-    RunPlan(BoxWindow(((0.0, 1.0),)), plan["replicas"], 0, plan["burn_in"],
-            plan["thinning"], plan["proposal_points"])
-    return {"name": doc["name"], "ground": ground, "task": task,
-            "seed": int(doc["seed"]), "parameters": params, "plan": plan,
-            "output": doc.get("output")}
+    cfg = {"name": doc["name"], "ground": ground, "task": task,
+           "seed": doc["seed"], "parameters": params,
+           "plan": _fields(doc, "plan", task), "output": doc.get("output")}
+    if cfg["plan"]:
+        _make_plan(cfg)  # RunPlan's floors, with its message
+    return cfg
 
 
 def _record(name, residual, tol):
@@ -287,66 +248,63 @@ def _run_generator_suite(cfg):
 
 
 def _make_plan(cfg):
-    p = cfg["plan"]
-    return RunPlan(cfg["ground"], p["replicas"], cfg["seed"], p["burn_in"],
-                   p["thinning"], p["proposal_points"])
+    return RunPlan(cfg["ground"], master_seed=cfg["seed"], **cfg["plan"])
 
 
-def _run_identity(cfg):
-    from .samplers import (constant_h, count_distribution_check,
-                           estimate_correlation, sample_batch, strauss_spec,
-                           verify_gnz, verify_mecke)
-    task = cfg["task"]
+def _run_mecke(cfg):
+    rep = verify_mecke(float(cfg["parameters"]["z"]), cfg["ground"],
+                       constant_h(1.0), _make_plan(cfg))
+    return [dict(rep.to_json(), check="mecke_h1")]
+
+
+def _run_gnz(cfg):
+    params = cfg["parameters"]
+    spec = strauss_spec(float(params["beta"]), float(params["g"]),
+                        float(params["R"]))
+    rep = verify_gnz(spec, constant_h(1.0), _make_plan(cfg))
+    return [dict(rep.to_json(), check="gnz_strauss_h1")]
+
+
+def _run_superposition(cfg):
     params = cfg["parameters"]
     plan = _make_plan(cfg)
     window = cfg["ground"]
-    if task == "identity:mecke":
-        rep = verify_mecke(float(params["z"]), window, constant_h(1.0),
-                           plan)
-        return [dict(rep.to_json(), check="mecke_h1")]
-    if task == "identity:gnz":
-        spec = strauss_spec(float(params["beta"]), float(params["g"]),
-                            float(params["R"]))
-        rep = verify_gnz(spec, constant_h(1.0), plan)
-        return [dict(rep.to_json(), check="gnz_strauss_h1")]
-    if task == "identity:superposition":
-        z1, z2 = float(params["z1"]), float(params["z2"])
-        model = Superposition(Poisson(z1), Poisson(z2))
-        rep = count_distribution_check(model, window,
-                                       params["n_max"], plan)
-        rng = split_streams(cfg["seed"] + 1, 1)[0]
-        samples = sample_batch(model, window, rng, plan.replicas)
-        lo, hi = window.box[0]
-        mid = 0.5 * (lo + hi)
-        c1 = BoxWindow(((lo, mid),) + window.box[1:])
-        c2 = BoxWindow(((mid, hi),) + window.box[1:])
-        e1, s1 = estimate_correlation(samples, [c1], 1)
-        e2, s2 = estimate_correlation(samples, [c1, c2], 2)
-        zt = z1 + z2
-        return [
-            {"check": "superposition_counts", "tv": rep["tv"],
-             "pass": rep["pass"], "overlap_events": rep["overlap_events"]},
-            {"check": "superposition_k1", "estimate": e1, "se": s1,
-             "target": zt, "overlap_events": samples.overlap_events,
-             "pass": bool(abs(e1 - zt) <= 4 * max(s1, 1e-12))},
-            {"check": "superposition_k2", "estimate": e2, "se": s2,
-             "target": zt ** 2, "overlap_events": samples.overlap_events,
-             "pass": bool(abs(e2 - zt ** 2) <= 4 * max(s2, 1e-12))},
-        ]
-    if task == "identity:counts":
-        kind = params["model"]
-        model = COUNT_MODELS[kind](params)
-        rep = count_distribution_check(model, window,
-                                       params["n_max"], plan)
-        return [{"check": f"counts_{kind}", "tv": rep["tv"],
-                 "pass": rep["pass"], "per_n": rep["per_n"]}]
-    raise ValidationError(f"unknown identity task {task}")
+    z1, z2 = float(params["z1"]), float(params["z2"])
+    model = Superposition(Poisson(z1), Poisson(z2))
+    rep = count_distribution_check(model, window, params["n_max"], plan)
+    rng = split_streams(cfg["seed"] + 1, 1)[0]
+    samples = sample_batch(model, window, rng, plan.replicas)
+    lo, hi = window.box[0]
+    mid = 0.5 * (lo + hi)
+    c1 = BoxWindow(((lo, mid),) + window.box[1:])
+    c2 = BoxWindow(((mid, hi),) + window.box[1:])
+    e1, s1 = estimate_correlation(samples, [c1])
+    e2, s2 = estimate_correlation(samples, [c1, c2])
+    zt = z1 + z2
+    return [
+        {"check": "superposition_counts", "tv": rep["tv"],
+         "pass": rep["pass"], "overlap_events": rep["overlap_events"]},
+        {"check": "superposition_k1", "estimate": e1, "se": s1,
+         "target": zt, "overlap_events": samples.overlap_events,
+         "pass": bool(abs(e1 - zt) <= 4 * max(s1, 1e-12))},
+        {"check": "superposition_k2", "estimate": e2, "se": s2,
+         "target": zt ** 2, "overlap_events": samples.overlap_events,
+         "pass": bool(abs(e2 - zt ** 2) <= 4 * max(s2, 1e-12))},
+    ]
+
+
+def _run_counts(cfg):
+    params = cfg["parameters"]
+    kind = params["model"]
+    rep = count_distribution_check(COUNT_MODELS[kind](params), cfg["ground"],
+                                   params["n_max"], _make_plan(cfg))
+    return [{"check": f"counts_{kind}", "tv": rep["tv"],
+             "pass": rep["pass"], "per_n": rep["per_n"]}]
 
 
 def _run_process_report(cfg):
-    from .processes import (MixedPoisson, MixingDensity, Poisson,
-                            correlation_functional, lenard_pd_check,
-                            poisson_table, projection_density,
+    from .processes import (MixingDensity, correlation_functional,
+                            lenard_pd_check, poisson_table, projection_density,
                             recover_correlation, to_discrete_table,
                             uniqueness_diagnostic)
     ground = cfg["ground"]
@@ -374,14 +332,64 @@ def _run_process_report(cfg):
     return results
 
 
-RUNNERS = {
-    "algebra-suite": _run_algebra_suite,
-    "generator-suite": _run_generator_suite,
-    "identity:mecke": _run_identity,
-    "identity:gnz": _run_identity,
-    "identity:superposition": _run_identity,
-    "identity:counts": _run_identity,
-    "process-report": _run_process_report,
+# each task's runner, its parameters and plan keys with their defaults
+TASKS = {
+    "algebra-suite": {
+        "summary": "exact transform/convolution identity suite on a discrete "
+                   "ground",
+        "run": _run_algebra_suite,
+        "parameters": {"trials": 25},
+        "plan": {},
+        "needs_ground": "discrete",
+    },
+    "identity:mecke": {
+        "summary": "statistical check of the Poisson insertion identity",
+        "run": _run_mecke,
+        "parameters": {"z": 2.0},
+        "plan": {"replicas": 2000, "proposal_points": 64},
+        "needs_ground": "continuum",
+    },
+    "identity:gnz": {
+        "summary": "statistical check of the conditional-intensity identity "
+                   "for the Strauss model",
+        "run": _run_gnz,
+        "parameters": {"beta": 2.0, "g": 0.5, "R": 0.1},
+        "plan": {"replicas": 2000, "burn_in": 10_000, "thinning": 10,
+                 "proposal_points": 64},
+        "needs_ground": "continuum",
+    },
+    "identity:superposition": {
+        "summary": "count law and order-1/2 correlations of superposed "
+                   "Poisson processes",
+        "run": _run_superposition,
+        "parameters": {"z1": 1.0, "z2": 1.0, "n_max": 8},
+        "plan": {"replicas": 2000},
+        "needs_ground": "continuum",
+    },
+    "identity:counts": {
+        "summary": "empirical vs analytic count distribution for "
+                   "(mixed) Poisson models",
+        "run": _run_counts,
+        "parameters": {"model": "poisson", "z": 1.0, "theta": 1.0,
+                       "n_max": 8},
+        "plan": {"replicas": 2000},
+        "needs_ground": "continuum",
+    },
+    "generator-suite": {
+        "summary": "exact birth--death generator identity suite",
+        "run": _run_generator_suite,
+        "parameters": {"kernels": 5, "k_trunc": 2},
+        "plan": {},
+        "needs_ground": "discrete",
+    },
+    "process-report": {
+        "summary": "correlation, positivity and uniqueness diagnostics for "
+                   "lattice process models",
+        "run": _run_process_report,
+        "parameters": {"z": 0.8},
+        "plan": {},
+        "needs_ground": "discrete",
+    },
 }
 
 
@@ -397,7 +405,7 @@ def _versions():
 
 def run_experiment(cfg, with_timestamp=True):
     """Execute a validated config; returns the report document."""
-    results = RUNNERS[cfg["task"]](cfg)
+    results = TASKS[cfg["task"]]["run"](cfg)
     report = {
         "schema_version": SCHEMA_VERSION,
         "name": cfg["name"],
@@ -419,11 +427,11 @@ def _cmd_list(_args):
     print("available tasks:")
     for name in sorted(TASKS):
         info = TASKS[name]
-        print(f"  {name:24s} {info['summary']}")
-        defaults = ", ".join(f"{k}={v}" for k, v in
-                             info["parameters"].items())
-        print(f"  {'':24s} parameters: {defaults or '(none)'} "
+        print(f"  {name:24s} {info['summary']} "
               f"[ground: {info['needs_ground']}]")
+        for block in ("parameters", "plan"):
+            defaults = ", ".join(f"{k}={v}" for k, v in info[block].items())
+            print(f"  {'':24s} {block}: {defaults or '(none)'}")
     return 0
 
 

@@ -185,6 +185,15 @@ class BoxWindow:
         return tuple([lo + span * rng.random() for lo, span in self._lo_span])
 
 
+def _numbers(items):
+    """``items`` as a tuple, if it is a list of numbers (no bool, no str)."""
+    if not isinstance(items, (list, tuple)) or any(
+            isinstance(x, bool) or not isinstance(x, (int, float))
+            for x in items):
+        raise TypeError("not a list of numbers")
+    return tuple(items)
+
+
 def make_ground(spec):
     """Build a validated ground model from a JSON-style description.
 
@@ -197,9 +206,9 @@ def make_ground(spec):
     kind = spec["kind"]
     try:
         if kind == "discrete":
-            return DiscreteGround(tuple(spec["weights"]))
+            return DiscreteGround(_numbers(spec["weights"]))
         if kind == "continuum":
-            return BoxWindow(tuple(tuple(b) for b in spec["box"]))
+            return BoxWindow(tuple(map(_numbers, spec["box"])))
     except ValidationError:  # the model's own check, e.g. a negative weight
         raise
     except (KeyError, TypeError, ValueError) as exc:  # missing or misshapen
@@ -346,20 +355,18 @@ def count_in(gamma, region):
 # ---------------------------------------------------------------------------
 
 class _Table:
-    """Building of a frozen ``(ground, values, label)`` table: the
-    constructor holds a copy of the caller's array, :meth:`_take` a new
-    float array that nothing else refers to, without the copy.  The
-    subclass's ``_hold`` checks the array, makes it read-only and stores it.
-    """
+    """Building of a frozen ``(ground, values)`` table: the constructor
+    holds a copy of the caller's array, :meth:`_take` a new float array
+    that nothing else refers to, without the copy.  The subclass's
+    ``_hold`` checks the array, makes it read-only and stores it."""
 
     def __post_init__(self):
         self._hold(np.array(self.values, dtype=float))
 
     @classmethod
-    def _take(cls, ground, values, label=""):
+    def _take(cls, ground, values):
         table = cls.__new__(cls)
         object.__setattr__(table, "ground", ground)
-        object.__setattr__(table, "label", label)
         table._hold(np.asarray(values, dtype=float))
         return table
 
@@ -374,7 +381,6 @@ class SetFunction(_Table):
 
     ground: DiscreteGround
     values: np.ndarray
-    label: str = ""
 
     def _hold(self, vals):
         _require_discrete(self.ground)
@@ -428,22 +434,20 @@ def _coerce(sf, other):
     return float(other)
 
 
-def constant_function(ground, value=1.0, label="const"):
-    return SetFunction._take(ground, np.full(ground.n_subsets, float(value)),
-                             label)
+def constant_function(ground, value=1.0):
+    return SetFunction._take(ground, np.full(ground.n_subsets, float(value)))
 
 
 def indicator_empty(ground):
     """Indicator of the empty configuration, the unit of both convolutions."""
     v = np.zeros(ground.n_subsets)
     v[0] = 1.0
-    return SetFunction._take(ground, v, "1_{empty}")
+    return SetFunction._take(ground, v)
 
 
-def power_function(ground, z, label=None):
+def power_function(ground, z):
     """The functional ``eta -> z**|eta|`` (Poisson-type correlation table)."""
-    v = float(z) ** ground.subset_size
-    return SetFunction._take(ground, v, label or f"{z}^|.|")
+    return SetFunction._take(ground, float(z) ** ground.subset_size)
 
 
 # ---------------------------------------------------------------------------

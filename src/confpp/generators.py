@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Configuration, SetFunction, json_dumps
+from .core import Configuration, SetFunction
 from .errors import CapacityError, GroundMismatchError, ValidationError
 from .transforms import _transpose_in_place, conv_disjoint, sweep
 
@@ -112,9 +112,6 @@ class BirthDeathKernel:
                     "value": float(tab[x, j]),
                 })
         return {"schema_version": 1, "k_trunc": int(self.k_trunc), **entries}
-
-    def dumps(self):
-        return json_dumps(self.to_json())
 
 
 def _index(value, stop, what):
@@ -319,8 +316,7 @@ class _RowOperator:
         if G.ground != self.ground:
             raise GroundMismatchError("operand lives on a different ground")
         return SetFunction._take(self.ground,
-                                 self._apply_rows(G.values[None])[0],
-                                 f"{self.label}[{G.label}]")
+                                 self._apply_rows(G.values[None])[0])
 
 
 @dataclass(frozen=True)
@@ -334,7 +330,6 @@ class LatticeOperator(_RowOperator):
 
     ground: object
     matrix: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float).view()
@@ -356,8 +351,7 @@ class LatticeOperator(_RowOperator):
             raise GroundMismatchError("operand lives on a different ground")
         w = _pairing_weights(self.ground, z)
         return SetFunction._take(self.ground,
-                                 (self.matrix.T @ (w * k.values)) / w,
-                                 f"adj[{self.label}][{k.label}]")
+                                 (self.matrix.T @ (w * k.values)) / w)
 
 
 @dataclass(frozen=True)
@@ -379,7 +373,6 @@ class MoveOperator(_RowOperator):
     families: tuple
     diag: np.ndarray
     conjugated: bool
-    label: str = ""
 
     def _moves(self, v, transpose=False):
         """``diag * v`` plus, per family, ``out[:, rows] += rate * v[:,
@@ -417,8 +410,7 @@ class MoveOperator(_RowOperator):
         out = self._moves(v, transpose=True)[0]
         if self.conjugated:
             sweep(out, sites, superset=True)
-        return SetFunction._take(self.ground, out / w,
-                                 f"adj[{self.label}][{k.label}]")
+        return SetFunction._take(self.ground, out / w)
 
     def dense(self):
         """The matrix of the diagonal and the moves, without conjugation.
@@ -465,7 +457,7 @@ def hat_L_action(kernel, z=1.0):
     for row, _, shape, strides, rate in families:
         view = np.ndarray(shape, float, diag, row, strides)
         view -= rate
-    return MoveOperator(ground, families, diag, True, "hatL_action")
+    return MoveOperator(ground, families, diag, True)
 
 
 def hat_L_continuum_action(kernel, z=1.0):
@@ -501,7 +493,7 @@ def hat_L_continuum_action(kernel, z=1.0):
     birth = dk.b1[x, j] * w[xi]
     stay = np.where(xi == 0, 0.0, dk.d1[x, j] * w[xi] + birth)
     return MoveOperator(ground, _families(ground, x, xi, stay, birth),
-                        -(dk.D + dk.B), False, "hatL_continuum_action")
+                        -(dk.D + dk.B), False)
 
 
 def hat_L_bruteforce(kernel, z=1.0):
@@ -526,7 +518,7 @@ def hat_L_bruteforce(kernel, z=1.0):
     sweep(M.reshape(-1), rows, superset=True)
     _transpose_in_place(M)
     sweep(M.reshape(-1), rows, sign=-1.0)
-    return LatticeOperator(ground, M, "hatL_brute")
+    return LatticeOperator(ground, M)
 
 
 def _s_tables(kernel, z):
@@ -610,7 +602,7 @@ def hat_L_closed(kernel, z=1.0):
         values = parity[small[:, None] & others][np.searchsorted(small, Z)]
         values *= C[:, None]
         np.add.at(M.reshape(-1), flat.reshape(-1), values.reshape(-1))
-    return LatticeOperator(ground, M, "hatL_closed")
+    return LatticeOperator(ground, M)
 
 
 # ---------------------------------------------------------------------------

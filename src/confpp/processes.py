@@ -58,10 +58,6 @@ class MixingDensity:
     def moment(self, n):
         return float(np.dot(self.masses, self.grid ** n))
 
-    def to_json(self):
-        return {"grid": self.grid.tolist(), "masses": self.masses.tolist(),
-                "family": list(self.family)}
-
 
 def point_mass_mixing(z):
     return MixingDensity(np.array([float(z)]), np.array([1.0]),
@@ -235,10 +231,6 @@ class DiscreteTable:
         """Unnormalized sub-measure from disjoint pairs only."""
         return self.probs - self.overlap_probs
 
-    def to_json(self):
-        return {"probs": self.probs.tolist(),
-                "overlap_probs": self.overlap_probs.tolist()}
-
 
 def poisson_table(ground, z):
     w = ground.lp_weights(z)
@@ -382,13 +374,13 @@ def correlation_functional(model, ground=None, exclude_overlap=False):
     Flatten first for the lattice law's functional.
     """
     if isinstance(model, Poisson):
-        return power_function(ground, model.z, label=f"poisson[{model.z}]")
+        return power_function(ground, model.z)
     if isinstance(model, MixedPoisson):
         size = ground.subset_size
         vals = np.zeros(ground.n_subsets)
         for z, mass in zip(model.mixing.grid, model.mixing.masses):
             vals += mass * float(z) ** size
-        return SetFunction._take(ground, vals, "mixed_poisson")
+        return SetFunction._take(ground, vals)
     if isinstance(model, Superposition):
         g = ground
         return conv_disjoint(
@@ -397,8 +389,7 @@ def correlation_functional(model, ground=None, exclude_overlap=False):
     if isinstance(model, DiscreteTable):
         mass = model.disjoint_part() if exclude_overlap else model.probs
         return SetFunction._take(model.ground,
-                                 _table_correlation(model.ground, mass),
-                                 "k_table")
+                                 _table_correlation(model.ground, mass))
     if isinstance(model, Gibbs):
         raise ValidationError(
             "flatten Gibbs models with to_discrete_table first")
@@ -432,14 +423,14 @@ def projection_density(k, z):
     """
     out, norm = _reference_sweep(k, z, -1.0)
     out *= norm
-    return SetFunction._take(k.ground, out, f"density[{k.label}]")
+    return SetFunction._take(k.ground, out)
 
 
 def recover_correlation(density, z):
     """Integrate a local density against the Poisson law: inverse projection."""
     out, norm = _reference_sweep(density, z, 1.0)
     out /= norm
-    return SetFunction._take(density.ground, out, f"k[{density.label}]")
+    return SetFunction._take(density.ground, out)
 
 
 def lenard_pd_check(k, tol=1e-10):

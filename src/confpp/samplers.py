@@ -452,18 +452,19 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
     proposals)`` from :func:`_proposal_blocks`: a :class:`PointBatch` of
     states on ``window`` and their ``(len(batch), S, d)`` proposals.
 
-    A proposal that is already a point of gamma adds a 0 term.  A batched
-    form is called once per point count in a block, on the stack of those
-    states' points and proposals (every proposal, also such a repeat); a
-    batched ``h`` gives lhs by one more call per count, on each point x
-    against the other points gamma \\ x.  A scalar form is called on a
+    A proposal that is already a point of gamma adds a 0 term.  If ``h``
+    and ``spec`` (when given) both carry a batched form, each is called
+    once per point count in a block, on the stack of those states' points
+    and proposals (every proposal, also a repeat), and ``h`` gives lhs by
+    one more call per count, on each point x against gamma \\ x.
+    Otherwise both are called in scalar form on a
     :class:`~confpp.core.PointConfiguration` built from the state's rows,
     once per point for lhs and once per other proposal for rhs.  lhs is
     summed by ``math.fsum`` and each row of terms left to right, so both
     paths give the same bits.
     """
     h_batch = getattr(h, "batch", None)
-    scalar_r = spec is not None and spec.batch is None
+    batched = h_batch is not None and (spec is None or spec.batch is not None)
     lhs, rhs = [], []
     for batch, proposals in blocks:
         k, counts, offsets = len(batch), batch.counts, batch.offsets
@@ -478,30 +479,30 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
             if n:
                 taken[rows] = (props[:, :, np.newaxis] == points[:, np.newaxis]
                                ).all(axis=3).any(axis=2)
-            if h_batch is not None:
-                h_vals[rows] = _stacked(h_batch, points, props)
-            if h_batch is not None and n:
+            if not batched:
+                continue
+            h_vals[rows] = _stacked(h_batch, points, props)
+            if n:
                 # row i of `others` indexes every point but point i
                 others = np.arange(n - 1) + (np.arange(n - 1)
                                              >= np.arange(n)[:, np.newaxis])
                 at_x = _stacked(h_batch, points[:, others],
                                 points[:, :, np.newaxis])
                 left[rows] = list(map(math.fsum, at_x.reshape(-1, n).tolist()))
-            if spec is not None and not scalar_r:
+            if spec is not None:
                 r_vals[rows] = _stacked(spec.batched, points, props)
-        if h_batch is None or scalar_r:
+        if not batched:
             coords, bounds = batch.coords.tolist(), offsets.tolist()
             for i, repeat in enumerate(taken.any(axis=1).tolist()):
                 pts = tuple(map(tuple, coords[bounds[i]:bounds[i + 1]]))
                 gamma = _configuration(window, pts)
                 fresh = ~taken[i] if repeat else slice(None)
                 us = list(map(tuple, proposals[i, fresh].tolist()))
-                if h_batch is None:
-                    left[i] = math.fsum(h(gamma, x) for x in pts)
-                    h_vals[i, fresh] = [h(_configuration(
-                        window, pts[:(at := bisect.bisect_left(pts, u))]
-                        + (u,) + pts[at:]), u) for u in us]
-                if scalar_r:
+                left[i] = math.fsum(h(gamma, x) for x in pts)
+                h_vals[i, fresh] = [h(_configuration(
+                    window, pts[:(at := bisect.bisect_left(pts, u))]
+                    + (u,) + pts[at:]), u) for u in us]
+                if spec is not None:
                     r_vals[i, fresh] = [spec(gamma, u) for u in us]
         h_vals[taken] = 0.0
         terms = h_vals if spec is None else np.multiply(h_vals, r_vals,
@@ -555,7 +556,7 @@ def verify_gnz(spec, h, plan):
     ``vol mean_S h(gamma u x, x) r(gamma, x)``.  Standard errors use batch
     means to absorb chain autocorrelation.  The proposals come from a
     stream of their own (see :func:`_proposal_blocks`).  The batched forms
-    of ``spec`` and ``h`` are used where present.
+    of ``spec`` and ``h`` are used when both are present.
     """
     streams = split_streams(plan.master_seed, 2)
     states = sample_gibbs_bd(spec, plan, streams[0])
@@ -575,8 +576,8 @@ def _boxes_disjoint(b1, b2):
                for (lo1, hi1), (lo2, hi2) in zip(b1.box, b2.box))
 
 
-def estimate_correlation(samples, cells, order):
-    """Empirical order-n correlation averaged over disjoint cells.
+def estimate_correlation(samples, cells):
+    """Empirical correlation of order ``len(cells)`` over disjoint cells.
 
     ``samples`` is a nonempty :class:`PointBatch`.  Estimates the
     cell-product moment by ``prod_i count_in(gamma, B_i)`` per sample
@@ -585,8 +586,6 @@ def estimate_correlation(samples, cells, order):
     """
     if not isinstance(samples, PointBatch) or not len(samples):
         raise ValidationError("samples must be a nonempty PointBatch")
-    if order != len(cells):
-        raise ValidationError("order must equal the number of cells")
     for i, c1 in enumerate(cells):
         for c2 in cells[i + 1:]:
             if not _boxes_disjoint(c1, c2):

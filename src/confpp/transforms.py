@@ -139,9 +139,7 @@ def k_transform(G):
     ``F(gamma) = sum_{eta subset gamma} G(eta)``, computed by the per-site
     sweep in O(n 2^n).
     """
-    return SetFunction._take(G.ground,
-                             zeta_values(G.values, G.ground.n_sites),
-                             f"K[{G.label}]")
+    return SetFunction._take(G.ground, zeta_values(G.values, G.ground.n_sites))
 
 
 def k_inverse(F):
@@ -150,8 +148,7 @@ def k_inverse(F):
     Exact two-sided inverse of :func:`k_transform`.
     """
     return SetFunction._take(F.ground,
-                             moebius_values(F.values, F.ground.n_sites),
-                             f"Kinv[{F.label}]")
+                             moebius_values(F.values, F.ground.n_sites))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +204,7 @@ def conv_disjoint(G1, G2):
     ranked = ranked_products(G1.values, G2.values, ground, ground.n_sites)
     size = ground.subset_size
     out = ranked[size, np.arange(size.size)]
-    return SetFunction._take(G1.ground, out, f"({G1.label})*({G2.label})")
+    return SetFunction._take(G1.ground, out)
 
 
 def conv_union(G1, G2):
@@ -221,11 +218,10 @@ def conv_union(G1, G2):
     """
     _check_same_ground(G1, G2)
     out = covering_values(G1.values, G2.values, G1.ground.n_sites)
-    return SetFunction._take(G1.ground, out,
-                             f"({G1.label})star({G2.label})")
+    return SetFunction._take(G1.ground, out)
 
 
-def exp_vector(ground, f, label=None):
+def exp_vector(ground, f):
     """Multiplicative vector ``eta -> prod_{x in eta} f(x)``; 1 at the empty set.
 
     ``f`` is a per-site sequence of reals; the vector is the weighted
@@ -236,8 +232,7 @@ def exp_vector(ground, f, label=None):
         raise ValidationError("per-site table length != site count")
     vals = np.zeros(ground.n_subsets)
     vals[0] = 1.0
-    return SetFunction._take(ground, sweep(vals, range(len(f)), weights=f),
-                             label or "exp_vector")
+    return SetFunction._take(ground, sweep(vals, range(len(f)), weights=f))
 
 
 def _disjoint_pair_sum(h, a, b):
@@ -317,7 +312,7 @@ def norm_fit(k, C, delta):
                    attained_at=Configuration(k.ground, best))
 
 
-def poly_bound_check(G, region_size=None):
+def poly_bound_check(G):
     """Verify the polynomial bound on the transform of a bounded function.
 
     For ``G`` with support order ``N`` (largest occupied cardinality) and
@@ -329,8 +324,6 @@ def poly_bound_check(G, region_size=None):
     support = np.nonzero(G.values)[0]
     N = int(size[support].max()) if support.size else 0
     F = k_transform(G)
-    if region_size is None:
-        region_size = G.ground.n_sites
-    bound = C * (1.0 + np.minimum(size, region_size)) ** N
+    bound = C * (1.0 + size) ** N
     holds = bool(np.all(np.abs(F.values) <= bound + 1e-12))
     return C, N, holds

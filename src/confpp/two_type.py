@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, SetFunction, _Table
+from .core import Configuration, SetFunction, _Table, ground_to_json
 from .errors import (CapacityError, GroundMismatchError, OverlapError,
                      ValidationError)
 from .transforms import covering_values, moebius_values, sweep, zeta_values
@@ -55,7 +55,6 @@ class PairSetFunction(_Table):
 
     ground: object
     values: np.ndarray
-    label: str = ""
 
     def _hold(self, vals):
         if self.ground.n_sites > PAIR_MAX_SITES:
@@ -85,24 +84,21 @@ class PairSetFunction(_Table):
 
     def to_json(self):
         # row-major: plus-mask outer, minus-mask inner
-        return {"ground": {"kind": "discrete",
-                           "weights": list(self.ground.weights)},
-                "values": [float(v) for v in self.values.reshape(-1)],
-                "label": self.label}
+        return {"ground": ground_to_json(self.ground),
+                "values": [float(v) for v in self.values.reshape(-1)]}
 
 
-def pair_product(G1, G2, label=None):
+def pair_product(G1, G2):
     """Tensor pair function ``(eta+, eta-) -> G1(eta+) G2(eta-)``."""
     if not G1.same_ground(G2):
         raise GroundMismatchError("factors on different grounds")
-    return PairSetFunction._take(G1.ground, np.outer(G1.values, G2.values),
-                                 label or f"({G1.label})x({G2.label})")
+    return PairSetFunction._take(G1.ground, np.outer(G1.values, G2.values))
 
 
 def pair_indicator_empty(ground):
     vals = np.zeros((ground.n_subsets, ground.n_subsets))
     vals[0, 0] = 1.0
-    return PairSetFunction._take(ground, vals, "delta_(0,0)")
+    return PairSetFunction._take(ground, vals)
 
 
 def kk_transform(G):
@@ -112,15 +108,13 @@ def kk_transform(G):
     bits (minus sites low, plus sites high), swept in one pass.
     """
     vals = zeta_values(G.values.reshape(-1), 2 * G.ground.n_sites)
-    return PairSetFunction._take(G.ground, vals.reshape(G.values.shape),
-                                 f"KK[{G.label}]")
+    return PairSetFunction._take(G.ground, vals.reshape(G.values.shape))
 
 
 def kk_inverse(F):
     """Coordinatewise signed Moebius sweep; exact inverse of the transform."""
     vals = moebius_values(F.values.reshape(-1), 2 * F.ground.n_sites)
-    return PairSetFunction._take(F.ground, vals.reshape(F.values.shape),
-                                 f"KKinv[{F.label}]")
+    return PairSetFunction._take(F.ground, vals.reshape(F.values.shape))
 
 
 def conv_star2(G1, G2):
@@ -134,16 +128,15 @@ def conv_star2(G1, G2):
         raise GroundMismatchError("operands on different grounds")
     n = G1.ground.n_sites
     out = covering_values(G1.values.reshape(-1), G2.values.reshape(-1), 2 * n)
-    return PairSetFunction._take(G1.ground, out.reshape(G1.values.shape),
-                                 f"({G1.label})star2({G2.label})")
+    return PairSetFunction._take(G1.ground, out.reshape(G1.values.shape))
 
 
 def marginal_correlation(k, side):
     """Slice a pair functional at the empty set of the other type."""
     if side == "plus":
-        return SetFunction(k.ground, k.values[:, 0], f"{k.label}|plus")
+        return SetFunction(k.ground, k.values[:, 0])
     if side == "minus":
-        return SetFunction(k.ground, k.values[0, :], f"{k.label}|minus")
+        return SetFunction(k.ground, k.values[0, :])
     raise ValidationError("side must be 'plus' or 'minus'")
 
 

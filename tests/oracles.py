@@ -164,7 +164,7 @@ def adjoint_hat_L(op, z=1.0):
     """
     w = product_weights(op.ground, z)
     mat = (op.matrix * w[:, np.newaxis]).T / w[:, np.newaxis]
-    return LatticeOperator(op.ground, mat, f"adj[{op.label}]")
+    return LatticeOperator(op.ground, mat)
 
 
 def reference_sum(values, ground, z, sign):

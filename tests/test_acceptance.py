@@ -321,9 +321,9 @@ class TestStatisticalLayer:
         assert samples.overlap_events == 0
         c1 = BoxWindow(((0.0, 0.45),))
         c2 = BoxWindow(((0.5, 0.95),))
-        e1, s1 = estimate_correlation(samples, [c1], 1)
+        e1, s1 = estimate_correlation(samples, [c1])
         assert abs(e1 - (z1 + z2)) <= 4 * s1
-        e2, s2 = estimate_correlation(samples, [c1, c2], 2)
+        e2, s2 = estimate_correlation(samples, [c1, c2])
         assert abs(e2 - (z1 + z2) ** 2) <= 4 * s2
         plan = RunPlan(UNIT_BOX, replicas=n_samples, master_seed=303)
         rep = count_distribution_check(

@@ -78,7 +78,7 @@ class TestExitCodes:
         path = tmp_path / "plan.json"
         path.write_text(
             '{"name": "x", "ground": {"kind": "continuum", "box": '
-            '[[0.0, 1.0]]}, "task": "identity:mecke", "seed": 1, '
+            '[[0.0, 1.0]]}, "task": "identity:gnz", "seed": 1, '
             f'"plan": {{"{field}": {value}}}}}')
         assert main(["validate", str(path)]) == 2
         assert main(["run", str(path), "--no-timestamp"]) == 2
@@ -92,7 +92,7 @@ class TestExitCodes:
         assert main(["run", path, "--no-timestamp"]) == 2
         assert "thinning >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("task", ["identity:gnz", "algebra-suite"])
+    @pytest.mark.parametrize("task", ["identity:gnz"])
     @pytest.mark.parametrize("field, value, message", [
         ("replicas", 0, "need replicas >= 1"),
         ("thinning", 0, "thinning >= 1"),
@@ -101,12 +101,9 @@ class TestExitCodes:
     ])
     def test_validate_enforces_plan_floors(self, tmp_path, capsys, task,
                                            field, value, message):
-        """validate rejects what RunPlan rejects, with RunPlan's message,
-        for every task."""
-        ground = BOX if TASKS[task]["needs_ground"] == "continuum" \
-            else DISCRETE
+        """validate rejects what RunPlan rejects, with RunPlan's message."""
         path = _write(tmp_path, "plan.json", {
-            "name": "x", "ground": ground, "task": task, "seed": 1,
+            "name": "x", "ground": BOX, "task": task, "seed": 1,
             "plan": {field: value}})
         assert main(["validate", path]) == 2
         assert message in capsys.readouterr().err
@@ -149,7 +146,7 @@ class TestExitCodes:
     ])
     def test_plan_keys_checked(self, tmp_path, capsys, plan, message):
         path = _write(tmp_path, "plan.json", {
-            "name": "x", "ground": BOX, "task": "identity:mecke", "seed": 1,
+            "name": "x", "ground": BOX, "task": "identity:gnz", "seed": 1,
             "plan": plan})
         assert main(["validate", path]) == 2
         assert main(["run", path, "--no-timestamp"]) == 2
@@ -161,6 +158,11 @@ class TestExitCodes:
         ({"kind": "continuum", "box": [[0, 1, 2]]}, "identity:mecke"),
         ({"kind": "discrete"}, "algebra-suite"),
         ({"kind": "discrete", "weights": [1, None]}, "algebra-suite"),
+        # a string or a bool is not a number, although float() takes it
+        ({"kind": "discrete", "weights": "12"}, "algebra-suite"),
+        ({"kind": "discrete", "weights": [True, 2]}, "algebra-suite"),
+        ({"kind": "continuum", "box": ["01"]}, "identity:mecke"),
+        ({"kind": "continuum", "box": [[False, True]]}, "identity:mecke"),
     ])
     def test_malformed_ground_exits_2(self, tmp_path, capsys, ground, task):
         path = _write(tmp_path, "ground.json", {
@@ -170,6 +172,20 @@ class TestExitCodes:
         field = "box" if ground["kind"] == "continuum" else "weights"
         assert capsys.readouterr().err.count(
             f"ground needs '{field}'") == 2
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"seed": True}, "seed must be an explicit integer"),
+        ({"output": 2}, "output must be a string path"),
+        ({"output": ["a"]}, "output must be a string path"),
+    ])
+    def test_seed_and_output_types_exit_2(self, tmp_path, capsys, extra,
+                                          message):
+        path = _write(tmp_path, "cfg.json", {
+            "name": "x", "ground": DISCRETE, "task": "algebra-suite",
+            "seed": 1, "parameters": {"trials": 1}, **extra})
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--no-timestamp"]) == 2
+        assert capsys.readouterr().err.count(message) == 2
 
     def test_integer_accepted_for_float_parameter(self):
         cfg = validate_config({"name": "x", "ground": BOX, "seed": 1,
@@ -200,6 +216,38 @@ class TestExitCodes:
                        "parameters": {"trials": 2}})
         assert main(["validate", path]) == 0
         assert "valid" in capsys.readouterr().out
+
+
+PLAN_KEYS = ("replicas", "burn_in", "thinning", "proposal_points")
+
+
+def _ground_for(task):
+    return BOX if TASKS[task]["needs_ground"] == "continuum" else DISCRETE
+
+
+class TestTaskPlans:
+    """Each task takes the plan keys that its runner reads, and no other."""
+
+    @pytest.mark.parametrize("task, key", [
+        (task, key) for task in sorted(TASKS) for key in PLAN_KEYS
+        if key not in TASKS[task]["plan"]])
+    def test_a_key_the_task_does_not_read_exits_2(self, tmp_path, capsys,
+                                                  task, key):
+        path = _write(tmp_path, "plan.json", {
+            "name": "x", "ground": _ground_for(task), "task": task,
+            "seed": 1, "plan": {key: 1}})
+        assert main(["validate", path]) == 2
+        allowed = ", ".join(sorted(TASKS[task]["plan"])) or \
+            f"none, task {task} takes no plan"
+        assert f"unknown plan key {key!r}; allowed: {allowed}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_report_plan_holds_the_task_keys(self, tmp_path, task):
+        _, report = _run(tmp_path, {"name": "x", "ground": _ground_for(task),
+                                    "task": task, "seed": 1})
+        assert report["plan"] == TASKS[task]["plan"]
+        assert set(report["plan"]) <= set(PLAN_KEYS)
 
 
 class TestList:

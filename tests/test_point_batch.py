@@ -40,7 +40,7 @@ def assert_matches_loop(samples, batch, d):
         n = vals.size
         se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         expected = (float(vals.mean()), se)
-        assert estimate_correlation(batch, cells, len(cells)) == expected
+        assert estimate_correlation(batch, cells) == expected
 
 
 coordinate = st.one_of(st.sampled_from(EDGES),
@@ -148,20 +148,20 @@ class TestInputs:
 
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValidationError):
-            estimate_correlation([], CELLS[1][:1], 1)
+            estimate_correlation([], CELLS[1][:1])
         empty = sample_batch(MODELS[0], WINDOWS[1], np.random.default_rng(3),
                              0)
         assert len(empty) == 0
         with pytest.raises(ValidationError, match="nonempty PointBatch"):
-            estimate_correlation(empty, CELLS[1][:1], 1)
+            estimate_correlation(empty, CELLS[1][:1])
 
     def test_a_list_of_configurations_is_rejected(self):
         samples = [PointConfiguration.checked(WINDOWS[1], ((0.1,),))]
         with pytest.raises(ValidationError, match="nonempty PointBatch"):
-            estimate_correlation(samples, CELLS[1][:1], 1)
+            estimate_correlation(samples, CELLS[1][:1])
 
     def test_cell_dimension_must_match(self):
         batch = sample_batch(MODELS[0], WINDOWS[1], np.random.default_rng(2),
                              5)
         with pytest.raises(ValidationError):
-            estimate_correlation(batch, CELLS[2][:1], 1)
+            estimate_correlation(batch, CELLS[2][:1])

@@ -283,15 +283,15 @@ class TestEstimators:
         samples = sample_batch(Poisson(2.0), W, rng, 8000)
         c1 = BoxWindow(((0.0, 0.4),))
         c2 = BoxWindow(((0.5, 0.9),))
-        e1, s1 = estimate_correlation(samples, [c1], 1)
+        e1, s1 = estimate_correlation(samples, [c1])
         assert abs(e1 - 2.0) <= 4 * s1
-        e2, s2 = estimate_correlation(samples, [c1, c2], 2)
+        e2, s2 = estimate_correlation(samples, [c1, c2])
         assert abs(e2 - 4.0) <= 4 * s2
 
     def test_order1_matches_density_estimator(self):
         rng = split_streams(16, 1)[0]
         samples = sample_batch(Poisson(2.0), W, rng, 4000)
-        e1, s1 = estimate_correlation(samples, [W], 1)
+        e1, s1 = estimate_correlation(samples, [W])
         dens = float(np.mean(samples.counts / W.volume))
         assert e1 == pytest.approx(dens, abs=1e-12)
 
@@ -300,7 +300,7 @@ class TestEstimators:
         with pytest.raises(ValidationError):
             estimate_correlation(samples,
                                  [BoxWindow(((0.0, 0.5),)),
-                                  BoxWindow(((0.4, 0.9),))], 2)
+                                  BoxWindow(((0.4, 0.9),))])
 
     def test_density_estimator(self):
         """Order 1 on the whole window is the mean of ``|gamma| / vol``."""
@@ -309,7 +309,7 @@ class TestEstimators:
             PointConfiguration(w),
             PointConfiguration.checked(w, ((0.1,), (0.2,), (1.3,)))])
         assert (batch.counts / w.volume).tolist() == [0.0, 1.5]
-        assert estimate_correlation(batch, [w], 1)[0] == 0.75
+        assert estimate_correlation(batch, [w])[0] == 0.75
 
 
 class TestCountDistribution:
