@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .core import (BoxWindow, Configuration, DiscreteGround,
                    PointConfiguration, SetFunction, constant_function,
-                   count_in, indicator_empty, lp_integral, lp_integral_mc,
-                   make_ground, power_function, split_streams)
+                   indicator_empty, lp_integral, lp_integral_mc, make_ground,
+                   power_function, split_streams)
 from .errors import (CapacityError, CocycleError, ConfppError,
                      EvaluationError, GroundMismatchError, OverlapError,
                      StabilityError, UndefinedConditionalError,

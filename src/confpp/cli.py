@@ -84,6 +84,8 @@ def validate_config(doc):
         raise ValidationError(f"unknown task {task!r}; available: {hints}")
     if isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int):
         raise ValidationError("seed must be an explicit integer")
+    if not isinstance(doc["name"], str):
+        raise ValidationError("name must be a string")
     if not isinstance(doc.get("output", ""), str):
         raise ValidationError("output must be a string path")
     ground = make_ground(doc["ground"])

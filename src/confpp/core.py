@@ -15,9 +15,9 @@ The reference measure weights a subset ``eta`` by ``z**|eta| * prod m(x)``
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +32,17 @@ MAX_SITES = 24
 # ground models
 # ---------------------------------------------------------------------------
 
+def _reals(items):
+    """``items`` as a tuple of floats; ``TypeError`` unless it is an
+    iterable of real numbers.  A bool, a str or None is not one, although
+    ``float()`` takes the first two; numpy numbers are."""
+    items = tuple(items)
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+               for x in items):
+        raise TypeError("not a list of numbers")
+    return tuple(map(float, items))
+
+
 @dataclass(frozen=True)
 class DiscreteGround:
     """Finite weighted site set; the exact-layer ground model.
@@ -45,7 +56,11 @@ class DiscreteGround:
     weights: tuple
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+        try:
+            w = _reals(self.weights)
+        except TypeError as exc:
+            raise ValidationError("a discrete ground needs 'weights', a "
+                                  "list of numbers") from exc
         if len(w) > MAX_SITES:
             raise CapacityError(
                 f"{len(w)} sites exceed the cap of {MAX_SITES}")
@@ -101,7 +116,11 @@ class BoxWindow:
     box: tuple
 
     def __post_init__(self):
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.box)
+        try:
+            bounds = tuple((lo, hi) for lo, hi in map(_reals, self.box))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("a continuum ground needs 'box', a list "
+                                  "of [lo, hi] pairs of numbers") from exc
         if not bounds:
             raise ValidationError("box must have at least one axis")
         for lo, hi in bounds:
@@ -138,13 +157,6 @@ class BoxWindow:
                 f"need an (n, {self.dimension}) array of points")
         lo, hi, _ = self._bounds
         return np.all((lo <= points) & (points <= hi), axis=1)
-
-    def contains_box(self, sub):
-        """Whether the box `sub` (same format) lies inside this window."""
-        if len(sub.box) != self.dimension:
-            return False
-        return all(lo <= slo and shi <= hi
-                   for (slo, shi), (lo, hi) in zip(sub.box, self.box))
 
     @cached_property
     def _bounds(self):
@@ -185,45 +197,21 @@ class BoxWindow:
         return tuple([lo + span * rng.random() for lo, span in self._lo_span])
 
 
-def _numbers(items):
-    """``items`` as a tuple, if it is a list of numbers (no bool, no str)."""
-    if not isinstance(items, (list, tuple)) or any(
-            isinstance(x, bool) or not isinstance(x, (int, float))
-            for x in items):
-        raise TypeError("not a list of numbers")
-    return tuple(items)
-
-
 def make_ground(spec):
     """Build a validated ground model from a JSON-style description.
 
     ``{"kind": "discrete", "weights": [...]}`` or
     ``{"kind": "continuum", "box": [[lo, hi], ...]}``; a missing or
-    malformed field is a ``ValidationError``.
+    malformed field is a ``ValidationError`` that names it.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError("ground spec must be a dict with a 'kind' key")
     kind = spec["kind"]
-    try:
-        if kind == "discrete":
-            return DiscreteGround(_numbers(spec["weights"]))
-        if kind == "continuum":
-            return BoxWindow(tuple(map(_numbers, spec["box"])))
-    except ValidationError:  # the model's own check, e.g. a negative weight
-        raise
-    except (KeyError, TypeError, ValueError) as exc:  # missing or misshapen
-        need = ("'weights', a list of numbers" if kind == "discrete"
-                else "'box', a list of [lo, hi] pairs of numbers")
-        raise ValidationError(f"a {kind} ground needs {need}") from exc
+    if kind == "discrete":
+        return DiscreteGround(spec.get("weights"))
+    if kind == "continuum":
+        return BoxWindow(spec.get("box"))
     raise ValidationError(f"unknown ground kind {kind!r}")
-
-
-def ground_to_json(ground):
-    if isinstance(ground, DiscreteGround):
-        return {"kind": "discrete", "weights": list(ground.weights)}
-    if isinstance(ground, BoxWindow):
-        return {"kind": "continuum", "box": [list(b) for b in ground.box]}
-    raise ValidationError(f"not a ground model: {ground!r}")
 
 
 def _require_discrete(ground):
@@ -259,19 +247,6 @@ class Configuration:
         return tuple(i for i in range(self.ground.n_sites)
                      if self.mask >> i & 1)
 
-    def with_point(self, site):
-        """New configuration with one more site; occupied sites are errors."""
-        bit = 1 << site
-        if self.mask & bit:
-            raise ValidationError(f"site {site} already occupied")
-        return Configuration(self.ground, self.mask | bit)
-
-    def without_point(self, site):
-        bit = 1 << site
-        if not self.mask & bit:
-            raise ValidationError(f"site {site} not occupied")
-        return Configuration(self.ground, self.mask & ~bit)
-
 
 @dataclass(frozen=True, slots=True)
 class PointConfiguration:
@@ -304,50 +279,6 @@ class PointConfiguration:
 
     def __len__(self):
         return len(self.points)
-
-    def with_point(self, p):
-        """New configuration with one point added; duplicates are an error.
-
-        Only the added point is checked (inside, not already present); the
-        points already held keep the invariant.
-        """
-        p = tuple(map(float, p))
-        if not self.ground.contains(p):
-            raise ValidationError(f"point {p} outside the window")
-        pts = self.points
-        i = bisect.bisect_left(pts, p)
-        if i < len(pts) and pts[i] == p:
-            raise ValidationError(f"duplicate point {p}")
-        return PointConfiguration(self.ground, pts[:i] + (p,) + pts[i:])
-
-    def without_point(self, p):
-        p = tuple(map(float, p))
-        pts = self.points
-        i = bisect.bisect_left(pts, p)
-        if i == len(pts) or pts[i] != p:
-            raise ValidationError(f"point {p} not in the configuration")
-        return PointConfiguration(self.ground, pts[:i] + pts[i + 1:])
-
-
-def count_in(gamma, region):
-    """Number of points of ``gamma`` inside ``region``.
-
-    ``region`` is an iterable of site indices (discrete grounds) or a
-    :class:`BoxWindow` contained in the window (continuum grounds).
-    """
-    if isinstance(gamma.ground, DiscreteGround):
-        n = gamma.ground.n_sites
-        mask = 0
-        for i in region:
-            if not 0 <= i < n:
-                raise ValidationError(f"site {i} outside the ground")
-            mask |= 1 << i
-        return int(gamma.mask & mask).bit_count()
-    if not isinstance(region, BoxWindow):
-        raise ValidationError("continuum regions must be BoxWindow instances")
-    if not gamma.ground.contains_box(region):
-        raise ValidationError("region not contained in the window")
-    return sum(1 for p in gamma.points if region.contains(p))
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +346,6 @@ class SetFunction(_Table):
                                  self.values * _coerce(self, other))
 
     __rmul__ = __mul__
-
-    def to_json(self):
-        return {"ground": ground_to_json(self.ground),
-                "values": self.values.tolist()}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls._take(make_ground(doc["ground"]),
-                         np.asarray(doc["values"], dtype=float))
 
 
 def _coerce(sf, other):

@@ -59,6 +59,12 @@ from .transforms import _transpose_in_place, conv_disjoint, sweep
 
 BRUTEFORCE_MAX_SITES = 12
 MAX_K_TRUNC = 3
+# convolution_closure_check: an input counts as invariant when its
+# stationarity defect is within the identities' 1e-10.  Where L^* is a
+# derivation, the product's defect is each input's defect convolved with the
+# other input, a sum of such terms, so the product is allowed ten times that.
+CLOSURE_IN_TOL = 1e-10
+CLOSURE_OUT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +106,6 @@ class BirthDeathKernel:
     def omegas(self):
         """Masks with ``|omega| <= k_trunc``, ascending: the columns."""
         return _omega_list(self.ground, self.k_trunc)
-
-    def to_json(self):
-        entries = {"death": [], "birth": []}
-        for name, tab in (("death", self.death), ("birth", self.birth)):
-            for x, j in zip(*np.nonzero(tab)):
-                entries[name].append({
-                    "x": int(x),
-                    "omega": list(Configuration(
-                        self.ground, int(self.omegas[j])).sites),
-                    "value": float(tab[x, j]),
-                })
-        return {"schema_version": 1, "k_trunc": int(self.k_trunc), **entries}
 
 
 def _index(value, stop, what):
@@ -173,13 +167,6 @@ def random_kernel(ground, k_trunc, rng):
             if not omega >> x & 1 and rng.random() < 0.5:
                 birth[x, j] = rng.uniform(0.1, 1.0)
     return BirthDeathKernel(ground, death, birth, k_trunc)
-
-
-def kernel_from_json(ground, data):
-    if data.get("schema_version") != 1:
-        raise ValidationError("kernel JSON needs schema_version 1")
-    return kernel_from_entries(ground, data.get("death", ()),
-                               data.get("birth", ()), data["k_trunc"])
 
 
 def contact_kernel(ground, a):
@@ -675,18 +662,18 @@ def invariance_residual(op, k, z=1.0):
             for s in range(op.ground.n_sites + 1)}
 
 
-def convolution_closure_check(op, k1, k2, z=1.0, tol=1e-10, out_tol=1e-9):
+def convolution_closure_check(op, k1, k2, z=1.0):
     """Whether invariance of ``k1`` and ``k2`` propagates to ``k1 * k2``.
 
     Raises if either input fails the stationarity equation, naming it.
     """
     for name, k in (("first", k1), ("second", k2)):
         worst = max(invariance_residual(op, k, z).values())
-        if worst > tol:
+        if worst > CLOSURE_IN_TOL:
             raise ValidationError(
                 f"{name} functional is not invariant (defect {worst:.3e})")
     prod = conv_disjoint(k1, k2)
-    return max(invariance_residual(op, prod, z).values()) <= out_tol
+    return max(invariance_residual(op, prod, z).values()) <= CLOSURE_OUT_TOL
 
 
 def normalized_dispersal(ground, seed_matrix):

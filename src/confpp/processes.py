@@ -357,11 +357,8 @@ def _table_correlation(ground, mass_vector):
     return rho / ground.lp_weights(1.0)
 
 
-def correlation_functional(model, ground=None, exclude_overlap=False):
+def correlation_functional(model, ground=None):
     """Correlation functional ``k(eta)`` of a model, exact on the lattice.
-
-    ``exclude_overlap`` drops the collision mass of a convolved table before
-    projecting (the continuum-faithful reading).
 
     Model specifications give their continuum correlation functional read on
     the ground's sites: ``Poisson(z)`` gives ``z^|eta|`` and ``MixedPoisson``
@@ -382,14 +379,11 @@ def correlation_functional(model, ground=None, exclude_overlap=False):
             vals += mass * float(z) ** size
         return SetFunction._take(ground, vals)
     if isinstance(model, Superposition):
-        g = ground
-        return conv_disjoint(
-            correlation_functional(model.left, g, exclude_overlap),
-            correlation_functional(model.right, g, exclude_overlap))
+        return conv_disjoint(correlation_functional(model.left, ground),
+                             correlation_functional(model.right, ground))
     if isinstance(model, DiscreteTable):
-        mass = model.disjoint_part() if exclude_overlap else model.probs
-        return SetFunction._take(model.ground,
-                                 _table_correlation(model.ground, mass))
+        return SetFunction._take(
+            model.ground, _table_correlation(model.ground, model.probs))
     if isinstance(model, Gibbs):
         raise ValidationError(
             "flatten Gibbs models with to_discrete_table first")

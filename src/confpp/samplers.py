@@ -45,12 +45,6 @@ class RunPlan:
         if self.proposal_points < 1:
             raise ValidationError("need at least one proposal point")
 
-    def to_json(self):
-        return {"window": [list(b) for b in self.window.box],
-                "replicas": self.replicas, "master_seed": self.master_seed,
-                "burn_in": self.burn_in, "thinning": self.thinning,
-                "proposal_points": self.proposal_points}
-
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -580,8 +574,9 @@ def estimate_correlation(samples, cells):
     """Empirical correlation of order ``len(cells)`` over disjoint cells.
 
     ``samples`` is a nonempty :class:`PointBatch`.  Estimates the
-    cell-product moment by ``prod_i count_in(gamma, B_i)`` per sample
-    (closed cells) and divides by the product of cell volumes.  Returns
+    cell-product moment by the product over cells ``B_i`` of each sample's
+    count of points in ``B_i`` (closed cells) and divides by the product of
+    cell volumes.  Returns
     ``(estimate, standard_error)``.
     """
     if not isinstance(samples, PointBatch) or not len(samples):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, SetFunction, _Table, ground_to_json
+from .core import Configuration, SetFunction, _Table
 from .errors import (CapacityError, GroundMismatchError, OverlapError,
                      ValidationError)
 from .transforms import covering_values, moebius_values, sweep, zeta_values
@@ -81,11 +81,6 @@ class PairSetFunction(_Table):
             return PairSetFunction._take(self.ground,
                                          self.values * other.values)
         return PairSetFunction._take(self.ground, self.values * float(other))
-
-    def to_json(self):
-        # row-major: plus-mask outer, minus-mask inner
-        return {"ground": ground_to_json(self.ground),
-                "values": [float(v) for v in self.values.reshape(-1)]}
 
 
 def pair_product(G1, G2):

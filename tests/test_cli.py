@@ -177,6 +177,8 @@ class TestExitCodes:
         ({"seed": True}, "seed must be an explicit integer"),
         ({"output": 2}, "output must be a string path"),
         ({"output": ["a"]}, "output must be a string path"),
+        ({"name": ["a", {"b": None}]}, "name must be a string"),
+        ({"name": 7}, "name must be a string"),
     ])
     def test_seed_and_output_types_exit_2(self, tmp_path, capsys, extra,
                                           message):

@@ -16,7 +16,7 @@ from confpp.generators import (BirthDeathKernel, check_adjoint_leibniz,
                                derivation_residual_max, derive_kernels,
                                hat_L_action, hat_L_bruteforce, hat_L_closed,
                                hat_L_continuum_action, invariance_residual,
-                               kernel_from_entries, kernel_from_json,
+                               kernel_from_entries,
                                LatticeOperator, normalized_dispersal, pairing,
                                random_kernel, _transpose_in_place)
 from confpp.transforms import conv_disjoint, k_transform
@@ -47,16 +47,15 @@ class TestKernelValidation:
         ({"x": 1.9}, {}), ({"x": True}, {}), ({"x": 5}, {}), ({"x": -1}, {}),
         ({"omega": [0.5, 2.7]}, {}), ({"omega": [10]}, {}),
         ({"omega": [-1]}, {}), ({"omega": [False]}, {}),
-        ({}, {"k_trunc": 2.9}), ({}, {"k_trunc": True}),
-        ({}, {"schema_version": 99})], ids=repr)
+        ({}, {"k_trunc": 2.9}), ({}, {"k_trunc": True})], ids=repr)
     def test_json_boundary_rejects_bad_entries(self, entry, top):
+        # kernel_from_entries reads JSON-style rows: integer (not bool)
+        # sites in range, and an integer k_trunc
         row = {"x": 1, "omega": [0, 2], "value": 0.5}
-        data = {"schema_version": 1, "k_trunc": 2, "death": [row],
-                "birth": []}
-        assert kernel_from_json(G5, data).death.sum() == 0.5  # the base loads
-        data = dict(data, death=[dict(row, **entry)], **top)
+        assert kernel_from_entries(G5, [row], [], 2).death.sum() == 0.5
         with pytest.raises(ValidationError):
-            kernel_from_json(G5, data)
+            kernel_from_entries(G5, [dict(row, **entry)], [],
+                                top.get("k_trunc", 2))
 
     def test_full_range_flag(self, rng):
         # k_trunc equal to the site count enables full-range kernels
@@ -89,12 +88,6 @@ class TestKernelValidation:
             got = random_kernel(G5, k_trunc, np.random.default_rng(7))
             assert np.array_equal(got.death, want.death)
             assert np.array_equal(got.birth, want.birth)
-
-    def test_json_round_trip(self, rng):
-        ker = random_kernel(G5, 2, rng)
-        back = kernel_from_json(G5, ker.to_json())
-        assert np.array_equal(back.death, ker.death)
-        assert np.array_equal(back.birth, ker.birth)
 
     def test_contact_kernel_requires_symmetry(self):
         a = np.ones((G5.n_sites, G5.n_sites))

@@ -31,10 +31,6 @@ class TestRunPlan:
         with pytest.raises(ValidationError):
             RunPlan(DiscreteGround((1.0,)), replicas=1, master_seed=1)
 
-    def test_json(self):
-        doc = RunPlan(W, replicas=5, master_seed=3).to_json()
-        assert doc["replicas"] == 5 and doc["burn_in"] == 10_000
-
 
 class TestSamplePoisson:
     def test_mean_count(self):

@@ -191,8 +191,6 @@ class TestPairFunctionals:
         assert np.max(np.abs((G * 2.0).values - 2.0 * G.values)) == 0.0
         with pytest.raises(ValidationError):
             PairSetFunction(G4, np.zeros((3, 3)))
-        doc = G.to_json()
-        assert len(doc["values"]) == G4.n_subsets ** 2
 
     def test_caller_array_stays_writeable(self):
         caller = np.zeros((4, 4))
