@@ -21,9 +21,9 @@ from .core import (BoxWindow, DiscreteGround, SetFunction, json_dumps,
                    make_ground, power_function, split_streams)
 from .errors import ConfppError, ValidationError
 from .processes import MixedPoisson, Poisson, Superposition, exponential_mixing
-from .samplers import (RunPlan, constant_h, count_distribution_check,
-                       estimate_correlation, sample_batch, strauss_spec,
-                       verify_gnz, verify_mecke)
+from .samplers import (RunPlan, _count_report, constant_h,
+                       count_distribution_check, estimate_correlation,
+                       sample_batch, strauss_spec, verify_gnz, verify_mecke)
 
 SCHEMA_VERSION = 1
 
@@ -273,9 +273,10 @@ def _run_superposition(cfg):
     window = cfg["ground"]
     z1, z2 = float(params["z1"]), float(params["z2"])
     model = Superposition(Poisson(z1), Poisson(z2))
-    rep = count_distribution_check(model, window, params["n_max"], plan)
-    rng = split_streams(cfg["seed"] + 1, 1)[0]
+    # one draw, on count_distribution_check's stream, serves every record
+    rng = split_streams(plan.master_seed, 1)[0]
     samples = sample_batch(model, window, rng, plan.replicas)
+    rep = _count_report(model, window, params["n_max"], samples)
     lo, hi = window.box[0]
     mid = 0.5 * (lo + hi)
     c1 = BoxWindow(((lo, mid),) + window.box[1:])

@@ -18,12 +18,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partialmethod
 
 import numpy as np
 
-from .errors import CapacityError, EvaluationError, ValidationError
+from .errors import (CapacityError, EvaluationError, GroundMismatchError,
+                     ValidationError)
 
 MAX_SITES = 24
 
@@ -214,9 +216,13 @@ def make_ground(spec):
     raise ValidationError(f"unknown ground kind {kind!r}")
 
 
-def _require_discrete(ground):
-    if not isinstance(ground, DiscreteGround):
-        raise ValidationError("a discrete ground model is required here")
+def _same_ground(first, *others):
+    """The ground of ``first``, which each of ``others`` must share: every
+    operand (table, configuration, law or operator) has a ``ground``, and a
+    mismatch is a :class:`GroundMismatchError`."""
+    ground = first.ground
+    if any(other.ground != ground for other in others):
+        raise GroundMismatchError("operands live on different grounds")
     return ground
 
 
@@ -234,6 +240,10 @@ class Configuration:
     def __post_init__(self):
         if not isinstance(self.ground, DiscreteGround):
             raise ValidationError(f"not a discrete ground: {self.ground!r}")
+        if (isinstance(self.mask, bool)
+                or not isinstance(self.mask, numbers.Integral)):
+            raise ValidationError(f"bitmask {self.mask!r} is not an integer")
+        object.__setattr__(self, "mask", int(self.mask))
         if not 0 <= self.mask < self.ground.n_subsets:
             raise ValidationError(f"bitmask {self.mask} out of range for "
                                   f"{self.ground.n_sites} sites")
@@ -266,16 +276,21 @@ class PointConfiguration:
         if not isinstance(window, BoxWindow):
             raise ValidationError("point configurations need a continuum "
                                   "window; a discrete ground takes a bitmask")
-        pts = tuple(tuple(float(c) for c in p) for p in points)
-        for p in pts:
-            if not window.contains(p):
-                raise ValidationError(f"point {p} outside the window")
+        pts = []
+        for p in points:
+            try:
+                pts.append(_reals(p))
+            except TypeError as exc:
+                raise ValidationError(
+                    f"point {p!r} is not a list of numbers") from exc
+            if not window.contains(pts[-1]):
+                raise ValidationError(f"point {pts[-1]} outside the window")
         for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise ValidationError(f"duplicate point {a}")
             if a > b:
                 raise ValidationError("continuum points must be sorted")
-        return cls(window, pts)
+        return cls(window, tuple(pts))
 
     def __len__(self):
         return len(self.points)
@@ -301,6 +316,16 @@ class _Table:
         table._hold(np.asarray(values, dtype=float))
         return table
 
+    def _combine(self, op, other):
+        """``op`` of the values and ``other``: a table of the same kind on
+        the same ground, or a number."""
+        if isinstance(other, type(self)):
+            _same_ground(self, other)
+            other = other.values
+        else:
+            other = float(other)
+        return self._take(self.ground, op(self.values, other))
+
 
 @dataclass(frozen=True)
 class SetFunction(_Table):
@@ -314,7 +339,8 @@ class SetFunction(_Table):
     values: np.ndarray
 
     def _hold(self, vals):
-        _require_discrete(self.ground)
+        if not isinstance(self.ground, DiscreteGround):
+            raise ValidationError("a discrete ground model is required here")
         if vals.shape != (self.ground.n_subsets,):
             raise ValidationError(
                 f"table length {vals.shape} != 2**n_sites "
@@ -329,31 +355,10 @@ class SetFunction(_Table):
             arg = arg.mask
         return float(self.values[arg])
 
-    def same_ground(self, other):
-        return self.ground.weights == other.ground.weights
-
     # small algebra, enough for building test functionals
-    def __add__(self, other):
-        return SetFunction._take(self.ground,
-                                 self.values + _coerce(self, other))
-
-    def __sub__(self, other):
-        return SetFunction._take(self.ground,
-                                 self.values - _coerce(self, other))
-
-    def __mul__(self, other):
-        return SetFunction._take(self.ground,
-                                 self.values * _coerce(self, other))
-
-    __rmul__ = __mul__
-
-
-def _coerce(sf, other):
-    if isinstance(other, SetFunction):
-        if not sf.same_ground(other):
-            raise ValidationError("set functions on different grounds")
-        return other.values
-    return float(other)
+    __add__ = partialmethod(_Table._combine, operator.add)
+    __sub__ = partialmethod(_Table._combine, operator.sub)
+    __mul__ = __rmul__ = partialmethod(_Table._combine, operator.mul)
 
 
 def constant_function(ground, value=1.0):

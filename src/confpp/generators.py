@@ -53,8 +53,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Configuration, SetFunction
-from .errors import CapacityError, GroundMismatchError, ValidationError
+from .core import Configuration, SetFunction, _same_ground
+from .errors import CapacityError, ValidationError
 from .transforms import _transpose_in_place, conv_disjoint, sweep
 
 BRUTEFORCE_MAX_SITES = 12
@@ -300,9 +300,7 @@ class _RowOperator:
     """``apply`` through the subclass's ``_apply_rows`` on a stack of rows."""
 
     def apply(self, G):
-        if G.ground != self.ground:
-            raise GroundMismatchError("operand lives on a different ground")
-        return SetFunction._take(self.ground,
+        return SetFunction._take(_same_ground(self, G),
                                  self._apply_rows(G.values[None])[0])
 
 
@@ -334,9 +332,7 @@ class LatticeOperator(_RowOperator):
 
     def adjoint_apply(self, k, z=1.0):
         """Adjoint image w.r.t. ``<<G, k>> = sum G k wt_z``, on one vector."""
-        if k.ground != self.ground:
-            raise GroundMismatchError("operand lives on a different ground")
-        w = _pairing_weights(self.ground, z)
+        w = _pairing_weights(_same_ground(self, k), z)
         return SetFunction._take(self.ground,
                                  (self.matrix.T @ (w * k.values)) / w)
 
@@ -387,10 +383,8 @@ class MoveOperator(_RowOperator):
 
     def adjoint_apply(self, k, z=1.0):
         """Adjoint image w.r.t. ``<<G, k>> = sum G k wt_z``, on one vector."""
-        if k.ground != self.ground:
-            raise GroundMismatchError("operand lives on a different ground")
+        w = _pairing_weights(_same_ground(self, k), z)
         sites = range(self.ground.n_sites)
-        w = _pairing_weights(self.ground, z)
         v = (w * k.values)[None]
         if self.conjugated:
             sweep(v, sites, superset=True, sign=-1.0)
@@ -598,9 +592,7 @@ def hat_L_closed(kernel, z=1.0):
 
 def pairing(G, k, z=1.0):
     """``<<G, k>>`` against the weighted counting reference."""
-    if not G.same_ground(k):
-        raise GroundMismatchError("pairing operands on different grounds")
-    w = G.ground.lp_weights(z)
+    w = _same_ground(G, k).lp_weights(z)
     return float(np.dot(G.values * k.values, w))
 
 
@@ -645,8 +637,6 @@ def derivation_residual_max(op, G):
 
 def check_adjoint_leibniz(op, k1, k2, z=1.0):
     """Max-abs residual of ``L^*(k1 * k2) = (L^*k1) * k2 + k1 * (L^*k2)``."""
-    if not k1.same_ground(k2):
-        raise GroundMismatchError("functionals on different grounds")
     def act(k):
         return op.adjoint_apply(k, z)
     lhs = act(conv_disjoint(k1, k2))

@@ -10,12 +10,13 @@ projection densities and positive-definiteness checks are computed exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, SetFunction, power_function
-from .errors import (CapacityError, CocycleError, GroundMismatchError,
+from .core import Configuration, SetFunction, _same_ground, power_function
+from .errors import (CapacityError, CocycleError, StabilityError,
                      UndefinedConditionalError, ValidationError)
 from .transforms import conv_disjoint, norm_fit, ranked_products, sweep
 
@@ -127,7 +128,12 @@ def mixing_convolution(p1, p2):
 
 @dataclass(frozen=True)
 class PapangelouSpec:
-    """Conditional-intensity evaluator ``r(gamma, x)`` with a descriptor.
+    """Conditional-intensity evaluator ``r(gamma, x)`` with its bound.
+
+    ``r_max``, when given, is a stated bound on the intensity (local
+    stability, Nguyen & Zessin 1979); ``None`` states none.  The checked
+    calls, :meth:`__call__` and :meth:`batched`, raise
+    :class:`StabilityError` on a value above ``r_max * (1 + 1e-12)``.
 
     ``batch``, when given, is the same intensity as a generalized ufunc of
     signature ``(n,d),(m,d)->(m)`` on a window and ``(n),(m)->(m)`` on a
@@ -142,27 +148,39 @@ class PapangelouSpec:
     """
 
     evaluator: object
-    descriptor: dict = field(default_factory=dict)
     batch: object = None
+    r_max: float | None = None
+
+    def __post_init__(self):
+        if self.r_max is None:
+            ceiling = sys.float_info.max
+        elif 0.0 <= self.r_max < math.inf:  # NaN fails too
+            ceiling = min(self.r_max * (1 + 1e-12), sys.float_info.max)
+        else:
+            raise ValidationError("r_max must be None or a finite bound >= 0")
+        object.__setattr__(self, "_ceiling", ceiling)  # largest value passed
 
     def __call__(self, gamma, x):
         value = float(self.evaluator(gamma, x))
-        if not 0.0 <= value < math.inf:  # NaN fails too
-            raise ValidationError(
-                f"conditional intensity must be finite and nonnegative, "
-                f"got {value!r}")
+        if not 0.0 <= value <= self._ceiling:  # NaN fails too
+            self._reject(value)
         return value
 
     def batched(self, points, proposals):
         """``batch(points, proposals)`` with the checks of ``__call__``, on
         the whole stack at once; the first failing value is named."""
         values = np.asarray(self.batch(points, proposals), dtype=float)
-        ok = (0.0 <= values) & (values < math.inf)  # NaN fails too
+        ok = (0.0 <= values) & (values <= self._ceiling)  # NaN fails too
         if not ok.all():
-            raise ValidationError(
-                f"conditional intensity must be finite and nonnegative, "
-                f"got {values[~ok][0].item()!r}")
+            self._reject(values[~ok][0].item())
         return values
+
+    def _reject(self, value):
+        if 0.0 <= value < math.inf:
+            raise StabilityError(f"conditional intensity {value} exceeds "
+                                 f"the stated bound {self.r_max}")
+        raise ValidationError(f"conditional intensity must be finite and "
+                              f"nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -333,9 +351,7 @@ def convolve_measures(mu1, mu2):
     ``eta`` is disjoint when ``|a| + |b| = |eta|`` and overlaps when the
     ranks sum to more.
     """
-    if mu1.ground != mu2.ground:
-        raise GroundMismatchError("operands on different grounds")
-    ground = mu1.ground
+    ground = _same_ground(mu1, mu2)
     ranked = ranked_products(mu1.probs, mu2.probs, ground,
                              2 * ground.n_sites)
     size = ground.subset_size
@@ -492,9 +508,7 @@ def uniqueness_diagnostic(k, N):
 
 def papangelou_of_table(table, gamma, x):
     """Discrete conditional intensity ``mu(gamma u x) / (mu(gamma) m(x))``."""
-    ground = table.ground
-    if gamma.ground != ground:
-        raise GroundMismatchError("configuration and table on different grounds")
+    ground = _same_ground(table, gamma)
     if not (isinstance(x, (int, np.integer)) and 0 <= x < ground.n_sites):
         raise ValidationError(f"site {x!r} is not an integer in range")
     g, x = gamma.mask, int(x)
@@ -524,10 +538,8 @@ def pairwise_gibbs_spec(ground, couplings, z=1.0):
     def boltzmann(energy):
         """``z exp(-energy)``; ``inf`` where ``exp`` overflows, which the
         spec's finiteness check rejects."""
-        try:
-            return z * math.exp(-energy)
-        except OverflowError:
-            return math.inf
+        with np.errstate(over="ignore"):
+            return z * np.exp(-energy)
 
     def evaluator(gamma, x):
         return boltzmann(sum(J[x, y] for y in gamma.sites))
@@ -539,11 +551,9 @@ def pairwise_gibbs_spec(ground, couplings, z=1.0):
                                               proposals.shape))
         for k in range(sites.shape[-1]):  # site by site, as the scalar sum
             energy += J[proposals, sites[..., k, np.newaxis]]
-        return np.fromiter(map(boltzmann, energy.ravel().tolist()), float,
-                           energy.size).reshape(energy.shape)
+        return boltzmann(energy)
 
-    return PapangelouSpec(evaluator, {"model": "pairwise", "z": z},
-                          batch=batch)
+    return PapangelouSpec(evaluator, batch=batch)
 
 
 def _convolution_sides(mu1, mu2, R1, R2):

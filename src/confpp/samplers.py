@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BoxWindow, PointConfiguration, split_streams
-from .errors import StabilityError, ValidationError
+from .errors import ValidationError
 from .processes import (MixedPoisson, PapangelouSpec, Poisson, Superposition,
                         mixing_convolution, point_mass_mixing)
 
@@ -171,8 +171,8 @@ def strauss_spec(beta, g, R):
     """Strauss conditional intensity ``r(gamma, x) = beta * g^{s_R(x, gamma)}``.
 
     ``s_R`` counts the points of gamma within distance R of x.  For
-    ``g <= 1`` the intensity is bounded by beta, which the descriptor
-    records as ``r_max``.  ``g = 0`` is the hard-core model (``0^0 = 1``).
+    ``g <= 1`` the intensity is bounded by beta, which the spec states as
+    ``r_max``.  ``g = 0`` is the hard-core model (``0^0 = 1``).
     The spec carries the batched form of the same intensity.
     """
     # written so that NaN fails every comparison and is rejected
@@ -219,9 +219,7 @@ def strauss_spec(beta, g, R):
             d2 += diff
         return powers[np.add.reduce(d2 <= r2, axis=-1)]
 
-    return PapangelouSpec(evaluator, {"model": "strauss", "beta": beta,
-                                      "g": g, "R": R, "r_max": beta},
-                          batch=batch)
+    return PapangelouSpec(evaluator, batch=batch, r_max=beta)
 
 
 # the slots' own setters for _configuration; the class stays frozen
@@ -270,18 +268,12 @@ class _BirthDeathChain:
         self.window = window
         self.uniforms = _Uniforms(rng)
         self.vol = window.volume
-        self.r_max = spec.descriptor.get("r_max")
         self.points = []
 
     def intensity(self, points, x):
-        """``r(gamma, x)`` for the sorted points of gamma, checked against
-        the stated bound ``r_max``."""
-        r = self.spec(_configuration(self.window, tuple(points)), x)
-        if self.r_max is not None and r > self.r_max * (1 + 1e-12):
-            raise StabilityError(
-                f"conditional intensity {r} exceeds the stated bound "
-                f"{self.r_max}")
-        return r
+        """``r(gamma, x)`` for the sorted points of gamma, checked by the
+        spec."""
+        return self.spec(_configuration(self.window, tuple(points)), x)
 
     def birth_ratio(self, points, x):
         """Unclipped acceptance ratio ``r(gamma, x) vol / (n + 1)`` of adding
@@ -626,15 +618,22 @@ def count_distribution_check(model, window, n_max, plan):
     number of samples redrawn for a repeated point.
     """
     rng = split_streams(plan.master_seed, 1)[0]
-    batch = sample_batch(model, window, rng, plan.replicas)
+    return _count_report(model, window, n_max,
+                         sample_batch(model, window, rng, plan.replicas))
+
+
+def _count_report(model, window, n_max, batch):
+    """:func:`count_distribution_check` on the drawn :class:`PointBatch`
+    ``batch`` of ``model`` on ``window``."""
+    replicas = len(batch)
     emp = np.bincount(np.minimum(batch.counts, n_max + 1),
-                      minlength=n_max + 2) / plan.replicas
+                      minlength=n_max + 2) / replicas
     analytic = analytic_count_pmf(_model_mixing(model), window.volume, n_max)
     records = []
     all_pass = True
     for n in range(n_max + 1):
         p = analytic[n]
-        se = math.sqrt(max(p * (1 - p), 1e-300) / plan.replicas)
+        se = math.sqrt(max(p * (1 - p), 1e-300) / replicas)
         z = (emp[n] - p) / se
         ok = abs(z) <= Z_THRESHOLD
         all_pass = all_pass and ok
@@ -645,5 +644,4 @@ def count_distribution_check(model, window, n_max, plan):
     tv = 0.5 * (float(np.abs(emp[:n_max + 1] - analytic).sum())
                 + abs(float(emp[n_max + 1]) - tail_analytic))
     return {"per_n": records, "tv": tv, "pass": bool(all_pass),
-            "overlap_events": batch.overlap_events,
-            "replicas": plan.replicas}
+            "overlap_events": batch.overlap_events, "replicas": replicas}

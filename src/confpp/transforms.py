@@ -17,15 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, SetFunction, lp_integral
-from .errors import CapacityError, GroundMismatchError, ValidationError
+from .core import Configuration, SetFunction, _same_ground, lp_integral
+from .errors import CapacityError, ValidationError
 
 RANKED_MAX_SITES = 20
-
-
-def _check_same_ground(G1, G2):
-    if not G1.same_ground(G2):
-        raise GroundMismatchError("operands live on different grounds")
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +194,10 @@ def conv_disjoint(G1, G2):
 
     The rank-``|eta|`` row of :func:`ranked_products`.
     """
-    _check_same_ground(G1, G2)
-    ground = G1.ground
+    ground = _same_ground(G1, G2)
     ranked = ranked_products(G1.values, G2.values, ground, ground.n_sites)
     size = ground.subset_size
-    out = ranked[size, np.arange(size.size)]
-    return SetFunction._take(G1.ground, out)
+    return SetFunction._take(ground, ranked[size, np.arange(size.size)])
 
 
 def conv_union(G1, G2):
@@ -216,9 +209,9 @@ def conv_union(G1, G2):
     The transform turns it into a pointwise product, so it is computed as
     ``Kinv(KG1 * KG2)``.
     """
-    _check_same_ground(G1, G2)
-    out = covering_values(G1.values, G2.values, G1.ground.n_sites)
-    return SetFunction._take(G1.ground, out)
+    ground = _same_ground(G1, G2)
+    return SetFunction._take(
+        ground, covering_values(G1.values, G2.values, ground.n_sites))
 
 
 def exp_vector(ground, f):
@@ -273,10 +266,8 @@ def minlos_pairing(H, G1, G2, z):
 
     Returns ``(lhs, rhs)``.
     """
-    _check_same_ground(H, G1)
-    _check_same_ground(H, G2)
+    w = _same_ground(H, G1, G2).lp_weights(z)
     lhs = lp_integral(H * conv_disjoint(G1, G2), z)
-    w = H.ground.lp_weights(z)
     return lhs, _disjoint_pair_sum(H.values, G1.values * w, G2.values * w)
 
 

@@ -8,13 +8,14 @@ three-partitions in each coordinate) is the covering product of that lattice.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 
-from .core import Configuration, SetFunction, _Table
-from .errors import (CapacityError, GroundMismatchError, OverlapError,
-                     ValidationError)
+from .core import Configuration, SetFunction, _same_ground, _Table
+from .errors import CapacityError, OverlapError, ValidationError
 from .transforms import covering_values, moebius_values, sweep, zeta_values
 
 PAIR_MAX_SITES = 12
@@ -28,8 +29,7 @@ class PairConfiguration:
     minus: Configuration
 
     def __post_init__(self):
-        if self.plus.ground != self.minus.ground:
-            raise GroundMismatchError("pair components on different grounds")
+        _same_ground(self.plus, self.minus)
 
     @property
     def ground(self):
@@ -71,23 +71,13 @@ class PairSetFunction(_Table):
     def __call__(self, pair):
         return float(self.values[pair.plus.mask, pair.minus.mask])
 
-    def same_ground(self, other):
-        return self.ground == other.ground
-
-    def __mul__(self, other):
-        if isinstance(other, PairSetFunction):
-            if not self.same_ground(other):
-                raise GroundMismatchError("operands on different grounds")
-            return PairSetFunction._take(self.ground,
-                                         self.values * other.values)
-        return PairSetFunction._take(self.ground, self.values * float(other))
+    __mul__ = partialmethod(_Table._combine, operator.mul)
 
 
 def pair_product(G1, G2):
     """Tensor pair function ``(eta+, eta-) -> G1(eta+) G2(eta-)``."""
-    if not G1.same_ground(G2):
-        raise GroundMismatchError("factors on different grounds")
-    return PairSetFunction._take(G1.ground, np.outer(G1.values, G2.values))
+    return PairSetFunction._take(_same_ground(G1, G2),
+                                 np.outer(G1.values, G2.values))
 
 
 def pair_indicator_empty(ground):
@@ -119,11 +109,10 @@ def conv_star2(G1, G2):
     ``a+ u b+ = eta+`` and ``a- u b- = eta-``: the covering product on the
     flattened ``2n``-bit lattice, ``KKinv(KK G1 * KK G2)``.
     """
-    if not G1.same_ground(G2):
-        raise GroundMismatchError("operands on different grounds")
-    n = G1.ground.n_sites
-    out = covering_values(G1.values.reshape(-1), G2.values.reshape(-1), 2 * n)
-    return PairSetFunction._take(G1.ground, out.reshape(G1.values.shape))
+    ground = _same_ground(G1, G2)
+    out = covering_values(G1.values.reshape(-1), G2.values.reshape(-1),
+                          2 * ground.n_sites)
+    return PairSetFunction._take(ground, out.reshape(G1.values.shape))
 
 
 def marginal_correlation(k, side):

@@ -175,9 +175,9 @@ class TestPairwiseBatch:
                             np.array(proposals)).tolist() == expected
 
 
-def _both_paths(evaluator, batch, descriptor):
-    return [PapangelouSpec(evaluator, descriptor, batch=batch),
-            PapangelouSpec(evaluator, descriptor)]
+def _both_paths(evaluator, batch, r_max):
+    return [PapangelouSpec(evaluator, batch, r_max),
+            PapangelouSpec(evaluator, r_max=r_max)]
 
 
 class TestErrorPaths:
@@ -186,7 +186,7 @@ class TestErrorPaths:
         strauss = strauss_spec(2.0, 0.5, 0.1)
         plan = RunPlan(WINDOWS[d], replicas=1, master_seed=1, burn_in=50)
         for spec in _both_paths(strauss.evaluator, strauss.batch,
-                                dict(strauss.descriptor, r_max=1.0)):
+                                1.0):
             with pytest.raises(StabilityError):
                 sample_gibbs_bd(spec, plan)
 
@@ -196,7 +196,7 @@ class TestErrorPaths:
         for spec in _both_paths(
                 lambda gamma, x: bad,
                 lambda points, proposals: np.full(proposals.shape[:-1], bad),
-                {}):
+                None):
             with pytest.raises(ValidationError):
                 sample_gibbs_bd(spec, plan)
             with pytest.raises(ValidationError):
@@ -213,7 +213,7 @@ class TestErrorPaths:
 
         plan = RunPlan(WINDOWS[1], replicas=32, master_seed=3, burn_in=0,
                        proposal_points=5000)
-        for spec in _both_paths(evaluator, batch, {}):
+        for spec in _both_paths(evaluator, batch, None):
             with pytest.raises(ValidationError):
                 verify_gnz(spec, lambda gamma, x: 1.0, plan)
 
@@ -224,8 +224,7 @@ class TestChainPath:
             raise AssertionError("the chain made a batched call")
 
         strauss = strauss_spec(20.0, 0.3, 0.1)
-        spec = PapangelouSpec(strauss.evaluator, strauss.descriptor,
-                              batch=batch)
+        spec = PapangelouSpec(strauss.evaluator, batch, strauss.r_max)
         plan = RunPlan(WINDOWS[2], replicas=20, master_seed=4, burn_in=200)
         assert (oracles.point_tuples(sample_gibbs_bd(spec, plan))
                 == oracles.point_tuples(sample_gibbs_bd(strauss, plan)))
@@ -242,7 +241,7 @@ class TestChainPath:
             seen.add(x)
             return 1.0
 
-        spec = PapangelouSpec(evaluator, {"r_max": 2.0})
+        spec = PapangelouSpec(evaluator, r_max=2.0)
         plan = RunPlan(WINDOWS[1], replicas=1, master_seed=1, burn_in=200)
         with pytest.raises(StabilityError):
             sample_gibbs_bd(spec, plan)

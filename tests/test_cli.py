@@ -2,8 +2,13 @@ import json
 
 import pytest
 
+from confpp import cli
 from confpp.cli import TASKS, main, validate_config
+from confpp.core import BoxWindow, make_ground, split_streams
 from confpp.errors import ValidationError
+from confpp.processes import Poisson, Superposition
+from confpp.samplers import (RunPlan, count_distribution_check,
+                             estimate_correlation, sample_batch)
 
 DISCRETE = {"kind": "discrete",
             "weights": [0.7, 1.2, 0.5, 0.9, 1.1, 0.6]}
@@ -373,6 +378,33 @@ class TestRun:
         first = (tmp_path / "report.json").read_bytes()
         _run(tmp_path, cfg)
         assert (tmp_path / "report.json").read_bytes() == first
+
+    def test_superposition_draws_its_model_once(self, tmp_path,
+                                                monkeypatch):
+        """One batch, on ``count_distribution_check``'s stream, serves the
+        count record and both correlation records."""
+        draws = []
+        real = cli.sample_batch
+        monkeypatch.setattr(cli, "sample_batch",
+                            lambda *args: draws.append(args) or real(*args))
+        cfg = {"name": "sup", "ground": BOX,
+               "task": "identity:superposition", "seed": 21,
+               "parameters": {"z1": 0.7, "z2": 1.3, "n_max": 8},
+               "plan": {"replicas": 500}}
+        _, report = _run(tmp_path, cfg)
+        assert len(draws) == 1
+        counts, k1, k2 = report["results"]
+        window = make_ground(BOX)
+        model = Superposition(Poisson(0.7), Poisson(1.3))
+        plan = RunPlan(window, replicas=500, master_seed=21)
+        rep = count_distribution_check(model, window, 8, plan)
+        assert (counts["tv"], counts["pass"]) == (rep["tv"], rep["pass"])
+        batch = sample_batch(model, window, split_streams(21, 1)[0], 500)
+        halves = [BoxWindow(((0.0, 0.5),)), BoxWindow(((0.5, 1.0),))]
+        assert (k1["estimate"], k1["se"]) == estimate_correlation(
+            batch, halves[:1])
+        assert (k2["estimate"], k2["se"]) == estimate_correlation(
+            batch, halves)
 
     def test_process_report(self, tmp_path):
         code, report = _run(tmp_path, {

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,32 @@ class TestConfiguration:
         with pytest.raises(ValidationError, match="outside"):
             PointConfiguration.checked(w, ((1.5,),))
 
+    @pytest.mark.parametrize("mask", [True, False, 1.0, "1", None])
+    def test_mask_must_be_an_integer(self, mask):
+        with pytest.raises(ValidationError, match="not an integer"):
+            Configuration(DiscreteGround((1.0, 1.0)), mask)
+
+    @pytest.mark.parametrize("mask", [3, np.int64(3), np.uint8(3)])
+    def test_integer_masks_are_stored_as_int(self, mask):
+        c = Configuration(DiscreteGround((1.0, 1.0)), mask)
+        assert type(c.mask) is int and c.mask == 3
+        assert c == Configuration(DiscreteGround((1.0, 1.0)), 3)
+
+    @pytest.mark.parametrize("points, shown", [
+        (((True,),), "(True,)"), ((("0.5",),), "('0.5',)"),
+        (((None,),), "(None,)"), ((0.5,), "0.5")])
+    def test_checked_points_must_be_numbers(self, points, shown):
+        w = BoxWindow(((0.0, 1.0),))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"point {shown} is not a list of numbers")):
+            PointConfiguration.checked(w, points)
+
+    def test_checked_takes_numpy_numbers(self):
+        w = BoxWindow(((0.0, 1.0),))
+        c = PointConfiguration.checked(w, ((np.float32(0.5),), (np.int64(1),)))
+        assert c.points == ((0.5,), (1.0,))
+        assert all(type(x) is float for p in c.points for x in p)
+
     def test_validated_build_is_the_point_type(self):
         w = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
         pts = ((0.2, 0.9), (0.5, 0.1))
@@ -335,6 +362,17 @@ class TestLpIntegralMC:
         w = BoxWindow(((0.0, 1.0),))
         with pytest.raises(ValidationError, match="intensity z"):
             lp_integral_mc(lambda gamma: 1.0, z, w, 4, 10, seed=1)
+
+    @pytest.mark.parametrize("n_max, samples", [(-1, 10), (3, 0)])
+    def test_rejects_bad_orders_and_sample_counts(self, n_max, samples):
+        w = BoxWindow(((0.0, 1.0),))
+        with pytest.raises(ValidationError, match="n_max >= 0"):
+            lp_integral_mc(lambda gamma: 1.0, 1.0, w, n_max, samples, seed=1)
+
+    def test_rejects_a_discrete_ground(self):
+        g = DiscreteGround((1.0, 1.0))
+        with pytest.raises(ValidationError, match="continuum window"):
+            lp_integral_mc(lambda gamma: 1.0, 1.0, g, 3, 10, seed=1)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("order", [0, 1, 3])

@@ -75,7 +75,7 @@ def batched_h(h):
 
 def scalar_only(spec):
     """The same model without its batched form."""
-    return PapangelouSpec(spec.evaluator, spec.descriptor)
+    return PapangelouSpec(spec.evaluator, r_max=spec.r_max)
 
 
 SPEC_FORMS = {"native": lambda spec: spec, "scalar": scalar_only}
@@ -152,7 +152,7 @@ def test_chain_states(name, form):
 
 
 def test_chain_states_scalar_spec():
-    spec = PapangelouSpec(lambda gamma, x: 1.5, {"r_max": 1.5})
+    spec = PapangelouSpec(lambda gamma, x: 1.5, r_max=1.5)
     plan = RunPlan(W1, replicas=200, master_seed=9, burn_in=300, thinning=2)
     assert _digest(sample_gibbs_bd(spec, plan)) == (
         "31bb362e1181ca7f53033ddf8ff28d15f387635afabf16d4fc9676c2a310bef4")

@@ -1,9 +1,11 @@
-"""No module of the package imports a name it does not use.
+"""Static checks over the package's syntax trees, in place of a linter.
 
-A static check over the syntax tree, in place of a linter: every name a
-module binds by ``import`` or ``from ... import`` must be read somewhere in
-that module.  ``__init__.py`` is left out, since its imports are the
-package's exports.
+* No module imports a name it does not use: every name a module binds by
+  ``import`` or ``from ... import`` must be read somewhere in that module.
+  ``__init__.py`` is left out, since its imports are the package's exports.
+* No private module-level function, class or constant is left unread:
+  each must be read somewhere in the package.
+* Grounds are compared in one place, ``core._same_ground``.
 """
 
 import ast
@@ -41,3 +43,87 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree):
+    """``{name: line}`` of the private module-level functions, classes
+    and constants of ``tree``; dunder names are not private."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            sides = (node.targets if isinstance(node, ast.Assign)
+                     else [node.target])
+            targets = [t.id for side in sides for t in ast.walk(side)
+                       if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def reads(tree):
+    """Names read in ``tree``, bare or as an attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def unread_privates(sources):
+    """``(module, line, name)`` of each private definition in ``sources``
+    (``{module: source}``) that no module reads."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set().union(*map(reads, trees.values()))
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for name, line in private_definitions(tree).items()
+                  if name not in read)
+
+
+def test_the_check_sees_an_unread_private():
+    sources = {"a": "_USED = 1\n_LEFT = 2\ndef _check(x):\n    pass\n"
+                    "class _Base:\n    pass\n",
+               "b": "from a import _Base\nprint(a._USED)\n"
+                    "class C(_Base):\n    pass\n"}
+    assert unread_privates(sources) == [("a", 2, "_LEFT"), ("a", 3, "_check")]
+
+
+def test_every_private_definition_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py")}
+    assert unread_privates(sources) == []
+
+
+def ground_comparisons(tree):
+    """``(function, line)`` of each comparison in ``tree`` with a
+    ``.ground`` or ``.weights`` attribute on one side; ``function`` is the
+    innermost enclosing function's name, None at module level."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(
+                    isinstance(side, ast.Attribute)
+                    and side.attr in ("ground", "weights")
+                    for side in [child.left, *child.comparators]):
+                found.append((func, child.lineno))
+            visit(child, child.name if isinstance(child, ast.FunctionDef)
+                  else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_check_sees_a_ground_comparison():
+    source = ("def f(a, b):\n    if a.ground != b.ground:\n        pass\n"
+              "def g(a, b):\n    return a.ground.weights == b\n")
+    assert ground_comparisons(ast.parse(source)) == [("f", 2), ("g", 5)]
+
+
+def test_grounds_are_compared_in_one_place():
+    places = {(path.name, func) for path in MODULES for func, _ in
+              ground_comparisons(ast.parse(path.read_text(encoding="utf-8")))}
+    assert places == {("core.py", "_same_ground")}

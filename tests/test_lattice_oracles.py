@@ -244,8 +244,7 @@ class TestRankedCapacity:
     @staticmethod
     def _stand_in(ground):
         # no value table at all: the cap is checked before any allocation
-        return types.SimpleNamespace(ground=ground, values=None, probs=None,
-                                     same_ground=lambda other: True)
+        return types.SimpleNamespace(ground=ground, values=None, probs=None)
 
     def test_conv_disjoint(self):
         big = DiscreteGround((1.0,) * (RANKED_MAX_SITES + 1))

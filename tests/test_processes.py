@@ -10,7 +10,8 @@ import oracles
 from confpp.core import (Configuration, DiscreteGround, SetFunction,
                          indicator_empty, power_function)
 from confpp.errors import (CapacityError, CocycleError, GroundMismatchError,
-                           UndefinedConditionalError, ValidationError)
+                           StabilityError, UndefinedConditionalError,
+                           ValidationError)
 from confpp import processes
 from confpp.processes import (GIBBS_MAX_SITES, DiscreteTable, Gibbs,
                               MixedPoisson, MixingDensity, PapangelouSpec,
@@ -218,6 +219,47 @@ class TestTables:
                               np.full(len(proposals), 1.3))
         with pytest.raises(ValidationError, match="shape"):
             papangelou_table(G4, spec)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_papangelou_table_enforces_the_stated_bound(self, batched):
+        """Only the two-site masks exceed ``r_max``; the bound's relative
+        slack of 1e-12 lets a value just above it through."""
+        def evaluator(gamma, x):
+            return 3.0 if len(gamma) == 2 else 2.0 * (1 + 1e-13)
+
+        def batch(points, proposals):
+            value = 3.0 if points.shape[-1] == 2 else 2.0 * (1 + 1e-13)
+            return np.full(proposals.shape, value)
+
+        spec = PapangelouSpec(evaluator, batch if batched else None, 2.0)
+        with pytest.raises(StabilityError, match="exceeds the stated bound"):
+            papangelou_table(G4, spec)
+        lax = PapangelouSpec(evaluator, batch if batched else None, 3.0)
+        assert papangelou_table(G4, lax).max() == 3.0
+
+    @pytest.mark.parametrize("r_max", [-1.0, math.nan, math.inf])
+    def test_spec_rejects_a_bad_bound(self, r_max):
+        with pytest.raises(ValidationError, match="r_max"):
+            PapangelouSpec(lambda gamma, x: 1.0, r_max=r_max)
+
+    def test_flatten_a_superposition(self):
+        """The law of the union of two independent lattice draws, against
+        the double loop over every pair of masks."""
+        left, right = poisson_table(G4, 0.5), poisson_table(G4, 1.3)
+        want, overlap = np.zeros(G4.n_subsets), np.zeros(G4.n_subsets)
+        for a in range(G4.n_subsets):
+            for b in range(G4.n_subsets):
+                want[a | b] += left.probs[a] * right.probs[b]
+                if a & b:
+                    overlap[a | b] += left.probs[a] * right.probs[b]
+        T = to_discrete_table(Superposition(Poisson(0.5), Poisson(1.3)), G4)
+        assert np.allclose(T.probs, want, rtol=0, atol=1e-15)
+        assert np.allclose(T.overlap_probs, overlap, rtol=0, atol=1e-15)
+
+    def test_flatten_a_table_is_the_table(self):
+        T = poisson_table(G4, 0.8)
+        assert to_discrete_table(T) is T
+        assert to_discrete_table(T, G4) is T
 
     def test_papangelou_table_layout(self):
         spec = _random_pairwise(np.random.default_rng(3), G4, 0.9)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from confpp.processes import (MixedPoisson, PapangelouSpec, Poisson,
                               Superposition, exponential_mixing,
                               point_mass_mixing)
 from confpp.samplers import (IdentityReport, PointBatch, RunPlan,
-                             analytic_count_pmf, count_distribution_check,
+                             analytic_count_pmf, constant_h,
+                             count_distribution_check,
                              detailed_balance_residual, estimate_correlation,
                              sample_batch, sample_gibbs_bd, strauss_spec,
                              verify_gnz, verify_mecke)
@@ -75,7 +77,7 @@ def _death_ratio_r_with_x(chain, points, i):
 
 class TestGibbsSampler:
     def test_constant_rate_matches_poisson_counts(self):
-        spec = PapangelouSpec(lambda gamma, x: 1.5, {"r_max": 1.5})
+        spec = PapangelouSpec(lambda gamma, x: 1.5, r_max=1.5)
         plan = RunPlan(W, replicas=6000, master_seed=9, burn_in=2000,
                        thinning=5)
         counts = sample_gibbs_bd(spec, plan).counts
@@ -109,7 +111,7 @@ class TestGibbsSampler:
         assert res > 0.1
 
     def test_stability_error(self):
-        lying = PapangelouSpec(lambda gamma, x: 2.0, {"r_max": 1.0})
+        lying = PapangelouSpec(lambda gamma, x: 2.0, r_max=1.0)
         plan = RunPlan(W, replicas=1, master_seed=1, burn_in=50)
         with pytest.raises(StabilityError):
             sample_gibbs_bd(lying, plan)
@@ -149,7 +151,7 @@ CHAIN_CASES = {
     "hardcore-1d": (W, strauss_spec(3.0, 0.0, 0.05),
                     dict(replicas=100, master_seed=8, burn_in=300,
                          thinning=2)),
-    "scalar-only": (W, PapangelouSpec(lambda gamma, x: 1.5, {"r_max": 1.5}),
+    "scalar-only": (W, PapangelouSpec(lambda gamma, x: 1.5, r_max=1.5),
                     dict(replicas=100, master_seed=9, burn_in=300,
                          thinning=2)),
 }
@@ -252,11 +254,30 @@ class TestZeroSpread:
 
 class TestVerifyGnz:
     def test_constant_rate(self):
-        spec = PapangelouSpec(lambda gamma, x: 1.0, {"r_max": 1.0})
+        spec = PapangelouSpec(lambda gamma, x: 1.0, r_max=1.0)
         plan = RunPlan(W, replicas=2000, master_seed=13, burn_in=1000,
                        thinning=3)
         rep = verify_gnz(spec, lambda gamma, x: 1.0, plan)
         assert rep.passed
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_rhs_enforces_the_stated_bound(self, monkeypatch, batched):
+        """The states come from a Poisson draw in place of the chain, so
+        only the right-hand side evaluates the lying spec."""
+        states = sample_batch(Poisson(3.0), W, split_streams(4, 1)[0], 40)
+        monkeypatch.setattr(samplers, "sample_gibbs_bd",
+                            lambda spec, plan, rng: states)
+        def batch(points, proposals):
+            return np.full(proposals.shape[:-1], 3.0)
+
+        spec = PapangelouSpec(lambda gamma, x: 3.0,
+                              batch if batched else None, r_max=2.0)
+        h = constant_h() if batched else (lambda gamma, x: 1.0)
+        plan = RunPlan(W, replicas=40, master_seed=5, burn_in=0)
+        with pytest.raises(StabilityError, match="exceeds the stated bound"):
+            verify_gnz(spec, h, plan)
+        honest = dataclasses.replace(spec, r_max=3.0)
+        assert verify_gnz(honest, h, plan).rhs_mean == 3.0
 
     def test_strauss_neighbor_functional(self):
         spec = strauss_spec(2.0, 0.5, 0.1)

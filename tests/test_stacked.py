@@ -128,9 +128,9 @@ class TestStackedForms:
         """A batch form that ignores the leading axes cannot slip through
         broadcasting: the sides check one value per proposal."""
         strauss = strauss_spec(2.0, 0.5, 0.1)
-        spec = PapangelouSpec(strauss.evaluator, strauss.descriptor,
-                              batch=lambda points, proposals:
-                              np.ones(len(proposals)))
+        spec = PapangelouSpec(strauss.evaluator,
+                              lambda points, proposals:
+                              np.ones(len(proposals)), strauss.r_max)
         plan = RunPlan(WINDOWS[1], replicas=64, master_seed=3, burn_in=0)
         with pytest.raises(ValidationError, match="shape"):
             verify_gnz(spec, constant_h(), plan)
@@ -168,7 +168,7 @@ def _h(form):
 def _spec(form, args):
     spec = strauss_spec(*args)
     return spec if form == "native" else PapangelouSpec(spec.evaluator,
-                                                        spec.descriptor)
+                                                        r_max=spec.r_max)
 
 
 def _blocks(states, proposals):

@@ -103,6 +103,22 @@ class TestConvStar2:
         assert H.values[x, y] == pytest.approx(acc)
 
 
+class TestPairTable:
+    def test_call_reads_the_entry_of_the_pair(self, rng):
+        G = _random_pair(G4, rng)
+        pair = PairConfiguration(Configuration(G4, 0b0101),
+                                 Configuration(G4, 0b0011))
+        assert G(pair) == G.values[0b0101, 0b0011]
+        assert type(G(pair)) is float
+
+    def test_products(self, rng):
+        G1, G2 = _random_pair(G4, rng), _random_pair(G4, rng)
+        both = G1 * G2
+        assert np.array_equal(both.values, G1.values * G2.values)
+        assert np.array_equal((G1 * 2.5).values, G1.values * 2.5)
+        assert not both.values.flags.writeable
+
+
 class TestPairFunctionals:
     def test_marginals_of_product(self, rng):
         a = SetFunction(G4, rng.standard_normal(G4.n_subsets))
