@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partialmethod
 
 import numpy as np
@@ -226,6 +226,13 @@ def _same_ground(first, *others):
     return ground
 
 
+def _discrete(ground, user):
+    """``ground``, if it is the :class:`DiscreteGround` that ``user`` needs."""
+    if not isinstance(ground, DiscreteGround):
+        raise ValidationError(f"not a discrete ground for {user}: {ground!r}")
+    return ground
+
+
 # ---------------------------------------------------------------------------
 # configurations
 # ---------------------------------------------------------------------------
@@ -238,8 +245,7 @@ class Configuration:
     mask: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.ground, DiscreteGround):
-            raise ValidationError(f"not a discrete ground: {self.ground!r}")
+        _discrete(self.ground, "Configuration")
         if (isinstance(self.mask, bool)
                 or not isinstance(self.mask, numbers.Integral)):
             raise ValidationError(f"bitmask {self.mask!r} is not an integer")
@@ -301,20 +307,48 @@ class PointConfiguration:
 # ---------------------------------------------------------------------------
 
 class _Table:
-    """Building of a frozen ``(ground, values)`` table: the constructor
-    holds a copy of the caller's array, :meth:`_take` a new float array
-    that nothing else refers to, without the copy.  The subclass's
-    ``_hold`` checks the array, makes it read-only and stores it."""
+    """A frozen dataclass of a discrete ``ground`` and the float arrays
+    named in ``_arrays``, of shape ``_shape()``.  The constructor holds
+    copies of the caller's arrays, :meth:`_take` the newly computed arrays
+    it is given.  An array field that defaults to None holds zeros if None."""
+
+    _arrays = ("values",)
 
     def __post_init__(self):
-        self._hold(np.array(self.values, dtype=float))
+        self._hold(np.array)
 
     @classmethod
-    def _take(cls, ground, values):
+    def _take(cls, *args):
+        """The table of ``args``, every field in order, without copies."""
         table = cls.__new__(cls)
-        object.__setattr__(table, "ground", ground)
-        table._hold(np.asarray(values, dtype=float))
+        for f, value in zip(fields(cls), args, strict=True):
+            object.__setattr__(table, f.name, value)
+        table._hold(np.asarray)
         return table
+
+    def _hold(self, as_array):
+        """Check, freeze and store each array, read by ``as_array``."""
+        _discrete(self.ground, name := type(self).__name__)
+        shape = self._shape()
+        for field in self._arrays:
+            value = getattr(self, field)
+            optional = self.__dataclass_fields__[field].default is None
+            held = (np.zeros(shape) if optional and value is None
+                    else as_array(value, dtype=float))
+            if held.shape != shape:
+                raise ValidationError(f"{name}.{field} must have shape "
+                                      f"{shape}, not {held.shape}")
+            if not np.all(np.isfinite(held)):
+                raise ValidationError(f"{name}.{field} has non-finite entries")
+            held.flags.writeable = False
+            object.__setattr__(self, field, held)
+        self._check()
+
+    def _shape(self):
+        return (self.ground.n_subsets,)
+
+    def _check(self):
+        """The subclass's own checks of its held arrays."""
 
     def _combine(self, op, other):
         """``op`` of the values and ``other``: a table of the same kind on
@@ -337,18 +371,6 @@ class SetFunction(_Table):
 
     ground: DiscreteGround
     values: np.ndarray
-
-    def _hold(self, vals):
-        if not isinstance(self.ground, DiscreteGround):
-            raise ValidationError("a discrete ground model is required here")
-        if vals.shape != (self.ground.n_subsets,):
-            raise ValidationError(
-                f"table length {vals.shape} != 2**n_sites "
-                f"({self.ground.n_subsets})")
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("set-function entries must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
     def __call__(self, arg):
         if isinstance(arg, Configuration):

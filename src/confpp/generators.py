@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Configuration, SetFunction, _same_ground
+from .core import Configuration, SetFunction, _same_ground, _Table
 from .errors import CapacityError, ValidationError
 from .transforms import _transpose_in_place, conv_disjoint, sweep
 
@@ -72,7 +72,7 @@ CLOSURE_OUT_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BirthDeathKernel:
+class BirthDeathKernel(_Table):
     """Tabulated death/birth rates ``d(x, omega)``, ``b(x, omega)``.
 
     A truncated kernel vanishes beyond ``|omega| <= k_trunc``, so it is
@@ -86,21 +86,15 @@ class BirthDeathKernel:
     birth: np.ndarray
     k_trunc: int
 
-    def __post_init__(self):
-        shape = (self.ground.n_sites, self.omegas.size)
-        death = np.asarray(self.death, dtype=float)
-        birth = np.asarray(self.birth, dtype=float)
-        if death.shape != shape or birth.shape != shape:
-            raise ValidationError(f"kernel tables must have shape {shape}")
-        for name, tab in (("death", death), ("birth", birth)):
-            if not np.all(np.isfinite(tab)):
-                raise ValidationError(f"{name} table has non-finite entries")
-            if np.any(tab < 0):
+    _arrays = ("death", "birth")
+
+    def _shape(self):
+        return (self.ground.n_sites, self.omegas.size)
+
+    def _check(self):
+        for name in self._arrays:
+            if np.any(getattr(self, name) < 0):
                 raise ValidationError(f"{name} table has negative entries")
-        death.setflags(write=False)
-        birth.setflags(write=False)
-        object.__setattr__(self, "death", death)
-        object.__setattr__(self, "birth", birth)
 
     @cached_property
     def omegas(self):
@@ -147,7 +141,7 @@ def kernel_from_entries(ground, death_entries, birth_entries, k_trunc):
                 raise ValidationError(
                     f"omega has more than k_trunc = {k_trunc} sites")
             tab[x, np.searchsorted(omegas, mask)] += float(e["value"])
-    return BirthDeathKernel(ground, death, birth, k_trunc)
+    return BirthDeathKernel._take(ground, death, birth, k_trunc)
 
 
 def random_kernel(ground, k_trunc, rng):
@@ -166,7 +160,7 @@ def random_kernel(ground, k_trunc, rng):
                 death[x, j] = rng.uniform(0.1, 1.0)
             if not omega >> x & 1 and rng.random() < 0.5:
                 birth[x, j] = rng.uniform(0.1, 1.0)
-    return BirthDeathKernel(ground, death, birth, k_trunc)
+    return BirthDeathKernel._take(ground, death, birth, k_trunc)
 
 
 def contact_kernel(ground, a):
@@ -186,8 +180,8 @@ def contact_kernel(ground, a):
     # the columns at k_trunc = 1 are the empty set, then {0}, {1}, ...
     death = np.zeros((n, n + 1))
     death[:, 0] = 1.0
-    return BirthDeathKernel(ground, death, np.hstack([np.zeros((n, 1)), a]),
-                            k_trunc=1)
+    return BirthDeathKernel._take(ground, death,
+                                  np.hstack([np.zeros((n, 1)), a]), 1)
 
 
 @dataclass(frozen=True)
@@ -290,12 +284,6 @@ def _check_dense(ground, what):
             f"(a dense matrix of 4^n floats)")
 
 
-def _pairing_weights(ground, z):
-    if not 0 < z < math.inf:
-        raise ValidationError("pairing activity must be positive and finite")
-    return ground.lp_weights(z)
-
-
 class _RowOperator:
     """``apply`` through the subclass's ``_apply_rows`` on a stack of rows."""
 
@@ -305,26 +293,18 @@ class _RowOperator:
 
 
 @dataclass(frozen=True)
-class LatticeOperator(_RowOperator):
-    """A linear operator on set-function value vectors, subset-bitmask basis.
-
-    A float array passed as ``matrix`` is not copied: the operator holds a
-    read-only view of the caller's memory, so later writes through the
-    caller's array (which stays writeable) change the operator too.
+class LatticeOperator(_Table, _RowOperator):
+    """A linear operator on set-function value vectors, subset-bitmask basis:
+    a read-only ``matrix`` of shape ``(2**n, 2**n)``, a copy of the caller's.
     """
 
     ground: object
     matrix: np.ndarray
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float).view()
-        nsub = self.ground.n_subsets
-        if mat.shape != (nsub, nsub):
-            raise ValidationError(f"operator matrix must be {nsub}x{nsub}")
-        if not np.all(np.isfinite(mat)):
-            raise ValidationError("operator matrix has non-finite entries")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+    _arrays = ("matrix",)
+
+    def _shape(self):
+        return (self.ground.n_subsets,) * 2
 
     def _apply_rows(self, P):
         """The operator applied to each row of the stack ``P``."""
@@ -332,7 +312,7 @@ class LatticeOperator(_RowOperator):
 
     def adjoint_apply(self, k, z=1.0):
         """Adjoint image w.r.t. ``<<G, k>> = sum G k wt_z``, on one vector."""
-        w = _pairing_weights(_same_ground(self, k), z)
+        w = _same_ground(self, k).lp_weights(z)
         return SetFunction._take(self.ground,
                                  (self.matrix.T @ (w * k.values)) / w)
 
@@ -383,7 +363,7 @@ class MoveOperator(_RowOperator):
 
     def adjoint_apply(self, k, z=1.0):
         """Adjoint image w.r.t. ``<<G, k>> = sum G k wt_z``, on one vector."""
-        w = _pairing_weights(_same_ground(self, k), z)
+        w = _same_ground(self, k).lp_weights(z)
         sites = range(self.ground.n_sites)
         v = (w * k.values)[None]
         if self.conjugated:
@@ -499,7 +479,7 @@ def hat_L_bruteforce(kernel, z=1.0):
     sweep(M.reshape(-1), rows, superset=True)
     _transpose_in_place(M)
     sweep(M.reshape(-1), rows, sign=-1.0)
-    return LatticeOperator(ground, M)
+    return LatticeOperator._take(ground, M)
 
 
 def _s_tables(kernel, z):
@@ -583,7 +563,7 @@ def hat_L_closed(kernel, z=1.0):
         values = parity[small[:, None] & others][np.searchsorted(small, Z)]
         values *= C[:, None]
         np.add.at(M.reshape(-1), flat.reshape(-1), values.reshape(-1))
-    return LatticeOperator(ground, M)
+    return LatticeOperator._take(ground, M)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, SetFunction, _same_ground, power_function
+from .core import (Configuration, SetFunction, _discrete, _same_ground,
+                   _Table, power_function)
 from .errors import (CapacityError, CocycleError, StabilityError,
                      UndefinedConditionalError, ValidationError)
 from .transforms import conv_disjoint, norm_fit, ranked_products, sweep
@@ -38,8 +39,8 @@ class MixingDensity:
     family: tuple = ()
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        masses = np.asarray(self.masses, dtype=float)
+        grid = np.array(self.grid, dtype=float)
+        masses = np.array(self.masses, dtype=float)
         if grid.ndim != 1 or grid.shape != masses.shape or grid.size == 0:
             raise ValidationError("grid and masses must be equal-length vectors")
         # each test is written so that NaN fails it
@@ -209,7 +210,7 @@ class Superposition:
 
 
 @dataclass(frozen=True)
-class DiscreteTable:
+class DiscreteTable(_Table):
     """Explicit law on the subset lattice.
 
     ``probs`` sums to one; ``overlap_probs`` records, per subset, the part of
@@ -221,25 +222,17 @@ class DiscreteTable:
     probs: np.ndarray
     overlap_probs: np.ndarray = None
 
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (self.ground.n_subsets,):
-            raise ValidationError("probability table has wrong length")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ValidationError("probabilities must be finite and nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-12:
+    _arrays = ("probs", "overlap_probs")
+
+    def _check(self):
+        if np.any(self.probs < 0):
+            raise ValidationError("probabilities must be nonnegative")
+        if abs(self.probs.sum() - 1.0) > 1e-12:
             raise ValidationError("probabilities must sum to 1 within 1e-12")
-        overlap = self.overlap_probs
-        overlap = (np.zeros_like(probs) if overlap is None
-                   else np.asarray(overlap, dtype=float))
-        if overlap.shape != probs.shape or np.any(overlap < -1e-15):
-            raise ValidationError("overlap mass table malformed")
-        if np.any(overlap > probs + 1e-12):
+        if np.any(self.overlap_probs < -1e-15):
+            raise ValidationError("overlap mass must be nonnegative")
+        if np.any(self.overlap_probs > self.probs + 1e-12):
             raise ValidationError("overlap mass exceeds total mass")
-        probs.setflags(write=False)
-        overlap.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "overlap_probs", overlap)
 
     @property
     def overlap_mass(self):
@@ -252,7 +245,18 @@ class DiscreteTable:
 
 def poisson_table(ground, z):
     w = ground.lp_weights(z)
-    return DiscreteTable(ground, w / w.sum())
+    return DiscreteTable._take(ground, w / w.sum(), None)
+
+
+def _batch_values(batch, points, proposals, shape=None):
+    """``batch(points, proposals)`` as floats, checked to hold one value per
+    proposal: ``shape``, by default that of a window's proposal rows."""
+    values = np.asarray(batch(points, proposals), dtype=float)
+    shape = proposals.shape[:-1] if shape is None else shape
+    if values.shape != shape:
+        raise ValidationError(f"batch returned shape {values.shape}, not "
+                              f"{shape}, one value per proposal")
+    return values
 
 
 def papangelou_table(ground, spec):
@@ -261,8 +265,8 @@ def papangelou_table(ground, spec):
     One :meth:`PapangelouSpec.batched` call per subset size ``k``, on the
     stack of every ``k``-site mask's sites against its free sites; a spec
     without ``batch`` makes one checked scalar call per mask and free site.
-    The site cap is checked before any allocation or evaluator call."""
-    if ground.n_sites > GIBBS_MAX_SITES:
+    The ground and site cap are checked before any allocation or call."""
+    if _discrete(ground, "papangelou_table").n_sites > GIBBS_MAX_SITES:
         raise CapacityError(f"Gibbs tables limited to {GIBBS_MAX_SITES} sites")
     n = ground.n_sites
     sites = np.arange(n)
@@ -279,10 +283,7 @@ def papangelou_table(ground, spec):
             values = np.array([[spec(gamma, x) for x in row]
                                for gamma, row in zip(gammas, off.tolist())])
         else:
-            values = spec.batched(on, off)
-        if values.shape != off.shape:  # e.g. a batch form without stacking
-            raise ValidationError(f"batch returned shape {values.shape} "
-                                  f"for proposals of shape {off.shape}")
+            values = _batch_values(spec.batched, on, off, off.shape)
         R[off, masks[:, np.newaxis]] = values
     return R
 
@@ -318,13 +319,14 @@ def _gibbs_law(ground, R):
     for i in reversed(range(ground.n_sites)):
         u[1 << i::2 << i] = (u[0::2 << i] * R[i, 0::2 << i]
                              * ground.site_mass(i))
-    return DiscreteTable(ground, u / u.sum())
+    return DiscreteTable._take(ground, u / u.sum(), None)
 
 
 def to_discrete_table(model, ground=None):
     """Flatten any model specification to an explicit lattice law."""
     if isinstance(model, DiscreteTable):
         return model
+    _discrete(ground, "to_discrete_table")
     if isinstance(model, Poisson):
         return poisson_table(ground, model.z)
     if isinstance(model, MixedPoisson):
@@ -332,7 +334,7 @@ def to_discrete_table(model, ground=None):
         for z, mass in zip(model.mixing.grid, model.mixing.masses):
             w = ground.lp_weights(float(z))
             probs += mass * w / w.sum()
-        return DiscreteTable(ground, probs)
+        return DiscreteTable._take(ground, probs, None)
     if isinstance(model, Gibbs):
         return gibbs_table(ground, model.papangelou)
     if isinstance(model, Superposition):
@@ -360,7 +362,7 @@ def convolve_measures(mu1, mu2):
     disjoint = np.maximum(ranked[size, np.arange(size.size)], 0.0)
     ranked *= np.arange(ranked.shape[0])[:, np.newaxis] > size
     overlap = np.maximum(ranked.sum(axis=0), 0.0)
-    return DiscreteTable(ground, disjoint + overlap, overlap)
+    return DiscreteTable._take(ground, disjoint + overlap, overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +388,13 @@ def correlation_functional(model, ground=None):
     positivity check (:func:`lenard_pd_check`) while the table passes it.
     Flatten first for the lattice law's functional.
     """
+    if isinstance(model, DiscreteTable):
+        return SetFunction._take(
+            model.ground, _table_correlation(model.ground, model.probs))
+    if isinstance(model, Gibbs):
+        raise ValidationError(
+            "flatten Gibbs models with to_discrete_table first")
+    _discrete(ground, "correlation_functional")
     if isinstance(model, Poisson):
         return power_function(ground, model.z)
     if isinstance(model, MixedPoisson):
@@ -397,12 +406,6 @@ def correlation_functional(model, ground=None):
     if isinstance(model, Superposition):
         return conv_disjoint(correlation_functional(model.left, ground),
                              correlation_functional(model.right, ground))
-    if isinstance(model, DiscreteTable):
-        return SetFunction._take(
-            model.ground, _table_correlation(model.ground, model.probs))
-    if isinstance(model, Gibbs):
-        raise ValidationError(
-            "flatten Gibbs models with to_discrete_table first")
     raise ValidationError(f"unsupported model {type(model).__name__}")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .core import BoxWindow, PointConfiguration, split_streams
 from .errors import ValidationError
 from .processes import (MixedPoisson, PapangelouSpec, Poisson, Superposition,
-                        mixing_convolution, point_mass_mixing)
+                        _batch_values, mixing_convolution, point_mass_mixing)
 
 Z_THRESHOLD = 4.0
 GNZ_BATCHES = 32
@@ -409,15 +409,6 @@ def _paired_report(identity, lhs, rhs, se_d=None, n_effective=None):
 _BLOCK = 256
 
 
-def _stacked(batch, points, proposals):
-    """``batch(points, proposals)``, checked to give one value per proposal."""
-    values = np.asarray(batch(points, proposals), dtype=float)
-    if values.shape != proposals.shape[:-1]:
-        raise ValidationError(f"batch returned shape {values.shape} for "
-                              f"proposals of shape {proposals.shape}")
-    return values
-
-
 def _proposal_blocks(states, window, rng, S):
     """``(batch, proposals)`` for each run of at most ``_BLOCK`` states of
     the :class:`PointBatch` ``states``: the run and its ``(k, S, d)``
@@ -467,16 +458,16 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
                                ).all(axis=3).any(axis=2)
             if not batched:
                 continue
-            h_vals[rows] = _stacked(h_batch, points, props)
+            h_vals[rows] = _batch_values(h_batch, points, props)
             if n:
                 # row i of `others` indexes every point but point i
                 others = np.arange(n - 1) + (np.arange(n - 1)
                                              >= np.arange(n)[:, np.newaxis])
-                at_x = _stacked(h_batch, points[:, others],
-                                points[:, :, np.newaxis])
+                at_x = _batch_values(h_batch, points[:, others],
+                                     points[:, :, np.newaxis])
                 left[rows] = list(map(math.fsum, at_x.reshape(-1, n).tolist()))
             if spec is not None:
-                r_vals[rows] = _stacked(spec.batched, points, props)
+                r_vals[rows] = _batch_values(spec.batched, points, props)
         if not batched:
             coords, bounds = batch.coords.tolist(), offsets.tolist()
             for i, repeat in enumerate(taken.any(axis=1).tolist()):
@@ -500,6 +491,12 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
     return np.concatenate(lhs), np.concatenate(rhs)
 
 
+def _plan_window(window, plan):
+    """Reject a verifier's ``window`` that is not the ``plan``'s own."""
+    if window != plan.window:
+        raise ValidationError(f"{window} is not the plan's window")
+
+
 def verify_mecke(z, window, h, plan):
     """Verifier of the defining integral identity of the Poisson process.
 
@@ -511,6 +508,7 @@ def verify_mecke(z, window, h, plan):
     carry a batched form (see :func:`constant_h`).  Needs at least two
     replicas for a standard error.
     """
+    _plan_window(window, plan)
     if plan.replicas < 2:
         raise ValidationError("the Mecke verifier needs replicas >= 2")
     streams = split_streams(plan.master_seed, 2)
@@ -617,6 +615,7 @@ def count_distribution_check(model, window, n_max, plan):
     distance, an overall pass flag (every |z| within threshold) and the
     number of samples redrawn for a repeated point.
     """
+    _plan_window(window, plan)
     rng = split_streams(plan.master_seed, 1)[0]
     return _count_report(model, window, n_max,
                          sample_batch(model, window, rng, plan.replicas))

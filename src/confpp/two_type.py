@@ -56,17 +56,11 @@ class PairSetFunction(_Table):
     ground: object
     values: np.ndarray
 
-    def _hold(self, vals):
+    def _shape(self):
         if self.ground.n_sites > PAIR_MAX_SITES:
             raise CapacityError(
                 f"pair tables limited to {PAIR_MAX_SITES} sites per coordinate")
-        n = self.ground.n_subsets
-        if vals.shape != (n, n):
-            raise ValidationError(f"pair table must be {n}x{n}")
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("pair table has non-finite entries")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        return (self.ground.n_subsets,) * 2
 
     def __call__(self, pair):
         return float(self.values[pair.plus.mask, pair.minus.mask])

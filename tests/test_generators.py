@@ -184,14 +184,14 @@ class TestConjugatedOperator:
         rhs = op.apply(G1).values + 3.0 * op.apply(G2).values
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_shares_the_callers_matrix_read_only(self):
+    def test_copies_the_callers_matrix(self):
         A = np.zeros((G5.n_subsets, G5.n_subsets))
         op = LatticeOperator(G5, A)
         assert A.flags.writeable
         assert not op.matrix.flags.writeable
-        assert np.shares_memory(op.matrix, A)
+        assert not np.shares_memory(op.matrix, A)
         A[0, 0] = 1.0  # the caller may keep editing its own array
-        assert op.matrix[0, 0] == 1.0
+        assert op.matrix[0, 0] == 0.0
 
     def test_annihilates_delta_empty_row(self, rng):
         # the empty row of the conjugated operator vanishes: no moves from
@@ -297,7 +297,8 @@ class TestAdjoint:
         k = SetFunction(G5, rng.standard_normal(G5.n_subsets))
         for call in (lambda: op.adjoint_apply(k, z),
                      lambda: hat_L_action(ker).adjoint_apply(k, z)):
-            with pytest.raises(ValidationError, match="pairing activity"):
+            with pytest.raises(ValidationError,
+                               match="intensity z must be positive"):
                 call()
 
     def test_involution(self, rng):

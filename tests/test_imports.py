@@ -6,6 +6,8 @@
 * No private module-level function, class or constant is left unread:
   each must be read somewhere in the package.
 * Grounds are compared in one place, ``core._same_ground``.
+* Arrays are made read-only in few places: every lattice table in
+  ``core._Table._hold``, and three non-table arrays.
 """
 
 import ast
@@ -127,3 +129,48 @@ def test_grounds_are_compared_in_one_place():
     places = {(path.name, func) for path in MODULES for func, _ in
               ground_comparisons(ast.parse(path.read_text(encoding="utf-8")))}
     assert places == {("core.py", "_same_ground")}
+
+
+def freezes(tree):
+    """``(scope, line)`` of each statement in ``tree`` that sets an array's
+    write flag, ``a.flags.writeable = ...`` or ``a.setflags(write=...)``;
+    ``scope`` is the dotted name of the enclosing classes and functions,
+    None at module level."""
+    found = []
+
+    def sets_write_flag(node):
+        if isinstance(node, ast.Assign):
+            return any(isinstance(t, ast.Attribute) and t.attr == "writeable"
+                       for t in node.targets)
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setflags"
+                and bool(node.args or any(k.arg == "write"
+                                          for k in node.keywords)))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if sets_write_flag(child):
+                found.append((".".join(scope) or None, child.lineno))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_the_check_sees_a_freeze():
+    source = ("class A:\n    def f(self, a):\n"
+              "        a.flags.writeable = False\n"
+              "def g(b):\n    b.setflags(write=False)\n"
+              "c.setflags(False)\nd.flags.writeable\ne.setflags(align=1)\n")
+    assert freezes(ast.parse(source)) == [("A.f", 3), ("g", 5), (None, 6)]
+
+
+def test_arrays_are_frozen_in_few_places():
+    places = {(path.name, scope) for path in MODULES for scope, _ in
+              freezes(ast.parse(path.read_text(encoding="utf-8")))}
+    assert places == {("core.py", "_Table._hold"),
+                      ("core.py", "DiscreteGround.subset_size"),
+                      ("core.py", "BoxWindow._bounds"),
+                      ("processes.py", "MixingDensity.__post_init__")}

@@ -149,6 +149,8 @@ class TestTables:
         probs[0] = 1.0
         with pytest.raises(ValidationError):
             DiscreteTable(G4, probs, overlap_probs=probs * 2)
+        with pytest.raises(ValidationError, match="non-finite"):
+            DiscreteTable(G4, probs, overlap_probs=probs * np.nan)
 
     def test_gibbs_constant_rate_is_poisson(self):
         spec = PapangelouSpec(lambda gamma, x: 1.3)
