@@ -338,7 +338,8 @@ class _Table:
             if held.shape != shape:
                 raise ValidationError(f"{name}.{field} must have shape "
                                       f"{shape}, not {held.shape}")
-            if not np.all(np.isfinite(held)):
+            # a NaN or infinity shows in min or max, with no table-sized mask
+            if held.size and not np.isfinite([held.min(), held.max()]).all():
                 raise ValidationError(f"{name}.{field} has non-finite entries")
             held.flags.writeable = False
             object.__setattr__(self, field, held)
@@ -384,19 +385,21 @@ class SetFunction(_Table):
 
 
 def constant_function(ground, value=1.0):
-    return SetFunction._take(ground, np.full(ground.n_subsets, float(value)))
+    size = _discrete(ground, "constant_function").n_subsets
+    return SetFunction._take(ground, np.full(size, float(value)))
 
 
 def indicator_empty(ground):
     """Indicator of the empty configuration, the unit of both convolutions."""
-    v = np.zeros(ground.n_subsets)
+    v = np.zeros(_discrete(ground, "indicator_empty").n_subsets)
     v[0] = 1.0
     return SetFunction._take(ground, v)
 
 
 def power_function(ground, z):
     """The functional ``eta -> z**|eta|`` (Poisson-type correlation table)."""
-    return SetFunction._take(ground, float(z) ** ground.subset_size)
+    size = _discrete(ground, "power_function").subset_size
+    return SetFunction._take(ground, float(z) ** size)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,14 @@ the transformed operator ``L^ = K^-1 L K`` three ways:
 
 * :func:`hat_L_bruteforce` -- literal conjugation through the lattice sweeps,
   all of them along the leading axis of the matrix;
-* :func:`hat_L_closed` -- an exact closed-form summation that reproduces the
-  conjugation entrywise.  On an atomic ground the closed form carries
-  overlap-correction terms (signed covering-pair sums) that have no continuum
-  counterpart: they are supported on moves where new points collide with the
-  surviving configuration, a null event for diffuse intensity measures;
+* :func:`hat_L_closed` -- the closed form of each entry: mover ``x`` gives
+  row ``x u r`` and column ``X u c`` (``X`` empty or ``{x}``) the sum
+  ``sum_{omega >= r ^ c} (-1)^{|omega n r|} k_X(x, omega) - [c <= r]
+  (-1)^{|r \\ c|} sum_{omega n r = r \\ c} k_0(x, omega)``.  On an atomic
+  ground its signs and the terms with ``omega`` meeting ``r`` are overlap
+  corrections with no continuum counterpart: they are supported on moves
+  where new points collide with the surviving configuration, a null event
+  for diffuse intensity measures;
 * :func:`hat_L_action` -- the conjugation applied to vectors.
 
 :func:`hat_L_continuum_action` is the collision-free limit form built from
@@ -391,20 +394,13 @@ class MoveOperator(_RowOperator):
         return M
 
 
-def hat_L_action(kernel, z=1.0):
-    """Matrix-free ``L^ = K^-1 L K``: agrees with :func:`hat_L_closed`.
-
-    For each ``(x, A = omegas[j])`` of :func:`_site_grid` the deaths ``d(x,
-    A)`` send ``gamma`` to ``(gamma \\ x) u A``, and the target ``gamma u A``
-    collects the births ``b(x, A)`` with the deaths ``d(x, A u x)`` that
-    re-occupy the vacated site, looked up among the columns.  Each row loses
-    its total move rate on the diagonal: minus the families applied to the
-    constant vector, one strided subtraction per family.  An application
-    costs O(n 2^n) for the two sweeps plus one strided add per family,
-    about ``n |Omega_K| 2^(n-1)`` terms in at most ``2 n |Omega_K|`` families.
-    """
-    ground = kernel.ground
-    w = ground.lp_weights(z)
+def _move_rates(kernel, z):
+    """``(x, avoid, stay, enter)`` over the ``(x, j)`` of :func:`_site_grid`,
+    with ``avoid = omegas[j]``: the death rate ``d(x, A) wt(A)`` that sends
+    ``gamma`` to ``(gamma \\ x) u A``, and the rate of the target ``gamma u
+    A``, the birth ``b(x, A) wt(A)`` plus the death ``d(x, A u x) wt(A u x)``
+    that re-occupies the vacated site, looked up among the columns."""
+    w = kernel.ground.lp_weights(z)
     om = kernel.omegas
     x, j = _site_grid(kernel)
     avoid = om[j]
@@ -412,8 +408,23 @@ def hat_L_action(kernel, z=1.0):
     # d(x, A u x) is no column when |A| = k_trunc: the rate is 0 there
     col = np.minimum(np.searchsorted(om, enter), om.size - 1)
     d_enter = np.where(om[col] == enter, kernel.death[x, col], 0.0)
-    families = _families(ground, x, avoid, kernel.death[x, j] * w[avoid],
-                         d_enter * w[enter] + kernel.birth[x, j] * w[avoid])
+    return (x, avoid, kernel.death[x, j] * w[avoid],
+            d_enter * w[enter] + kernel.birth[x, j] * w[avoid])
+
+
+def hat_L_action(kernel, z=1.0):
+    """Matrix-free ``L^ = K^-1 L K``: agrees with :func:`hat_L_closed`.
+
+    The move families are those of :func:`_move_rates`: for each ``(x, A
+    = omegas[j])`` of :func:`_site_grid`, ``gamma`` moves to ``(gamma \\ x)
+    u A`` and to ``gamma u A``.  Each row loses its total move rate on the
+    diagonal: minus the families applied to the constant vector, one
+    strided subtraction per family.  An application costs O(n 2^n) for the
+    two sweeps plus one strided add per family, about ``n |Omega_K|
+    2^(n-1)`` terms in at most ``2 n |Omega_K|`` families.
+    """
+    ground = kernel.ground
+    families = _families(ground, *_move_rates(kernel, z))
     diag = np.zeros(ground.n_subsets)
     for row, _, shape, strides, rate in families:
         view = np.ndarray(shape, float, diag, row, strides)
@@ -482,87 +493,58 @@ def hat_L_bruteforce(kernel, z=1.0):
     return LatticeOperator._take(ground, M)
 
 
-def _s_tables(kernel, z):
-    """``S[x, tau] = sum_{omega >= tau, x not in omega} ker(x, omega)
-    wt(omega)`` for the death and the effective birth table.
-
-    The kernel's columns are scattered into ``(n, 2^n)`` tables, under the
-    dense cap.  A death term with ``x in omega`` removes ``x`` and
-    immediately restores it, so it is folded into the birth table as a pure
-    birth of ``omega \\ x``; the remaining death moves never touch ``x``.
-    """
-    ground = kernel.ground
-    n = ground.n_sites
-    w = ground.lp_weights(z)
-    d_strict, b_eff = np.zeros((2, n, ground.n_subsets))
-    d_strict[:, kernel.omegas] = kernel.death
-    b_eff[:, kernel.omegas] = kernel.birth
-    masks = np.arange(ground.n_subsets)
-    for x in range(n):
-        xb = 1 << x
-        has_x = (masks & xb) == xb
-        lacks = masks[~has_x]
-        b_eff[x, lacks] += d_strict[x, lacks | xb] * w[xb]
-        d_strict[x, has_x] = 0.0
-        b_eff[x, has_x] = 0.0
-    return tuple(sweep(tab * w, range(n), superset=True)
-                 for tab in (d_strict, b_eff))
-
-
 def hat_L_closed(kernel, z=1.0):
-    """Exact closed form of the conjugated generator.
+    """Exact closed form of the conjugated generator, entry by entry.
 
-    Beyond the collision-free terms of :func:`hat_L_continuum_action`, an
-    atomic ground contributes signed covering-pair corrections: for each
-    mover ``x`` and each nonempty collision set ``zeta``, every ordered pair
-    ``(a, b)`` covering ``(alpha \\ x) \\ zeta`` adds
-    ``(-1)^{|zeta n (alpha\\x)|} (-1)^{|a|} S_x(zeta u a)`` at the column
-    ``b u zeta`` (death) and at ``b u zeta`` and ``b u zeta u {x}`` (birth),
-    where ``S_x(tau)`` sums the kernel over supersets of ``tau`` avoiding
-    ``x``.  The death part carries one extra covering-pair layer at
-    ``zeta = 0`` replacing the diagonal terms.  Agrees with
+    Write a row as ``x u r`` and a column as ``X u c``, with ``r`` and ``c``
+    subsets of the sites other than ``x`` and ``X`` either empty or ``{x}``.
+    With the rates ``kd = stay`` and ``kb = enter`` of :func:`_move_rates`,
+    ``k_0 = kd + kb`` and ``k_{x} = kb``, summing ``Kinv L K`` over its
+    inner subsets leaves
+
+        L^[x u r, X u c] = sum_x ( sum_{omega >= r ^ c} (-1)^{|omega n r|}
+                                       k_X(x, omega)
+                                   - [c <= r] (-1)^{|r \\ c|}
+                                       sum_{omega n r = r \\ c} k_0(x, omega) )
+
+    over ``omega`` in ``Omega_K``, the masks of at most ``k_trunc`` other
+    sites, so every entry with ``|r ^ c| > k_trunc`` is zero.  Agrees with
     :func:`hat_L_bruteforce` to machine precision.
 
-    For a term ``(zeta, a)`` the pairs are indexed by ``m = b u (zeta n
-    alpha)``, which runs over every subset of the other sites: the row is
-    ``m u a u {x}``, the column ``m u zeta`` (``u {x}``) and the sign
-    ``(-1)^{|m n zeta|}``.  So each mover's triples are one broadcast of the
-    terms against those subsets, scattered with one ``np.add.at``.
+    Per mover, both sums are tables over ``(D, r)``, ``D`` in ``Omega_K``,
+    for the cell ``(x u r, X u (r ^ D))``: ``k_X(omega) (-1)^{|omega n r|}``
+    summed over the supersets ``omega`` of ``D`` in ``Omega_K``, less a
+    ``bincount`` of ``k_0(omega) (-1)^{|omega n r|}`` at ``D = omega n r``.
+    The sign and index tables, in the bits of the other sites, serve every
+    mover; each table is scattered with one ``np.add.at``.
     """
     ground = kernel.ground
     _check_dense(ground, "the closed-form conjugate")
     n, nsub = ground.n_sites, ground.n_subsets
-    Sd, Sb = _s_tables(kernel, z)
-    size = ground.subset_size
-    parity = np.where(size & 1, -1.0, 1.0)
+    # r and omega over the n - 1 other sites, in n - 1 bits; a flat index
+    # stays below 4^n <= 2^24, so int32 indices do
+    r = np.arange(max(nsub >> 1, 1), dtype=np.int32)
+    om = r[ground.subset_size[:r.size] <= kernel.k_trunc]
+    at, own = np.full(r.size, -1, dtype=np.int32), np.arange(om.size)
+    at[om] = own
+    D, moved = om[:, None] & r, om[:, None] ^ r
+    sign = np.where(ground.subset_size[D] & 1, -1.0, 1.0)
+    cells = (at[D] * r.size + r).reshape(-1)
+    parents = [at[om | 1 << b] for b in range(n - 1)]
+    kd, kb = (t.reshape(n, om.size) for t in _move_rates(kernel, z)[2:])
     M = np.zeros((nsub, nsub))
-    masks = np.arange(nsub)
-    K = kernel.k_trunc
     for x in range(n):
         xb = 1 << x
-        others = masks[(masks & xb) == 0]
-        small = others[size[others] <= K]
-        zeta, a = (t.reshape(-1) for t in np.meshgrid(small, small))
-        pair = (zeta != 0) & ((zeta & a) == 0) & (size[zeta | a] <= K)
-        zeta, a = zeta[pair], a[pair]
-        # terms (zeta, a, added bit, coefficient): the collision-free death
-        # layer -S_x(a) at b u {x}, then the collision corrections
-        # S_x^d + S_x^b at b u zeta and S_x^b at b u zeta u {x}
-        Z = np.concatenate([np.zeros_like(small), zeta, zeta])
-        A = np.concatenate([small, a, a])
-        X = np.concatenate([np.full_like(small, xb), np.zeros_like(zeta),
-                            np.full_like(zeta, xb)])
-        S = Sd[x, zeta | a] + Sb[x, zeta | a]
-        C = np.concatenate([-Sd[x, small], S, Sb[x, zeta | a]]) * parity[A]
-        live = C != 0.0
-        Z, A, X, C = Z[live], A[live], X[live], C[live]
-        # row (A u x u m) * nsub + column (Z u X u m) over m in others;
-        # times nsub is a shift by n bits, which distributes over unions
-        flat = ((A | xb) * nsub | Z | X)[:, None] | others * (nsub + 1)
-        # every Z is in small (ascending): one sign row per collision set
-        values = parity[small[:, None] & others][np.searchsorted(small, Z)]
-        values *= C[:, None]
-        np.add.at(M.reshape(-1), flat.reshape(-1), values.reshape(-1))
+        k = np.stack([kd[x] + kb[x], kb[x]])[:, :, None] * sign
+        second = np.bincount(cells, k[0].reshape(-1), sign.size)
+        for up in parents:  # superset sums within Omega_K, site by site
+            k[:, up > own] += k[:, up[up > own]]
+        k -= second.reshape(sign.shape)
+        # the cells (x u r, X u (r ^ D)), bit x put back into r and r ^ D
+        flat = (r + (r & -xb) | xb) * nsub | moved + (moved & -xb)
+        for X, table in zip((0, xb), k):
+            np.add.at(M.reshape(-1), (flat | X).reshape(-1),
+                      table.reshape(-1))
     return LatticeOperator._take(ground, M)
 
 

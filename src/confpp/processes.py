@@ -244,7 +244,7 @@ class DiscreteTable(_Table):
 
 
 def poisson_table(ground, z):
-    w = ground.lp_weights(z)
+    w = _discrete(ground, "poisson_table").lp_weights(z)
     return DiscreteTable._take(ground, w / w.sum(), None)
 
 

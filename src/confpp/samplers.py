@@ -429,19 +429,20 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
     proposals)`` from :func:`_proposal_blocks`: a :class:`PointBatch` of
     states on ``window`` and their ``(len(batch), S, d)`` proposals.
 
-    A proposal that is already a point of gamma adds a 0 term.  If ``h``
-    and ``spec`` (when given) both carry a batched form, each is called
-    once per point count in a block, on the stack of those states' points
-    and proposals (every proposal, also a repeat), and ``h`` gives lhs by
-    one more call per count, on each point x against gamma \\ x.
-    Otherwise both are called in scalar form on a
+    A proposal that is already a point of gamma adds a 0 term.  A ``spec``
+    with a batched form, and ``h`` if it and ``spec`` (when given) both
+    carry one, are called once per point count in a block, on the stack of
+    those states' points and proposals (every proposal, also a repeat), and
+    a batched ``h`` gives lhs by one more call per count, on each point x
+    against gamma \\ x.  The others are called in scalar form on a
     :class:`~confpp.core.PointConfiguration` built from the state's rows,
     once per point for lhs and once per other proposal for rhs.  lhs is
     summed by ``math.fsum`` and each row of terms left to right, so both
     paths give the same bits.
     """
     h_batch = getattr(h, "batch", None)
-    batched = h_batch is not None and (spec is None or spec.batch is not None)
+    r_batched = spec is not None and spec.batch is not None
+    batched = h_batch is not None and (spec is None or r_batched)
     lhs, rhs = [], []
     for batch, proposals in blocks:
         k, counts, offsets = len(batch), batch.counts, batch.offsets
@@ -456,6 +457,8 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
             if n:
                 taken[rows] = (props[:, :, np.newaxis] == points[:, np.newaxis]
                                ).all(axis=3).any(axis=2)
+            if r_batched:
+                r_vals[rows] = _batch_values(spec.batched, points, props)
             if not batched:
                 continue
             h_vals[rows] = _batch_values(h_batch, points, props)
@@ -466,8 +469,6 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
                 at_x = _batch_values(h_batch, points[:, others],
                                      points[:, :, np.newaxis])
                 left[rows] = list(map(math.fsum, at_x.reshape(-1, n).tolist()))
-            if spec is not None:
-                r_vals[rows] = _batch_values(spec.batched, points, props)
         if not batched:
             coords, bounds = batch.coords.tolist(), offsets.tolist()
             for i, repeat in enumerate(taken.any(axis=1).tolist()):
@@ -479,7 +480,7 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
                 h_vals[i, fresh] = [h(_configuration(
                     window, pts[:(at := bisect.bisect_left(pts, u))]
                     + (u,) + pts[at:]), u) for u in us]
-                if spec is not None:
+                if spec is not None and not r_batched:
                     r_vals[i, fresh] = [spec(gamma, u) for u in us]
         h_vals[taken] = 0.0
         terms = h_vals if spec is None else np.multiply(h_vals, r_vals,
@@ -539,8 +540,8 @@ def verify_gnz(spec, h, plan):
     stream; rhs averages the uniform-MC estimate of
     ``vol mean_S h(gamma u x, x) r(gamma, x)``.  Standard errors use batch
     means to absorb chain autocorrelation.  The proposals come from a
-    stream of their own (see :func:`_proposal_blocks`).  The batched forms
-    of ``spec`` and ``h`` are used when both are present.
+    stream of their own (see :func:`_proposal_blocks`).  The batched form
+    of ``spec`` is used when present, that of ``h`` when both are.
     """
     streams = split_streams(plan.master_seed, 2)
     states = sample_gibbs_bd(spec, plan, streams[0])

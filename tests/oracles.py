@@ -17,7 +17,9 @@ GNZ right-hand sides.  :func:`point_batch` packs configurations into a
 lattice Gibbs layer.  :func:`sweep_per_bit` is the reference for that
 sweep itself: one in-place pass per bit over the whole table, with no
 change of layout.  :func:`adjoint_hat_L` is the dense adjoint of a
-generator matrix, which the program's checks never build.
+generator matrix, which the program's checks never build, and
+:func:`hat_L_covering_pairs` the covering-pair form of the conjugated
+generator.
 :func:`birth_death_states` and :func:`birth_death_residual` run the
 birth--death chain with one ``rng.random()`` call per uniform, and
 :func:`tonks_count_pmf` is the exact count law of the 1-D hard-core gas.
@@ -280,6 +282,71 @@ def dense_tables(kernel):
             dense[:, m] = tab[:, j]
         out.append(dense)
     return tuple(out)
+
+
+def hat_L_covering_pairs(kernel, z=1.0):
+    """The conjugated generator as signed covering-pair sums.
+
+    The form ``generators.hat_L_closed`` had before its entry-wise formula.
+    ``S_x(tau)`` sums a kernel table times ``wt`` over the supersets of
+    ``tau`` avoiding ``x`` (:func:`superset_contraction`), for the strict
+    death table and the effective birth table, which takes in the deaths
+    ``d(x, omega u x)`` that re-occupy the vacated site.  For each mover
+    ``x`` and each nonempty collision set ``zeta``, every ordered pair
+    ``(a, b)`` covering ``(alpha \\ x) \\ zeta`` adds ``(-1)^{|zeta n
+    (alpha\\x)|} (-1)^{|a|} S_x(zeta u a)`` at the column ``b u zeta``
+    (death) and at ``b u zeta`` and ``b u zeta u {x}`` (birth).  The death
+    part carries one extra covering-pair layer at ``zeta = 0`` replacing
+    the diagonal terms.
+
+    For a term ``(zeta, a)`` the pairs are indexed by ``m = b u (zeta n
+    alpha)``, which runs over every subset of the other sites: the row is
+    ``m u a u {x}``, the column ``m u zeta`` (``u {x}``) and the sign
+    ``(-1)^{|m n zeta|}``, scattered with one ``np.add.at`` per mover.
+    """
+    ground = kernel.ground
+    n, nsub = ground.n_sites, ground.n_subsets
+    w = product_weights(ground, z)
+    d_strict, b_eff = dense_tables(kernel)
+    masks = np.arange(nsub)
+    for x in range(n):
+        xb = 1 << x
+        has_x = (masks & xb) == xb
+        lacks = masks[~has_x]
+        b_eff[x, lacks] += d_strict[x, lacks | xb] * w[xb]
+        d_strict[x, has_x] = 0.0
+        b_eff[x, has_x] = 0.0
+    Sd, Sb = (superset_contraction(t, ground, z) for t in (d_strict, b_eff))
+    size = np.array([bin(m).count("1") for m in range(nsub)])
+    parity = np.where(size & 1, -1.0, 1.0)
+    M = np.zeros((nsub, nsub))
+    K = kernel.k_trunc
+    for x in range(n):
+        xb = 1 << x
+        others = masks[(masks & xb) == 0]
+        small = others[size[others] <= K]
+        zeta, a = (t.reshape(-1) for t in np.meshgrid(small, small))
+        pair = (zeta != 0) & ((zeta & a) == 0) & (size[zeta | a] <= K)
+        zeta, a = zeta[pair], a[pair]
+        # terms (zeta, a, added bit, coefficient): the collision-free death
+        # layer -S_x(a) at b u {x}, then the collision corrections
+        # S_x^d + S_x^b at b u zeta and S_x^b at b u zeta u {x}
+        Z = np.concatenate([np.zeros_like(small), zeta, zeta])
+        A = np.concatenate([small, a, a])
+        X = np.concatenate([np.full_like(small, xb), np.zeros_like(zeta),
+                            np.full_like(zeta, xb)])
+        S = Sd[x, zeta | a] + Sb[x, zeta | a]
+        C = np.concatenate([-Sd[x, small], S, Sb[x, zeta | a]]) * parity[A]
+        live = C != 0.0
+        Z, A, X, C = Z[live], A[live], X[live], C[live]
+        # row (A u x u m) * nsub + column (Z u X u m) over m in others;
+        # times nsub is a shift by n bits, which distributes over unions
+        flat = ((A | xb) * nsub | Z | X)[:, None] | others * (nsub + 1)
+        # every Z is in small (ascending): one sign row per collision set
+        values = parity[small[:, None] & others][np.searchsorted(small, Z)]
+        values *= C[:, None]
+        np.add.at(M.reshape(-1), flat.reshape(-1), values.reshape(-1))
+    return M
 
 
 def generator_value(kernel, F, gamma, z=1.0):

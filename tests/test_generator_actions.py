@@ -2,7 +2,9 @@
 
 The conjugated action ``hat_L_action`` is compared with the closed form
 ``hat_L_closed`` (which never builds the move families) and with the dense
-adjoint ``oracles.adjoint_hat_L`` of that matrix; the continuum action
+adjoint ``oracles.adjoint_hat_L`` of that matrix, and the closed form with
+the covering-pair sums ``oracles.hat_L_covering_pairs`` to ``1e-12`` of
+its largest entry; the continuum action
 ``hat_L_continuum_action`` with ``oracles.continuum_matrix``, a term-by-term
 transcription of the continuum formula.  The derivation checks, which read
 an operator only through ``apply``, give on the actions what they give on
@@ -87,6 +89,33 @@ def test_conjugated_action_matches_closed_form(n, k_trunc, z, seed, zero):
     _assert_close(op.adjoint_apply(k, z).values, adj, k.values, rate, w)
     # the dense operator's own vector adjoint
     _assert_close(closed.adjoint_apply(k, z).values, adj, k.values, rate, w)
+
+
+def _assert_matches_covering_pairs(ker, z):
+    want = oracles.hat_L_covering_pairs(ker, z)
+    err = np.max(np.abs(hat_L_closed(ker, z).matrix - want))
+    assert err <= 1e-12 * np.max(np.abs(want))
+
+
+@given(**CASES)
+@example(n=8, k_trunc=3, z=2.0, seed=4, zero=False)
+@example(n=6, k_trunc=None, z=0.5, seed=4, zero=False)
+@example(n=5, k_trunc=2, z=1.0, seed=4, zero=True)
+@example(n=1, k_trunc=1, z=2.0, seed=4, zero=False)
+@example(n=0, k_trunc=0, z=1.0, seed=4, zero=False)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_matches_covering_pairs(n, k_trunc, z, seed, zero):
+    # the entry-wise closed form against the signed covering-pair sums it
+    # was derived from
+    _assert_matches_covering_pairs(_case(n, k_trunc, z, seed, zero)[1], z)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_closed_form_matches_covering_pairs_contact(n):
+    rng = np.random.default_rng(6)
+    g = DiscreteGround(tuple(rng.uniform(0.5, 1.5, n)))
+    a = normalized_dispersal(g, rng.uniform(0.2, 1.0, (n, n)))
+    _assert_matches_covering_pairs(contact_kernel(g, a), 1.0)
 
 
 @given(**CASES)

@@ -216,22 +216,26 @@ def _pinned_kernel(case):
     return random_kernel(ground, k_trunc, rng)
 
 
-# SHA-256 of the matrices' bytes as computed before the dense conjugations
-# were laid out along the leading axis: (hat_L_closed, hat_L_bruteforce)
+# SHA-256 of the matrices' bytes: (hat_L_closed, hat_L_bruteforce).  The
+# hat_L_bruteforce digests are as computed before the dense conjugations were
+# laid out along the leading axis and the sweeps were cache-blocked.  The
+# hat_L_closed digests are those of its entry-wise form, which sums the
+# terms of each entry in another order than the covering-pair scatter it
+# replaced (the n0 matrix is 0 in both).
 PINNED_DIGESTS = {
     "n0": ("af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
            "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
     "n6-full": (
-        "178e3f0a5da179a3af3dc1bfe57a5681f307fa80b26f0df5010cfe5eeef82055",
+        "1db0cc727cff4f0ccdf62b204fcee68159c836d407a820c1ffd407f4fefec3a6",
         "d73cd7cea9ff47bd18995c6f7ff8632af548a620974da1f07d56e32e78c9c842"),
     "n10-k3": (
-        "5639554eb1600802e92a7faf57161eac937e0b295acfbcf80050b3c39da72696",
+        "0286ced9c3f7646ddc458d3eaca8332b57bec61802094be792bda6bd463dad1e",
         "1fbeeedcb44cebd5675e7cda918c10baf8d16354f4e47c4cae8becab7c031241"),
     "n12-k2": (
-        "17885053229fd295b101d539ce1448b816eb087eb329466965a250ec90d221c4",
+        "8fd343567f988fe7537f3de511e00540178f39fab39307cc69cb9a0b54aeddad",
         "f3bca8c4bb9cded46532db2aba3f77541aa9cf2777410eff8cac654c9f943ca1"),
     "contact-8": (
-        "55a2751792b174fb297cf884512af935f7a1f6debe10c11ee52a93fbab3924d0",
+        "5b3020fc621eb4ca0b68d47449357f25cb5ecf023dfd394f71d50464a4731aed",
         "6e6b67e10eb61a039e46306d947bebbc337d8d56c06e18e53351295c818cbf4e"),
 }
 

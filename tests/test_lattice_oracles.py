@@ -238,6 +238,44 @@ class TestSweep:
         assert np.array_equal(np.signbit(fast), np.signbit(want))
 
 
+class TestBlockedSweep:
+    """Tables longer than 2**17 entries sweep their low bits chunk by chunk;
+    the result must equal one whole-table pass per bit, bit for bit."""
+
+    @staticmethod
+    def _per_bit(table, sites, superset, sign, weights):
+        # one pass per bit over the whole table, by index arrays: the masks
+        # with bit i against the same masks without it
+        masks = np.arange(table.shape[-1])
+        for j, i in enumerate(sites):
+            hi = masks[masks >> i & 1 == 1]
+            lo = hi ^ (1 << i)
+            src, dst = (hi, lo) if superset else (lo, hi)
+            c = sign if weights is None else sign * weights[j]
+            table[..., dst] += c * table[..., src]
+        return table
+
+    @pytest.mark.parametrize("n", [17, 18, 20])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("order", ["ascending", "interleaved"])
+    @pytest.mark.parametrize("superset, sign, weighted", [
+        (False, -1.0, True), (True, 1.0, False)])
+    def test_matches_whole_table_passes(self, n, lead, order, superset,
+                                        sign, weighted):
+        rng = np.random.default_rng(n)
+        table = rng.standard_normal((*lead, 1 << n))
+        table[..., rng.random(1 << n) < 0.2] = -0.0
+        # at 20 sites, bits 18 and 17 are swept whole, 3, 16 and 0 by chunk
+        sites = (list(range(n)) if order == "ascending"
+                 else [n - 2, 3, 16, 0, n - 3])
+        weights = rng.uniform(0.5, 2.0, len(sites)) if weighted else None
+        fast, want = table.copy(), table.copy()
+        sweep(fast, sites, superset=superset, sign=sign, weights=weights)
+        self._per_bit(want, sites, superset, sign, weights)
+        assert np.array_equal(fast, want)
+        assert np.array_equal(np.signbit(fast), np.signbit(want))
+
+
 class TestRankedCapacity:
     """Above the cap the ranked kernels refuse before allocating anything."""
 

@@ -250,6 +250,30 @@ class TestGroupedSides:
                                             window, h, S, window.volume, r)
             assert all(np.array_equal(a, b) for a, b in zip(got, sides))
 
+    @pytest.mark.parametrize("d, args", [(1, (2.0, 0.5, 0.1)),
+                                         (2, (20.0, 0.3, 0.1))])
+    def test_batched_spec_with_a_scalar_h(self, d, args):
+        """A spec's batched form is used whatever h is: with a scalar h the
+        right-hand side never calls the spec's scalar evaluator."""
+        window, S, h = WINDOWS[d], 16, _h("scalar")
+        spec = strauss_spec(*args)
+        plan = RunPlan(window, replicas=300, master_seed=d, burn_in=300,
+                       thinning=2, proposal_points=S)
+        states = oracles.configurations(sample_gibbs_bd(spec, plan), window)
+        rng = np.random.default_rng(d)
+        proposals = _with_repeats(
+            states, [window.sample_uniform(rng, S) for _ in states])
+        want = oracles.insertion_sides(states, proposals, h, window.volume,
+                                       spec)
+
+        def refuse(gamma, x):
+            raise AssertionError("the scalar evaluator was called")
+
+        batch_only = PapangelouSpec(refuse, spec.batch, spec.r_max)
+        got = samplers._insertion_sides(_blocks(states, proposals), window,
+                                        h, S, window.volume, batch_only)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     @pytest.mark.parametrize("h_form", ["scalar", "batched"])
     def test_verifier_streams(self, h_form):
         """The verifiers draw what the per-state loop drew: proposals one

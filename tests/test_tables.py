@@ -14,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from confpp.core import BoxWindow, DiscreteGround, SetFunction
+from confpp.core import (BoxWindow, DiscreteGround, SetFunction,
+                         constant_function, indicator_empty, power_function)
 from confpp.errors import ValidationError
 from confpp.generators import (BirthDeathKernel, LatticeOperator,
                                hat_L_action, hat_L_closed, pairing,
@@ -22,7 +23,8 @@ from confpp.generators import (BirthDeathKernel, LatticeOperator,
 from confpp.processes import (DiscreteTable, MixedPoisson, MixingDensity,
                               PapangelouSpec, Poisson, Superposition,
                               correlation_functional, papangelou_table,
-                              point_mass_mixing, to_discrete_table)
+                              point_mass_mixing, poisson_table,
+                              to_discrete_table)
 from confpp.samplers import (RunPlan, constant_h, count_distribution_check,
                              strauss_spec, verify_gnz, verify_mecke)
 from confpp.two_type import PairSetFunction
@@ -102,6 +104,15 @@ def test_papangelou_table_needs_a_discrete_ground():
     spec = PapangelouSpec(lambda gamma, x: 1.0)
     with pytest.raises(ValidationError, match="papangelou_table"):
         papangelou_table(WINDOW, spec)
+
+
+@pytest.mark.parametrize("build, args", [
+    (poisson_table, (1.0,)), (constant_function, ()),
+    (power_function, (2.0,)), (indicator_empty, ())],
+    ids=lambda f: getattr(f, "__name__", ""))
+def test_lattice_builders_need_a_discrete_ground(build, args):
+    with pytest.raises(ValidationError, match=build.__name__):
+        build(WINDOW, *args)
 
 
 @pytest.mark.parametrize("verify", [
