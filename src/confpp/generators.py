@@ -479,18 +479,22 @@ def hat_L_bruteforce(kernel, z=1.0):
     transpose gives ``LK``, and a signed sweep (the Moebius matrix, on the
     left) gives ``L^``.  Each entry sees the additions of a row-wise
     superset sweep of ``L`` in the same order, so the matrix does not
-    depend on the sweep layout.
+    depend on the sweep layout; :func:`_bruteforce_matrix` builds it.
     """
+    return LatticeOperator._take(kernel.ground, _bruteforce_matrix(kernel, z))
+
+
+def _bruteforce_matrix(kernel, z):
+    """The writable matrix of :func:`hat_L_bruteforce`."""
     ground = kernel.ground
-    n = ground.n_sites
     op = hat_L_action(kernel, z)
     M = MoveOperator(ground, tuple((t, r, *f) for r, t, *f in op.families),
                      op.diag, False).dense()
-    rows = range(n, 2 * n)
+    rows = range(ground.n_sites, 2 * ground.n_sites)
     sweep(M.reshape(-1), rows, superset=True)
     _transpose_in_place(M)
     sweep(M.reshape(-1), rows, sign=-1.0)
-    return LatticeOperator._take(ground, M)
+    return M
 
 
 def hat_L_closed(kernel, z=1.0):
@@ -509,17 +513,27 @@ def hat_L_closed(kernel, z=1.0):
 
     over ``omega`` in ``Omega_K``, the masks of at most ``k_trunc`` other
     sites, so every entry with ``|r ^ c| > k_trunc`` is zero.  Agrees with
-    :func:`hat_L_bruteforce` to machine precision.
+    :func:`hat_L_bruteforce` to machine precision.  Sums :func:`_closed_terms`.
+    """
+    _check_dense(kernel.ground, "the closed-form conjugate")
+    M = np.zeros((kernel.ground.n_subsets,) * 2)
+    for cells, values in _closed_terms(kernel, z):
+        np.add.at(M.reshape(-1), cells, values)
+    return LatticeOperator._take(kernel.ground, M)
+
+
+def _closed_terms(kernel, z):
+    """:func:`hat_L_closed`'s terms: flat int32 indices into the matrix and
+    the values added there, one pair per mover ``x`` and ``X``.
 
     Per mover, both sums are tables over ``(D, r)``, ``D`` in ``Omega_K``,
     for the cell ``(x u r, X u (r ^ D))``: ``k_X(omega) (-1)^{|omega n r|}``
     summed over the supersets ``omega`` of ``D`` in ``Omega_K``, less a
     ``bincount`` of ``k_0(omega) (-1)^{|omega n r|}`` at ``D = omega n r``.
     The sign and index tables, in the bits of the other sites, serve every
-    mover; each table is scattered with one ``np.add.at``.
+    mover.
     """
     ground = kernel.ground
-    _check_dense(ground, "the closed-form conjugate")
     n, nsub = ground.n_sites, ground.n_subsets
     # r and omega over the n - 1 other sites, in n - 1 bits; a flat index
     # stays below 4^n <= 2^24, so int32 indices do
@@ -532,7 +546,6 @@ def hat_L_closed(kernel, z=1.0):
     cells = (at[D] * r.size + r).reshape(-1)
     parents = [at[om | 1 << b] for b in range(n - 1)]
     kd, kb = (t.reshape(n, om.size) for t in _move_rates(kernel, z)[2:])
-    M = np.zeros((nsub, nsub))
     for x in range(n):
         xb = 1 << x
         k = np.stack([kd[x] + kb[x], kb[x]])[:, :, None] * sign
@@ -543,9 +556,7 @@ def hat_L_closed(kernel, z=1.0):
         # the cells (x u r, X u (r ^ D)), bit x put back into r and r ^ D
         flat = (r + (r & -xb) | xb) * nsub | moved + (moved & -xb)
         for X, table in zip((0, xb), k):
-            np.add.at(M.reshape(-1), (flat | X).reshape(-1),
-                      table.reshape(-1))
-    return LatticeOperator._take(ground, M)
+            yield (flat | X).reshape(-1), table.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +630,13 @@ def convolution_closure_check(op, k1, k2, z=1.0):
 
     Raises if either input fails the stationarity equation, naming it.
     """
+    def defect(k):  # the largest over the orders, NaN if any is
+        return np.max([*invariance_residual(op, k, z).values()])
     for name, k in (("first", k1), ("second", k2)):
-        worst = max(invariance_residual(op, k, z).values())
-        if worst > CLOSURE_IN_TOL:
+        if not (worst := defect(k)) <= CLOSURE_IN_TOL:
             raise ValidationError(
                 f"{name} functional is not invariant (defect {worst:.3e})")
-    prod = conv_disjoint(k1, k2)
-    return max(invariance_residual(op, prod, z).values()) <= CLOSURE_OUT_TOL
+    return bool(defect(conv_disjoint(k1, k2)) <= CLOSURE_OUT_TOL)
 
 
 def normalized_dispersal(ground, seed_matrix):
@@ -650,12 +661,13 @@ def normalized_dispersal(ground, seed_matrix):
     np.fill_diagonal(S, 0.0)
     m = np.asarray(ground.weights)
     d = np.ones(n)
-    for _ in range(10_000):
-        row = d * (S @ (d * m))
-        if np.max(np.abs(row - 1.0)) < 1e-15:
-            break
-        d = np.sqrt(d * d / row)
-    a = d[:, None] * S * d[None, :]
-    if np.max(np.abs(a @ m - 1.0)) > 1e-12:
-        raise ValidationError("dispersal normalization did not converge")
+    with np.errstate(all="ignore"):  # d overflows where no scaling exists
+        for _ in range(10_000):
+            row = d * (S @ (d * m))
+            if not np.max(np.abs(row - 1.0)) >= 1e-15:  # or NaN
+                break
+            d = np.sqrt(d * d / row)
+        a = d[:, None] * S * d[None, :]
+        if not np.max(np.abs(a @ m - 1.0)) <= 1e-12:
+            raise ValidationError("dispersal normalization did not converge")
     return a

@@ -346,16 +346,16 @@ def detailed_balance_residual(spec, plan, n_moves=200):
     """
     rng = split_streams(plan.master_seed, 1)[0]
     chain = _BirthDeathChain(spec, plan.window, rng)
-    worst = 0.0
+    errs = []
     for _ in range(n_moves):
         pts, x = chain.points, plan.window.sample_point(chain.uniforms)
         birth = chain.birth_ratio(pts, x)
         if birth > 0:
             i = bisect.bisect_left(pts, x)
             death = chain.death_ratio(pts[:i] + [x] + pts[i:], i)
-            worst = max(worst, abs(birth * death - 1.0))
+            errs.append(abs(birth * death - 1.0))
         chain.step()
-    return worst
+    return float(np.max(errs, initial=0.0))  # NaN if any product is
 
 
 # ---------------------------------------------------------------------------

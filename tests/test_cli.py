@@ -1,8 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from confpp import cli
+from confpp import cli, generators
 from confpp.cli import TASKS, main, validate_config
 from confpp.core import BoxWindow, make_ground, split_streams
 from confpp.errors import ValidationError
@@ -426,3 +428,96 @@ class TestRun:
             "seed": 4})
         assert [r for r in other["results"]
                 if r["check"].startswith("lenard_")] == lenard
+
+
+def _edit_first_value(monkeypatch, call, edit):
+    """Make ``generators._closed_terms`` pass the first value of its first
+    term through ``edit`` at its ``call``-th call (from 1), that is, for
+    the ``call``-th kernel of a generator suite."""
+    terms, calls = generators._closed_terms, []
+
+    def edited(kernel, z):
+        calls.append(kernel)
+        pairs = terms(kernel, z)
+        if len(calls) == call:
+            cells, values = next(pairs)
+            values = values.copy()
+            values[0] = edit(values[0])
+            yield cells, values
+        yield from pairs
+
+    monkeypatch.setattr(generators, "_closed_terms", edited)
+
+
+class TestClosedVsBruteforce:
+    CFG = {"name": "gen", "ground": DISCRETE, "task": GEN, "seed": 7,
+           "parameters": {"kernels": 3, "k_trunc": 2}}
+
+    @staticmethod
+    def _record(report):
+        return next(r for r in report["results"]
+                    if r["check"] == "closed_vs_bruteforce")
+
+    def test_matches_the_two_builders(self, tmp_path):
+        # the one-matrix residual is max |hat_L_closed - hat_L_bruteforce|
+        # over the suite's kernels, up to the rounding of a reordered sum
+        _, report = _run(tmp_path, self.CFG)
+        rng = split_streams(7, 1)[0]
+        ground = make_ground(DISCRETE)
+        want, scale = 0.0, 0.0
+        for _ in range(3):
+            ker = generators.random_kernel(ground, 2, rng)
+            brute = generators.hat_L_bruteforce(ker).matrix
+            closed = generators.hat_L_closed(ker).matrix
+            want = max(want, float(np.max(np.abs(closed - brute))))
+            scale = max(scale, float(np.max(np.abs(brute))))
+        got = self._record(report)["residual"]
+        assert abs(got - want) <= 4 * np.spacing(scale)
+
+    def test_a_perturbed_closed_form_value_fails(self, tmp_path,
+                                                 monkeypatch):
+        _edit_first_value(monkeypatch, 1, lambda v: v + 1e-6)
+        code, report = _run(tmp_path, self.CFG)
+        rec = self._record(report)
+        assert code == 1 and not rec["pass"]
+        assert rec["residual"] == pytest.approx(1e-6, rel=1e-6)
+
+    def test_a_nan_in_a_later_kernel_fails(self, tmp_path, monkeypatch):
+        # max(0.0, nan) is 0.0 in Python: a fold through it would drop the
+        # NaN of the second kernel
+        _edit_first_value(monkeypatch, 2, lambda v: math.nan)
+        code, report = _run(tmp_path, self.CFG)
+        rec = self._record(report)
+        assert code == 1 and not report["pass"]
+        assert math.isnan(rec["residual"]) and not rec["pass"]
+
+
+def test_algebra_suite_fails_on_a_nan_in_a_later_trial(tmp_path,
+                                                        monkeypatch):
+    rel_err, calls = cli._rel_err, []
+
+    def nan_second(got, want):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else rel_err(got, want)
+
+    monkeypatch.setattr(cli, "_rel_err", nan_second)
+    code, report = _run(tmp_path, {
+        "name": "alg", "ground": DISCRETE, "task": "algebra-suite",
+        "seed": 5, "parameters": {"trials": 3}})
+    first, *rest = report["results"]
+    assert first["check"] == "k_round_trip"
+    assert math.isnan(first["residual"]) and not first["pass"]
+    assert code == 1 and not report["pass"]
+    assert all(r["pass"] for r in rest)
+
+
+def test_generator_suite_without_a_dispersal_scaling_exits_2(tmp_path,
+                                                             capsys):
+    # two sites of unequal weight admit no symmetric dispersal with unit
+    # weighted row sums; the normalization says so itself
+    code, report = _run(tmp_path, {
+        "name": "gen", "task": GEN, "seed": 7,
+        "ground": {"kind": "discrete", "weights": [1.0, 2.0]},
+        "parameters": {"kernels": 1, "k_trunc": 1}})
+    assert code == 2 and report is None
+    assert "did not converge" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import pure_death_kernel
+from confpp.cli import _fused_residual
 from confpp.core import DiscreteGround, SetFunction, power_function
 from confpp.errors import CapacityError
 from confpp.generators import (BRUTEFORCE_MAX_SITES, BirthDeathKernel,
@@ -108,6 +109,24 @@ def test_closed_form_matches_covering_pairs(n, k_trunc, z, seed, zero):
     # the entry-wise closed form against the signed covering-pair sums it
     # was derived from
     _assert_matches_covering_pairs(_case(n, k_trunc, z, seed, zero)[1], z)
+
+
+@given(**CASES)
+@example(n=0, k_trunc=0, z=1.0, seed=5, zero=False)
+@example(n=1, k_trunc=1, z=0.5, seed=5, zero=False)
+@example(n=1, k_trunc=0, z=2.0, seed=5, zero=False)
+@example(n=8, k_trunc=3, z=2.0, seed=5, zero=False)
+@example(n=6, k_trunc=None, z=0.5, seed=5, zero=False)
+@settings(max_examples=40, deadline=None)
+def test_fused_residual_matches_the_two_builders(n, k_trunc, z, seed, zero):
+    # generator-suite's residual, the brute-force matrix less the closed
+    # form's terms in place, against the difference of the public builders:
+    # the two sums differ in order only, so within 4 ulp of the largest entry
+    ker = _case(n, k_trunc, z, seed, zero)[1]
+    brute = hat_L_bruteforce(ker, z).matrix
+    want = np.max(np.abs(hat_L_closed(ker, z).matrix - brute))
+    assert abs(_fused_residual(ker, z) - want) \
+        <= 4 * np.spacing(np.max(np.abs(brute)))
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])

@@ -110,6 +110,21 @@ class TestGibbsSampler:
                                         RunPlan(W, 10, 7, burn_in=200))
         assert res > 0.1
 
+    def test_detailed_balance_sees_a_nan_ratio(self, monkeypatch):
+        # NaN products from the fifth death ratio on: a fold through
+        # Python's max would keep the finite residual before them
+        ratio, calls = samplers._BirthDeathChain.death_ratio, []
+
+        def nan_later(chain, pts, i):
+            calls.append(None)
+            return math.nan if len(calls) >= 5 else ratio(chain, pts, i)
+
+        monkeypatch.setattr(samplers._BirthDeathChain, "death_ratio",
+                            nan_later)
+        res = detailed_balance_residual(strauss_spec(2.0, 0.5, 0.1),
+                                        RunPlan(W, 10, 7, burn_in=200))
+        assert math.isnan(res)
+
     def test_stability_error(self):
         lying = PapangelouSpec(lambda gamma, x: 2.0, r_max=1.0)
         plan = RunPlan(W, replicas=1, master_seed=1, burn_in=50)
