@@ -19,7 +19,8 @@ from .core import (Configuration, SetFunction, _discrete, _same_ground,
                    _Table, power_function)
 from .errors import (CapacityError, CocycleError, StabilityError,
                      UndefinedConditionalError, ValidationError)
-from .transforms import conv_disjoint, norm_fit, ranked_products, sweep
+from .transforms import (conv_disjoint, norm_fit, ranked_moebius,
+                         ranked_products, ranked_zeta, sweep)
 
 GIBBS_MAX_SITES = 20
 MIXING_GRID_POINTS = 512
@@ -564,12 +565,14 @@ def _convolution_sides(mu1, mu2, R1, R2):
     ``(n, 2^n)`` tables that are 0 where ``x`` is in ``gamma``."""
     g = mu1.ground
     rho = convolve_measures(mu1, mu2).disjoint_part()
-    f1, f2 = SetFunction(g, mu1.probs), SetFunction(g, mu2.probs)
+    f1, f2 = ranked_zeta(g, mu1.probs, mu2.probs)
+    cols = np.arange(g.n_subsets)
     lhs, rhs = np.zeros_like(R1), np.zeros_like(R1)
     for x in range(g.n_sites):
-        g1 = SetFunction._take(g, mu1.probs * R1[x])
-        g2 = SetFunction._take(g, mu2.probs * R2[x])
-        rhs[x] = conv_disjoint(g1, f2).values + conv_disjoint(f1, g2).values
+        g1, g2 = ranked_zeta(g, mu1.probs * R1[x], mu2.probs * R2[x])
+        # g1 * f2 + f1 * g2 through one Moebius sweep, by linearity
+        rhs[x] = ranked_moebius([(g1, f2), (f1, g2)],
+                                g.n_sites)[g.subset_size, cols]
         shape = (-1, 2, 1 << x)  # masks as (high bits, bit x, low bits)
         lhs[x].reshape(shape)[:, 0] = rho.reshape(shape)[:, 1] / g.site_mass(x)
         rhs[x].reshape(shape)[:, 1] = 0.0

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, SetFunction, _same_ground, lp_integral
+from .core import (Configuration, SetFunction, _reals, _same_ground,
+                   lp_integral)
 from .errors import CapacityError, ValidationError
 
 RANKED_MAX_SITES = 20
@@ -48,18 +49,32 @@ def _transpose_in_place(squares):
     return squares
 
 
-# Tables on fewer sites keep every pass in place.  From 12 sites on, each
-# transposed square is at least one whole 64 x 64 tile; below that the
-# per-square transposes cost more than the short passes they replace (a
-# full sweep of one table, one thread of a 2-core KVM box, numpy 2.4: 88
-# against 76 us at 11 sites, 82 against 101 us at 12).
-_TRANSPOSE_MIN_SITES = 12
+# Every pass runs under a ufunc buffer of 256 entries.  Under numpy's
+# default of 8192, a pass whose pairs are runs of 2**i entries, 4 <= i < 12,
+# runs up to twice as slow (2**22-entry table, one thread of a 2-core KVM
+# box, numpy 2.4.6, best of 7, two runs: bits 8-11 2.7-4.0 against 1.5-2.7
+# ms, bits 4-7 3.4-7.6 against 2.1-6.2 ms; bits 0-3 and from 12 on the
+# same either way).  Buffers of 64 to 512 entries measured alike; 1024 lost
+# again on bits 5-8, 2048 on bits 5-9.
+_BUFSIZE = 256
+
+# Tables on fewer sites keep every pass in place.  Under that buffer, from
+# 10 sites on the per-square transposes of a stack cost less than the short
+# passes they replace, and one table comes out even (that box, median of
+# 400 alternating calls, in place against transposed: a (2, 11, 2**10)
+# stack 278 against 206 us, a (2, 12, 2**11) stack 584 against 409 us, one
+# 10-site table 48 against 47 us).  At 9 sites they lose (median of 21: a
+# (2, 10, 2**9) stack 124 against 176 us, one table 31 against 38 us).
+_TRANSPOSE_MIN_SITES = 10
 
 # Passes over bits below 17 run in chunks of 2**17 floats, 1 MiB, half the
 # per-core L2 of the 2-core KVM box above: the 12 row-bit sweeps of a
 # 4^12-float matrix took 0.157 s in whole passes and 0.125 s in chunks (in
 # one run, chunks of 2**17 to 2**20: 0.112-0.118 s, 2**16: 0.131, 2**15:
-# 0.142).
+# 0.142).  Under the 256-entry buffer the same sweeps took a median of
+# 112 ms in whole passes, 97 in chunks of 2**16 and 85 in chunks of 2**17
+# (15 alternating rounds); chunks of 2**18 took 76 ms, a gain left to a
+# change of its own (ROADMAP).
 _BLOCK_BITS = 17
 
 
@@ -86,8 +101,11 @@ def sweep(table, sites, superset=False, sign=1.0, weights=None):
     (``c = sign`` without weights).  Leading axes are a stack of tables
     swept together.  With unit coefficients the subset sweep is the zeta
     transform (sum over submasks) and ``sign=-1`` its Moebius inverse.
-    ``table`` must be a C-contiguous float array whose last axis has
-    ``2**n`` entries, and every site must lie in ``[0, n)``; it is returned.
+    ``table`` must be a C-contiguous float64 array whose last axis has
+    ``2**n`` entries, every site must lie in ``[0, n)``, and ``weights``,
+    if given, must hold one finite real per swept site; any other input
+    raises :class:`ValidationError` before the first pass.  ``table`` is
+    returned.
 
     A pass over bit ``i`` runs numpy's inner loop over runs of only
     ``2**i`` entries, so low bits cost per-call overhead rather than memory
@@ -98,9 +116,14 @@ def sweep(table, sites, superset=False, sign=1.0, weights=None):
     is swept as bit ``s + h``, and the squares are transposed back.  On a
     last axis of more than ``2**_BLOCK_BITS`` entries, each run of sites
     swept as bits below ``_BLOCK_BITS`` is swept one chunk of that many
-    entries at a time, in cache.  Every entry gets the same additions in
-    the same order, so the result is the same bit for bit.
+    entries at a time, in cache.  The passes run under numpy's ufunc
+    buffer of ``_BUFSIZE`` entries, and the caller's buffer size is back in
+    place when the sweep returns or raises.  Every entry gets the same
+    additions in the same order, so the result is the same bit for bit.
     """
+    if table.dtype != np.float64:
+        raise ValidationError(
+            f"sweep needs a float64 table, not {table.dtype}")
     if not table.flags.c_contiguous:
         raise ValidationError("sweep needs a C-contiguous table")
     size = table.shape[-1] if table.ndim else 0
@@ -111,24 +134,36 @@ def sweep(table, sites, superset=False, sign=1.0, weights=None):
     sites = list(sites)
     if not all(0 <= i < n for i in sites):
         raise ValidationError(f"sweep sites must lie in [0, {n})")
+    coefs = [sign] * len(sites)
+    if weights is not None:
+        try:
+            weights = _reals(weights)
+        except TypeError:
+            weights = None
+        if (weights is None or len(weights) != len(sites)
+                or not all(map(math.isfinite, weights))):
+            raise ValidationError(
+                "sweep weights must be one finite real per swept site")
+        coefs = [sign * w for w in weights]
     h = n // 2
-    for low, run in itertools.groupby(enumerate(sites),
-                                      key=lambda js: js[1] < h):
-        run = list(run)
-        shift = h if (low and len(run) > 1
-                      and n >= _TRANSPOSE_MIN_SITES) else 0
-        if shift:
-            _transpose_in_place(table.reshape(-1, 1 << h, 1 << h))
-        for small, part in itertools.groupby(
-                run, key=lambda js: js[1] + shift < _BLOCK_BITS):
-            part = [(i + shift, sign if weights is None else sign * weights[j])
-                    for j, i in part]
-            for chunk in (table.reshape(-1, 1 << _BLOCK_BITS)
-                          if small and n > _BLOCK_BITS else (table,)):
-                for i, c in part:
-                    _sweep_bit(chunk, i, superset, c)
-        if shift:
-            _transpose_in_place(table.reshape(-1, 1 << h, 1 << h))
+    with np.errstate():  # restores the caller's buffer size on exit
+        np.setbufsize(_BUFSIZE)
+        for low, run in itertools.groupby(enumerate(sites),
+                                          key=lambda js: js[1] < h):
+            run = list(run)
+            shift = h if (low and len(run) > 1
+                          and n >= _TRANSPOSE_MIN_SITES) else 0
+            if shift:
+                _transpose_in_place(table.reshape(-1, 1 << h, 1 << h))
+            for small, part in itertools.groupby(
+                    run, key=lambda js: js[1] + shift < _BLOCK_BITS):
+                part = [(i + shift, coefs[j]) for j, i in part]
+                for chunk in (table.reshape(-1, 1 << _BLOCK_BITS)
+                              if small and n > _BLOCK_BITS else (table,)):
+                    for i, c in part:
+                        _sweep_bit(chunk, i, superset, c)
+            if shift:
+                _transpose_in_place(table.reshape(-1, 1 << h, 1 << h))
     return table
 
 
@@ -171,6 +206,35 @@ def covering_values(v1, v2, n_sites):
     return sweep(out, range(n_sites), sign=-1.0)
 
 
+def ranked_zeta(ground, *operands):
+    """``(len(operands), n + 1, 2**n)`` stack: row ``j`` of each operand is
+    the zeta transform of its rank-``j`` entries.  Holds ``(n + 1) 2^n``
+    floats per operand, so it is capped at ``RANKED_MAX_SITES`` sites."""
+    n = ground.n_sites
+    if n > RANKED_MAX_SITES:
+        raise CapacityError(
+            f"{n} sites exceed the ranked-convolution cap of "
+            f"{RANKED_MAX_SITES}")
+    ranked = np.zeros((len(operands), n + 1, ground.n_subsets))
+    for row, v in zip(ranked, operands):  # row j: the rank-j entries
+        row[ground.subset_size, np.arange(ground.n_subsets)] = v
+    return sweep(ranked, range(n))
+
+
+def ranked_moebius(pairs, top):
+    """Rows ``m = 0 .. top`` of ``sum_(i + j = m) f[i] g[j]`` summed over
+    the pairs ``(f, g)`` of :func:`ranked_zeta` stacks, mapped back by one
+    Moebius sweep: by linearity, the sum of the pairs' ranked products."""
+    n = pairs[0][0].shape[0] - 1
+    out = np.zeros((top + 1, pairs[0][0].shape[-1]))
+    tmp = np.empty(out.shape[-1])
+    for f, g in pairs:
+        for i in range(min(n, top) + 1):
+            for j in range(min(n, top - i) + 1):
+                out[i + j] += np.multiply(f[i], g[j], out=tmp)
+    return sweep(out, range(n), sign=-1.0)
+
+
 def ranked_products(v1, v2, ground, top):
     """Rank-pair split of the covering product, ``O(n^2 2^n)``.
 
@@ -181,26 +245,9 @@ def ranked_products(v1, v2, ground, top):
     At ``m = |eta|`` the pairs are the disjoint splits of ``eta`` (the fast
     subset convolution of Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier
     meets Moebius", STOC 2007); ``m > |eta|`` collects overlapping pairs.
-    Holds ``(n + 1) 2^n`` floats per operand, so it is capped at
-    ``RANKED_MAX_SITES`` sites.
+    Capped at ``RANKED_MAX_SITES`` sites, as :func:`ranked_zeta`.
     """
-    n = ground.n_sites
-    if n > RANKED_MAX_SITES:
-        raise CapacityError(
-            f"{n} sites exceed the ranked-convolution cap of "
-            f"{RANKED_MAX_SITES}")
-    size = ground.subset_size
-    cols = np.arange(ground.n_subsets)
-    ranked = np.zeros((2, n + 1, ground.n_subsets))
-    ranked[0, size, cols] = v1  # row j of each operand: its rank-j entries
-    ranked[1, size, cols] = v2
-    f, g = sweep(ranked, range(n))
-    out = np.zeros((top + 1, ground.n_subsets))
-    tmp = np.empty(ground.n_subsets)
-    for i in range(min(n, top) + 1):
-        for j in range(min(n, top - i) + 1):
-            out[i + j] += np.multiply(f[i], g[j], out=tmp)
-    return sweep(out, range(n), sign=-1.0)
+    return ranked_moebius([ranked_zeta(ground, v1, v2)], top)
 
 
 def conv_disjoint(G1, G2):

@@ -8,6 +8,7 @@
 * Grounds are compared in one place, ``core._same_ground``.
 * Arrays are made read-only in few places: every lattice table in
   ``core._Table._hold``, and three non-table arrays.
+* numpy's ufunc buffer size is set in one place, ``transforms.sweep``.
 """
 
 import ast
@@ -131,12 +132,26 @@ def test_grounds_are_compared_in_one_place():
     assert places == {("core.py", "_same_ground")}
 
 
-def freezes(tree):
-    """``(scope, line)`` of each statement in ``tree`` that sets an array's
-    write flag, ``a.flags.writeable = ...`` or ``a.setflags(write=...)``;
-    ``scope`` is the dotted name of the enclosing classes and functions,
-    None at module level."""
+def scoped_matches(tree, match):
+    """``(scope, line)`` of each node in ``tree`` for which ``match`` is
+    true; ``scope`` is the dotted name of the enclosing classes and
+    functions, None at module level."""
     found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append((".".join(scope) or None, child.lineno))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(tree, ())
+    return found
+
+
+def freezes(tree):
+    """:func:`scoped_matches` of each statement that sets an array's write
+    flag, ``a.flags.writeable = ...`` or ``a.setflags(write=...)``."""
 
     def sets_write_flag(node):
         if isinstance(node, ast.Assign):
@@ -148,15 +163,15 @@ def freezes(tree):
                 and bool(node.args or any(k.arg == "write"
                                           for k in node.keywords)))
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if sets_write_flag(child):
-                found.append((".".join(scope) or None, child.lineno))
-            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
-            visit(child, scope + (child.name,) if named else scope)
+    return scoped_matches(tree, sets_write_flag)
 
-    visit(tree, ())
-    return found
+
+def buffer_resizes(tree):
+    """:func:`scoped_matches` of each call of numpy's ``setbufsize``, by
+    attribute or bare name."""
+    return scoped_matches(tree, lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "attr", None) == "setbufsize"
+        or getattr(node.func, "id", None) == "setbufsize"))
 
 
 def test_the_check_sees_a_freeze():
@@ -174,3 +189,18 @@ def test_arrays_are_frozen_in_few_places():
                       ("core.py", "DiscreteGround.subset_size"),
                       ("core.py", "BoxWindow._bounds"),
                       ("processes.py", "MixingDensity.__post_init__")}
+
+
+def test_the_check_sees_a_buffer_resize():
+    source = ("import numpy as np\nfrom numpy import setbufsize\n"
+              "class A:\n    def f(self):\n        np.setbufsize(64)\n"
+              "setbufsize(8192)\nnp.getbufsize()\n")
+    assert buffer_resizes(ast.parse(source)) == [("A.f", 5), (None, 6)]
+
+
+def test_the_buffer_size_is_set_in_one_place():
+    # a buffered reduction sums pairwise within blocks of the buffer size,
+    # so a setting that leaked out of the sweep could move a report's bits
+    places = {(path.name, scope) for path in MODULES for scope, _ in
+              buffer_resizes(ast.parse(path.read_text(encoding="utf-8")))}
+    assert places == {("transforms.py", "sweep")}

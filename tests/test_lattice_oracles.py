@@ -200,6 +200,23 @@ class TestSweep:
             sweep(table, sites)
         assert np.array_equal(table, np.arange(8.0))
 
+    @pytest.mark.parametrize("weights", [
+        [2.0], [2.0] * 5, [2.0, np.nan, 1.0, 1.0], [1.0, 1.0, -np.inf, 1.0],
+        [1.0, "2", 1.0, 1.0], [True] * 4, 2.0])
+    def test_rejects_weights_not_one_finite_real_per_site(self, weights):
+        table = np.ones(16)
+        with pytest.raises(ValidationError):
+            sweep(table, range(4), weights=weights)
+        assert np.array_equal(table, np.ones(16))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, bool])
+    @pytest.mark.parametrize("weights", [None, [2.0] * 4])
+    def test_rejects_a_table_not_float64(self, dtype, weights):
+        table = np.ones(16, dtype=dtype)
+        with pytest.raises(ValidationError):
+            sweep(table, range(4), weights=weights)
+        assert np.array_equal(table, np.ones(16, dtype=dtype))
+
     @given(n=st.one_of(st.integers(0, 16), st.sampled_from([18, 21])),
            lead=st.lists(st.integers(1, 3), max_size=2),
            order=st.sampled_from(["ascending", "permuted", "repeated"]),
@@ -236,6 +253,46 @@ class TestSweep:
         oracles.sweep_per_bit(want, sites, **kw)
         assert np.array_equal(fast, want)
         assert np.array_equal(np.signbit(fast), np.signbit(want))
+
+
+class TestSweepBuffer:
+    """``sweep`` runs its passes under its own ufunc buffer size: the
+    caller's is back in place afterwards, and no output depends on it."""
+
+    @pytest.mark.parametrize("bufsize", [8192, 1 << 16])
+    def test_the_caller_buffer_size_is_restored(self, bufsize):
+        with np.errstate():
+            np.setbufsize(bufsize)
+            sweep(np.ones((2, 1 << 12)), range(12))
+            assert np.getbufsize() == bufsize
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                sweep(np.full(1 << 12, 1e308), range(12))
+            assert np.getbufsize() == bufsize
+
+    @given(n=st.integers(12, 16), lead=st.sampled_from([(), (2,), (3, 2)]),
+           repeated=st.booleans(), superset=st.booleans(),
+           sign=st.sampled_from([1.0, -1.0]), weighted=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_output_does_not_depend_on_the_buffer_size(
+            self, n, lead, repeated, superset, sign, weighted, seed):
+        # bits 6-11 are the passes whose speed depends on the buffer size
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((*lead, 1 << n))
+        table[rng.random(table.shape) < 0.3] = -0.0
+        sites = (rng.integers(6, 12, 8) if repeated
+                 else rng.permutation(np.arange(6, 12))).tolist()
+        weights = rng.standard_normal(len(sites)) if weighted else None
+        kw = dict(superset=superset, sign=sign, weights=weights)
+        outs = [sweep(table.copy(), sites, **kw),
+                oracles.sweep_per_bit(table.copy(), sites, **kw)]
+        with np.errstate():
+            np.setbufsize(1 << 16)
+            outs += [sweep(table.copy(), sites, **kw),
+                     oracles.sweep_per_bit(table.copy(), sites, **kw)]
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+            assert np.array_equal(np.signbit(out), np.signbit(outs[0]))
 
 
 class TestBlockedSweep:
