@@ -207,6 +207,8 @@ def _run_generator_suite(cfg):
                              hat_L_continuum_action, invariance_residual,
                              normalized_dispersal, pairing, random_kernel)
     ground = cfg["ground"]
+    if ground.n_sites < 2:  # the contact check's dispersal; say so up front
+        raise ValidationError("dispersal needs at least two sites")
     params = cfg["parameters"]
     rng = split_streams(cfg["seed"], 1)[0]
     results = []

@@ -142,9 +142,18 @@ class BoxWindow:
         return v
 
     def contains(self, point):
-        if len(point) != len(self.box):
+        """Whether ``point`` lies in the closed box, as a Python bool.
+
+        A point of the wrong length, or with a NaN coordinate, is outside.
+        """
+        box = self.box
+        if len(point) != len(box):
             return False
-        for x, (lo, hi) in zip(point, self.box):
+        if len(box) == 1:
+            lo, hi = box[0]
+            # not the comparison itself: on an ndarray row it is a numpy bool
+            return True if lo <= point[0] <= hi else False
+        for x, (lo, hi) in zip(point, box):
             if not lo <= x <= hi:
                 return False
         return True

@@ -222,7 +222,8 @@ def strauss_spec(beta, g, R):
     return PapangelouSpec(evaluator, batch=batch, r_max=beta)
 
 
-# the slots' own setters for _configuration; the class stays frozen
+# the slots' own setters for the trusted builds of _configuration and of
+# _insertion_sides' scalar loop; the class stays frozen
 _set_ground = PointConfiguration.ground.__set__
 _set_points = PointConfiguration.points.__set__
 
@@ -443,6 +444,7 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
     h_batch = getattr(h, "batch", None)
     r_batched = spec is not None and spec.batch is not None
     batched = h_batch is not None and (spec is None or r_batched)
+    bisect_left, new = bisect.bisect_left, object.__new__
     lhs, rhs = [], []
     for batch, proposals in blocks:
         k, counts, offsets = len(batch), batch.counts, batch.offsets
@@ -477,9 +479,14 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
                 fresh = ~taken[i] if repeat else slice(None)
                 us = list(map(tuple, proposals[i, fresh].tolist()))
                 left[i] = math.fsum(h(gamma, x) for x in pts)
-                h_vals[i, fresh] = [h(_configuration(
-                    window, pts[:(at := bisect.bisect_left(pts, u))]
-                    + (u,) + pts[at:]), u) for u in us]
+                vals = []
+                for u in us:  # _configuration's body, without its call
+                    at = bisect_left(pts, u)
+                    inserted = new(PointConfiguration)
+                    _set_ground(inserted, window)
+                    _set_points(inserted, pts[:at] + (u,) + pts[at:])
+                    vals.append(h(inserted, u))
+                h_vals[i, fresh] = vals
                 if spec is not None and not r_batched:
                     r_vals[i, fresh] = [spec(gamma, u) for u in us]
         h_vals[taken] = 0.0

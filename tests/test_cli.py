@@ -521,3 +521,15 @@ def test_generator_suite_without_a_dispersal_scaling_exits_2(tmp_path,
         "parameters": {"kernels": 1, "k_trunc": 1}})
     assert code == 2 and report is None
     assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", [[], [1.0]])
+def test_generator_suite_under_two_sites_exits_2(tmp_path, capsys, weights):
+    # raised before any kernel is built: at 0 sites a residual fold would
+    # otherwise reduce an empty array
+    code, report = _run(tmp_path, {
+        "name": "gen", "task": GEN, "seed": 7,
+        "ground": {"kind": "discrete", "weights": weights},
+        "parameters": {"kernels": 1, "k_trunc": 1}})
+    assert code == 2 and report is None
+    assert "dispersal needs at least two sites" in capsys.readouterr().err

@@ -101,15 +101,33 @@ class TestBoxWindow:
         assert w.box == ((0.25, 1.0),)
         assert all(type(b) is float for b in w.box[0])
 
-    def test_contains_points_matches_contains(self):
-        w = BoxWindow(((0.0, 2.0), (1.0, 1.5)))
-        rows = np.array([[0.0, 1.0], [2.0, 1.5], [1.0, 1.2], [2.0, 1.6],
-                         [-1e-300, 1.2], [1.0, 0.9], [0.5, 1.5]])
-        assert w.contains_points(rows).tolist() == [
-            w.contains(tuple(r)) for r in rows.tolist()]
-        assert w.contains_points(np.empty((0, 2))).shape == (0,)
-        with pytest.raises(ValidationError):
-            w.contains_points(np.zeros((3, 1)))
+    @pytest.mark.parametrize("box", [((0.0, 2.0),),
+                                     ((0.0, 2.0), (1.0, 1.5)),
+                                     ((0.0, 2.0), (1.0, 1.5), (-3.0, -0.25))])
+    def test_contains_points_matches_contains(self, box):
+        w, d = BoxWindow(box), len(box)
+        mid = [(lo + hi) / 2 for lo, hi in box]
+        rows = [mid, [lo for lo, _ in box], [hi for _, hi in box]]
+        for k, (lo, hi) in enumerate(box):
+            for x in (lo, hi, np.nextafter(lo, -np.inf),
+                      np.nextafter(hi, np.inf), math.nan, math.inf, -math.inf):
+                rows.append(mid[:k] + [float(x)] + mid[k + 1:])
+        rows = np.array(rows)
+        want = [all(lo <= x <= hi for x, (lo, hi) in zip(row, box))
+                for row in rows.tolist()]
+        assert w.contains_points(rows).tolist() == want
+        for row, inside in zip(rows, want):
+            for point in (tuple(row.tolist()), tuple(row), row.tolist(), row):
+                got = w.contains(point)
+                assert type(got) is bool and got == inside
+        for short_or_long in (mid[:-1], mid + mid[:1]):
+            for point in (tuple(short_or_long), short_or_long,
+                          np.array(short_or_long)):
+                assert w.contains(point) is False
+        assert w.contains_points(np.empty((0, d))).shape == (0,)
+        for cols in (d - 1, d + 1):
+            with pytest.raises(ValidationError):
+                w.contains_points(np.zeros((3, cols)))
 
     def test_sample_uniform_matches_rng_uniform(self):
         w = BoxWindow(((-1.5, 2.0), (0.25, 0.75), (3.0, 7.0)))

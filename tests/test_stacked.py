@@ -178,6 +178,19 @@ def _blocks(states, proposals):
                np.stack(proposals[i:i + block]))
 
 
+def _recorded(h, calls):
+    """A scalar ``h`` that appends ``(gamma.points, x)`` to ``calls`` on each
+    call; a batched ``h`` as it is."""
+    if getattr(h, "batch", None) is not None:
+        return h
+
+    def recorder(gamma, x):
+        calls.append((gamma.points, x))
+        return h(gamma, x)
+
+    return recorder
+
+
 def _with_repeats(states, proposals):
     """Copies of the proposals where some rows repeat a point of their state:
     the first row of every third nonempty state, and every row of one."""
@@ -219,10 +232,15 @@ class TestGroupedSides:
         proposals = _with_repeats(
             states, [window.sample_uniform(rng, S) for _ in states])
         scale = z * window.volume
+        ours, theirs = [], []
         got = samplers._insertion_sides(_blocks(states, proposals), window,
-                                        h, S, scale)
-        want = oracles.insertion_sides(states, proposals, h, scale)
+                                        _recorded(h, ours), S, scale)
+        want = oracles.insertion_sides(states, proposals,
+                                       _recorded(h, theirs), scale)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # the same scalar calls in the same order, none on a repeat
+        assert ours == theirs
+        assert len(ours) > 0 if h_form == "scalar" else not ours
 
     @pytest.mark.parametrize("d, args", [(1, (2.0, 0.5, 0.1)),
                                          (2, (20.0, 0.3, 0.1))])
