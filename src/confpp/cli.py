@@ -194,12 +194,16 @@ def _run_algebra_suite(cfg):
 
 
 def _fused_residual(kernel, z=1.0):
-    """``max |hat_L_bruteforce - hat_L_closed|`` in one matrix, in place."""
+    """``max |hat_L_bruteforce - hat_L_closed|`` in one matrix, in place.
+
+    ``max(M.max(), -M.min())`` reads the matrix twice and writes nothing;
+    a NaN entry makes either reduction NaN, and ``np.maximum`` keeps it.
+    """
     from .generators import _bruteforce_matrix, _closed_terms
     M = _bruteforce_matrix(kernel, z)
     for cells, values in _closed_terms(kernel, z):
         np.subtract.at(M.reshape(-1), cells, values)
-    return float(np.abs(M, out=M).max())
+    return float(np.maximum(M.max(), -M.min()))
 
 
 def _run_generator_suite(cfg):

@@ -166,19 +166,20 @@ class BoxWindow:
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValidationError(
                 f"need an (n, {self.dimension}) array of points")
-        lo, hi, _ = self._bounds
-        return np.all((lo <= points) & (points <= hi), axis=1)
+        inside = np.ones(len(points), dtype=bool)
+        for a, (lo, hi) in enumerate(self.box):  # per axis: d is short
+            column = points[:, a]
+            inside &= (lo <= column) & (column <= hi)
+        return inside
 
     @cached_property
     def _bounds(self):
-        """Lower corner, upper corner and side lengths, read-only ``(d,)``
-        arrays."""
+        """Lower corner and side lengths, read-only ``(d,)`` arrays."""
         lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        span = hi - lo
-        for a in (lo, hi, span):
+        span = np.array([b[1] for b in self.box]) - lo
+        for a in (lo, span):
             a.flags.writeable = False
-        return lo, hi, span
+        return lo, span
 
     def sample_uniform(self, rng, n):
         """Draw ``n`` i.i.d. uniform points; shape ``(n, d)``.
@@ -187,7 +188,7 @@ class BoxWindow:
         stream use, of ``rng.uniform(lo, hi, ...)``, so the draws are the
         same bit for bit, without that call's broadcasting set-up.
         """
-        lo, _, span = self._bounds
+        lo, span = self._bounds
         u = rng.random((n, len(lo)))
         u *= span
         u += lo

@@ -127,7 +127,9 @@ def _draw_sorted(model, window, rng, size):
     owner = np.repeat(np.arange(size), counts)
     # owner is the primary key and already ascending, so it is unchanged
     rows = rows[np.lexsort((*rows.T[::-1], owner))]
-    same = (owner[1:] == owner[:-1]) & (rows[1:] == rows[:-1]).all(axis=1)
+    same = owner[1:] == owner[:-1]
+    for a in range(rows.shape[1]):  # per axis: d is short, the rows long
+        same &= rows[1:, a] == rows[:-1, a]
     repeated = np.zeros(size, dtype=bool)
     repeated[owner[1:][same]] = True
     return counts, rows, repeated
@@ -211,13 +213,18 @@ def strauss_spec(beta, g, R):
         n = points.shape[-2]
         if n >= powers.size:  # s never exceeds n
             powers = np.array([beta * g ** k for k in range(n + 1)])
-        d2 = 0.0  # (..., m, n) squared distances, axis by axis
-        for k in range(points.shape[-1]):
-            diff = (proposals[..., :, np.newaxis, k]
-                    - points[..., np.newaxis, :, k])
+        # (..., n, m) squared distances, summed axis by axis from axis 0
+        # (0.0 + x == x for a square).  With the point axis ahead of the
+        # proposals, the passes and the count run inner loops of m, not one
+        # short loop of n per proposal
+        d2 = points[..., :, np.newaxis, 0] - proposals[..., np.newaxis, :, 0]
+        d2 *= d2
+        for k in range(1, points.shape[-1]):
+            diff = (points[..., :, np.newaxis, k]
+                    - proposals[..., np.newaxis, :, k])
             diff *= diff
             d2 += diff
-        return powers[np.add.reduce(d2 <= r2, axis=-1)]
+        return powers[np.add.reduce(d2 <= r2, axis=-2)]
 
     return PapangelouSpec(evaluator, batch=batch, r_max=beta)
 
@@ -430,7 +437,11 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
     proposals)`` from :func:`_proposal_blocks`: a :class:`PointBatch` of
     states on ``window`` and their ``(len(batch), S, d)`` proposals.
 
-    A proposal that is already a point of gamma adds a 0 term.  A ``spec``
+    A proposal that is already a point of gamma adds a 0 term.  Such
+    repeats are found per point count on ``(states, n, S)`` slabs, one
+    coordinate at a time, and OR-ed over the leading point axis: numpy
+    runs a reduction over a trailing axis as one short loop per output,
+    over a leading one as passes of whole rows of ``S``.  A ``spec``
     with a batched form, and ``h`` if it and ``spec`` (when given) both
     carry one, are called once per point count in a block, on the stack of
     those states' points and proposals (every proposal, also a repeat), and
@@ -457,8 +468,11 @@ def _insertion_sides(blocks, window, h, S, scale, spec=None):
             points = batch.coords[offsets[rows, np.newaxis] + np.arange(n)]
             props = proposals[rows]
             if n:
-                taken[rows] = (props[:, :, np.newaxis] == points[:, np.newaxis]
-                               ).all(axis=3).any(axis=2)
+                u, x = props[:, np.newaxis], points[:, :, np.newaxis]
+                same = u[..., 0] == x[..., 0]
+                for a in range(1, props.shape[-1]):
+                    same &= u[..., a] == x[..., a]
+                taken[rows] = same.any(axis=1)
             if r_batched:
                 r_vals[rows] = _batch_values(spec.batched, points, props)
             if not batched:

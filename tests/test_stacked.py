@@ -26,10 +26,8 @@ from confpp.samplers import (RunPlan, constant_h, sample_batch,
                              sample_gibbs_bd, strauss_spec, verify_gnz,
                              verify_mecke)
 
-WINDOWS = {1: BoxWindow(((0.0, 1.0),)),
-           2: BoxWindow(((0.0, 1.0), (0.0, 1.0)))}
-CELLS = {1: BoxWindow(((0.25, 0.75),)),
-         2: BoxWindow(((0.25, 0.75), (0.25, 0.75)))}
+WINDOWS = {d: BoxWindow(((0.0, 1.0),) * d) for d in (1, 2, 3)}
+CELLS = {d: BoxWindow(((0.25, 0.75),) * d) for d in (1, 2, 3)}
 # grid points make ties at distance exactly R; the others are off-grid
 COORD = st.one_of(st.integers(0, 32).map(lambda k: k / 32),
                   st.floats(0.0, 1.0))
@@ -49,7 +47,7 @@ def _per_configuration(batch, points, proposals, core):
 @st.composite
 def window_stacks(draw):
     """Sorted point stacks ``(..., n, d)`` and proposals ``(..., m, d)``."""
-    d = draw(st.sampled_from([1, 2]))
+    d = draw(st.sampled_from([1, 2, 3]))
     lead = draw(LEADING)
     n, m = draw(st.integers(0, 6)), draw(st.integers(0, 5))
     k = int(np.prod(lead, dtype=int))
@@ -193,11 +191,16 @@ def _recorded(h, calls):
 
 def _with_repeats(states, proposals):
     """Copies of the proposals where some rows repeat a point of their state:
-    the first row of every third nonempty state, and every row of one."""
+    the first row of every third nonempty state, and every row of one.  The
+    second row of every third nonempty state is a near-repeat of its middle
+    point, equal to it on every axis but the last, which is one ulp off: a
+    repeat check that reads too few axes drops it."""
     proposals = [p.copy() for p in proposals]
     nonempty = [i for i, g in enumerate(states) if len(g)]
     for i in nonempty[::3]:
         proposals[i][0] = states[i].points[-1]
+        proposals[i][1] = states[i].points[len(states[i]) // 2]
+        proposals[i][1, -1] = np.nextafter(proposals[i][1, -1], 2.0)
     proposals[nonempty[1]][:] = states[nonempty[1]].points[0]
     return proposals
 
@@ -206,7 +209,8 @@ class TestGroupedSides:
     @pytest.mark.parametrize("h_form", ["scalar", "batched"])
     @pytest.mark.parametrize("spec_form", ["native", "scalar"])
     @pytest.mark.parametrize("d, args", [(1, (2.0, 0.5, 0.1)),
-                                         (2, (20.0, 0.3, 0.1))])
+                                         (2, (20.0, 0.3, 0.1)),
+                                         (3, (20.0, 0.3, 0.1))])
     def test_gnz(self, d, args, spec_form, h_form):
         window, S = WINDOWS[d], 16
         spec, h = _spec(spec_form, args), _h(h_form)
@@ -223,7 +227,7 @@ class TestGroupedSides:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("h_form", ["scalar", "batched"])
-    @pytest.mark.parametrize("d, z", [(1, 2.0), (2, 8.0)])
+    @pytest.mark.parametrize("d, z", [(1, 2.0), (2, 8.0), (3, 16.0)])
     def test_mecke(self, d, z, h_form):
         window, S, h = WINDOWS[d], 16, _h(h_form)
         rng = np.random.default_rng(10 + d)
@@ -243,7 +247,8 @@ class TestGroupedSides:
         assert len(ours) > 0 if h_form == "scalar" else not ours
 
     @pytest.mark.parametrize("d, args", [(1, (2.0, 0.5, 0.1)),
-                                         (2, (20.0, 0.3, 0.1))])
+                                         (2, (20.0, 0.3, 0.1)),
+                                         (3, (20.0, 0.3, 0.1))])
     def test_batched_forms_build_no_configuration(self, monkeypatch, d,
                                                   args):
         """With a batched h, and a batched spec or none, both sides are
@@ -269,7 +274,8 @@ class TestGroupedSides:
             assert all(np.array_equal(a, b) for a, b in zip(got, sides))
 
     @pytest.mark.parametrize("d, args", [(1, (2.0, 0.5, 0.1)),
-                                         (2, (20.0, 0.3, 0.1))])
+                                         (2, (20.0, 0.3, 0.1)),
+                                         (3, (20.0, 0.3, 0.1))])
     def test_batched_spec_with_a_scalar_h(self, d, args):
         """A spec's batched form is used whatever h is: with a scalar h the
         right-hand side never calls the spec's scalar evaluator."""
