@@ -20,7 +20,7 @@ from .errors import (CapacityError, CocycleError, ConfppError,
 from .generators import (BirthDeathKernel, LatticeOperator, MoveOperator,
                          contact_kernel, derive_kernels, hat_L_action,
                          hat_L_bruteforce, hat_L_closed,
-                         hat_L_continuum_action, kernel_from_entries)
+                         hat_L_continuum_action)
 from .processes import (DiscreteTable, Gibbs, MixedPoisson, MixingDensity,
                         PapangelouSpec, Poisson, Superposition,
                         convolve_measures, correlation_functional,

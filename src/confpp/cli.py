@@ -14,7 +14,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core import (BoxWindow, DiscreteGround, SetFunction, json_dumps,
@@ -397,7 +396,7 @@ TASKS = {
 def _versions():
     return {"confpp": __version__,
             "python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__}
 
 
 def run_experiment(cfg, with_timestamp=True):

@@ -105,46 +105,20 @@ class BirthDeathKernel(_Table):
         return _omega_list(self.ground, self.k_trunc)
 
 
-def _index(value, stop, what):
-    """``value`` as an int, if it is an integer (not a bool) in [0, stop)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or not 0 <= value < stop:
-        raise ValidationError(f"{what} {value!r} is not in range({stop})")
-    return int(value)
-
-
 def _omega_list(ground, k_trunc):
     """Masks ``omega`` with ``|omega| <= k_trunc``, ascending, after checking
     ``k_trunc``: the columns of a kernel table."""
-    n = ground.n_sites
-    if _index(k_trunc, max(n, MAX_K_TRUNC) + 1, "k_trunc") > MAX_K_TRUNC \
-            and k_trunc != n:
+    n, stop = ground.n_sites, max(ground.n_sites, MAX_K_TRUNC) + 1
+    if isinstance(k_trunc, bool) \
+            or not isinstance(k_trunc, (int, np.integer)) \
+            or not 0 <= k_trunc < stop:
+        raise ValidationError(f"k_trunc {k_trunc!r} is not in range({stop})")
+    if k_trunc > MAX_K_TRUNC and k_trunc != n:
         raise ValidationError(f"k_trunc above {MAX_K_TRUNC} must equal the "
                               "site count (a full-range kernel)")
     if k_trunc == n and n > 8:
         raise CapacityError("full-range kernels limited to 8 sites")
     return np.nonzero(ground.subset_size <= k_trunc)[0]
-
-
-def kernel_from_entries(ground, death_entries, birth_entries, k_trunc):
-    """Build a kernel from sparse ``{"x": i, "omega": [...], "value": v}`` rows."""
-    n = ground.n_sites
-    omegas = _omega_list(ground, k_trunc)
-    death, birth = np.zeros((2, n, omegas.size))
-    for tab, entries in ((death, death_entries), (birth, birth_entries)):
-        for e in entries:
-            x = _index(e["x"], n, "site")
-            mask = 0
-            for s in e["omega"]:
-                bit = 1 << _index(s, n, "site")
-                if mask & bit:
-                    raise ValidationError("duplicate site in omega")
-                mask |= bit
-            if mask.bit_count() > k_trunc:
-                raise ValidationError(
-                    f"omega has more than k_trunc = {k_trunc} sites")
-            tab[x, np.searchsorted(omegas, mask)] += float(e["value"])
-    return BirthDeathKernel._take(ground, death, birth, k_trunc)
 
 
 def random_kernel(ground, k_trunc, rng):

@@ -33,11 +33,11 @@ MIXING_TAIL_MASS = 1e-8
 
 @dataclass(frozen=True)
 class MixingDensity:
-    """Quadrature mass vector for an intensity mixture ``p(z) dz``."""
+    """Quadrature mass vector for an intensity mixture ``p(z) dz``; one
+    atom is a point mass."""
 
     grid: np.ndarray
     masses: np.ndarray
-    family: tuple = ()
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float)
@@ -63,65 +63,39 @@ class MixingDensity:
 
 
 def point_mass_mixing(z):
-    return MixingDensity(np.array([float(z)]), np.array([1.0]),
-                         family=("point", float(z)))
-
-
-def _quadrature_mixing(pdf, z_max, n_points, family):
-    h = z_max / n_points
-    grid = (np.arange(n_points) + 0.5) * h
-    masses = pdf(grid) * h
-    return MixingDensity(grid, masses / masses.sum(), family=family)
+    return MixingDensity(np.array([float(z)]), np.array([1.0]))
 
 
 def exponential_mixing(theta, n_points=MIXING_GRID_POINTS):
     """Midpoint quadrature of ``theta e^{-theta z}``, tail-truncated."""
     if not 0 < theta < math.inf:  # NaN fails too
         raise ValidationError("rate must be positive and finite")
-    z_max = -math.log(MIXING_TAIL_MASS) / theta
-    return _quadrature_mixing(lambda z: theta * np.exp(-theta * z), z_max,
-                              n_points, ("exponential", float(theta)))
-
-
-def gamma_mixing(shape, rate, n_points=MIXING_GRID_POINTS):
-    """Midpoint quadrature of the Gamma(shape, rate) density."""
-    if not (0 < shape < math.inf and 0 < rate < math.inf):  # NaN fails too
-        raise ValidationError("shape and rate must be positive and finite")
-    from scipy.stats import gamma as gamma_dist
-    z_max = float(gamma_dist.ppf(1.0 - MIXING_TAIL_MASS, shape, scale=1.0 / rate))
-    pdf = lambda z: gamma_dist.pdf(z, shape, scale=1.0 / rate)
-    return _quadrature_mixing(pdf, z_max, n_points, ("gamma", float(shape),
-                                                     float(rate)))
+    if (isinstance(n_points, bool)
+            or not isinstance(n_points, (int, np.integer)) or n_points < 1):
+        raise ValidationError(f"n_points must be an integer >= 1, "
+                              f"got {n_points!r}")
+    h = -math.log(MIXING_TAIL_MASS) / theta / n_points
+    grid = (np.arange(n_points) + 0.5) * h
+    masses = theta * np.exp(-theta * grid) * h
+    return MixingDensity(grid, masses / masses.sum())
 
 
 def mixing_convolution(p1, p2):
     """Distribution of the sum of independent mixed intensities.
 
-    Point masses shift the other operand; exponential pairs with a common
-    rate collapse to the Gamma closed form; general vectors convolve on a
-    shared uniform grid.
+    The masses convolve on the operands' common grid spacing; a one-atom
+    operand, a point mass, has no spacing and shifts the other.
     """
-    if p1.family[:1] == ("point",):
-        z0 = p1.grid[0]
-        return MixingDensity(p2.grid + z0, p2.masses,
-                             family=("shifted",) if p2.family[:1] != ("point",)
-                             else ("point", float(z0 + p2.grid[0])))
-    if p2.family[:1] == ("point",):
-        return mixing_convolution(p2, p1)
-    if (p1.family[:1] == ("exponential",) and p2.family[:1] == ("exponential",)
-            and abs(p1.family[1] - p2.family[1]) < 1e-15):
-        return gamma_mixing(2.0, p1.family[1], n_points=max(p1.grid.size,
-                                                            p2.grid.size))
-    h1 = p1.grid[1] - p1.grid[0] if p1.grid.size > 1 else None
-    h2 = p2.grid[1] - p2.grid[0] if p2.grid.size > 1 else None
-    if h1 is None or h2 is None or abs(h1 - h2) > 1e-12 * h1:
-        raise ValidationError("grids must share a common spacing")
-    if (np.max(np.abs(np.diff(p1.grid) - h1)) > 1e-9 * h1
-            or np.max(np.abs(np.diff(p2.grid) - h1)) > 1e-9 * h1):
-        raise ValidationError("grids must be uniformly spaced")
+    spaced = [p.grid for p in (p1, p2) if p.grid.size > 1]
+    h = spaced[0][1] - spaced[0][0] if spaced else 0.0
+    for grid in spaced:
+        if abs(grid[1] - grid[0] - h) > 1e-12 * h:
+            raise ValidationError("grids must share a common spacing")
+        if np.max(np.abs(np.diff(grid) - h)) > 1e-9 * h:
+            raise ValidationError("grids must be uniformly spaced")
     masses = np.convolve(p1.masses, p2.masses)
-    grid = p1.grid[0] + p2.grid[0] + h1 * np.arange(masses.size)
-    return MixingDensity(grid, masses / masses.sum(), family=("convolved",))
+    grid = p1.grid[0] + p2.grid[0] + h * np.arange(masses.size)
+    return MixingDensity(grid, masses / masses.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +208,6 @@ class DiscreteTable(_Table):
             raise ValidationError("overlap mass must be nonnegative")
         if np.any(self.overlap_probs > self.probs + 1e-12):
             raise ValidationError("overlap mass exceeds total mass")
-
-    @property
-    def overlap_mass(self):
-        return float(self.overlap_probs.sum())
 
     def disjoint_part(self):
         """Unnormalized sub-measure from disjoint pairs only."""

@@ -363,19 +363,3 @@ def norm_fit(k, C, delta):
     return NormFit(C=float(C), delta=float(delta), norm=float(ratios[best]),
                    attained_at=Configuration(k.ground, best))
 
-
-def poly_bound_check(G):
-    """Verify the polynomial bound on the transform of a bounded function.
-
-    For ``G`` with support order ``N`` (largest occupied cardinality) and
-    ``C = max |G|``, checks ``|KG(gamma)| <= C (1 + |gamma|)^N`` across the
-    lattice.  Returns ``(C, N, holds)``.
-    """
-    size = G.ground.subset_size
-    C = float(np.max(np.abs(G.values)))
-    support = np.nonzero(G.values)[0]
-    N = int(size[support].max()) if support.size else 0
-    F = k_transform(G)
-    bound = C * (1.0 + size) ** N
-    holds = bool(np.all(np.abs(F.values) <= bound + 1e-12))
-    return C, N, holds

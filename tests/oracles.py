@@ -21,8 +21,10 @@ generator matrix, which the program's checks never build, and
 :func:`hat_L_covering_pairs` the covering-pair form of the conjugated
 generator.
 :func:`birth_death_states` and :func:`birth_death_residual` run the
-birth--death chain with one ``rng.random()`` call per uniform, and
-:func:`tonks_count_pmf` is the exact count law of the 1-D hard-core gas.
+birth--death chain with one ``rng.random()`` call per uniform,
+:func:`tonks_count_pmf` is the exact count law of the 1-D hard-core gas, and
+:func:`mixed_poisson_count_pmf` the mixed Poisson count law by a recurrence
+over ``n``, one atom at a time.
 """
 
 import bisect
@@ -633,3 +635,23 @@ def tonks_count_pmf(beta, R, L=1.0):
     w = np.array([beta ** n * max(L - (n - 1) * R, 0.0) ** n
                   / math.factorial(n) for n in range(math.ceil(L / R) + 1)])
     return w / w.sum()
+
+
+def mixed_poisson_count_pmf(mixing, volume, n_max):
+    """``P(N = n)``, n = 0 .. n_max, of a Poisson count with mean ``z
+    volume`` and ``z`` drawn from ``mixing``, in plain floats.
+
+    Each atom's term is carried as its logarithm by the recurrence ``log
+    t_n = log t_(n-1) + log(z volume / n)`` from ``log t_0 = -z volume``, so
+    that no power, factorial or ``e^(-z volume)`` overflows or underflows
+    before the last step; the atoms are summed by ``math.fsum``.
+    """
+    means = [float(z) * volume for z in mixing.grid]
+    logs = [-m for m in means]
+    out = []
+    for n in range(n_max + 1):
+        if n:
+            logs = [t + math.log(m / n) for t, m in zip(logs, means)]
+        out.append(math.fsum(float(w) * math.exp(t)
+                             for w, t in zip(mixing.masses, logs)))
+    return out

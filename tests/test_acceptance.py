@@ -20,8 +20,7 @@ from confpp.generators import (check_adjoint_leibniz, contact_kernel,
 from confpp.processes import (DiscreteTable, MixedPoisson, Poisson,
                               Superposition, correlation_functional,
                               convolve_measures, exponential_mixing,
-                              gamma_mixing, projection_density,
-                              recover_correlation)
+                              projection_density, recover_correlation)
 from confpp.samplers import (RunPlan, count_distribution_check,
                              estimate_correlation, sample_batch,
                              sample_gibbs_bd, strauss_spec, verify_gnz,
@@ -102,7 +101,7 @@ class TestMeasureConvolution:
                 probs[masks] = vals / vals.sum()
                 tables.append(DiscreteTable(g, probs))
             conv = convolve_measures(*tables)
-            assert conv.overlap_mass <= 1e-12
+            assert conv.overlap_probs.sum() <= 1e-12
             lhs = correlation_functional(conv).values
             rhs = conv_disjoint(correlation_functional(tables[0]),
                                 correlation_functional(tables[1])).values
@@ -337,11 +336,12 @@ class TestStatisticalLayer:
         plan = RunPlan(UNIT_BOX, replicas=100_000, master_seed=304)
         rep = count_distribution_check(model, UNIT_BOX, 10, plan)
         assert rep["tv"] <= 0.02
-        # the analytic column is the Gamma(2,1)-mixed law
-        from confpp.samplers import analytic_count_pmf
-        ref = analytic_count_pmf(gamma_mixing(2.0, 1.0), 1.0, 10)
+        # the analytic column is the Gamma(2,1)-mixed law: the negative
+        # binomial P(N = n) = (n + 1) / 2^(n + 2) on a unit volume
         for rec in rep["per_n"]:
-            assert rec["analytic"] == pytest.approx(ref[rec["n"]], abs=1e-4)
+            n = rec["n"]
+            assert rec["analytic"] == pytest.approx((n + 1) / 2 ** (n + 2),
+                                                    abs=1e-4)
 
     def test_11_exponential_count_law(self):
         theta = 1.0

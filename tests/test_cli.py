@@ -9,7 +9,7 @@ from confpp.cli import TASKS, main, validate_config
 from confpp.core import BoxWindow, make_ground, split_streams
 from confpp.errors import ValidationError
 from confpp.processes import Poisson, Superposition
-from confpp.samplers import (RunPlan, count_distribution_check,
+from confpp.samplers import (COUNT_MAX_N, RunPlan, count_distribution_check,
                              estimate_correlation, sample_batch)
 
 DISCRETE = {"kind": "discrete",
@@ -283,8 +283,7 @@ class TestRun:
         assert len(report["results"]) >= 6
         assert report["schema_version"] == 1
         assert "timestamp" not in report
-        assert {"confpp", "numpy", "scipy", "python"} \
-            <= set(report["versions"])
+        assert set(report["versions"]) == {"confpp", "numpy", "python"}
 
     def test_algebra_suite_at_18_sites(self, tmp_path):
         # the checks hold from rounding alone at this size, and the pairing's
@@ -346,6 +345,30 @@ class TestRun:
             "parameters": {"model": "poisson", "z": 1.0, "n_max": 6},
             "plan": {"replicas": 4000}})
         assert code == 0 and report["pass"]
+
+    @pytest.mark.parametrize("task, parameters", [
+        ("identity:counts", {"model": "mixed-exponential"}),
+        ("identity:counts", {"model": "poisson", "z": 150.0}),
+        ("identity:superposition", {})])
+    def test_count_tasks_run_past_factorial_overflow(self, tmp_path, task,
+                                                     parameters):
+        # 171! and 150^171 are beyond a float; the run ends by its verdict
+        code, report = _run(tmp_path, {
+            "name": "cnt", "ground": BOX, "task": task, "seed": 13,
+            "parameters": dict(parameters, n_max=200),
+            "plan": {"replicas": 500}})
+        assert code == (0 if report["pass"] else 1)
+        counts = report["results"][0]
+        assert all(math.isfinite(r["analytic"]) for r in counts.get(
+            "per_n", [])) and math.isfinite(counts["tv"])
+
+    def test_count_cap_is_a_config_error(self, tmp_path, capsys):
+        code, report = _run(tmp_path, {
+            "name": "cnt", "ground": BOX, "task": "identity:counts",
+            "seed": 13, "parameters": {"n_max": COUNT_MAX_N + 1},
+            "plan": {"replicas": 10}})
+        assert code == 2 and report is None
+        assert "limited to n_max" in capsys.readouterr().err
 
     def test_fourier_covering_conv_fails_on_a_wrong_conv_union(
             self, tmp_path, monkeypatch):

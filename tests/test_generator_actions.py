@@ -34,8 +34,7 @@ from confpp.generators import (BRUTEFORCE_MAX_SITES, BirthDeathKernel,
                                derive_kernels,
                                hat_L_action, hat_L_bruteforce, hat_L_closed,
                                hat_L_continuum_action, invariance_residual,
-                               kernel_from_entries, normalized_dispersal,
-                               random_kernel)
+                               normalized_dispersal, random_kernel)
 
 TOL = 1e-10
 CASES = dict(n=st.integers(0, 8), k_trunc=st.sampled_from([0, 1, 2, 3, None]),
@@ -250,8 +249,10 @@ def test_kernels_build_at_the_ground_cap():
     rng = np.random.default_rng(24)
     g = DiscreteGround((1.0,) * n)
     a = np.ones((n, n)) - np.eye(n)
-    entries = [{"x": 23, "omega": [0], "value": 0.5}]
-    assert kernel_from_entries(g, entries, [], 1).death[23, 1] == 0.5
+    death = np.zeros((n, n + 1))  # columns: the empty mask, then each site
+    death[23, 1] = 0.5  # d(23, {0})
+    ker = BirthDeathKernel(g, death, np.zeros_like(death), 1)
+    assert ker.omegas[1] == 0b1 and ker.death[23, 1] == 0.5
     assert random_kernel(g, 1, rng).death.shape == (n, n + 1)
     op = hat_L_continuum_action(contact_kernel(g, a))
     assert op.diag.shape == (g.n_subsets,)

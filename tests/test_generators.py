@@ -18,7 +18,6 @@ from confpp.generators import (BirthDeathKernel, check_adjoint_leibniz,
                                derivation_residual_max, derive_kernels,
                                hat_L_action, hat_L_bruteforce, hat_L_closed,
                                hat_L_continuum_action, invariance_residual,
-                               kernel_from_entries,
                                LatticeOperator, normalized_dispersal, pairing,
                                random_kernel, _transpose_in_place)
 from confpp import generators
@@ -29,15 +28,11 @@ G5 = DiscreteGround((0.7, 1.2, 0.5, 0.9, 1.1))
 
 class TestKernelValidation:
     def test_truncation_enforced(self):
-        # a table holds only the columns |omega| <= k_trunc, and the entry
-        # list rejects a wider omega
+        # a table holds only the columns |omega| <= k_trunc
         n = G5.n_sites
         death = np.zeros((n, G5.n_subsets))
         with pytest.raises(ValidationError, match="shape"):
             BirthDeathKernel(G5, death, np.zeros_like(death), 2)
-        wide = [{"x": 0, "omega": [0, 1, 2], "value": 1.0}]
-        with pytest.raises(ValidationError, match="k_trunc"):
-            kernel_from_entries(G5, wide, [], 2)
 
     def test_negative_rates_rejected(self):
         n = G5.n_sites
@@ -45,20 +40,6 @@ class TestKernelValidation:
         death[0, 0] = -1.0
         with pytest.raises(ValidationError, match="negative"):
             BirthDeathKernel(G5, death, np.zeros_like(death), 1)
-
-    @pytest.mark.parametrize("entry, top", [
-        ({"x": 1.9}, {}), ({"x": True}, {}), ({"x": 5}, {}), ({"x": -1}, {}),
-        ({"omega": [0.5, 2.7]}, {}), ({"omega": [10]}, {}),
-        ({"omega": [-1]}, {}), ({"omega": [False]}, {}),
-        ({}, {"k_trunc": 2.9}), ({}, {"k_trunc": True})], ids=repr)
-    def test_json_boundary_rejects_bad_entries(self, entry, top):
-        # kernel_from_entries reads JSON-style rows: integer (not bool)
-        # sites in range, and an integer k_trunc
-        row = {"x": 1, "omega": [0, 2], "value": 0.5}
-        assert kernel_from_entries(G5, [row], [], 2).death.sum() == 0.5
-        with pytest.raises(ValidationError):
-            kernel_from_entries(G5, [dict(row, **entry)], [],
-                                top.get("k_trunc", 2))
 
     def test_full_range_flag(self, rng):
         # k_trunc equal to the site count enables full-range kernels
@@ -72,19 +53,17 @@ class TestKernelValidation:
         # the generator-suite task built its kernels from entry lists drawn
         # in this order; random_kernel must give the same arrays
         def from_entries(ground, rng, k_trunc):
-            death, birth = [], []
-            for x in range(ground.n_sites):
-                for omega in range(ground.n_subsets):
-                    if int(omega).bit_count() > k_trunc:
-                        continue
-                    sites = [i for i in range(ground.n_sites) if omega >> i & 1]
+            n = ground.n_sites
+            omegas = [m for m in range(ground.n_subsets)
+                      if m.bit_count() <= k_trunc]
+            death, birth = np.zeros((2, n, len(omegas)))
+            for x in range(n):
+                for j, omega in enumerate(omegas):
                     if rng.random() < 0.5:
-                        death.append({"x": x, "omega": sites,
-                                      "value": float(rng.uniform(0.1, 1.0))})
+                        death[x, j] = rng.uniform(0.1, 1.0)
                     if not omega >> x & 1 and rng.random() < 0.5:
-                        birth.append({"x": x, "omega": sites,
-                                      "value": float(rng.uniform(0.1, 1.0))})
-            return kernel_from_entries(ground, death, birth, k_trunc)
+                        birth[x, j] = rng.uniform(0.1, 1.0)
+            return BirthDeathKernel(ground, death, birth, k_trunc)
 
         for k_trunc in (0, 2, G5.n_sites):
             want = from_entries(G5, np.random.default_rng(7), k_trunc)

@@ -9,9 +9,16 @@
 * Arrays are made read-only in few places: every lattice table in
   ``core._Table._hold``, and three non-table arrays.
 * numpy's ufunc buffer size is set in one place, ``transforms.sweep``.
+
+One check runs code: the package imports, lists its tasks and runs a mixing
+convolution's count check in a process where ``import scipy`` fails, since
+numpy is its one run-time dependency.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -204,3 +211,31 @@ def test_the_buffer_size_is_set_in_one_place():
     places = {(path.name, scope) for path in MODULES for scope, _ in
               buffer_resizes(ast.parse(path.read_text(encoding="utf-8")))}
     assert places == {("transforms.py", "sweep")}
+
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from confpp.cli import main
+from confpp.core import BoxWindow
+from confpp.processes import MixedPoisson, Superposition, exponential_mixing
+from confpp.samplers import RunPlan, count_distribution_check
+assert main(["list"]) == 0
+window = BoxWindow(((0.0, 1.0),))
+model = Superposition(MixedPoisson(exponential_mixing(1.0)),
+                      MixedPoisson(exponential_mixing(1.0)))
+rep = count_distribution_check(model, window, 6,
+                               RunPlan(window, replicas=200, master_seed=1))
+print(len(rep["per_n"]))
+"""
+
+
+def test_the_package_runs_without_scipy():
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "identity:counts" in run.stdout
+    assert run.stdout.splitlines()[-1] == "7"
+

@@ -17,7 +17,7 @@ from confpp.processes import (GIBBS_MAX_SITES, DiscreteTable, Gibbs,
                               MixedPoisson, MixingDensity, PapangelouSpec,
                               Poisson, Superposition, convolve_measures,
                               correlation_functional, exponential_mixing,
-                              gamma_mixing, gibbs_convolution_check,
+                              gibbs_convolution_check,
                               gibbs_table, lenard_pd_check,
                               mixing_convolution, papangelou_of_table,
                               papangelou_table, pairwise_gibbs_spec,
@@ -60,10 +60,6 @@ class TestMixingDensity:
         assert p.moment(1) == pytest.approx(0.5, rel=1e-4)
         assert p.moment(2) == pytest.approx(0.5, rel=1e-3)
 
-    def test_gamma_moments(self):
-        p = gamma_mixing(2.0, 1.0, n_points=2048)
-        assert p.moment(1) == pytest.approx(2.0, rel=1e-4)
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             MixingDensity(np.array([1.0, 0.5]), np.array([0.5, 0.5]))
@@ -81,14 +77,14 @@ class TestMixingDensity:
         with pytest.raises(ValidationError):
             MixingDensity(np.array(grid), np.array(masses))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 0, -3])
     def test_families_reject_bad_parameters(self, bad):
         with pytest.raises(ValidationError):
             exponential_mixing(bad)
-        with pytest.raises(ValidationError):
-            gamma_mixing(bad, 1.0)
-        with pytest.raises(ValidationError):
-            gamma_mixing(2.0, bad)
+        # the grid size must be an integer >= 1, and not a bool
+        for n_points in (bad, True):
+            with pytest.raises(ValidationError, match="n_points"):
+                exponential_mixing(1.0, n_points=n_points)
         with pytest.raises(ValidationError):
             Poisson(bad)
 
@@ -99,20 +95,21 @@ class TestMixingConvolution:
         assert p.grid.size == 1
         assert p.grid[0] == pytest.approx(1.2)
 
-    def test_exp_exp_closed_form(self):
-        p = mixing_convolution(exponential_mixing(1.0), exponential_mixing(1.0))
-        ref = gamma_mixing(2.0, 1.0, n_points=p.grid.size)
-        assert p.moment(1) == pytest.approx(ref.moment(1), rel=1e-6)
-        assert p.moment(2) == pytest.approx(ref.moment(2), rel=1e-6)
+    @pytest.mark.parametrize("z0", [0.3, 1.7])
+    def test_point_mass_shifts_the_other_operand(self, z0):
+        e = exponential_mixing(1.0)
+        for p in (mixing_convolution(point_mass_mixing(z0), e),
+                  mixing_convolution(e, point_mass_mixing(z0))):
+            assert np.array_equal(p.masses, e.masses)
+            assert np.allclose(p.grid, e.grid + z0, rtol=1e-15, atol=0.0)
 
     def test_grid_convolution_closed_form_agreement(self):
-        # same-rate exponentials through the generic grid path
+        # two rate-1 exponentials sum to Gamma(2, 1): mean 2, second moment 6
         e = exponential_mixing(1.0, n_points=1024)
-        e2 = MixingDensity(e.grid, e.masses)  # strip the analytic tag
-        conv = mixing_convolution(e2, e2)
-        ref = gamma_mixing(2.0, 1.0, n_points=2048)
-        assert conv.moment(1) == pytest.approx(ref.moment(1), rel=1e-4)
-        assert abs(conv.moment(2) - ref.moment(2)) <= 1e-2
+        conv = mixing_convolution(e, e)
+        assert conv.grid.size == 2 * 1024 - 1
+        assert conv.moment(1) == pytest.approx(2.0, rel=1e-4)
+        assert abs(conv.moment(2) - 6.0) <= 1e-2
 
     def test_commutative_associative(self):
         g1 = MixingDensity(np.linspace(0.1, 1.0, 10), np.full(10, 0.1))
@@ -135,7 +132,7 @@ class TestTables:
         T = poisson_table(G4, z)
         w = G4.lp_weights(z)
         assert np.allclose(T.probs, w / w.sum())
-        assert T.overlap_mass == 0.0
+        assert T.overlap_probs.sum() == 0.0
 
     def test_one_site_examples(self):
         g1 = DiscreteGround((1.0,))
@@ -399,17 +396,18 @@ class TestConvolveMeasures:
         unit[0] = 1.0
         out = convolve_measures(T, DiscreteTable(G4, unit))
         assert np.max(np.abs(out.probs - T.probs)) < 1e-14
-        assert out.overlap_mass == 0.0
+        assert out.overlap_probs.sum() == 0.0
 
     def test_poisson_pair_overlap_reported(self):
         C = convolve_measures(poisson_table(G4, 0.5), poisson_table(G4, 0.7))
         assert abs(C.probs.sum() - 1.0) < 1e-12
-        assert C.overlap_mass > 0.0  # atoms collide with positive probability
+        # atoms collide with positive probability
+        assert C.overlap_probs.sum() > 0.0
 
     def test_correlation_commutes_on_split_supports(self, rng):
         m1, m2 = _split_support_tables(G4, rng, 0b0011)
         C = convolve_measures(m1, m2)
-        assert C.overlap_mass == 0.0
+        assert C.overlap_probs.sum() == 0.0
         lhs = correlation_functional(C).values
         rhs = conv_disjoint(correlation_functional(m1),
                             correlation_functional(m2)).values

@@ -7,11 +7,11 @@ import pytest
 import oracles
 from confpp import samplers
 from confpp.core import BoxWindow, PointConfiguration, split_streams
-from confpp.errors import StabilityError, ValidationError
+from confpp.errors import CapacityError, StabilityError, ValidationError
 from confpp.processes import (MixedPoisson, PapangelouSpec, Poisson,
                               Superposition, exponential_mixing,
                               point_mass_mixing)
-from confpp.samplers import (IdentityReport, PointBatch, RunPlan,
+from confpp.samplers import (COUNT_MAX_N, IdentityReport, PointBatch, RunPlan,
                              analytic_count_pmf, constant_h,
                              count_distribution_check,
                              detailed_balance_residual, estimate_correlation,
@@ -370,3 +370,36 @@ class TestCountDistribution:
         for rec in rep["per_n"]:
             assert rec["analytic"] == pytest.approx(
                 2.0 ** -(rec["n"] + 1), rel=1e-3)
+
+    @pytest.mark.parametrize("mixing, volume, n_max", [
+        pytest.param(exponential_mixing(1.3, n_points=64), 2.0, 200,
+                     id="exponential"),
+        pytest.param(point_mass_mixing(800.0), 1.0, 2000, id="mean-800")])
+    def test_analytic_pmf_matches_the_recurrence_oracle(self, mixing, volume,
+                                                        n_max):
+        # zv ** n / n! overflows from n = 171 on, and e^-zv underflows to 0
+        # from zv = 745 on, so the power form read NaN or raised here
+        pmf = analytic_count_pmf(mixing, volume, n_max)
+        ref = oracles.mixed_poisson_count_pmf(mixing, volume, n_max)
+        assert np.all(np.isfinite(pmf))
+        assert np.allclose(pmf, ref, rtol=1e-9, atol=1e-300)
+        assert abs(pmf.sum() - 1.0) <= 1e-12
+
+    def test_n_max_runs_at_the_cap(self):
+        plan = RunPlan(W, replicas=50, master_seed=20)
+        rep = count_distribution_check(Poisson(1.0), W, COUNT_MAX_N, plan)
+        assert len(rep["per_n"]) == COUNT_MAX_N + 1
+        assert rep["per_n"][-1]["analytic"] == 0.0  # e^-1 / 10000! underflows
+
+    @pytest.mark.parametrize("n_max, error", [
+        (COUNT_MAX_N + 1, CapacityError), (-1, ValidationError),
+        (2.0, ValidationError), (True, ValidationError)], ids=repr)
+    def test_n_max_is_checked_before_any_bin(self, monkeypatch, n_max, error):
+        plan = RunPlan(W, replicas=50, master_seed=20)
+
+        def no_bins(*args, **kwargs):
+            raise AssertionError("count bins allocated")
+
+        monkeypatch.setattr(samplers.np, "bincount", no_bins)
+        with pytest.raises(error, match="n_max"):
+            count_distribution_check(Poisson(1.0), W, n_max, plan)

@@ -13,7 +13,7 @@ from confpp.errors import GroundMismatchError, ValidationError
 from confpp.processes import projection_density, recover_correlation
 from confpp.transforms import (conv_disjoint, conv_union, exp_vector,
                                k_inverse, k_transform, minlos_pairing,
-                               norm_fit, poly_bound_check)
+                               norm_fit)
 from oracles import (covering_conv, disjoint_pair_sum, k_inverse_naive,
                      k_transform_naive)
 
@@ -250,15 +250,3 @@ class TestNormFit:
         fit = norm_fit(SetFunction(G5, vals), 1.0, 1.0)
         assert fit.norm == pytest.approx(1.0)
 
-
-class TestPolyBound:
-    def test_bounded_support(self, rng):
-        vals = np.zeros(G5.n_subsets)
-        sel = G5.subset_size <= 2
-        vals[sel] = rng.uniform(-1.0, 1.0, int(sel.sum()))
-        C, N, holds = poly_bound_check(SetFunction(G5, vals))
-        assert N <= 2 and holds
-
-    def test_constant(self):
-        C, N, holds = poly_bound_check(indicator_empty(G5))
-        assert (C, N, holds) == (1.0, 0, True)
