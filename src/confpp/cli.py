@@ -20,7 +20,7 @@ from .core import (BoxWindow, DiscreteGround, SetFunction, json_dumps,
                    make_ground, power_function, split_streams)
 from .errors import ConfppError, ValidationError
 from .processes import MixedPoisson, Poisson, Superposition, exponential_mixing
-from .samplers import (RunPlan, _count_report, constant_h,
+from .samplers import (RunPlan, _check_n_max, _count_report, constant_h,
                        count_distribution_check, estimate_correlation,
                        sample_batch, strauss_spec, verify_gnz, verify_mecke)
 
@@ -81,8 +81,10 @@ def validate_config(doc):
     if task not in TASKS:
         hints = ", ".join(sorted(TASKS))
         raise ValidationError(f"unknown task {task!r}; available: {hints}")
-    if isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int):
-        raise ValidationError("seed must be an explicit integer")
+    seed = doc["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be an explicit integer >= 0, "
+                              f"got {seed!r}")
     if not isinstance(doc["name"], str):
         raise ValidationError("name must be a string")
     if not isinstance(doc.get("output", ""), str):
@@ -98,6 +100,8 @@ def validate_config(doc):
         if params.get(key, floor) < floor:
             raise ValidationError(f"parameter {key} must be at least {floor}, "
                                   f"got {params[key]!r}")
+    if "n_max" in params:  # checked before a count task draws
+        _check_n_max(params["n_max"])
     if task == "identity:counts" and params["model"] not in COUNT_MODELS:
         raise ValidationError(f"unknown count model {params['model']!r}; "
                               f"available: {', '.join(sorted(COUNT_MODELS))}")

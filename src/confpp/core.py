@@ -45,6 +45,11 @@ def _reals(items):
     return tuple(map(float, items))
 
 
+def _is_integer(value):
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DiscreteGround:
     """Finite weighted site set; the exact-layer ground model.
@@ -481,7 +486,11 @@ def _eval_continuum(G, gamma):
 # ---------------------------------------------------------------------------
 
 def split_streams(master_seed, n):
-    """``n`` independent bit-reproducible generators from one master seed."""
+    """``n`` independent bit-reproducible generators from one master seed,
+    an integer >= 0."""
+    if not _is_integer(master_seed) or master_seed < 0:
+        raise ValidationError(
+            f"seed must be an integer >= 0, got {master_seed!r}")
     seq = np.random.SeedSequence(master_seed)
     return [np.random.default_rng(s) for s in seq.spawn(n)]
 

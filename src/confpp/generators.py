@@ -56,7 +56,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Configuration, SetFunction, _same_ground, _Table
+from .core import (Configuration, SetFunction, _is_integer, _same_ground,
+                   _Table)
 from .errors import CapacityError, ValidationError
 from .transforms import _transpose_in_place, conv_disjoint, sweep
 
@@ -109,9 +110,7 @@ def _omega_list(ground, k_trunc):
     """Masks ``omega`` with ``|omega| <= k_trunc``, ascending, after checking
     ``k_trunc``: the columns of a kernel table."""
     n, stop = ground.n_sites, max(ground.n_sites, MAX_K_TRUNC) + 1
-    if isinstance(k_trunc, bool) \
-            or not isinstance(k_trunc, (int, np.integer)) \
-            or not 0 <= k_trunc < stop:
+    if not _is_integer(k_trunc) or not 0 <= k_trunc < stop:
         raise ValidationError(f"k_trunc {k_trunc!r} is not in range({stop})")
     if k_trunc > MAX_K_TRUNC and k_trunc != n:
         raise ValidationError(f"k_trunc above {MAX_K_TRUNC} must equal the "

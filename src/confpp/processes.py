@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Configuration, SetFunction, _discrete, _same_ground,
-                   _Table, power_function)
+from .core import (Configuration, SetFunction, _discrete, _is_integer,
+                   _same_ground, _Table, power_function)
 from .errors import (CapacityError, CocycleError, StabilityError,
                      UndefinedConditionalError, ValidationError)
 from .transforms import (conv_disjoint, norm_fit, ranked_moebius,
@@ -70,8 +70,7 @@ def exponential_mixing(theta, n_points=MIXING_GRID_POINTS):
     """Midpoint quadrature of ``theta e^{-theta z}``, tail-truncated."""
     if not 0 < theta < math.inf:  # NaN fails too
         raise ValidationError("rate must be positive and finite")
-    if (isinstance(n_points, bool)
-            or not isinstance(n_points, (int, np.integer)) or n_points < 1):
+    if not _is_integer(n_points) or n_points < 1:
         raise ValidationError(f"n_points must be an integer >= 1, "
                               f"got {n_points!r}")
     h = -math.log(MIXING_TAIL_MASS) / theta / n_points

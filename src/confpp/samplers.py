@@ -12,11 +12,11 @@ import array
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BoxWindow, PointConfiguration, split_streams
+from .core import BoxWindow, PointConfiguration, _is_integer, split_streams
 from .errors import CapacityError, ValidationError
 from .processes import (MixedPoisson, PapangelouSpec, Poisson, Superposition,
                         _batch_values, mixing_convolution, point_mass_mixing)
@@ -43,9 +43,14 @@ class RunPlan:
     def __post_init__(self):
         if not isinstance(self.window, BoxWindow):
             raise ValidationError("plan window must be a continuum box")
-        if self.replicas < 1 or self.burn_in < 0 or self.thinning < 1:
-            raise ValidationError(
-                "need replicas >= 1, thinning >= 1 and burn_in >= 0")
+        for field in fields(self)[1:]:  # every field after the window
+            if not _is_integer(value := getattr(self, field.name)):
+                raise ValidationError(f"plan {field.name} must be an "
+                                      f"integer, got {value!r}")
+        if (self.replicas < 1 or self.burn_in < 0 or self.thinning < 1
+                or self.master_seed < 0):
+            raise ValidationError("need replicas >= 1, thinning >= 1, "
+                                  "burn_in >= 0 and master_seed >= 0")
         if self.proposal_points < 1:
             raise ValidationError("need at least one proposal point")
 
@@ -265,109 +270,53 @@ class _Uniforms:
         return self.left.pop()
 
 
-class _BirthDeathChain:
-    """State of the birth--death chain and its moves.
+def sample_gibbs_bd(spec, plan):
+    """Thinned stationary stream of the Gibbs law defined by ``spec``.
 
-    The state is the sorted list of point tuples: it finds duplicates and
-    indexes deaths in sorted order.  Each move makes one scalar call of the
-    spec on a trusted :func:`_configuration` of those tuples.  Every
-    uniform comes from ``self.uniforms``; the death index ``int(u * n)`` is
-    at most ``n - 1`` for every double ``u < 1``.
+    Spatial birth--death Metropolis--Hastings on the sorted list of point
+    tuples: with probability 1/2 propose a uniform birth (acceptance
+    ``min(1, r vol / (n+1))``), else the death of point ``int(u n) <= n - 1``
+    (acceptance ``min(1, n / (r vol))``, 1 where r = 0).  Each r is one
+    checked scalar call of ``spec``; each uniform u the next double of
+    ``split_streams(plan.master_seed, 1)[0]``, drawn in blocks.  Returns the
+    ``plan.replicas`` states taken every ``plan.thinning`` moves after
+    ``plan.burn_in`` moves as one :class:`PointBatch` that views the
+    chain's ``array.array``s, without re-validation: births are window draws
+    and the step keeps the points sorted and free of repeats.
     """
+    window, vol = plan.window, plan.window.volume
+    u = _Uniforms(split_streams(plan.master_seed, 1)[0])
+    pts = []
 
-    def __init__(self, spec, window, rng):
-        self.spec = spec
-        self.window = window
-        self.uniforms = _Uniforms(rng)
-        self.vol = window.volume
-        self.points = []
-
-    def intensity(self, points, x):
-        """``r(gamma, x)`` for the sorted points of gamma, checked by the
-        spec."""
-        return self.spec(_configuration(self.window, tuple(points)), x)
-
-    def birth_ratio(self, points, x):
-        """Unclipped acceptance ratio ``r(gamma, x) vol / (n + 1)`` of adding
-        ``x`` to the ``n`` sorted points of gamma."""
-        return self.intensity(points, x) * self.vol / (len(points) + 1)
-
-    def death_ratio(self, points, i):
-        """Unclipped acceptance ratio ``n / (r(gamma \\ x, x) vol)`` of
-        removing ``x = points[i]`` from the ``n`` sorted points of gamma;
-        ``inf`` where ``r(gamma \\ x, x) = 0``."""
-        r = self.intensity(points[:i] + points[i + 1:], points[i])
-        return len(points) / (r * self.vol) if r > 0.0 else math.inf
-
-    def step(self):
-        """One birth--death proposal, applied in place."""
-        u, pts, n = self.uniforms, self.points, len(self.points)
+    def step():
+        n = len(pts)
         if u.random() < 0.5:  # birth
-            x = self.window.sample_point(u)
+            x = window.sample_point(u)
             i = bisect.bisect_left(pts, x)
             if i < n and pts[i] == x:
                 return
-            if u.random() < min(1.0, self.birth_ratio(pts, x)):
+            r = spec(_configuration(window, tuple(pts)), x)
+            if u.random() < min(1.0, r * vol / (n + 1)):
                 pts.insert(i, x)
-        else:  # death
-            if not n:
-                return
+        elif n:  # death
             i = int(u.random() * n)
-            ratio = self.death_ratio(pts, i)
-            # a point of zero intensity dies without a draw
+            r = spec(_configuration(window, tuple(pts[:i] + pts[i + 1:])),
+                     pts[i])
+            ratio = n / (r * vol) if r > 0.0 else math.inf
             if ratio == math.inf or u.random() < min(1.0, ratio):
                 del pts[i]
 
-
-def sample_gibbs_bd(spec, plan, rng=None):
-    """Thinned stationary stream of the Gibbs law defined by ``spec``.
-
-    Spatial birth--death Metropolis--Hastings: with probability 1/2 propose a
-    uniform birth (acceptance ``min(1, r vol / (n+1))``), else the death of
-    sorted point ``int(u n)`` (acceptance ``min(1, n / (r vol))``).  Each
-    uniform u is the next double of ``rng``, drawn in blocks, so ``rng``
-    runs up to a block ahead.  Returns the ``plan.replicas`` states taken
-    every ``plan.thinning`` moves after ``plan.burn_in`` moves as one
-    :class:`PointBatch` that views the ``array.array`` the chain appends
-    them to, without re-validation: births are window draws and the step
-    keeps the points sorted and free of repeats.
-    """
-    if rng is None:
-        rng = split_streams(plan.master_seed, 1)[0]
-    chain = _BirthDeathChain(spec, plan.window, rng)
     for _ in range(plan.burn_in):
-        chain.step()
+        step()
     coords, ends = array.array("d"), array.array("q", [0])
     for _ in range(plan.replicas):
         for _ in range(plan.thinning):
-            chain.step()
-        coords.extend(itertools.chain.from_iterable(chain.points))
+            step()
+        coords.extend(itertools.chain.from_iterable(pts))
         ends.append(len(coords))
-    d = plan.window.dimension
+    d = window.dimension
     return PointBatch(np.frombuffer(ends, dtype=np.int64) // d,
                       np.frombuffer(coords).reshape(-1, d))
-
-
-def detailed_balance_residual(spec, plan, n_moves=200):
-    """Machine-precision self-test of the birth--death acceptance ratios.
-
-    For states along a short chain and x the chain's next uniform point,
-    the product of the unclipped birth ratio at ``(gamma, x)`` and the
-    unclipped death ratio at ``(gamma u x, x)``, each computed as the
-    chain's moves compute it, must be one.  Returns the maximum |product - 1|.
-    """
-    rng = split_streams(plan.master_seed, 1)[0]
-    chain = _BirthDeathChain(spec, plan.window, rng)
-    errs = []
-    for _ in range(n_moves):
-        pts, x = chain.points, plan.window.sample_point(chain.uniforms)
-        birth = chain.birth_ratio(pts, x)
-        if birth > 0:
-            i = bisect.bisect_left(pts, x)
-            death = chain.death_ratio(pts[:i] + [x] + pts[i:], i)
-            errs.append(abs(birth * death - 1.0))
-        chain.step()
-    return float(np.max(errs, initial=0.0))  # NaN if any product is
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +517,10 @@ def verify_gnz(spec, h, plan):
     stream of their own (see :func:`_proposal_blocks`).  The batched form
     of ``spec`` is used when present, that of ``h`` when both are.
     """
-    streams = split_streams(plan.master_seed, 2)
-    states = sample_gibbs_bd(spec, plan, streams[0])
+    states = sample_gibbs_bd(spec, plan)  # on stream 0 of the master seed
     window, S = plan.window, plan.proposal_points
-    blocks = _proposal_blocks(states, window, streams[1], S)
+    rng = split_streams(plan.master_seed, 2)[1]
+    blocks = _proposal_blocks(states, window, rng, S)
     lhs, rhs = _insertion_sides(blocks, window, h, S, window.volume, spec)
     se, n_eff = _batch_se(lhs - rhs)
     return _paired_report("gnz", lhs, rhs, se, n_eff)
@@ -581,26 +530,20 @@ def verify_gnz(spec, h, plan):
 # empirical correlation and count statistics
 # ---------------------------------------------------------------------------
 
-def _boxes_disjoint(b1, b2):
-    return any(hi1 <= lo2 or hi2 <= lo1
-               for (lo1, hi1), (lo2, hi2) in zip(b1.box, b2.box))
-
-
 def estimate_correlation(samples, cells):
     """Empirical correlation of order ``len(cells)`` over disjoint cells.
 
     ``samples`` is a nonempty :class:`PointBatch`.  Estimates the
     cell-product moment by the product over cells ``B_i`` of each sample's
     count of points in ``B_i`` (closed cells) and divides by the product of
-    cell volumes.  Returns
-    ``(estimate, standard_error)``.
+    cell volumes.  Returns ``(estimate, standard_error)``.
     """
     if not isinstance(samples, PointBatch) or not len(samples):
         raise ValidationError("samples must be a nonempty PointBatch")
-    for i, c1 in enumerate(cells):
-        for c2 in cells[i + 1:]:
-            if not _boxes_disjoint(c1, c2):
-                raise ValidationError("cells must be pairwise disjoint")
+    for c1, c2 in itertools.combinations(cells, 2):
+        if not any(hi1 <= lo2 or hi2 <= lo1
+                   for (lo1, hi1), (lo2, hi2) in zip(c1.box, c2.box)):
+            raise ValidationError("cells must be pairwise disjoint")
     n = len(samples)
     owner = np.repeat(np.arange(n), samples.counts)
     prod = np.ones(n)
@@ -644,19 +587,23 @@ def count_distribution_check(model, window, n_max, plan):
     number of samples redrawn for a repeated point.
     """
     _plan_window(window, plan)
+    _check_n_max(n_max)
     rng = split_streams(plan.master_seed, 1)[0]
     return _count_report(model, window, n_max,
                          sample_batch(model, window, rng, plan.replicas))
 
 
-def _count_report(model, window, n_max, batch):
-    """:func:`count_distribution_check` on the drawn :class:`PointBatch`
-    ``batch`` of ``model`` on ``window``."""
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) \
-            or n_max < 0:
+def _check_n_max(n_max):
+    """Reject a count check's ``n_max`` outside ``[0, COUNT_MAX_N]``."""
+    if not _is_integer(n_max) or n_max < 0:
         raise ValidationError(f"n_max must be an integer >= 0, got {n_max!r}")
     if n_max > COUNT_MAX_N:
         raise CapacityError(f"count checks limited to n_max = {COUNT_MAX_N}")
+
+
+def _count_report(model, window, n_max, batch):
+    """:func:`count_distribution_check` on the drawn :class:`PointBatch`
+    ``batch`` of ``model`` on ``window``, for a checked ``n_max``."""
     replicas = len(batch)
     emp = np.bincount(np.minimum(batch.counts, n_max + 1),
                       minlength=n_max + 2) / replicas

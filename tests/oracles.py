@@ -20,8 +20,8 @@ change of layout.  :func:`adjoint_hat_L` is the dense adjoint of a
 generator matrix, which the program's checks never build, and
 :func:`hat_L_covering_pairs` the covering-pair form of the conjugated
 generator.
-:func:`birth_death_states` and :func:`birth_death_residual` run the
-birth--death chain with one ``rng.random()`` call per uniform,
+:func:`birth_death_states` runs the birth--death chain with one
+``rng.random()`` call per uniform,
 :func:`tonks_count_pmf` is the exact count law of the 1-D hard-core gas, and
 :func:`mixed_poisson_count_pmf` the mixed Poisson count law by a recurrence
 over ``n``, one atom at a time.
@@ -560,12 +560,6 @@ def gibbs_convolution_rhs(mu1, mu2, R1, R2):
     return out
 
 
-def _chain_stream(plan):
-    """The chain's default stream: the first child of the master seed."""
-    return np.random.default_rng(
-        np.random.SeedSequence(plan.master_seed).spawn(1)[0])
-
-
 def _uniform_point(window, rng):
     return tuple([lo + (hi - lo) * rng.random() for lo, hi in window.box])
 
@@ -596,8 +590,11 @@ def _birth_death_move(points, spec, window, rng):
 
 
 def birth_death_states(spec, plan):
-    """The point tuples of ``sample_gibbs_bd(spec, plan)``'s states."""
-    rng, points, states = _chain_stream(plan), [], []
+    """The point tuples of ``sample_gibbs_bd(spec, plan)``'s states, on the
+    first child stream of the master seed."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(plan.master_seed).spawn(1)[0])
+    points, states = [], []
     for _ in range(plan.burn_in):
         _birth_death_move(points, spec, plan.window, rng)
     for _ in range(plan.replicas):
@@ -605,23 +602,6 @@ def birth_death_states(spec, plan):
             _birth_death_move(points, spec, plan.window, rng)
         states.append(tuple(points))
     return states
-
-
-def birth_death_residual(spec, plan, n_moves=200):
-    """``detailed_balance_residual(spec, plan, n_moves)``: before each move,
-    a uniform test point x and |birth ratio * death ratio - 1| at
-    ``(gamma, x)`` and ``(gamma u x, x)``."""
-    rng, points, worst = _chain_stream(plan), [], 0.0
-    vol = plan.window.volume
-    for _ in range(n_moves):
-        x = _uniform_point(plan.window, rng)
-        n = len(points)
-        r = spec(PointConfiguration(plan.window, tuple(points)), x)
-        birth = r * vol / (n + 1)
-        if birth > 0:
-            worst = max(worst, abs(birth * ((n + 1) / (r * vol)) - 1.0))
-        _birth_death_move(points, spec, plan.window, rng)
-    return worst
 
 
 def tonks_count_pmf(beta, R, L=1.0):

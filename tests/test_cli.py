@@ -186,6 +186,7 @@ class TestExitCodes:
         ({"output": ["a"]}, "output must be a string path"),
         ({"name": ["a", {"b": None}]}, "name must be a string"),
         ({"name": 7}, "name must be a string"),
+        ({"seed": -1}, "seed must be an explicit integer >= 0, got -1"),
     ])
     def test_seed_and_output_types_exit_2(self, tmp_path, capsys, extra,
                                           message):
@@ -361,6 +362,24 @@ class TestRun:
         counts = report["results"][0]
         assert all(math.isfinite(r["analytic"]) for r in counts.get(
             "per_n", [])) and math.isfinite(counts["tv"])
+
+    @pytest.mark.parametrize("task", ["identity:counts",
+                                      "identity:superposition"])
+    def test_count_cap_is_checked_before_the_draw(self, tmp_path, capsys,
+                                                  monkeypatch, task):
+        """validate and run both exit 2, and nothing is drawn."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("samples drawn")
+
+        monkeypatch.setattr(cli, "sample_batch", no_draw)
+        monkeypatch.setattr(cli, "count_distribution_check", no_draw)
+        path = _write(tmp_path, "cnt.json", {
+            "name": "cnt", "ground": BOX, "task": task, "seed": 13,
+            "parameters": {"n_max": COUNT_MAX_N + 1},
+            "plan": {"replicas": 400_000}})
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--no-timestamp"]) == 2
+        assert capsys.readouterr().err.count("limited to n_max") == 2
 
     def test_count_cap_is_a_config_error(self, tmp_path, capsys):
         code, report = _run(tmp_path, {

@@ -457,3 +457,16 @@ class TestStreams:
             assert a.random() == b.random()
         s3 = split_streams(43, 1)
         assert s3[0].random() != split_streams(42, 1)[0].random()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None, [1, 2]],
+                             ids=repr)
+    def test_seed_must_be_an_integer_at_least_0(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            split_streams(seed, 1)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            lp_integral_mc(lambda gamma: 1.0, 1.0, BoxWindow(((0.0, 1.0),)),
+                           1, 2, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        assert (split_streams(np.int64(42), 1)[0].random()
+                == split_streams(42, 1)[0].random())

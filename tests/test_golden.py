@@ -21,9 +21,8 @@ import pytest
 import oracles
 from confpp.core import BoxWindow
 from confpp.processes import PapangelouSpec
-from confpp.samplers import (RunPlan, constant_h, detailed_balance_residual,
-                             sample_gibbs_bd, strauss_spec, verify_gnz,
-                             verify_mecke)
+from confpp.samplers import (RunPlan, constant_h, sample_gibbs_bd,
+                             strauss_spec, verify_gnz, verify_mecke)
 
 W1 = BoxWindow(((0.0, 1.0),))
 W2 = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
@@ -176,13 +175,3 @@ def test_mecke_report(name, h_form):
                        RunPlan(window, **plan))
     assert rep.to_json() == report
 
-
-@pytest.mark.parametrize("form", sorted(SPEC_FORMS))
-@pytest.mark.parametrize("window, args, value", [
-    (W1, (2.0, 0.5, 0.1), 0.0),
-    (W2, (20.0, 0.3, 0.1), 2.220446049250313e-16),
-])
-def test_detailed_balance_residual(window, args, value, form):
-    spec = SPEC_FORMS[form](strauss_spec(*args))
-    assert detailed_balance_residual(
-        spec, RunPlan(window, 10, 7, burn_in=200)) == value

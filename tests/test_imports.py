@@ -5,6 +5,9 @@
   ``__init__.py`` is left out, since its imports are the package's exports.
 * No private module-level function, class or constant is left unread:
   each must be read somewhere in the package.
+* No public module-level function or class is left unreferenced, unless it
+  is one of the paper's certificates kept on purpose: each must be
+  exported by ``__init__.py`` or referenced elsewhere in the package.
 * Grounds are compared in one place, ``core._same_ground``.
 * Arrays are made read-only in few places: every lattice table in
   ``core._Table._hold``, and three non-table arrays.
@@ -105,6 +108,43 @@ def test_every_private_definition_is_read():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in SRC.glob("*.py")}
     assert unread_privates(sources) == []
+
+
+def unreferenced_definitions(sources):
+    """Module-level functions and classes in ``sources`` (``{module:
+    source}``) whose name no module reads, bare or as an attribute, or
+    imports; ``__init__.py``'s imports are the package's exports."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = set().union(*map(reads, trees.values())) | {
+        alias.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return {node.name for tree in trees.values() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used}
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    sources = {"a": "def f():\n    pass\ndef g():\n    pass\n"
+                    "def h():\n    pass\nclass K:\n    pass\n"
+                    "class L:\n    pass\n",
+               "b": "from a import f\nimport a\na.g()\nx = K\n",
+               "__init__": "from .a import L\n"}
+    assert unreferenced_definitions(sources) == {"h"}
+
+
+# certificates of the paper's identities, run by the tests and kept in the
+# package as its checks of record; nothing in the package calls them
+PAPER_CERTIFICATES = {
+    "check_adjoint_leibniz", "check_derivation", "convolution_closure_check",
+    "derivation_residual_max", "gibbs_convolution_check",
+    "pairwise_gibbs_spec", "pair_indicator_empty", "pair_lenard_check",
+    "pair_lp_integral"}
+
+
+def test_no_definition_is_dead():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py")}
+    assert unreferenced_definitions(sources) == PAPER_CERTIFICATES
 
 
 def ground_comparisons(tree):

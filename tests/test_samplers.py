@@ -13,8 +13,7 @@ from confpp.processes import (MixedPoisson, PapangelouSpec, Poisson,
                               point_mass_mixing)
 from confpp.samplers import (COUNT_MAX_N, IdentityReport, PointBatch, RunPlan,
                              analytic_count_pmf, constant_h,
-                             count_distribution_check,
-                             detailed_balance_residual, estimate_correlation,
+                             count_distribution_check, estimate_correlation,
                              sample_batch, sample_gibbs_bd, strauss_spec,
                              verify_gnz, verify_mecke)
 
@@ -29,9 +28,24 @@ class TestRunPlan:
             RunPlan(W, replicas=1, master_seed=1, burn_in=-1)
         with pytest.raises(ValidationError, match="thinning >= 1"):
             RunPlan(W, replicas=1, master_seed=1, thinning=0)
+        with pytest.raises(ValidationError, match="master_seed >= 0"):
+            RunPlan(W, replicas=1, master_seed=-1)
         from confpp.core import DiscreteGround
         with pytest.raises(ValidationError):
             RunPlan(DiscreteGround((1.0,)), replicas=1, master_seed=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("replicas", 2.5), ("replicas", math.nan), ("replicas", True),
+        ("burn_in", 1.5), ("thinning", 2.5), ("proposal_points", 2.5),
+        ("master_seed", 1.5), ("master_seed", "1"), ("master_seed", False)])
+    def test_counts_must_be_integers(self, field, value):
+        """A plan with a count that is not an integer fails when it is
+        built, naming the count, not later inside a run."""
+        plan = dict(replicas=2, master_seed=1, burn_in=1, thinning=1,
+                    proposal_points=1)
+        assert RunPlan(W, **dict(plan, **{field: np.int64(3)}))
+        with pytest.raises(ValidationError, match=f"plan {field} must be"):
+            RunPlan(W, **dict(plan, **{field: value}))
 
 
 class TestSamplePoisson:
@@ -64,17 +78,6 @@ class TestSamplePoisson:
             sample_batch(Poisson(z), W, split_streams(1, 1)[0], 1)
 
 
-def _death_ratio_wrong_count(chain, points, i):
-    """The death ratio with the count of gamma, not of gamma u x."""
-    r = chain.intensity(points[:i] + points[i + 1:], points[i])
-    return (len(points) - 1) / (r * chain.vol)
-
-
-def _death_ratio_r_with_x(chain, points, i):
-    """The death ratio with ``r(gamma u x, x)``: Strauss counts x itself."""
-    return len(points) / (chain.intensity(points, points[i]) * chain.vol)
-
-
 class TestGibbsSampler:
     def test_constant_rate_matches_poisson_counts(self):
         spec = PapangelouSpec(lambda gamma, x: 1.5, r_max=1.5)
@@ -95,35 +98,6 @@ class TestGibbsSampler:
         chain = sample_gibbs_bd(strauss_spec(beta, g, R), plan)
         mean = chain.counts.mean()
         assert mean < beta  # repulsion pushes the mean below the free rate
-
-    def test_detailed_balance(self):
-        res = detailed_balance_residual(strauss_spec(2.0, 0.5, 0.1),
-                                        RunPlan(W, 10, 7, burn_in=200))
-        assert res <= 1e-12
-
-    @pytest.mark.parametrize("wrong", [_death_ratio_wrong_count,
-                                       _death_ratio_r_with_x])
-    def test_detailed_balance_sees_a_wrong_death_ratio(self, monkeypatch,
-                                                       wrong):
-        monkeypatch.setattr(samplers._BirthDeathChain, "death_ratio", wrong)
-        res = detailed_balance_residual(strauss_spec(2.0, 0.5, 0.1),
-                                        RunPlan(W, 10, 7, burn_in=200))
-        assert res > 0.1
-
-    def test_detailed_balance_sees_a_nan_ratio(self, monkeypatch):
-        # NaN products from the fifth death ratio on: a fold through
-        # Python's max would keep the finite residual before them
-        ratio, calls = samplers._BirthDeathChain.death_ratio, []
-
-        def nan_later(chain, pts, i):
-            calls.append(None)
-            return math.nan if len(calls) >= 5 else ratio(chain, pts, i)
-
-        monkeypatch.setattr(samplers._BirthDeathChain, "death_ratio",
-                            nan_later)
-        res = detailed_balance_residual(strauss_spec(2.0, 0.5, 0.1),
-                                        RunPlan(W, 10, 7, burn_in=200))
-        assert math.isnan(res)
 
     def test_stability_error(self):
         lying = PapangelouSpec(lambda gamma, x: 2.0, r_max=1.0)
@@ -186,16 +160,6 @@ class TestBufferedUniforms:
         states = oracles.point_tuples(sample_gibbs_bd(spec, plan))
         assert states == oracles.birth_death_states(spec, plan)
         assert len(set(states)) > 10  # the chain moved
-
-    @pytest.mark.parametrize("block", [1, 3, samplers._UNIFORM_BLOCK])
-    @pytest.mark.parametrize("name", ["strauss-1d", "strauss-2d"])
-    def test_detailed_balance_matches_the_one_draw_loop(self, monkeypatch,
-                                                        name, block):
-        monkeypatch.setattr(samplers, "_UNIFORM_BLOCK", block)
-        window, spec, _ = CHAIN_CASES[name]
-        plan = RunPlan(window, 10, 7, burn_in=200)
-        assert (detailed_balance_residual(spec, plan, n_moves=400)
-                == oracles.birth_death_residual(spec, plan, n_moves=400))
 
     def test_death_index_stays_below_the_count(self):
         # the largest double below 1; rounding is monotone, so int(u * n)
@@ -281,7 +245,7 @@ class TestVerifyGnz:
         only the right-hand side evaluates the lying spec."""
         states = sample_batch(Poisson(3.0), W, split_streams(4, 1)[0], 40)
         monkeypatch.setattr(samplers, "sample_gibbs_bd",
-                            lambda spec, plan, rng: states)
+                            lambda spec, plan: states)
         def batch(points, proposals):
             return np.full(proposals.shape[:-1], 3.0)
 
@@ -395,11 +359,13 @@ class TestCountDistribution:
         (COUNT_MAX_N + 1, CapacityError), (-1, ValidationError),
         (2.0, ValidationError), (True, ValidationError)], ids=repr)
     def test_n_max_is_checked_before_any_bin(self, monkeypatch, n_max, error):
-        plan = RunPlan(W, replicas=50, master_seed=20)
+        """Checked before the samples are drawn, too."""
+        plan = RunPlan(W, replicas=400_000, master_seed=20)
 
-        def no_bins(*args, **kwargs):
-            raise AssertionError("count bins allocated")
+        def no_draw(*args, **kwargs):
+            raise AssertionError("samples drawn or count bins allocated")
 
-        monkeypatch.setattr(samplers.np, "bincount", no_bins)
+        monkeypatch.setattr(samplers, "sample_batch", no_draw)
+        monkeypatch.setattr(samplers.np, "bincount", no_draw)
         with pytest.raises(error, match="n_max"):
             count_distribution_check(Poisson(1.0), W, n_max, plan)

@@ -307,9 +307,8 @@ class TestGroupedSides:
         spec = strauss_spec(20.0, 0.3, 0.1)
         plan = RunPlan(window, replicas=300, master_seed=21, burn_in=200,
                        thinning=2, proposal_points=S)
-        chain_rng, rhs_rng = split_streams(plan.master_seed, 2)
-        states = oracles.configurations(
-            sample_gibbs_bd(spec, plan, chain_rng), window)
+        rhs_rng = split_streams(plan.master_seed, 2)[1]
+        states = oracles.configurations(sample_gibbs_bd(spec, plan), window)
         proposals = [window.sample_uniform(rhs_rng, S) for _ in states]
         lhs, rhs = oracles.insertion_sides(states, proposals, h,
                                            window.volume, spec)
