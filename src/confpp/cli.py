@@ -16,8 +16,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import (BoxWindow, DiscreteGround, SetFunction, json_dumps,
-                   make_ground, power_function, split_streams)
+from .core import (BoxWindow, DiscreteGround, SetFunction, _extremes,
+                   json_dumps, make_ground, power_function, split_streams)
 from .errors import ConfppError, ValidationError
 from .processes import MixedPoisson, Poisson, Superposition, exponential_mixing
 from .samplers import (RunPlan, _check_n_max, _count_report, constant_h,
@@ -199,14 +199,15 @@ def _run_algebra_suite(cfg):
 def _fused_residual(kernel, z=1.0):
     """``max |hat_L_bruteforce - hat_L_closed|`` in one matrix, in place.
 
-    ``max(M.max(), -M.min())`` reads the matrix twice and writes nothing;
-    a NaN entry makes either reduction NaN, and ``np.maximum`` keeps it.
+    :func:`core._extremes` reads the matrix once and writes nothing; a NaN
+    entry makes both extremes NaN, and ``np.maximum`` keeps it.
     """
     from .generators import _bruteforce_matrix, _closed_terms
     M = _bruteforce_matrix(kernel, z)
     for cells, values in _closed_terms(kernel, z):
         np.subtract.at(M.reshape(-1), cells, values)
-    return float(np.maximum(M.max(), -M.min()))
+    lo, hi = _extremes(M)
+    return float(np.maximum(hi, -lo))
 
 
 def _run_generator_suite(cfg):

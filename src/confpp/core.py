@@ -50,6 +50,24 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# _extremes reduces chunks of this many entries, 1 MiB of floats, which
+# stay in cache between the min and the max
+_EXTREMES_CHUNK = 1 << 17
+
+
+def _extremes(a):
+    """``(min, max)`` of the array ``a`` in one read from memory: each chunk
+    is reduced twice while in cache, and the chunks' extremes fold through
+    ``np.minimum`` and ``np.maximum``, so a NaN anywhere makes both NaN.
+    An empty array gives ``(inf, -inf)``."""
+    flat = a.ravel(order="K")
+    lo, hi = np.inf, -np.inf
+    for start in range(0, flat.size, _EXTREMES_CHUNK):
+        chunk = flat[start:start + _EXTREMES_CHUNK]
+        lo, hi = np.minimum(lo, chunk.min()), np.maximum(hi, chunk.max())
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class DiscreteGround:
     """Finite weighted site set; the exact-layer ground model.
@@ -354,7 +372,7 @@ class _Table:
                 raise ValidationError(f"{name}.{field} must have shape "
                                       f"{shape}, not {held.shape}")
             # a NaN or infinity shows in min or max, with no table-sized mask
-            if held.size and not np.isfinite([held.min(), held.max()]).all():
+            if held.size and not np.isfinite(_extremes(held)).all():
                 raise ValidationError(f"{name}.{field} has non-finite entries")
             held.flags.writeable = False
             object.__setattr__(self, field, held)

@@ -31,8 +31,9 @@ satisfying the derivation (dual-sum) identity exactly.
 
 Both actions apply their operator, and its adjoint, to vectors without
 building a matrix.  Each is a diagonal plus a table of move families, each
-family one strided add between two sub-cube views of the bitmask index;
-:meth:`MoveOperator.dense` writes the same families into a matrix.
+family a row view and two target views, sub-cubes of the bitmask index, and
+one strided add per nonzero rate; :meth:`MoveOperator.dense` writes the
+same families into a matrix.
 :func:`hat_L_bruteforce` writes them transposed and conjugates that matrix
 by sweeps over its row-index bits, with one tiled in-place transpose
 between the zeta and the Moebius sweep.  ``L`` itself is
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,15 +129,19 @@ def random_kernel(ground, k_trunc, rng):
     ``x`` is not in ``omega``, a birth rate likewise; the draw order fixes
     the kernel for a given generator state.
     """
-    omegas = _omega_list(ground, k_trunc)
-    death, birth = np.zeros((2, ground.n_sites, omegas.size))
-    for x in range(ground.n_sites):
-        for j, omega in enumerate(omegas.tolist()):
-            if rng.random() < 0.5:
-                death[x, j] = rng.uniform(0.1, 1.0)
-            if not omega >> x & 1 and rng.random() < 0.5:
-                birth[x, j] = rng.uniform(0.1, 1.0)
-    return BirthDeathKernel._take(ground, death, birth, k_trunc)
+    cols = _omega_list(ground, k_trunc).tolist()
+    n, draw = ground.n_sites, rng.random
+    death, birth = ([[0.0] * len(cols) for _ in range(n)] for _ in range(2))
+    for x in range(n):
+        for j, omega in enumerate(cols):
+            # 0.1 + (1.0 - 0.1) * u is rng.uniform(0.1, 1.0)'s own arithmetic
+            if draw() < 0.5:
+                death[x][j] = 0.1 + (1.0 - 0.1) * draw()
+            if not omega >> x & 1 and draw() < 0.5:
+                birth[x][j] = 0.1 + (1.0 - 0.1) * draw()
+    shape = (n, len(cols))
+    return BirthDeathKernel._take(ground, np.reshape(death, shape),
+                                  np.reshape(birth, shape), k_trunc)
 
 
 def contact_kernel(ground, a):
@@ -203,11 +208,13 @@ def derive_kernels(kernel, z=1.0):
 # move families
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1 << 12)
 def _sub_cube(free):
     """Shape and byte strides of the masks over the bits of ``free``.
 
     Each run of adjacent bits is one axis, the highest first, so the view
-    walks its masks in ascending order.
+    walks its masks in ascending order.  Kernels on one ground share their
+    grids, so the answers are cached.
     """
     shape, strides = (), ()
     while free:
@@ -223,26 +230,22 @@ def _families(ground, x, avoid, stay, enter):
 
     Every configuration ``alpha`` that holds site ``x`` and avoids
     ``avoid`` (a mask without ``x``) moves to ``(alpha \\ x) u avoid`` at
-    rate ``stay`` and to ``alpha u avoid`` at rate ``enter``; zero rates
-    are dropped.  Both sides of a family are sub-cubes of the bitmask
-    index: the rows fix bit ``x`` to 1 and the ``avoid`` bits to 0, the
-    targets fix the ``avoid`` bits to 1 and bit ``x`` to 0 or 1, and the
-    free bits run over the subsets of the other sites, in the same order on
-    both sides.  A family is ``(row, target, shape, strides, rate)``: the
-    byte offsets of its first row and first target in a flat float vector,
-    and the shape and byte strides of the sub-cube.
+    rate ``stay`` and to ``alpha u avoid`` at rate ``enter``; a grid with
+    both rates zero is dropped.  Both sides of a family are sub-cubes of
+    the bitmask index: the rows fix bit ``x`` to 1 and the ``avoid`` bits
+    to 0, the targets fix the ``avoid`` bits to 1 and bit ``x`` to 0 or 1,
+    and the free bits run over the subsets of the other sites, in the same
+    order on both sides.  A family is ``(row, target, shape, strides, stay,
+    enter)``: the byte offsets of its first row and first ``stay`` target
+    in a flat float vector, the shape and byte strides of the sub-cube, and
+    the two rates.  The ``enter`` targets lie ``row`` bytes after the
+    ``stay`` targets, since they add bit ``x``.
     """
     full = ground.n_subsets - 1
-    out = []
-    for x, a, s, e in zip(x.tolist(), avoid.tolist(), stay.tolist(),
-                          enter.tolist()):
-        if not (s or e):
-            continue
-        shape, strides = _sub_cube(full & ~(1 << x | a))
-        for target, rate in ((a, s), (a | 1 << x, e)):
-            if rate:
-                out.append((8 << x, 8 * target, shape, strides, rate))
-    return tuple(out)
+    return tuple((8 << x, 8 * a, *_sub_cube(full & ~(1 << x | a)), s, e)
+                 for x, a, s, e in zip(x.tolist(), avoid.tolist(),
+                                       stay.tolist(), enter.tolist())
+                 if s or e)
 
 
 def _site_grid(kernel):
@@ -298,14 +301,14 @@ class MoveOperator(_RowOperator):
     """Matrix-free operator on set-function value vectors.
 
     ``diag * v`` plus the moves of a table of families (see
-    :func:`_families`), each one strided add between two views of the
-    vector, conjugated by the lattice transform when ``conjugated`` is set:
-    ``apply`` is then ``Kinv(moves(K G))`` and ``adjoint_apply`` runs the
-    transposed steps in reverse order, the superset Moebius sweep, the
-    transposed moves and the superset zeta sweep.  :meth:`dense` writes the
-    same families, unconjugated, into a matrix.  Same interface as
-    :class:`LatticeOperator`, for the checks that only need the operator on
-    vectors.
+    :func:`_families`), a strided add from each target view with a nonzero
+    rate into the family's row view, conjugated by the lattice transform
+    when ``conjugated`` is set: ``apply`` is then ``Kinv(moves(K G))`` and
+    ``adjoint_apply`` runs the transposed steps in reverse order, the
+    superset Moebius sweep, the transposed moves and the superset zeta
+    sweep.  :meth:`dense` writes the same families, unconjugated, into a
+    matrix.  Same interface as :class:`LatticeOperator`, for the checks
+    that only need the operator on vectors.
     """
 
     ground: object
@@ -314,16 +317,21 @@ class MoveOperator(_RowOperator):
     conjugated: bool
 
     def _moves(self, v, transpose=False):
-        """``diag * v`` plus, per family, ``out[:, rows] += rate * v[:,
-        targets]`` on each row of the C-contiguous stack ``v``; the
-        transpose swaps the two views."""
+        """``diag * v`` plus, per family and nonzero rate, ``out[:, rows]
+        += rate * v[:, targets]`` on each row of the C-contiguous stack
+        ``v``; the transpose swaps the two views.  One row view serves both
+        targets of a family."""
         out = self.diag * v
         lead = v.shape[:1], v.strides[:1]
-        for row, target, shape, strides, rate in self.families:
-            src, dst = (row, target) if transpose else (target, row)
+        at_row, at_target = (v, out) if transpose else (out, v)
+        for row, target, shape, strides, stay, enter in self.families:
             shape, strides = lead[0] + shape, lead[1] + strides
-            view = np.ndarray(shape, float, out, dst, strides)
-            view += rate * np.ndarray(shape, float, v, src, strides)
+            rows = np.ndarray(shape, float, at_row, row, strides)
+            for offset, rate in ((target, stay), (target + row, enter)):
+                if rate:
+                    other = np.ndarray(shape, float, at_target, offset, strides)
+                    src, dst = (rows, other) if transpose else (other, rows)
+                    dst += rate * src
         return out
 
     def _apply_rows(self, P):
@@ -349,20 +357,32 @@ class MoveOperator(_RowOperator):
             sweep(out, sites, superset=True)
         return SetFunction._take(self.ground, out / w)
 
-    def dense(self):
-        """The matrix of the diagonal and the moves, without conjugation.
+    def dense(self, transpose=False):
+        """The matrix of the diagonal and the moves, without conjugation,
+        or its transpose.
 
         A family's entries ``(row + s, target + s)``, over the free masks
-        ``s``, lie on one strided diagonal of the flattened matrix.
+        ``s``, lie on one strided diagonal of the flattened matrix, and its
+        ``enter`` entries one bit ``x`` further along the columns (the rows,
+        transposed).  A family with two nonzero rates adds both through one
+        view with a trailing axis of length 2.
         """
         _check_dense(self.ground, "dense move matrices")
         nsub = self.ground.n_subsets
         M = np.zeros((nsub, nsub))
         flat = M.reshape(-1)
-        for row, target, shape, strides, rate in self.families:
-            view = np.ndarray(shape, float, flat, row * nsub + target,
-                              tuple(s * (nsub + 1) for s in strides))
-            view += rate
+        for row, target, shape, strides, stay, enter in self.families:
+            offset, pair = ((target * nsub + row, row * nsub) if transpose
+                            else (row * nsub + target, row))
+            strides = tuple(s * (nsub + 1) for s in strides)
+            if stay and enter:
+                view = np.ndarray(shape + (2,), float, flat, offset,
+                                  strides + (pair,))
+                view += (stay, enter)
+            else:
+                view = np.ndarray(shape, float, flat,
+                                  offset if stay else offset + pair, strides)
+                view += stay or enter
         flat[::nsub + 1] += self.diag
         return M
 
@@ -392,16 +412,20 @@ def hat_L_action(kernel, z=1.0):
     = omegas[j])`` of :func:`_site_grid`, ``gamma`` moves to ``(gamma \\ x)
     u A`` and to ``gamma u A``.  Each row loses its total move rate on the
     diagonal: minus the families applied to the constant vector, one
-    strided subtraction per family.  An application costs O(n 2^n) for the
-    two sweeps plus one strided add per family, about ``n |Omega_K|
-    2^(n-1)`` terms in at most ``2 n |Omega_K|`` families.
+    strided subtraction per nonzero rate.  An application costs O(n 2^n)
+    for the two sweeps plus one strided add per nonzero rate, about ``n
+    |Omega_K| 2^(n-1)`` terms in at most ``n |Omega_K|`` families of two
+    rates each.
     """
     ground = kernel.ground
     families = _families(ground, *_move_rates(kernel, z))
     diag = np.zeros(ground.n_subsets)
-    for row, _, shape, strides, rate in families:
+    for row, _, shape, strides, stay, enter in families:
         view = np.ndarray(shape, float, diag, row, strides)
-        view -= rate
+        if stay:
+            view -= stay
+        if enter:
+            view -= enter
     return MoveOperator(ground, families, diag, True)
 
 
@@ -446,24 +470,22 @@ def hat_L_bruteforce(kernel, z=1.0):
 
     Builds the matrix of ``G -> Kinv(L(KG))`` with every sweep along the
     row-index bits ``n .. 2n-1`` of the flattened matrix, whose inner runs
-    are whole rows: the families of :func:`hat_L_action`, each with its row
-    and target swapped, write ``L``'s transpose, a superset sweep (the zeta
-    matrix, applied on the right) makes it ``(LK)^T``, a tiled in-place
-    transpose gives ``LK``, and a signed sweep (the Moebius matrix, on the
-    left) gives ``L^``.  Each entry sees the additions of a row-wise
-    superset sweep of ``L`` in the same order, so the matrix does not
-    depend on the sweep layout; :func:`_bruteforce_matrix` builds it.
+    are whole rows: the families of :func:`hat_L_action`, written
+    transposed by :meth:`MoveOperator.dense`, give ``L``'s transpose, a
+    superset sweep (the zeta matrix, applied on the right) makes it
+    ``(LK)^T``, a tiled in-place transpose gives ``LK``, and a signed sweep
+    (the Moebius matrix, on the left) gives ``L^``.  Each entry sees the
+    additions of a row-wise superset sweep of ``L`` in the same order, so
+    the matrix does not depend on the sweep layout;
+    :func:`_bruteforce_matrix` builds it.
     """
     return LatticeOperator._take(kernel.ground, _bruteforce_matrix(kernel, z))
 
 
 def _bruteforce_matrix(kernel, z):
     """The writable matrix of :func:`hat_L_bruteforce`."""
-    ground = kernel.ground
-    op = hat_L_action(kernel, z)
-    M = MoveOperator(ground, tuple((t, r, *f) for r, t, *f in op.families),
-                     op.diag, False).dense()
-    rows = range(ground.n_sites, 2 * ground.n_sites)
+    M = hat_L_action(kernel, z).dense(transpose=True)
+    rows = range(kernel.ground.n_sites, 2 * kernel.ground.n_sites)
     sweep(M.reshape(-1), rows, superset=True)
     _transpose_in_place(M)
     sweep(M.reshape(-1), rows, sign=-1.0)
@@ -504,7 +526,8 @@ def _closed_terms(kernel, z):
     summed over the supersets ``omega`` of ``D`` in ``Omega_K``, less a
     ``bincount`` of ``k_0(omega) (-1)^{|omega n r|}`` at ``D = omega n r``.
     The sign and index tables, in the bits of the other sites, serve every
-    mover.
+    mover.  Every pair is a view of buffers that the next pair overwrites,
+    so a consumer must use each pair before it draws the next.
     """
     ground = kernel.ground
     n, nsub = ground.n_sites, ground.n_subsets
@@ -516,20 +539,27 @@ def _closed_terms(kernel, z):
     at[om] = own
     D, moved = om[:, None] & r, om[:, None] ^ r
     sign = np.where(ground.subset_size[D] & 1, -1.0, 1.0)
-    cells = (at[D] * r.size + r).reshape(-1)
+    cells = (at[D] * r.size + r).reshape(-1).astype(np.intp)
+    # per site b, the rows of Omega_K whose parent omega u {b} is in Omega_K
     parents = [at[om | 1 << b] for b in range(n - 1)]
+    ups = [(np.nonzero(up > own)[0], up[up > own]) for up in parents]
     kd, kb = (t.reshape(n, om.size) for t in _move_rates(kernel, z)[2:])
+    k, flat = np.empty((2,) + sign.shape), np.empty(sign.shape, np.int32)
     for x in range(n):
         xb = 1 << x
-        k = np.stack([kd[x] + kb[x], kb[x]])[:, :, None] * sign
+        np.multiply((kd[x] + kb[x])[:, None], sign, out=k[0])
+        np.multiply(kb[x][:, None], sign, out=k[1])
         second = np.bincount(cells, k[0].reshape(-1), sign.size)
-        for up in parents:  # superset sums within Omega_K, site by site
-            k[:, up > own] += k[:, up[up > own]]
+        for rows, up in ups:  # superset sums, site by site
+            k[:, rows] += k[:, up]
         k -= second.reshape(sign.shape)
         # the cells (x u r, X u (r ^ D)), bit x put back into r and r ^ D
-        flat = (r + (r & -xb) | xb) * nsub | moved + (moved & -xb)
-        for X, table in zip((0, xb), k):
-            yield (flat | X).reshape(-1), table.reshape(-1)
+        np.bitwise_and(moved, -xb, out=flat)
+        flat += moved
+        flat |= (r + (r & -xb) | xb) * nsub
+        yield flat.reshape(-1), k[0].reshape(-1)
+        flat |= xb
+        yield flat.reshape(-1), k[1].reshape(-1)
 
 
 # ---------------------------------------------------------------------------

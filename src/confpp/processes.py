@@ -24,6 +24,9 @@ from .transforms import (conv_disjoint, norm_fit, ranked_moebius,
 
 GIBBS_MAX_SITES = 20
 MIXING_GRID_POINTS = 512
+# a count check costs n_max + 1 passes over the grid and a superposition's
+# mixing one np.convolve of two grids, so a grid stays at 2**16 points
+MIXING_MAX_POINTS = 1 << 16
 MIXING_TAIL_MASS = 1e-8
 
 
@@ -73,6 +76,9 @@ def exponential_mixing(theta, n_points=MIXING_GRID_POINTS):
     if not _is_integer(n_points) or n_points < 1:
         raise ValidationError(f"n_points must be an integer >= 1, "
                               f"got {n_points!r}")
+    if n_points > MIXING_MAX_POINTS:
+        raise CapacityError(f"mixing grids limited to {MIXING_MAX_POINTS} "
+                            f"points, got {n_points}")
     h = -math.log(MIXING_TAIL_MASS) / theta / n_points
     grid = (np.arange(n_points) + 0.5) * h
     masses = theta * np.exp(-theta * grid) * h

@@ -67,15 +67,17 @@ _BUFSIZE = 256
 # (2, 10, 2**9) stack 124 against 176 us, one table 31 against 38 us).
 _TRANSPOSE_MIN_SITES = 10
 
-# Passes over bits below 17 run in chunks of 2**17 floats, 1 MiB, half the
-# per-core L2 of the 2-core KVM box above: the 12 row-bit sweeps of a
-# 4^12-float matrix took 0.157 s in whole passes and 0.125 s in chunks (in
-# one run, chunks of 2**17 to 2**20: 0.112-0.118 s, 2**16: 0.131, 2**15:
-# 0.142).  Under the 256-entry buffer the same sweeps took a median of
-# 112 ms in whole passes, 97 in chunks of 2**16 and 85 in chunks of 2**17
-# (15 alternating rounds); chunks of 2**18 took 76 ms, a gain left to a
-# change of its own (ROADMAP).
-_BLOCK_BITS = 17
+# Passes over bits below 18 run in chunks of 2**18 floats, 2 MiB, the whole
+# per-core L2 of the 2-core KVM box above.  The 12 row-bit sweeps of a
+# 4^12-float matrix took 0.157 s in whole passes and 0.125 s in chunks of
+# 2**17 (in one run, chunks of 2**17 to 2**20: 0.112-0.118 s, 2**16:
+# 0.131, 2**15: 0.142).  Under the 256-entry buffer the same sweeps took a
+# median of 112 ms in whole passes, 97 in chunks of 2**16, 85 in chunks of
+# 2**17 and 76 in chunks of 2**18 (15 alternating rounds).  In another
+# run of 12 alternating rounds, chunks of 2**18 against 2**17 took a median
+# of 95 against 101 ms for those sweeps and 132 against 136 ms for an
+# n = 22 zeta + Moebius round trip.
+_BLOCK_BITS = 18
 
 
 def _sweep_bit(table, i, superset, c):

@@ -533,6 +533,31 @@ class TestClosedVsBruteforce:
         assert code == 1 and not report["pass"]
         assert math.isnan(rec["residual"]) and not rec["pass"]
 
+    def test_a_nan_in_the_last_chunk_fails(self, tmp_path, monkeypatch):
+        # a 9-site matrix holds 2**18 entries, two of the 2**17-entry chunks
+        # in which the residual's extremes are read; the NaN goes into the
+        # highest cell of the first term that reaches the second chunk
+        terms, edited_at = generators._closed_terms, []
+
+        def edited(kernel, z):
+            for cells, values in terms(kernel, z):
+                last = int(np.argmax(cells))
+                if not edited_at and cells[last] >= 1 << 17:
+                    edited_at.append(int(cells[last]))
+                    values = values.copy()
+                    values[last] = math.nan
+                yield cells, values
+
+        monkeypatch.setattr(generators, "_closed_terms", edited)
+        weights = [0.7, 1.2, 0.5, 0.9, 1.1, 0.6, 0.8, 1.3, 1.0]
+        code, report = _run(tmp_path, dict(
+            self.CFG, ground={"kind": "discrete", "weights": weights},
+            parameters={"kernels": 1, "k_trunc": 2}))
+        rec = self._record(report)
+        assert edited_at and edited_at[0] >= 1 << 17
+        assert code == 1 and not report["pass"]
+        assert math.isnan(rec["residual"]) and not rec["pass"]
+
 
 def test_algebra_suite_fails_on_a_nan_in_a_later_trial(tmp_path,
                                                         monkeypatch):

@@ -65,11 +65,16 @@ class TestKernelValidation:
                         birth[x, j] = rng.uniform(0.1, 1.0)
             return BirthDeathKernel(ground, death, birth, k_trunc)
 
-        for k_trunc in (0, 2, G5.n_sites):
-            want = from_entries(G5, np.random.default_rng(7), k_trunc)
-            got = random_kernel(G5, k_trunc, np.random.default_rng(7))
+        # G5 at three truncations, then the generator benchmark's two legs
+        for n, k_trunc in ((5, 0), (5, 2), (5, 5), (10, 3), (12, 2)):
+            ground = G5 if n == 5 else DiscreteGround((1.0,) * n)
+            want_rng, got_rng = (np.random.default_rng(7) for _ in range(2))
+            want = from_entries(ground, want_rng, k_trunc)
+            got = random_kernel(ground, k_trunc, got_rng)
             assert np.array_equal(got.death, want.death)
             assert np.array_equal(got.birth, want.birth)
+            # and the generator is left in the same state
+            assert got_rng.random() == want_rng.random()
 
     def test_contact_kernel_requires_symmetry(self):
         a = np.ones((G5.n_sites, G5.n_sites))

@@ -296,7 +296,7 @@ class TestSweepBuffer:
 
 
 class TestBlockedSweep:
-    """Tables longer than 2**17 entries sweep their low bits chunk by chunk;
+    """Tables longer than 2**18 entries sweep their low bits chunk by chunk;
     the result must equal one whole-table pass per bit, bit for bit."""
 
     @staticmethod
@@ -312,7 +312,7 @@ class TestBlockedSweep:
             table[..., dst] += c * table[..., src]
         return table
 
-    @pytest.mark.parametrize("n", [17, 18, 20])
+    @pytest.mark.parametrize("n", [18, 19, 20])
     @pytest.mark.parametrize("lead", [(), (2,)])
     @pytest.mark.parametrize("order", ["ascending", "interleaved"])
     @pytest.mark.parametrize("superset, sign, weighted", [
@@ -322,9 +322,10 @@ class TestBlockedSweep:
         rng = np.random.default_rng(n)
         table = rng.standard_normal((*lead, 1 << n))
         table[..., rng.random(1 << n) < 0.2] = -0.0
-        # at 20 sites, bits 18 and 17 are swept whole, 3, 16 and 0 by chunk
+        # at 20 sites, bits 19 and 18 are swept whole, 3, 15 and 0 by
+        # chunk; at 19 sites bit 18 whole, 17 by chunk; 18 sites, no chunks
         sites = (list(range(n)) if order == "ascending"
-                 else [n - 2, 3, 16, 0, n - 3])
+                 else [n - 1, 3, 15, 0, n - 2])
         weights = rng.uniform(0.5, 2.0, len(sites)) if weighted else None
         fast, want = table.copy(), table.copy()
         sweep(fast, sites, superset=superset, sign=sign, weights=weights)

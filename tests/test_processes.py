@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ class TestMixingDensity:
                 exponential_mixing(1.0, n_points=n_points)
         with pytest.raises(ValidationError):
             Poisson(bad)
+
+
+    def test_grid_size_is_capped_before_allocating(self):
+        cap = processes.MIXING_MAX_POINTS
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="mixing grids"):
+                exponential_mixing(1.0, n_points=cap + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cap  # no grid of cap + 1 floats was made
+        # the cap itself builds
+        p = exponential_mixing(1.0, n_points=cap)
+        assert p.grid.size == cap and p.masses.sum() == pytest.approx(1.0)
 
 
 class TestMixingConvolution:

@@ -152,3 +152,21 @@ def test_one_message_for_an_unstacked_batch():
                  lambda: verify_gnz(window, constant_h(), plan)):
         with pytest.raises(ValidationError, match="one value per proposal"):
             call()
+
+
+# an 18-site value table and a 9-site matrix hold 2**18 entries: two of the
+# 2**17-entry chunks in which the finiteness check reads a held array
+@pytest.mark.parametrize("cls, sites, shape", [
+    (SetFunction, 18, (1 << 18,)), (LatticeOperator, 9, (1 << 9, 1 << 9))],
+    ids=["SetFunction", "LatticeOperator"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [1 << 17, (1 << 18) - 1])
+@pytest.mark.parametrize("build", ["constructor", "_take"])
+def test_a_non_finite_entry_in_the_last_chunk_is_caught(cls, sites, shape,
+                                                        bad, at, build):
+    ground = DiscreteGround((1.0,) * sites)
+    table = np.zeros(shape)
+    table.reshape(-1)[at] = bad
+    make = cls if build == "constructor" else cls._take
+    with pytest.raises(ValidationError, match=f"{cls.__name__}.* non-finite"):
+        make(ground, table)
